@@ -242,9 +242,10 @@ def _trace_csv(rec, every: int) -> str:
     buf = io.StringIO()
     buf.write(TRACE_CSV_HEADER + "\n")
     phis = rec.per_iteration_phi
+    caps, profits, viols = (rec.capacity_trace, rec.best_profit_trace,
+                            rec.violation_trace)
     for j in range(0, len(phis), every):
-        buf.write(f"{j},{rec.capacity_trace[j]},{rec.best_profit_trace[j]},"
-                  f"{_format_float(rec.violation_trace[j])},"
+        buf.write(f"{j},{caps[j]},{profits[j]},{_format_float(viols[j])},"
                   f"{_format_float(phis[j])}\n")
     return buf.getvalue()
 

@@ -13,8 +13,10 @@ per iteration):
   down), fast non-dominated sorting, crowding distance, uniform crossover and
   1/n mutation; one generation is charged 20 iterations.
 
-``run_algorithm`` drives any of them through a capacity schedule and records
-the per-iteration offline error against a precomputed DP optimum table.
+``run_algorithm`` drives any of them through a capacity schedule and scores
+the offline error against a precomputed DP optimum table. Each solver sets
+``changed`` whenever its designated solution may have changed; the driver
+re-evaluates the designated solution only then and at capacity changes.
 """
 
 from __future__ import annotations
@@ -134,9 +136,11 @@ class OnePlusOneEA:
         self.ctx = ctx
         self.rng = rng
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
+        self.changed = True
+        self._inc = None  # (capacity, lex violation of the incumbent there)
 
     def on_change(self, capacity: int):
-        # fitness is recomputed at the current capacity on every comparison
+        # the incumbent's violation is keyed on the capacity it was taken at
         pass
 
     def step(self, capacity: int):
@@ -146,9 +150,14 @@ class OnePlusOneEA:
             return  # identical offspring; weak acceptance keeps the state as is
         bits, p, w, k = child
         off_v = ctx.lex_violation(w, k, capacity)
-        inc_v = ctx.lex_violation(self.w, self.k, capacity)
+        inc = self._inc
+        if inc is None or inc[0] != capacity:
+            inc = self._inc = (capacity, ctx.lex_violation(self.w, self.k, capacity))
+        inc_v = inc[1]
         if off_v < inc_v or (off_v == inc_v and p >= self.p):
             self.bits, self.p, self.w, self.k = bits, p, w, k
+            self._inc = (capacity, off_v)
+            self.changed = True
 
     def fitness(self, capacity: int) -> LexFitness:
         return LexFitness(self.ctx.lex_violation(self.w, self.k, capacity), self.p)
@@ -291,6 +300,7 @@ class Posdc:
         self.s_minus = _Archive(ctx.n)
         self.s_plus = _Archive(ctx.n)
         self._best = None  # cached (p, w, k, cstar) of the designated member
+        self.changed = True
         bits, p, w, k = ctx.random_solution(rng)
         cstar = ctx.bound(w, k)
         if capacity - eta <= cstar <= capacity + eta:
@@ -305,6 +315,7 @@ class Posdc:
         side = self.s_minus if cstar < capacity else self.s_plus
         side.insert(bits, p, w, k, cstar)
         self._best = None
+        self.changed = True
 
     def archive_size(self) -> int:
         return self.s_minus.size + self.s_plus.size
@@ -345,14 +356,17 @@ class Posdc:
             if not sm.has_weak_dominator(p, cstar):
                 sm.insert(bits, p, w, k, cstar)
                 self._best = None
+                self.changed = True
         elif capacity <= cstar <= capacity + self.eta:
             if not sp.has_weak_dominator(p, cstar):
                 sp.insert(bits, p, w, k, cstar)
                 if sm.size == 0:
                     self._best = None
+                    self.changed = True
 
     def _repair_step(self, capacity: int):
         self.repair_steps += 1
+        self.changed = True
         if self.repair_steps > self.repair_cap:
             raise RuntimeError(
                 f"POSDC repair did not reach the window within {self.repair_cap} steps")
@@ -400,6 +414,7 @@ class Posdc:
         if self.archive_size() == 0:
             self._seed(keep_bits, keep_p, keep_w, keep_k, keep_c, capacity)
         self._best = None
+        self.changed = True
 
     def designated_eval(self, capacity: int):
         if self.repair is not None:
@@ -463,6 +478,7 @@ class Nsga2:
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
         self._fallback = None
+        self.changed = True
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def _evaluate_population(self):
@@ -550,10 +566,12 @@ class Nsga2:
         self.cstar = all_c[chosen]
         self.generations += 1
         self._fallback = None
+        self.changed = True
 
     def on_change(self, capacity: int):
         self.best_feasible = None
         self._fallback = None
+        self.changed = True
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def designated_eval(self, capacity: int):
@@ -587,10 +605,12 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
                   seed: int, eta: int | None = None, trace: bool = False) -> metrics.RunRecord:
     """Run one algorithm through a capacity schedule.
 
-    Applies scheduled capacity changes at the start of their iteration,
-    records the designated best solution's offline error for every
-    post-warmup iteration, and returns the per-run record. Fully
-    deterministic for fixed inputs.
+    Applies scheduled capacity changes at the start of their iteration and
+    scores the designated best solution's offline error on every
+    post-warmup iteration. The designated solution is re-evaluated only at a
+    capacity change or when the solver marks it ``changed``; the record keeps
+    one interval per run of equal values. Fully deterministic for fixed
+    inputs.
     """
     if params.delta != instance.delta:
         raise ValueError(
@@ -610,70 +630,64 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     ctx = _RunContext(instance, params)
     capacity = schedule.c0
     solver = _make_solver(algo, ctx, rng, capacity, eta)
-
-    phi = np.empty(measured)
-    feasible = np.empty(measured, bool)
-    cap_trace = np.empty(measured, np.int64) if trace else None
-    profit_trace = np.empty(measured, np.int64) if trace else None
-    viol_trace = np.empty(measured, np.float64) if trace else None
-
-    change_iters = schedule.change_iters
-    change_caps = schedule.change_caps
-    n_changes = len(change_iters)
-    ptr = 0
+    recorder = metrics.OfflineErrorRecorder(warmup, measured, params.alpha, trace)
     p_star = int(dp_table[capacity])
-    alpha = params.alpha
+
+    def record(i):
+        solver.changed = False
+        recorder.record(i, p_star, *solver.designated_eval(capacity), capacity)
+
+    # capacity in force from each iteration on; None keeps the initial one
+    changes = list(zip(schedule.change_iters.tolist(),
+                       schedule.change_caps.tolist()))
     evaluations = 0
-
-    def record(i, capacity, p_star):
-        j = i - warmup
-        p_x, viol = solver.designated_eval(capacity)
-        feasible[j] = ok = viol <= alpha
-        phi[j] = (p_star - p_x) if ok else (1.0 + viol) * p_star
-        if trace:
-            cap_trace[j] = capacity
-            profit_trace[j] = p_x
-            viol_trace[j] = viol
-
     if algo == "nsga2":
         pending_change = False
+        ptr = 0
         i = 0
         while i < total:
             if pending_change:
                 solver.on_change(capacity)
                 pending_change = False
             gen_end = min(i + Nsga2.pop_size, total)
-            if ptr < n_changes and change_iters[ptr] == i:
-                capacity = int(change_caps[ptr])
+            if ptr < len(changes) and changes[ptr][0] == i:
+                capacity = changes[ptr][1]
                 p_star = int(dp_table[capacity])
                 ptr += 1
                 solver.on_change(capacity)
             solver.generation(capacity)
             evaluations += Nsga2.pop_size
-            for it in range(i, gen_end):
-                if ptr < n_changes and change_iters[ptr] == it and it != i:
-                    # mid-generation change: offline error sees it immediately,
-                    # the population reacts at the next generation boundary
-                    capacity = int(change_caps[ptr])
-                    p_star = int(dp_table[capacity])
-                    ptr += 1
-                    pending_change = True
-                if it >= warmup:
-                    record(it, capacity, p_star)
-            i = gen_end
-    else:
-        for i in range(total):
-            if ptr < n_changes and change_iters[ptr] == i:
-                capacity = int(change_caps[ptr])
+            if solver.changed:
+                record(i)
+            while ptr < len(changes) and changes[ptr][0] < gen_end:
+                # mid-generation change: offline error sees it immediately,
+                # the population reacts at the next generation boundary
+                it, capacity = changes[ptr]
                 p_star = int(dp_table[capacity])
                 ptr += 1
+                pending_change = True
+                record(it)
+            i = gen_end
+    else:
+        if not changes or changes[0][0] != 0:
+            changes.insert(0, (0, None))
+        ends = [it for it, _ in changes[1:]] + [total]
+        step = solver.step
+        for (start, new_capacity), end in zip(changes, ends):
+            if new_capacity is not None:
+                capacity = new_capacity
+                p_star = int(dp_table[capacity])
                 solver.on_change(capacity)
-            solver.step(capacity)
-            evaluations += 1
-            if i >= warmup:
-                record(i, capacity, p_star)
+            step(capacity)
+            record(start)
+            for i in range(start + 1, end):
+                step(capacity)
+                if solver.changed:
+                    record(i)
+        evaluations = total
 
-    rec = metrics.RunRecord(
+    log = recorder.log()
+    return metrics.RunRecord(
         algo=algo,
         bound_kind=params.bound_kind,
         instance_seed=instance.seed,
@@ -682,13 +696,9 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         tau=schedule.tau,
         delta=instance.delta,
         alpha=params.alpha,
-        per_iteration_phi=phi,
-        total_offline_error=metrics.total_offline_error(phi),
-        feasible_fraction=float(feasible.mean()),
+        intervals=log,
+        total_offline_error=metrics.total_offline_error(log.series("phi")),
+        feasible_fraction=float(log.series("feasible").mean()),
         change_count=schedule.change_count,
         evaluations=evaluations,
-        capacity_trace=cap_trace,
-        best_profit_trace=profit_trace,
-        violation_trace=viol_trace,
     )
-    return rec
