@@ -3,8 +3,9 @@
 Three algorithms share the same iteration currency (one fitness evaluation
 per iteration):
 
-* ``OnePlusOneEA`` -- single incumbent, 1/n bit flips, lexicographic
-  (constraint violation, profit) acceptance.
+* ``OnePlusOneEA`` -- single incumbent, standard bit mutation (each bit
+  flips with probability 1/n), lexicographic (constraint violation, profit)
+  acceptance.
 * ``Posdc`` -- dual non-dominated archives around the current capacity: S-
   holds solutions whose capacity bound sits in [C - eta, C), S+ those in
   [C, C + eta]. Keeping the infeasible side warm is what lets the search
@@ -29,6 +30,7 @@ from . import chance, metrics
 from .chance import CHEBYSHEV, ChanceParams
 
 REPAIR_STEP_CAP = 10 ** 6
+MUTATION_BLOCK = 4096  # iterations of standard bit mutation drawn at once
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,92 @@ def posdc_dominates(a, b) -> bool:
     """Weak dominance on (profit, capacity bound): at least the profit, at
     most the bound. Equal points dominate each other."""
     return a[0] >= b[0] and a[1] <= b[1]
+
+
+class _FlipBlocks:
+    """Flip positions of standard bit mutation, drawn ``MUTATION_BLOCK``
+    iterations at a time from one solver's Generator.
+
+    A block is the stream of n * MUTATION_BLOCK Bernoulli(1/n) trials, one
+    per (iteration, bit), sampled as Geometric(1/n) gaps between successes.
+    The block ends at that fixed trial count, never at the last drawn
+    success, and the next block starts a fresh stream; so every iteration
+    keeps exactly the distribution of n independent 1/n flips.
+    """
+
+    __slots__ = ("rng", "n", "_first", "_pos", "_next")
+
+    def __init__(self, rng, n: int):
+        self.rng = rng
+        self.n = n
+        self._next = MUTATION_BLOCK  # the first draw fills a block
+
+    def draw(self):
+        """Ascending flip positions of the next iteration, or None when no
+        bit flips."""
+        t = self._next
+        if t == MUTATION_BLOCK:
+            self._fill()
+            t = 0
+        self._next = t + 1
+        a = self._first[t]
+        b = self._first[t + 1]
+        return self._pos[a:b] if a != b else None
+
+    def _fill(self):
+        n = self.n
+        trials = n * MUTATION_BLOCK
+        parts = []
+        covered = 0  # trials up to and including the last drawn success
+        while covered <= trials:
+            # a block holds MUTATION_BLOCK successes on average; the margin
+            # makes a second draw rare
+            ends = np.cumsum(self.rng.geometric(1.0 / n, MUTATION_BLOCK + 256))
+            ends += covered
+            parts.append(ends)
+            covered = int(ends[-1])
+        hits = np.concatenate(parts) - 1  # 0-based trial index of each success
+        hits = hits[hits < trials]
+        iteration = hits // n
+        self._pos = (hits - iteration * n).tolist()
+        self._first = np.searchsorted(
+            iteration, np.arange(MUTATION_BLOCK + 1)).tolist()
+
+
+_WORD_MASK = (1 << 64) - 1
+
+
+class _IndexBlocks:
+    """Uniform indices below a bound that may change on every draw, taken
+    from blocks of ``MUTATION_BLOCK`` 64-bit words of one solver's Generator
+    by Lemire's multiply-and-reject method, which is exact."""
+
+    __slots__ = ("rng", "_words", "_next")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._words = []
+        self._next = 0
+
+    def _word(self) -> int:
+        i = self._next
+        if i == len(self._words):
+            self._words = self.rng.integers(
+                0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist()
+            i = 0
+        self._next = i + 1
+        return self._words[i]
+
+    def below(self, m: int) -> int:
+        """Uniform integer in [0, m)."""
+        prod = self._word() * m
+        low = prod & _WORD_MASK
+        if low < m:
+            reject = ((1 << 64) - m) % m
+            while low < reject:
+                prod = self._word() * m
+                low = prod & _WORD_MASK
+        return prod >> 64
 
 
 class _RunContext:
@@ -105,15 +193,16 @@ class _RunContext:
         return (bits, int(bits @ self.profits), int(bits @ self.weights),
                 int(bits.sum()))
 
-    def mutate(self, rng, bits, p, w, k):
-        """1/n independent bit flips; returns None when no bit flips (the
-        offspring is an exact copy)."""
-        flips = np.flatnonzero(rng.random(self.n) < self.inv_n)
-        if flips.size == 0:
+    def mutate(self, flips: _FlipBlocks, bits, p, w, k):
+        """Standard bit mutation with the next positions of the solver's
+        ``flips``; returns None when no bit flips (the offspring is an exact
+        copy)."""
+        positions = flips.draw()
+        if positions is None:
             return None
         nb = bits.copy()
         pl, wl = self.profit_list, self.weight_list
-        for i in flips.tolist():
+        for i in positions:
             if nb[i]:
                 nb[i] = 0
                 p -= pl[i]
@@ -134,7 +223,7 @@ class OnePlusOneEA:
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
-        self.rng = rng
+        self.flips = _FlipBlocks(rng, ctx.n)
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
         self.changed = True
         self._inc = None  # (capacity, lex violation of the incumbent there)
@@ -145,7 +234,7 @@ class OnePlusOneEA:
 
     def step(self, capacity: int):
         ctx = self.ctx
-        child = ctx.mutate(self.rng, self.bits, self.p, self.w, self.k)
+        child = ctx.mutate(self.flips, self.bits, self.p, self.w, self.k)
         if child is None:
             return  # identical offspring; weak acceptance keeps the state as is
         bits, p, w, k = child
@@ -293,7 +382,8 @@ class Posdc:
         if eta < 1:
             raise ValueError("eta must be >= 1")
         self.ctx = ctx
-        self.rng = rng
+        self.flips = _FlipBlocks(rng, ctx.n)
+        self.parents = _IndexBlocks(rng)
         self.eta = eta
         self.repair_cap = repair_cap
         self.repair_steps = 0
@@ -340,14 +430,14 @@ class Posdc:
             return
         ctx = self.ctx
         sm, sp = self.s_minus, self.s_plus
-        j = int(self.rng.integers(sm.size + sp.size))
+        j = self.parents.below(sm.size + sp.size)
         if j < sm.size:
             parent = sm
         else:
             parent = sp
             j -= sm.size
-        child = ctx.mutate(self.rng, parent.bits[j], int(parent.p[j]),
-                           int(parent.w[j]), int(parent.k[j]))
+        child = ctx.mutate(self.flips, parent.bits[j], parent.p.item(j),
+                           parent.w.item(j), parent.k.item(j))
         if child is None:
             return  # duplicate of an archived member: always weakly dominated
         bits, p, w, k = child
@@ -372,7 +462,7 @@ class Posdc:
                 f"POSDC repair did not reach the window within {self.repair_cap} steps")
         ctx = self.ctx
         bits, p, w, k = self.repair
-        child = ctx.mutate(self.rng, bits, p, w, k)
+        child = ctx.mutate(self.flips, bits, p, w, k)
         if child is not None:
             nb, np_, nw, nk = child
             off_v = ctx.lex_violation(nw, nk, capacity)
@@ -637,7 +727,7 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         solver.changed = False
         recorder.record(i, p_star, *solver.designated_eval(capacity), capacity)
 
-    # capacity in force from each iteration on; None keeps the initial one
+    # (iteration, capacity in force from it on)
     changes = list(zip(schedule.change_iters.tolist(),
                        schedule.change_caps.tolist()))
     evaluations = 0
@@ -669,6 +759,7 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
                 record(it)
             i = gen_end
     else:
+        # one segment per capacity; None keeps the initial capacity
         if not changes or changes[0][0] != 0:
             changes.insert(0, (0, None))
         ends = [it for it, _ in changes[1:]] + [total]

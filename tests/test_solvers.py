@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from scipy import stats
 
-from dcckp import chance
+from dcckp import chance, metrics
 from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams
 from dcckp.dynamics import build_schedule
 from dcckp.model import generate_instance
 from dcckp.oracle import brute_force_chance_optimum, dp_optimal_profits
 from dcckp.solvers import (
+    MUTATION_BLOCK,
     LexFitness,
     Nsga2,
     OnePlusOneEA,
     Posdc,
     _Archive,
+    _FlipBlocks,
+    _IndexBlocks,
+    _make_solver,
     _RunContext,
     crowding_distances,
     fast_nondominated_sort,
@@ -42,6 +47,76 @@ def test_posdc_dominates_cases():
     assert not posdc_dominates((10, 5), (12, 4))
     assert posdc_dominates((10, 5), (10, 5))
     assert not posdc_dominates((10, 6), (11, 5))
+
+
+# -- mutation -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [12, 100, 1000])
+def test_flip_blocks_match_independent_bit_flips(n):
+    """Chi-square tests at p > 0.001 (fixed seed, thresholds fixed up front):
+    flip counts follow Bin(n, 1/n), also in the last eighth of each block,
+    positions are uniform, and about (1 - 1/n)^n of the iterations flip
+    nothing."""
+    flips = _FlipBlocks(np.random.default_rng(2024), n)
+    iters = 5 * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 5 block ends
+    counts = np.empty(iters, np.int64)
+    positions = []
+    for t in range(iters):
+        drawn = flips.draw()
+        counts[t] = 0 if drawn is None else len(drawn)
+        if drawn is not None:
+            assert drawn == sorted(set(drawn)) and 0 <= drawn[0] and drawn[-1] < n
+            positions.extend(drawn)
+
+    top = 4  # counts >= 4 share one bin
+    pmf = stats.binom.pmf(np.arange(top), n, 1.0 / n)
+    pmf = np.append(pmf, 1.0 - pmf.sum())
+
+    def count_p_value(sample):
+        observed = np.bincount(np.minimum(sample, top), minlength=top + 1)
+        return stats.chisquare(observed, pmf * len(sample)).pvalue
+
+    assert count_p_value(counts) > 1e-3
+    tails = counts[:5 * MUTATION_BLOCK].reshape(5, MUTATION_BLOCK)
+    assert count_p_value(tails[:, -MUTATION_BLOCK // 8:].ravel()) > 1e-3
+    assert stats.chisquare(np.bincount(positions, minlength=n)).pvalue > 1e-3
+    noop = 1.0 - 1.0 / n
+    noop **= n
+    assert abs(np.mean(counts == 0) - noop) < 4 * np.sqrt(noop * (1 - noop) / iters)
+
+
+def test_mutate_applies_the_drawn_flips():
+    inst, ctx = make_ctx(n=12)
+    rng = np.random.default_rng(3)
+    bits, p, w, k = ctx.random_solution(rng)
+    mine, twin = _FlipBlocks(np.random.default_rng(8), 12), _FlipBlocks(
+        np.random.default_rng(8), 12)
+    for _ in range(200):
+        child = ctx.mutate(mine, bits, p, w, k)
+        drawn = twin.draw()
+        if drawn is None:
+            assert child is None
+            continue
+        nb, np_, nw, nk = child
+        expect = bits.copy()
+        expect[drawn] ^= 1
+        assert np.array_equal(nb, expect)
+        assert (np_, nw, nk) == (int(expect @ inst.profit_array()),
+                                 int(expect @ inst.weight_array()), int(expect.sum()))
+        bits, p, w, k = child
+
+
+def test_index_blocks_uniform_below_changing_bounds():
+    draws = _IndexBlocks(np.random.default_rng(77))
+    for m in (1, 3, 40):
+        got = np.array([draws.below(m) for _ in range(2000 * m)])
+        assert got.min() >= 0 and got.max() < m
+        if m > 1:
+            assert stats.chisquare(np.bincount(got, minlength=m)).pvalue > 1e-3
+    # a bound just above 2^63 rejects almost half of the words and must
+    # still stay in range
+    big = (1 << 63) + 1
+    assert all(0 <= draws.below(big) < big for _ in range(100))
 
 
 # -- archive ------------------------------------------------------------------
@@ -481,6 +556,82 @@ def test_run_record_phi_consistent_with_trace():
         assert rec.total_offline_error == pytest.approx(
             float(rec.per_iteration_phi.mean()), rel=1e-12)
         assert rec.change_count == sched.change_count
+
+
+def reference_series(algo, inst, sched, params, dp, seed):
+    """Dense (phi, feasible, capacity, profit, violation) per post-warmup
+    iteration, from a driver that re-evaluates the designated solution on
+    every iteration."""
+    rng = np.random.default_rng(seed)
+    ctx = _RunContext(inst, params)
+    solver = _make_solver(algo, ctx, rng, sched.c0, sched.r)
+    rows = []
+    caps = sched.capacities()
+    changes = set(sched.change_iters.tolist())
+    capacity = sched.c0
+    pending = False
+    for i in range(sched.total_iters):
+        if algo != "nsga2":
+            if i in changes:
+                capacity = int(caps[i])
+                solver.on_change(capacity)
+            solver.step(capacity)
+        elif i % Nsga2.pop_size == 0:
+            if pending:
+                solver.on_change(capacity)
+                pending = False
+            if i in changes:
+                capacity = int(caps[i])
+                solver.on_change(capacity)
+            solver.generation(capacity)
+        elif i in changes:  # mid-generation: the population reacts next time
+            capacity = int(caps[i])
+            pending = True
+        if i >= sched.warmup:
+            p_x, viol = solver.designated_eval(capacity)
+            p_star = int(dp[capacity])
+            rows.append((metrics.offline_error(p_star, p_x, viol, params.alpha),
+                         viol <= params.alpha, capacity, p_x, viol))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("algo", ["ea11", "posdc", "nsga2"])
+def test_recorder_misses_no_change(algo, monkeypatch):
+    """Offline error scored only at marks and capacity changes equals
+    scoring every iteration, whether the solver marks every step or only
+    the steps that change its designated solution."""
+    inst = generate_instance("uncorrelated", 12, 25, seed=4)
+    dp = dp_optimal_profits(inst, inst.total_expected_weight())
+    # tau is not a multiple of 20, so NSGA-II sees mid-generation changes;
+    # c0 sits far below a random solution, so POSDC starts by repairing
+    sched = build_schedule(600, 37, 2000, 5, 2965, 1,
+                           inst.total_expected_weight(), seed=7)
+    params = ChanceParams(0.01, 25, CHERNOFF)
+    seed = 4
+    if algo == "posdc":  # the repair phase outlasts the warm-up
+        pos = Posdc(_RunContext(inst, params), np.random.default_rng(seed), 600,
+                    sched.r)
+        for _ in range(sched.warmup):
+            pos.step(600)
+        assert pos.repair is not None
+
+    normal = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
+    cls = {"ea11": OnePlusOneEA, "posdc": Posdc, "nsga2": Nsga2}[algo]
+    monkeypatch.setattr(cls, "changed", property(lambda self: True,
+                                                 lambda self, value: None),
+                        raising=False)
+    marked = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
+    monkeypatch.undo()
+    reference = reference_series(algo, inst, sched, params, dp, seed)
+
+    for rec in (marked, normal):
+        got = (rec.per_iteration_phi, rec.intervals.series("feasible"),
+               rec.capacity_trace, rec.best_profit_trace, rec.violation_trace)
+        for a, b in zip(got, reference):
+            assert np.array_equal(a, b)
+        assert rec.feasible_fraction == float(reference[1].mean())
+        assert rec.total_offline_error == float(reference[0].mean())
+    assert len(normal.intervals.starts) < len(reference[0]) // 4
 
 
 def cstar_side_optimum(inst, capacity, params):
