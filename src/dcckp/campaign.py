@@ -64,6 +64,10 @@ class CampaignConfig:
             raise ValueError("total_iters must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.trace_every < 1:
+            raise ValueError("trace_every must be >= 1")
         for name in ("deltas", "rs", "taus", "alphas", "algos", "bounds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -140,9 +144,12 @@ def _instance_and_dp(kind, n, delta, c_constant, instance_seed):
     if inst is None:
         inst = _INSTANCE_CACHE[key] = generate_instance(
             kind, n, delta, c_constant, instance_seed)
-    dp = _DP_CACHE.get(key)
+    # items (profits, expected weights) are drawn independently of delta, so
+    # every delta of an instance shares one DP table
+    dp_key = (kind, n, c_constant, instance_seed)
+    dp = _DP_CACHE.get(dp_key)
     if dp is None:
-        dp = _DP_CACHE[key] = oracle.dp_optimal_profits(
+        dp = _DP_CACHE[dp_key] = oracle.dp_optimal_profits(
             inst, inst.total_expected_weight())
     return inst, dp
 

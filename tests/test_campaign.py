@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from dcckp import campaign
 from dcckp.campaign import (
     CampaignConfig,
     enumerate_cells,
@@ -47,6 +48,10 @@ def test_config_validation():
         CampaignConfig(**{**TINY, "alphas": (1.5,)})
     with pytest.raises(ValueError):
         CampaignConfig(**{**TINY, "kind": "mystery"})
+    with pytest.raises(ValueError):
+        CampaignConfig(**{**TINY, "jobs": 0})
+    with pytest.raises(ValueError):
+        CampaignConfig(**{**TINY, "trace_every": 0})
 
 
 def test_single_run_summary_mean_is_run_value():
@@ -127,3 +132,19 @@ def test_run_record_fields_round_trip_through_csv():
         assert float(row["total_offline_error"]) == rec.total_offline_error
         assert float(row["feasible_fraction"]) == rec.feasible_fraction
         assert int(row["change_count"]) == rec.change_count
+
+
+def test_dp_table_computed_once_for_every_delta(monkeypatch):
+    calls = []
+    dp = campaign.oracle.dp_optimal_profits
+
+    def counted(*args):
+        calls.append(args)
+        return dp(*args)
+
+    monkeypatch.setattr(campaign, "_INSTANCE_CACHE", {})
+    monkeypatch.setattr(campaign, "_DP_CACHE", {})
+    monkeypatch.setattr(campaign.oracle, "dp_optimal_profits", counted)
+    result = run_campaign(CampaignConfig(**{**TINY, "deltas": (25, 50)}))
+    assert {c.delta for c in result.cells} == {25, 50}
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dcckp.cli import main
 from dcckp.model import parse_instance
@@ -57,6 +58,17 @@ def test_run_and_summarize_and_stats(capsys, tmp_path):
 def test_run_missing_out_flag_is_config_error(capsys):
     code, _, _ = run_cli(capsys, "run", "--n", "10")
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "0"], ["--trace", "--trace-every", "0"]],
+                         ids=["jobs", "trace_every"])
+def test_run_bad_config_fails_before_any_output(capsys, tmp_path, flag):
+    out_dir = tmp_path / "camp"
+    code, _, err = run_cli(capsys, "run", "--n", "10", "--iters", "200",
+                           "--warmup", "20", "--runs", "2", "--out", str(out_dir),
+                           *flag)
+    assert code == 1 and "error" in err
+    assert not (out_dir / "runs.csv").exists()
 
 
 def test_summarize_missing_file(capsys, tmp_path):
