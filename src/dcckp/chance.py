@@ -78,12 +78,16 @@ def chebyshev_capacity_bound(expected_weight: float, count: int, delta: float,
 
 def chernoff_capacity_bound(expected_weight: float, count: int, delta: float,
                             alpha: float) -> float:
-    """Capacity at which the Chernoff argument certifies violation <= alpha.
+    """Chernoff-family capacity bound at level alpha:
+    E + 0.66*delta*(u + sqrt(u^2 + 9*u*k)) with u = -ln(alpha).
 
-    Not the inverse of :func:`chernoff_violation_prob`: the certificate comes
-    from a slightly tighter derivation, so evaluating the violation formula at
-    this capacity can land marginally above alpha even though the true
-    violation probability is below it.
+    0.66 is the paper's constant. The exact inverse of
+    :func:`chernoff_violation_prob` has 2/3 in its place, so this margin is
+    exactly 0.99 times the margin at which the closed form equals alpha, and
+    the closed form evaluated at this capacity reads slightly above alpha.
+    Nothing here proves that the smaller margin still bounds the true
+    violation probability; the evidence is the Monte-Carlo check of
+    acceptance criterion 2.
     """
     if count == 0:
         return float(expected_weight)
@@ -107,9 +111,11 @@ def chernoff_capacity_alpha(expected_weight: float, count: int, delta: float,
     whose certified capacity equals ``capacity``.
 
     Solving capacity = E + 0.66*delta*(u + sqrt(u^2 + 9*u*k)) for u = -ln(alpha)
-    gives u = B^2 / (2B + 9k) with B = (capacity - E) / (0.66*delta). This is a
-    valid Chernoff-family upper bound on the true violation probability and is
-    uniformly tighter than :func:`chernoff_violation_prob`.
+    gives u = B^2 / (2B + 9k) with B = (capacity - E) / (0.66*delta). Because
+    of the 0.66 it reads below :func:`chernoff_violation_prob` at every
+    capacity above the mean. That it bounds the true violation probability
+    is not proven; it rests on the same Monte-Carlo evidence as
+    :func:`chernoff_capacity_bound` (acceptance criterion 2).
     """
     if count == 0:
         return 0.0 if capacity > 0 else 1.0

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live. The
-desk-scale campaign test takes a few minutes; everything else is fast.
+desk-scale campaign and the Monte-Carlo safety check take tens of seconds
+each; everything else is fast.
 """
 
 import math
