@@ -80,8 +80,7 @@ def test_flip_blocks_match_independent_bit_flips(n):
     tails = counts[:5 * MUTATION_BLOCK].reshape(5, MUTATION_BLOCK)
     assert count_p_value(tails[:, -MUTATION_BLOCK // 8:].ravel()) > 1e-3
     assert stats.chisquare(np.bincount(positions, minlength=n)).pvalue > 1e-3
-    noop = 1.0 - 1.0 / n
-    noop **= n
+    noop = (1.0 - 1.0 / n) ** n
     assert abs(np.mean(counts == 0) - noop) < 4 * np.sqrt(noop * (1 - noop) / iters)
 
 
@@ -89,8 +88,8 @@ def test_mutate_applies_the_drawn_flips():
     inst, ctx = make_ctx(n=12)
     rng = np.random.default_rng(3)
     bits, p, w, k = ctx.random_solution(rng)
-    mine, twin = _FlipBlocks(np.random.default_rng(8), 12), _FlipBlocks(
-        np.random.default_rng(8), 12)
+    mine = _FlipBlocks(np.random.default_rng(8), 12)
+    twin = _FlipBlocks(np.random.default_rng(8), 12)
     for _ in range(200):
         child = ctx.mutate(mine, bits, p, w, k)
         drawn = twin.draw()
