@@ -30,7 +30,7 @@ from . import chance, metrics
 from .chance import CHEBYSHEV, ChanceParams
 
 REPAIR_STEP_CAP = 10 ** 6
-MUTATION_BLOCK = 4096  # iterations of standard bit mutation drawn at once
+MUTATION_BLOCK = 256  # iterations of standard bit mutation drawn at once
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,13 @@ class _FlipBlocks:
     """Flip positions of standard bit mutation, drawn ``MUTATION_BLOCK``
     iterations at a time from one solver's Generator.
 
-    A block is the stream of n * MUTATION_BLOCK Bernoulli(1/n) trials, one
-    per (iteration, bit), sampled as Geometric(1/n) gaps between successes.
-    The block ends at that fixed trial count, never at the last drawn
-    success, and the next block starts a fresh stream; so every iteration
-    keeps exactly the distribution of n independent 1/n flips.
+    A block is n * MUTATION_BLOCK uniforms, n per iteration in iteration
+    order, and bit i of an iteration flips when its uniform is below 1/n.
+    That is exactly the stream of one ``rng.random(n)`` per iteration, so a
+    solver that draws nothing else between mutations follows the same
+    trajectory as with a per-iteration draw; the uniforms cost a few ns each
+    in one vectorised call, and the per-iteration Python work does not grow
+    with n.
     """
 
     __slots__ = ("rng", "n", "_first", "_pos", "_next")
@@ -84,18 +86,7 @@ class _FlipBlocks:
 
     def _fill(self):
         n = self.n
-        trials = n * MUTATION_BLOCK
-        parts = []
-        covered = 0  # trials up to and including the last drawn success
-        while covered <= trials:
-            # a block holds MUTATION_BLOCK successes on average; the margin
-            # makes a second draw rare
-            ends = np.cumsum(self.rng.geometric(1.0 / n, MUTATION_BLOCK + 256))
-            ends += covered
-            parts.append(ends)
-            covered = int(ends[-1])
-        hits = np.concatenate(parts) - 1  # 0-based trial index of each success
-        hits = hits[hits < trials]
+        hits = np.flatnonzero(self.rng.random(n * MUTATION_BLOCK) < 1.0 / n)
         iteration = hits // n
         self._pos = (hits - iteration * n).tolist()
         self._first = np.searchsorted(

@@ -58,7 +58,8 @@ def test_flip_blocks_match_independent_bit_flips(n):
     positions are uniform, and about (1 - 1/n)^n of the iterations flip
     nothing."""
     flips = _FlipBlocks(np.random.default_rng(2024), n)
-    iters = 5 * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 5 block ends
+    blocks = 80
+    iters = blocks * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 80 block ends
     counts = np.empty(iters, np.int64)
     positions = []
     for t in range(iters):
@@ -77,11 +78,22 @@ def test_flip_blocks_match_independent_bit_flips(n):
         return stats.chisquare(observed, pmf * len(sample)).pvalue
 
     assert count_p_value(counts) > 1e-3
-    tails = counts[:5 * MUTATION_BLOCK].reshape(5, MUTATION_BLOCK)
+    tails = counts[:blocks * MUTATION_BLOCK].reshape(blocks, MUTATION_BLOCK)
     assert count_p_value(tails[:, -MUTATION_BLOCK // 8:].ravel()) > 1e-3
     assert stats.chisquare(np.bincount(positions, minlength=n)).pvalue > 1e-3
     noop = (1.0 - 1.0 / n) ** n
     assert abs(np.mean(counts == 0) - noop) < 4 * np.sqrt(noop * (1 - noop) / iters)
+
+
+@pytest.mark.parametrize("n", [1, 12, 100])
+def test_flip_blocks_replay_a_per_iteration_draw(n):
+    """A block reads the same uniforms as one rng.random(n) per iteration,
+    so solver trajectories do not depend on the block size."""
+    flips = _FlipBlocks(np.random.default_rng(31), n)
+    twin = np.random.default_rng(31)
+    for _ in range(3 * MUTATION_BLOCK + 7):
+        expect = np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
+        assert flips.draw() == (expect or None)
 
 
 def test_mutate_applies_the_drawn_flips():
