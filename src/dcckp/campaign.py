@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, oracle, solvers, stats
 from .chance import BOUND_KINDS, ChanceParams
-from .model import generate_instance, normalize_kind
+from .model import WEIGHT_OFFSET, generate_instance, normalize_kind
 from .solvers import ALGORITHMS
 
 RUNS_CSV_HEADER = ("cell_id,algo,bound,r,tau,delta,alpha,run_seed,"
@@ -80,6 +80,15 @@ class CampaignConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"alpha must be in (0, 1), got {a}")
+        for d in self.deltas:
+            if not 1 <= d <= WEIGHT_OFFSET:
+                raise ValueError(f"delta must be in [1, {WEIGHT_OFFSET}], got {d}")
+        for r in self.rs:
+            if r < 1:
+                raise ValueError(f"r must be >= 1, got {r}")
+        for t in self.taus:
+            if t < 1:
+                raise ValueError(f"tau must be >= 1, got {t}")
 
 
 @dataclass(frozen=True)

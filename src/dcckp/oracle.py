@@ -14,16 +14,42 @@ _ENUM_CHUNK = 1 << 14
 
 def dp_optimal_profits(instance, c_max: int) -> np.ndarray:
     """0/1 knapsack DP over expected weights: entry c is the best profit
-    achievable with total expected weight <= c, for every c in 0..c_max."""
+    achievable with total expected weight <= c, for every c in 0..c_max.
+    Returns int64.
+
+    The table does not depend on item order, so items are visited in
+    ascending expected weight, which keeps every prefix weight sum as small
+    as possible. After each item, every entry above ``reach`` (the prefix
+    weight sum, capped at c_max) equals the prefix profit sum, because the
+    whole prefix fits there; so an item of weight w only updates entries
+    w..min(c_max, reach + w), and the entries above ``reach`` are written
+    once, just before they enter that range or at the end. Items that
+    cannot raise any entry (weight above c_max, profit <= 0) are skipped.
+    The accumulators are int32 when the total profit of the items kept is
+    below 2**31, and int64 otherwise."""
     if c_max < 0:
         raise ValueError("c_max must be >= 0")
-    dp = np.zeros(c_max + 1, np.int64)
-    for it in instance.items:
-        w, p = it.expected_weight, it.profit
-        if w <= c_max:
-            # dp[:-w] + p is materialized first, so each item is used at most once
-            np.maximum(dp[w:], dp[:-w] + p, out=dp[w:])
-    return dp
+    weights = instance.weight_array()
+    profits = instance.profit_array()
+    keep = (weights <= c_max) & (profits > 0)
+    order = np.argsort(weights[keep])
+    weights = weights[keep][order].tolist()
+    profits = profits[keep][order].tolist()
+    dtype = np.int32 if sum(profits) < 2**31 else np.int64
+    dp = np.empty(c_max + 1, dtype)
+    dp[0] = 0
+    scratch = np.empty(c_max + 1, dtype)  # dp[c - w] + p for the current item
+    reach = profit_sum = 0
+    for w, p in zip(weights, profits):
+        top = min(c_max, reach + w)
+        dp[reach + 1:top + 1] = profit_sum
+        span = top - w + 1
+        # the sum goes to scratch first, so each item is used at most once
+        np.add(dp[:span], p, out=scratch[:span])
+        np.maximum(dp[w:top + 1], scratch[:span], out=dp[w:top + 1])
+        reach, profit_sum = top, profit_sum + p
+    dp[reach + 1:] = profit_sum
+    return dp.astype(np.int64, copy=False)
 
 
 def _enumerate_subsets(instance):

@@ -12,6 +12,7 @@ from dcckp.campaign import (
     schedule_seed_for,
     summarize_runs_csv,
 )
+from dcckp.model import WEIGHT_OFFSET
 
 TINY = dict(kind="uncorrelated", n=12, deltas=(25,), rs=(300,), taus=(200,),
             alphas=(0.01,), algos=("ea11", "posdc"), bounds=("chernoff",),
@@ -52,6 +53,12 @@ def test_config_validation():
         CampaignConfig(**{**TINY, "jobs": 0})
     with pytest.raises(ValueError):
         CampaignConfig(**{**TINY, "trace_every": 0})
+    for field, bad in (("deltas", (0,)), ("deltas", (25, WEIGHT_OFFSET + 1)),
+                       ("rs", (0,)), ("rs", (300, -1)),
+                       ("taus", (0,)), ("taus", (150, -5))):
+        with pytest.raises(ValueError):
+            CampaignConfig(**{**TINY, field: bad})
+    CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,)})
 
 
 def test_single_run_summary_mean_is_run_value():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcckp import cli
 from dcckp.cli import main
 from dcckp.model import parse_instance
 
@@ -60,14 +61,26 @@ def test_run_missing_out_flag_is_config_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "0"], ["--trace", "--trace-every", "0"]],
-                         ids=["jobs", "trace_every"])
-def test_run_bad_config_fails_before_any_output(capsys, tmp_path, flag):
+@pytest.mark.parametrize("flag", [["--jobs", "0"], ["--trace", "--trace-every", "0"],
+                                  ["--delta", "25,150", "--jobs", "2"],
+                                  ["--delta", "0"], ["--r", "0"], ["--tau", "0"]],
+                         ids=["jobs", "trace_every", "delta_high", "delta_zero",
+                              "r", "tau"])
+def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):
+    started = []
+    real_run_campaign = cli.run_campaign
+
+    def recording_run_campaign(config):
+        started.append(config)
+        return real_run_campaign(config)
+
+    monkeypatch.setattr(cli, "run_campaign", recording_run_campaign)
     out_dir = tmp_path / "camp"
     code, _, err = run_cli(capsys, "run", "--n", "10", "--iters", "200",
                            "--warmup", "20", "--runs", "2", "--out", str(out_dir),
                            *flag)
     assert code == 1 and "error" in err
+    assert not started  # rejected before the campaign (and any worker) starts
     assert not (out_dir / "runs.csv").exists()
 
 

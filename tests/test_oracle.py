@@ -40,6 +40,59 @@ def test_dp_three_items_derived_by_enumeration():
     assert (np.diff(table) >= 0).all()
 
 
+def reference_dp(instance, c_max):
+    """The full-range int64 loop over items in instance order."""
+    dp = np.zeros(c_max + 1, np.int64)
+    for w, p in zip(instance.weight_array().tolist(),
+                    instance.profit_array().tolist()):
+        if w <= c_max:
+            np.maximum(dp[w:], dp[:-w] + p, out=dp[w:])
+    return dp
+
+
+def assert_matches_reference(inst, c_max):
+    table = dp_optimal_profits(inst, c_max)
+    assert table.dtype == np.int64
+    np.testing.assert_array_equal(table, reference_dp(inst, c_max))
+
+
+def test_dp_matches_reference_on_random_stubs():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        n = int(rng.integers(1, 16))
+        weights = rng.integers(1, 80, n).tolist()
+        # every fourth trial draws profits near 2**30, so totals pass 2**31
+        high = 2**30 if trial % 4 == 0 else 1000
+        profits = rng.integers(1, high, n).tolist()
+        inst = stub_instance(list(zip(profits, weights)))
+        total = sum(weights)
+        # c_max = 0, below some single weights, inside, at and above the total
+        for c_max in {0, min(weights), max(weights) - 1, total // 2, total,
+                      total + int(rng.integers(1, 50))}:
+            assert_matches_reference(inst, c_max)
+
+
+def test_dp_int64_path_when_profit_total_passes_int32():
+    inst = stub_instance([(2**31 - 1, 3), (2**31 - 1, 4), (5, 2)])
+    table = dp_optimal_profits(inst, 9)
+    assert table.dtype == np.int64
+    assert table[9] == 2 * (2**31 - 1) + 5
+    assert_matches_reference(inst, 9)
+
+
+def test_dp_skips_items_that_cannot_raise_any_entry():
+    # too heavy for c_max, zero profit, negative profit
+    inst = stub_instance([(100, 50), (3, 2), (0, 1), (-6, 2), (4, 3)])
+    assert_matches_reference(inst, 10)
+    assert dp_optimal_profits(inst, 10)[10] == 7
+
+
+@pytest.mark.parametrize("kind", ["uncorrelated", "bsc"])
+def test_dp_matches_reference_n1000(kind):
+    inst = generate_instance(kind, 1000, 25, seed=4)
+    assert_matches_reference(inst, inst.total_expected_weight())
+
+
 def test_dp_zero_capacity():
     inst = generate_instance("uncorrelated", 10, 25, seed=1)
     assert dp_optimal_profits(inst, 0)[0] == 0
