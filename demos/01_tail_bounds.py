@@ -7,14 +7,7 @@ estimate of the true overflow probability.
 
 import numpy as np
 
-from dcckp import (
-    chebyshev_capacity_bound,
-    chebyshev_violation_prob,
-    chernoff_capacity_bound,
-    chernoff_violation_prob,
-    generate_instance,
-    monte_carlo_violation,
-)
+from dcckp import ChanceParams, generate_instance, monte_carlo_violation, tail_bound
 
 inst = generate_instance("uncorrelated", 100, delta=25, seed=7)
 weights = inst.weight_array()
@@ -32,8 +25,9 @@ for k in (10, 50):
     print(f"{'alpha':>8} {'C*_chebyshev':>14} {'C*_chernoff':>13} "
           f"{'MC at C*_cheby':>14} {'MC at C*_chern':>14}")
     for alpha in (0.1, 0.01, 0.001):
-        c1 = chebyshev_capacity_bound(ew, k, inst.delta, alpha)
-        c2 = chernoff_capacity_bound(ew, k, inst.delta, alpha)
+        # one bound object per (alpha, delta, family): C* = E(W) + margin[k]
+        c1 = tail_bound(ChanceParams(alpha, inst.delta, "chebyshev"), inst.n).cstar(ew, k)
+        c2 = tail_bound(ChanceParams(alpha, inst.delta, "chernoff"), inst.n).cstar(ew, k)
         mc1 = monte_carlo_violation(inst, bits, c1, 200_000, seed=1)
         mc2 = monte_carlo_violation(inst, bits, c2, 200_000, seed=1)
         print(f"{alpha:>8} {c1:>14.1f} {c2:>13.1f} {mc1:>14.5f} {mc2:>14.5f}")
@@ -47,9 +41,12 @@ probability well below alpha).
 """)
 
 # the violation-probability view of the same thing, at a fixed capacity
+# (the closed-form tail does not depend on alpha)
 ew, k = 30_000, 50
+cheby = tail_bound(ChanceParams(0.01, 25, "chebyshev"), k)
+chern = tail_bound(ChanceParams(0.01, 25, "chernoff"), k)
 print(f"violation probability at E(W)={ew}, k={k}:")
 for gap in (200, 500, 1000, 2000):
     c = ew + gap
-    print(f"  C = E + {gap:>5}: chebyshev {chebyshev_violation_prob(ew, k, 25, c):.5f}"
-          f"  chernoff {chernoff_violation_prob(ew, k, 25, c):.6f}")
+    print(f"  C = E + {gap:>5}: chebyshev {cheby.tail(ew, k, c):.5f}"
+          f"  chernoff {chern.tail(ew, k, c):.6f}")

@@ -4,13 +4,9 @@ from .chance import (
     CHEBYSHEV,
     CHERNOFF,
     ChanceParams,
-    capacity_bound,
-    chebyshev_capacity_bound,
-    chebyshev_violation_prob,
-    chernoff_capacity_bound,
-    chernoff_violation_prob,
+    TailBound,
     monte_carlo_violation,
-    violation_prob,
+    tail_bound,
 )
 from .campaign import CampaignConfig, run_campaign
 from .dynamics import CapacitySchedule, build_schedule
@@ -21,21 +17,12 @@ from .model import (
     Instance,
     InstanceFormatError,
     Item,
-    SolutionAggregates,
     generate_instance,
     parse_instance,
     serialize_instance,
 )
 from .oracle import brute_force_chance_optimum, brute_force_optimum, dp_optimal_profits
-from .solvers import (
-    LexFitness,
-    Nsga2,
-    OnePlusOneEA,
-    Posdc,
-    lex_better_or_equal,
-    posdc_dominates,
-    run_algorithm,
-)
+from .solvers import Nsga2, OnePlusOneEA, Posdc, run_algorithm
 from .stats import kruskal_wallis, pairwise_labels
 
 __version__ = "0.1.0"

@@ -30,6 +30,8 @@ RUNS_CSV_HEADER = ("cell_id,algo,bound,r,tau,delta,alpha,run_seed,"
 SUMMARY_CSV_HEADER = ("cell_id,algo,bound,r,tau,delta,alpha,runs,"
                       "mean_offline_error,std_offline_error,stat")
 TRACE_CSV_HEADER = "iteration,capacity,best_profit,violation_prob,phi"
+# the columns runs.csv and summary.csv share, copied as text
+_CELL_COLUMNS = ("cell_id", "algo", "bound", "r", "tau", "delta", "alpha")
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class CampaignConfig:
             raise ValueError("jobs must be >= 1")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
+        if not 0.0 < self.c0_fraction <= 1.0:
+            raise ValueError(f"c0_fraction must be in (0, 1], got {self.c0_fraction}")
+        if self.c_constant < 1:
+            raise ValueError(f"c_constant must be >= 1, got {self.c_constant}")
         for name in ("deltas", "rs", "taus", "alphas", "algos", "bounds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -89,6 +95,11 @@ class CampaignConfig:
         for t in self.taus:
             if t < 1:
                 raise ValueError(f"tau must be >= 1, got {t}")
+        # runs.csv, and the summary computed from it, key cells by their id
+        ids = [cell.cell_id for cell in enumerate_cells(self)]
+        if len(set(ids)) != len(ids):
+            raise ValueError("grid values repeat, or alphas agree in the 6 "
+                             "significant digits a cell id shows")
 
 
 @dataclass(frozen=True)
@@ -214,42 +225,14 @@ def _runs_csv(config, cells, records) -> str:
     return buf.getvalue()
 
 
-def _summaries(config, cells, records):
-    """Per-cell mean/std of the total offline error plus pairwise stat labels
-    against the other algo/bound variants at the same setting."""
-    by_setting: dict[tuple, list[Cell]] = {}
-    for cell in cells:
-        by_setting.setdefault(cell.setting, []).append(cell)
-
-    rows = []
-    for cell in cells:
-        phis = np.array([records[(cell, j)].total_offline_error
-                         for j in range(config.runs)])
-        mean = float(phis.mean())
-        std = float(phis.std(ddof=1)) if config.runs > 1 else 0.0
-        family = by_setting[cell.setting]
-        stat = ""
-        if len(family) > 1 and config.runs > 1:
-            named = {c.cell_id: [records[(c, j)].total_offline_error
-                                 for j in range(config.runs)] for c in family}
-            labels = stats.pairwise_labels(named)
-            names = [c.cell_id for c in family]
-            stat = stats.format_stat_column(labels, names, cell.cell_id)
-        rows.append({"cell": cell, "runs": config.runs, "mean": mean,
-                     "std": std, "stat": stat})
-    return rows
-
-
-def _summary_csv(rows) -> str:
+def format_summary_csv(rows) -> str:
+    """summary.csv text of rows as ``summarize_runs_csv`` returns them."""
     buf = io.StringIO()
     buf.write(SUMMARY_CSV_HEADER + "\n")
     for row in rows:
-        cell = row["cell"]
         buf.write(",".join([
-            cell.cell_id, cell.algo, cell.bound, str(cell.r), str(cell.tau),
-            str(cell.delta), _format_float(cell.alpha), str(row["runs"]),
-            _format_float(row["mean"]), _format_float(row["std"]),
-            row["stat"],
+            *(row[key] for key in _CELL_COLUMNS), str(row["runs"]),
+            _format_float(row["mean"]), _format_float(row["std"]), row["stat"],
         ]) + "\n")
     return buf.getvalue()
 
@@ -284,8 +267,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             records[(cell, j)] = rec
 
     runs_csv = _runs_csv(config, cells, records)
-    summary_rows = _summaries(config, cells, records)
-    summary_csv = _summary_csv(summary_rows)
+    # the summary is a function of runs.csv alone, so `dcckp summarize`
+    # reproduces summary.csv from it
+    summary_rows = summarize_runs_csv(runs_csv)
+    cell_of = {cell.cell_id: cell for cell in cells}
+    for row in summary_rows:
+        row["cell"] = cell_of[row["cell_id"]]
+    summary_csv = format_summary_csv(summary_rows)
 
     result = CampaignResult(config=config, cells=cells, records=records,
                             summary_rows=summary_rows, runs_csv=runs_csv,
@@ -313,32 +301,37 @@ def setting_of_cell_id(cell_id: str) -> str:
     return cell_id.rsplit("-", 2)[0]
 
 
-def summarize_runs_csv(text: str):
-    """Recompute per-cell mean/std plus stat labels from a runs.csv payload."""
-    reader = csv.DictReader(io.StringIO(text))
-    groups: dict[str, dict] = {}
-    for row in reader:
-        g = groups.setdefault(row["cell_id"], {"rows": [], "meta": row})
-        g["rows"].append(float(row["total_offline_error"]))
-    settings: dict[str, list[str]] = {}
-    for cid in groups:
-        settings.setdefault(setting_of_cell_id(cid), []).append(cid)
+def group_runs_csv(text: str) -> dict[str, dict[str, list[dict]]]:
+    """The rows of a runs.csv payload by setting, then by cell, in file
+    order; the cells of one setting are the variants compared with each
+    other."""
+    groups: dict[str, dict[str, list[dict]]] = {}
+    for row in csv.DictReader(io.StringIO(text)):
+        cid = row["cell_id"]
+        groups.setdefault(setting_of_cell_id(cid), {}).setdefault(cid, []).append(row)
+    return groups
+
+
+def summarize_runs_csv(text: str) -> list[dict]:
+    """Per-cell runs, mean and std of the total offline error, plus stat
+    labels against the other cells of its setting, from a runs.csv payload.
+    Each row also carries the cell's coordinate columns as written."""
     out_rows = []
-    for cid, g in groups.items():
-        vals = np.asarray(g["rows"])
-        meta = g["meta"]
-        family = settings[setting_of_cell_id(cid)]
-        stat = ""
-        if len(family) > 1 and len(vals) > 1:
-            named = {other: groups[other]["rows"] for other in family}
-            labels = stats.pairwise_labels(named)
-            stat = stats.format_stat_column(labels, family, cid)
-        out_rows.append({
-            "cell_id": cid, "algo": meta["algo"], "bound": meta["bound"],
-            "r": meta["r"], "tau": meta["tau"], "delta": meta["delta"],
-            "alpha": meta["alpha"], "runs": len(vals),
-            "mean": float(vals.mean()),
-            "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-            "stat": stat,
-        })
+    for family in group_runs_csv(text).values():
+        named = {cid: [float(r["total_offline_error"]) for r in rows]
+                 for cid, rows in family.items()}
+        labels = None
+        for cid, rows in family.items():
+            vals = np.asarray(named[cid])
+            stat = ""
+            if len(named) > 1 and len(vals) > 1:
+                if labels is None:
+                    labels = stats.pairwise_labels(named)
+                stat = stats.format_stat_column(labels, list(named), cid)
+            out_rows.append({
+                **{key: rows[0][key] for key in _CELL_COLUMNS},
+                "runs": len(vals), "mean": float(vals.mean()),
+                "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
+                "stat": stat,
+            })
     return out_rows

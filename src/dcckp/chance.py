@@ -3,11 +3,10 @@
 Exact evaluation of the violation probability is intractable, so everything
 here works with two analytic upper bounds (one-sided Chebyshev and Chernoff)
 specialized to independent uniform item weights w_i in
-[E(w_i) - delta, E(w_i) + delta]:
-
-* the violation probability of a solution at a given capacity, and
-* the inverse view: the smallest capacity at which a solution still passes
-  the chance constraint.
+[E(w_i) - delta, E(w_i) + delta]. ``tail_bound(params, n)`` builds one
+``TailBound`` per run; it gives the violation probability of a solution at a
+given capacity and the inverse view, the smallest capacity at which a
+solution still passes the chance constraint.
 
 A seeded Monte-Carlo estimator of the true violation probability is provided
 as the empirical ground truth for both.
@@ -45,150 +44,120 @@ class ChanceParams:
             raise ValueError(f"bound_kind must be one of {BOUND_KINDS}")
 
 
-def chebyshev_violation_prob(expected_weight: float, count: int, delta: float,
-                             capacity: float) -> float:
-    """Chebyshev upper bound on Pr[W(x) >= capacity]."""
-    if count == 0:
-        return 0.0 if capacity > 0 else 1.0
-    if capacity <= expected_weight:
-        return 1.0
-    gap = capacity - expected_weight
-    v = delta * delta * count
-    return v / (v + 3.0 * gap * gap)
+class TailBound:
+    """One bound family at fixed (delta, alpha), for solutions of at most n
+    items; built once per run.
 
+    For fixed (delta, alpha) the smallest capacity at which a solution of
+    expected weight w and k items passes is C*(x) = w + margin[k], where the
+    margin depends on k alone. The family computes ``margin[0..n]`` once and
+    offers three views of the constraint:
 
-def chernoff_violation_prob(expected_weight: float, count: int, delta: float,
-                            capacity: float) -> float:
-    """Chernoff upper bound on Pr[W(x) >= capacity]."""
-    if count == 0:
-        return 0.0 if capacity > 0 else 1.0
-    if capacity <= expected_weight:
-        return 1.0
-    gap = capacity - expected_weight
-    return math.exp(-3.0 * gap * gap / (4.0 * delta * (3.0 * delta * count + gap)))
+    * ``cstar``: w + margin[k], the capacity the family certifies at alpha
+      (the POSDC windows and NSGA-II's second objective);
+    * ``tail``: the closed-form upper bound on Pr[W(x) >= C] (selection: the
+      (1+1)-EA's lexicographic fitness, NSGA-II's best feasible solution and
+      the exhaustive oracle);
+    * ``certified``: the alpha level at which C* equals C, so that
+      ``certified(w, k, C) <= alpha`` exactly when ``cstar(w, k) <= C``
+      (scoring). For Chebyshev it is ``tail`` itself.
 
-
-def chebyshev_capacity_bound(expected_weight: float, count: int, delta: float,
-                             alpha: float) -> float:
-    """Smallest capacity with Chebyshev violation <= alpha (exact inverse)."""
-    if count == 0:
-        return float(expected_weight)
-    return expected_weight + delta * math.sqrt(3.0 * alpha * (1.0 - alpha) * count) / (3.0 * alpha)
-
-
-def chernoff_capacity_bound(expected_weight: float, count: int, delta: float,
-                            alpha: float) -> float:
-    """Chernoff-family capacity bound at level alpha:
-    E + 0.66*delta*(u + sqrt(u^2 + 9*u*k)) with u = -ln(alpha).
-
-    0.66 is the paper's constant. The exact inverse of
-    :func:`chernoff_violation_prob` has 2/3 in its place, so this margin is
-    exactly 0.99 times the margin at which the closed form equals alpha, and
-    the closed form evaluated at this capacity reads slightly above alpha.
-    Nothing here proves that the smaller margin still bounds the true
-    violation probability; the evidence is the Monte-Carlo check of
-    acceptance criterion 2.
+    Scalar forms take Python numbers and run on the per-iteration path; the
+    ``_array`` forms take numpy arrays. A family is one subclass: it writes
+    ``_margin(k)`` for a float array of counts and ``_tail(gap, k, exp)`` for
+    gap > 0 and k >= 1 once, with ``exp`` either ``math.exp`` or ``np.exp``,
+    and the base class adds the conventions for empty solutions and
+    capacities at or below the mean.
     """
-    if count == 0:
-        return float(expected_weight)
-    log_a = math.log(alpha)
-    margin = -0.66 * delta * (log_a - math.sqrt(log_a * log_a - 9.0 * log_a * count))
-    return expected_weight + margin
+
+    def __init__(self, params: ChanceParams, n: int):
+        self.alpha = params.alpha
+        self.delta = float(params.delta)
+        margins = self._margin(np.arange(n + 1, dtype=np.float64))
+        margins[0] = 0.0  # an empty solution weighs exactly its expectation
+        self.margins = margins
+        self.margin = margins.tolist()
+
+    def cstar(self, w, k) -> float:
+        return w + self.margin[k]
+
+    def cstar_array(self, w, k) -> np.ndarray:
+        return w + self.margins[k]
+
+    def tail(self, w, k, capacity) -> float:
+        if k == 0:
+            return 0.0 if capacity > 0 else 1.0
+        if capacity <= w:
+            return 1.0
+        return self._tail(capacity - w, k, math.exp)
+
+    def tail_array(self, w, k, capacity) -> np.ndarray:
+        w = np.asarray(w, np.float64)
+        k = np.asarray(k, np.float64)
+        capacity = np.asarray(capacity, np.float64)
+        gap = capacity - w
+        above = gap > 0.0
+        # k == 0 rows are overwritten below
+        safe_gap = np.where(above & (k > 0), gap, 1.0)
+        out = np.where(above, self._tail(safe_gap, k, np.exp), 1.0)
+        return np.where(k == 0, np.where(capacity > 0, 0.0, 1.0), out)
+
+    certified = tail
 
 
-def violation_prob(expected_weight: float, count: int, delta: float,
-                   capacity: float, bound_kind: str) -> float:
-    if bound_kind == CHEBYSHEV:
-        return chebyshev_violation_prob(expected_weight, count, delta, capacity)
-    if bound_kind == CHERNOFF:
-        return chernoff_violation_prob(expected_weight, count, delta, capacity)
-    raise ValueError(f"unknown bound kind {bound_kind!r}")
+class ChebyshevBound(TailBound):
+    """One-sided Chebyshev: Pr[W >= E + g] <= v / (v + g^2), with
+    v = k * delta^2 / 3 the variance of k uniform weights. The margin is the
+    exact inverse of the tail at alpha."""
+
+    def _margin(self, k):
+        alpha = self.alpha
+        return self.delta * np.sqrt(3.0 * alpha * (1.0 - alpha) * k) / (3.0 * alpha)
+
+    def _tail(self, gap, k, exp):
+        v = self.delta * self.delta * k
+        return v / (v + 3.0 * gap * gap)
 
 
-def chernoff_capacity_alpha(expected_weight: float, count: int, delta: float,
-                            capacity: float) -> float:
-    """Exact inverse of :func:`chernoff_capacity_bound`: the smallest alpha
-    whose certified capacity equals ``capacity``.
+class ChernoffBound(TailBound):
+    """Chernoff: the tail is exp(-3 g^2 / (4 delta (3 delta k + g))), and the
+    margin is 0.66 * delta * (u + sqrt(u^2 + 9 u k)) with u = -ln(alpha).
 
-    Solving capacity = E + 0.66*delta*(u + sqrt(u^2 + 9*u*k)) for u = -ln(alpha)
-    gives u = B^2 / (2B + 9k) with B = (capacity - E) / (0.66*delta). Because
-    of the 0.66 it reads below :func:`chernoff_violation_prob` at every
-    capacity above the mean. That it bounds the true violation probability
-    is not proven; it rests on the same Monte-Carlo evidence as
-    :func:`chernoff_capacity_bound` (acceptance criterion 2).
+    0.66 is the paper's constant. The exact inverse of the tail has 2/3 in
+    its place, so this margin is exactly 0.99 times the margin at which the
+    tail equals alpha, and the tail evaluated at C* reads slightly above
+    alpha. ``certified`` inverts the margin itself: solving
+    C = E + 0.66 * delta * (u + sqrt(u^2 + 9 u k)) for u gives
+    u = B^2 / (2B + 9k) with B = (C - E) / (0.66 * delta), which reads below
+    the tail at every capacity above the mean. Nothing here proves that the
+    smaller margin still bounds the true violation probability; the evidence
+    is the Monte-Carlo check of acceptance criterion 2.
     """
-    if count == 0:
-        return 0.0 if capacity > 0 else 1.0
-    if capacity <= expected_weight:
-        return 1.0
-    b = (capacity - expected_weight) / (0.66 * delta)
-    return math.exp(-b * b / (2.0 * b + 9.0 * count))
+
+    constant = 0.66  # the paper's; see above
+
+    def _margin(self, k):
+        log_a = math.log(self.alpha)
+        return -self.constant * self.delta * (
+            log_a - np.sqrt(log_a * log_a - 9.0 * log_a * k))
+
+    def _tail(self, gap, k, exp):
+        delta = self.delta
+        return exp(-3.0 * gap * gap / (4.0 * delta * (3.0 * delta * k + gap)))
+
+    def certified(self, w, k, capacity) -> float:
+        if k == 0 or capacity <= w:
+            return self.tail(w, k, capacity)  # the shared conventions
+        b = (capacity - w) / (self.constant * self.delta)
+        return math.exp(-b * b / (2.0 * b + 9.0 * k))
 
 
-def certified_violation_prob(expected_weight: float, count: int, delta: float,
-                             capacity: float, bound_kind: str) -> float:
-    """Tightest violation probability the bound family certifies at this
-    capacity: equivalently, the alpha level at which the family's capacity
-    bound equals ``capacity``.
-
-    For Chebyshev this is the closed form itself (its capacity bound inverts
-    exactly); for Chernoff it is the capacity-bound inverse, strictly below
-    the closed form. Feasibility accounting built on this value agrees with
-    ``capacity_bound(x) <= C`` for both families.
-    """
-    if bound_kind == CHEBYSHEV:
-        return chebyshev_violation_prob(expected_weight, count, delta, capacity)
-    if bound_kind == CHERNOFF:
-        return chernoff_capacity_alpha(expected_weight, count, delta, capacity)
-    raise ValueError(f"unknown bound kind {bound_kind!r}")
+_FAMILIES = {CHEBYSHEV: ChebyshevBound, CHERNOFF: ChernoffBound}
 
 
-def capacity_bound(agg, params: ChanceParams) -> float:
-    """Dispatch the capacity bound for a solution's aggregates."""
-    if params.bound_kind == CHEBYSHEV:
-        return chebyshev_capacity_bound(agg.expected_weight_sum, agg.count,
-                                        params.delta, params.alpha)
-    return chernoff_capacity_bound(agg.expected_weight_sum, agg.count,
-                                   params.delta, params.alpha)
-
-
-def capacity_bound_array(expected_weight, count, delta: float, alpha: float,
-                         bound_kind: str) -> np.ndarray:
-    """Vectorized capacity bound with the same conventions as the scalar
-    operations (empty solutions map to their expected weight)."""
-    ew = np.asarray(expected_weight, np.float64)
-    k = np.asarray(count, np.float64)
-    safe_k = np.where(k > 0, k, 1.0)
-    if bound_kind == CHEBYSHEV:
-        margin = delta * np.sqrt(3.0 * alpha * (1.0 - alpha) * safe_k) / (3.0 * alpha)
-    elif bound_kind == CHERNOFF:
-        log_a = math.log(alpha)
-        margin = -0.66 * delta * (log_a - np.sqrt(log_a * log_a - 9.0 * log_a * safe_k))
-    else:
-        raise ValueError(f"unknown bound kind {bound_kind!r}")
-    return np.where(k > 0, ew + margin, ew)
-
-
-def violation_prob_array(expected_weight, count, delta: float, capacity,
-                         bound_kind: str) -> np.ndarray:
-    """Vectorized violation probability with the same conventions as the
-    scalar operations (used by exhaustive oracles and population solvers)."""
-    ew = np.asarray(expected_weight, np.float64)
-    k = np.asarray(count, np.float64)
-    cap = np.asarray(capacity, np.float64)
-    gap = cap - ew
-    above = gap > 0.0
-    safe_gap = np.where(above & (k > 0), gap, 1.0)  # k == 0 rows are overwritten below
-    if bound_kind == CHEBYSHEV:
-        v = delta * delta * k
-        body = v / (v + 3.0 * safe_gap * safe_gap)
-    elif bound_kind == CHERNOFF:
-        body = np.exp(-3.0 * safe_gap * safe_gap
-                      / (4.0 * delta * (3.0 * delta * k + safe_gap)))
-    else:
-        raise ValueError(f"unknown bound kind {bound_kind!r}")
-    out = np.where(above, body, 1.0)
-    return np.where(k == 0, np.where(cap > 0, 0.0, 1.0), out)
+def tail_bound(params: ChanceParams, n: int) -> TailBound:
+    """The bound family of ``params`` for solutions of at most ``n`` items."""
+    return _FAMILIES[params.bound_kind](params, n)
 
 
 def monte_carlo_violation(instance, bits, capacity: float, samples: int,

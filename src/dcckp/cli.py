@@ -18,7 +18,13 @@ import sys
 from pathlib import Path
 
 from . import dynamics, oracle, stats
-from .campaign import CampaignConfig, run_campaign, summarize_runs_csv
+from .campaign import (
+    CampaignConfig,
+    format_summary_csv,
+    group_runs_csv,
+    run_campaign,
+    summarize_runs_csv,
+)
 from .model import generate_instance, parse_instance, serialize_instance
 
 
@@ -128,42 +134,22 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     rows = summarize_runs_csv(args.runs_csv.read_text())
-    lines = ["cell_id,algo,bound,r,tau,delta,alpha,runs,"
-             "mean_offline_error,std_offline_error,stat"]
-    for row in rows:
-        lines.append(",".join([
-            row["cell_id"], row["algo"], row["bound"], row["r"], row["tau"],
-            row["delta"], row["alpha"], str(row["runs"]), repr(row["mean"]),
-            repr(row["std"]), row["stat"]]))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(format_summary_csv(rows), args.out)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    import csv as _csv
-    import io as _io
-    from .campaign import setting_of_cell_id
-
-    text = args.runs_csv.read_text()
-    reader = _csv.DictReader(_io.StringIO(text))
-    groups: dict[str, list[float]] = {}
-    settings: dict[str, list[str]] = {}
-    for row in reader:
-        groups.setdefault(row["cell_id"], []).append(
-            float(row["total_offline_error"]))
-        family = settings.setdefault(setting_of_cell_id(row["cell_id"]), [])
-        if row["cell_id"] not in family:
-            family.append(row["cell_id"])
     out = []
-    for setting, family in settings.items():
+    for setting, family in group_runs_csv(args.runs_csv.read_text()).items():
         if len(family) < 2:
             continue
-        named = {cid: groups[cid] for cid in family}
+        named = {cid: [float(r["total_offline_error"]) for r in rows]
+                 for cid, rows in family.items()}
         h, p = stats.kruskal_wallis(list(named.values()))
         labels = stats.pairwise_labels(named, args.family_alpha)
         out.append(f"setting {setting}: H={h:.4f} p={p:.6g}")
-        for i, cid in enumerate(family, start=1):
-            col = stats.format_stat_column(labels, family, cid)
+        for i, cid in enumerate(named, start=1):
+            col = stats.format_stat_column(labels, list(named), cid)
             out.append(f"  ({i}) {cid}: {col}")
     sys.stdout.write("\n".join(out) + "\n")
     return 0

@@ -1,5 +1,5 @@
-"""Knapsack instances with uncertain item weights, and bit-vector solutions
-with incrementally maintained aggregates.
+"""Knapsack instances with uncertain item weights, and their plain-text file
+format.
 
 Item weights are integers drawn from [1, 1000] and shifted by +100 so that a
 uniform uncertainty of half-width ``delta <= 100`` can never push a realized
@@ -10,7 +10,7 @@ weight below zero. Profits are either independent uniform integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,62 +125,6 @@ def generate_instance(kind: str, n: int, delta: int, c_constant: int = 100,
     items = tuple(Item(int(p), int(b) + WEIGHT_OFFSET) for p, b in zip(profits, base))
     return Instance(items=items, delta=int(delta), kind=kind,
                     c_constant=int(c_constant), seed=int(seed))
-
-
-@dataclass
-class SolutionAggregates:
-    """A bit-vector plus running sums, kept exact under single-bit toggles.
-
-    Mutable and single-owner: callers that need an independent solution must
-    ``copy()`` first.
-    """
-
-    bits: np.ndarray = field(repr=False)
-    profit_sum: int
-    expected_weight_sum: int
-    count: int
-
-    @classmethod
-    def empty(cls, instance: Instance) -> "SolutionAggregates":
-        return cls(np.zeros(instance.n, np.uint8), 0, 0, 0)
-
-    @classmethod
-    def from_bits(cls, instance: Instance, bits) -> "SolutionAggregates":
-        arr = np.asarray(bits, np.uint8)
-        if arr.shape != (instance.n,):
-            raise ValueError(f"bits must have length {instance.n}")
-        p = w = k = 0
-        for b, it in zip(arr, instance.items):
-            if b:
-                p += it.profit
-                w += it.expected_weight
-                k += 1
-        return cls(arr.copy(), p, w, k)
-
-    def toggle(self, instance: Instance, i: int) -> "SolutionAggregates":
-        """Flip bit ``i`` in place, adjusting the three sums; returns self."""
-        if not 0 <= i < len(self.bits):
-            raise IndexError(f"bit index {i} out of range for n={len(self.bits)}")
-        it = instance.items[i]
-        if self.bits[i]:
-            self.bits[i] = 0
-            self.profit_sum -= it.profit
-            self.expected_weight_sum -= it.expected_weight
-            self.count -= 1
-        else:
-            self.bits[i] = 1
-            self.profit_sum += it.profit
-            self.expected_weight_sum += it.expected_weight
-            self.count += 1
-        return self
-
-    def copy(self) -> "SolutionAggregates":
-        return SolutionAggregates(self.bits.copy(), self.profit_sum,
-                                  self.expected_weight_sum, self.count)
-
-
-def toggle(agg: SolutionAggregates, instance: Instance, i: int) -> SolutionAggregates:
-    return agg.toggle(instance, i)
 
 
 def serialize_instance(instance: Instance) -> str:

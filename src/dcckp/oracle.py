@@ -108,12 +108,9 @@ def brute_force_optimum(instance, capacity: float):
 
 def brute_force_chance_optimum(instance, capacity: float, params: ChanceParams):
     """Exact optimum subject to the surrogate chance constraint
-    violation_prob(x, capacity) <= alpha for the configured bound kind."""
+    tail(x, capacity) <= alpha for the configured bound family (the
+    closed form the solvers select by)."""
     _check_brute_force_n(instance)
-
-    def feasible(p, w, k):
-        viol = chance.violation_prob_array(w, k, params.delta, capacity,
-                                           params.bound_kind)
-        return viol <= params.alpha
-
-    return _best_subset(instance, feasible)
+    bound = chance.tail_bound(params, instance.n)
+    return _best_subset(
+        instance, lambda p, w, k: bound.tail_array(w, k, capacity) <= params.alpha)

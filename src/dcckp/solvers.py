@@ -22,34 +22,13 @@ re-evaluates the designated solution only then and at capacity changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import chance, metrics
-from .chance import CHEBYSHEV, ChanceParams
+from .chance import ChanceParams
 
 REPAIR_STEP_CAP = 10 ** 6
 MUTATION_BLOCK = 256  # iterations of standard bit mutation drawn at once
-
-
-@dataclass(frozen=True)
-class LexFitness:
-    violation: float  # max{0, violation_prob - alpha}
-    profit: int
-
-
-def lex_better_or_equal(a: LexFitness, b: LexFitness) -> bool:
-    """True iff fitness ``a`` is at least as good as ``b`` lexicographically:
-    smaller violation first, then higher profit; equality accepted."""
-    return a.violation < b.violation or (
-        a.violation == b.violation and a.profit >= b.profit)
-
-
-def posdc_dominates(a, b) -> bool:
-    """Weak dominance on (profit, capacity bound): at least the profit, at
-    most the bound. Equal points dominate each other."""
-    return a[0] >= b[0] and a[1] <= b[1]
 
 
 class _FlipBlocks:
@@ -130,11 +109,11 @@ class _IndexBlocks:
 
 
 class _RunContext:
-    """Per-run item data and scalar bound evaluators on the hot path."""
+    """Per-run item data, the run's bound family and the lexicographic
+    (violation, profit) fitness on the hot path."""
 
     __slots__ = ("n", "inv_n", "profits", "weights", "profit_list",
-                 "weight_list", "delta", "alpha", "bound_kind", "viol", "bound",
-                 "record_viol")
+                 "weight_list", "bound")
 
     def __init__(self, instance, params: ChanceParams):
         self.n = instance.n
@@ -143,24 +122,7 @@ class _RunContext:
         self.weights = instance.weight_array()
         self.profit_list = self.profits.tolist()
         self.weight_list = self.weights.tolist()
-        self.delta = float(params.delta)
-        self.alpha = params.alpha
-        self.bound_kind = params.bound_kind
-        delta, alpha = self.delta, params.alpha
-        if params.bound_kind == CHEBYSHEV:
-            viol_fn = chance.chebyshev_violation_prob
-            bound_fn = chance.chebyshev_capacity_bound
-        else:
-            viol_fn = chance.chernoff_violation_prob
-            bound_fn = chance.chernoff_capacity_bound
-        self.viol = lambda w, k, c: viol_fn(w, k, delta, c)
-        self.bound = lambda w, k: bound_fn(w, k, delta, alpha)
-        # offline-error accounting uses the family's tightest certificate so
-        # that "capacity_bound(x) <= C" and "recorded violation <= alpha"
-        # agree; for Chebyshev this is the same closed form the solvers use
-        kind = params.bound_kind
-        self.record_viol = lambda w, k, c: chance.certified_violation_prob(
-            w, k, delta, c, kind)
+        self.bound = chance.tail_bound(params, instance.n)
 
     def lex_violation(self, w: int, k: int, capacity: int) -> float:
         """Violation term of the lexicographic fitness.
@@ -172,12 +134,29 @@ class _RunContext:
         direction toward feasibility; below the mean this is exactly
         max{0, violation - alpha}.
         """
-        v = self.viol(w, k, capacity) - self.alpha
+        bound = self.bound
+        v = bound.tail(w, k, capacity) - bound.alpha
         if v < 0.0:
             return 0.0
         if w > capacity:
             v += w - capacity
         return v
+
+    def lex_step(self, flips: _FlipBlocks, bits, p, w, k, inc_v: float,
+                 capacity: int):
+        """One (1+1) step under lexicographic acceptance: mutate the
+        incumbent (bits, p, w, k), whose lex violation at ``capacity`` is
+        ``inc_v``, and return ((bits, p, w, k), lex violation) of the
+        offspring when it is at least as good (smaller violation, or equal
+        violation and at least the profit), else None. An identical
+        offspring also gives None: accepting it would change nothing."""
+        child = self.mutate(flips, bits, p, w, k)
+        if child is None:
+            return None
+        off_v = self.lex_violation(child[2], child[3], capacity)
+        if off_v < inc_v or (off_v == inc_v and child[1] >= p):
+            return child, off_v
+        return None
 
     def random_solution(self, rng):
         bits = rng.integers(0, 2, self.n, np.uint8)
@@ -225,25 +204,18 @@ class OnePlusOneEA:
 
     def step(self, capacity: int):
         ctx = self.ctx
-        child = ctx.mutate(self.flips, self.bits, self.p, self.w, self.k)
-        if child is None:
-            return  # identical offspring; weak acceptance keeps the state as is
-        bits, p, w, k = child
-        off_v = ctx.lex_violation(w, k, capacity)
         inc = self._inc
         if inc is None or inc[0] != capacity:
             inc = self._inc = (capacity, ctx.lex_violation(self.w, self.k, capacity))
-        inc_v = inc[1]
-        if off_v < inc_v or (off_v == inc_v and p >= self.p):
-            self.bits, self.p, self.w, self.k = bits, p, w, k
+        found = ctx.lex_step(self.flips, self.bits, self.p, self.w, self.k,
+                             inc[1], capacity)
+        if found is not None:
+            (self.bits, self.p, self.w, self.k), off_v = found
             self._inc = (capacity, off_v)
             self.changed = True
 
-    def fitness(self, capacity: int) -> LexFitness:
-        return LexFitness(self.ctx.lex_violation(self.w, self.k, capacity), self.p)
-
     def designated_eval(self, capacity: int):
-        return self.p, self.ctx.record_viol(self.w, self.k, capacity)
+        return self.p, self.ctx.bound.certified(self.w, self.k, capacity)
 
 
 class _Archive:
@@ -383,7 +355,7 @@ class Posdc:
         self._best = None  # cached (p, w, k, cstar) of the designated member
         self.changed = True
         bits, p, w, k = ctx.random_solution(rng)
-        cstar = ctx.bound(w, k)
+        cstar = ctx.bound.cstar(w, k)
         if capacity - eta <= cstar <= capacity + eta:
             self.repair = None
             self._seed(bits, p, w, k, cstar, capacity)
@@ -432,7 +404,7 @@ class Posdc:
         if child is None:
             return  # duplicate of an archived member: always weakly dominated
         bits, p, w, k = child
-        cstar = ctx.bound(w, k)
+        cstar = ctx.bound.cstar(w, k)
         if capacity - self.eta <= cstar < capacity:
             if not sm.has_weak_dominator(p, cstar):
                 sm.insert(bits, p, w, k, cstar)
@@ -453,14 +425,11 @@ class Posdc:
                 f"POSDC repair did not reach the window within {self.repair_cap} steps")
         ctx = self.ctx
         bits, p, w, k = self.repair
-        child = ctx.mutate(self.flips, bits, p, w, k)
-        if child is not None:
-            nb, np_, nw, nk = child
-            off_v = ctx.lex_violation(nw, nk, capacity)
-            inc_v = ctx.lex_violation(w, k, capacity)
-            if off_v < inc_v or (off_v == inc_v and np_ >= p):
-                bits, p, w, k = nb, np_, nw, nk
-        cstar = ctx.bound(w, k)
+        found = ctx.lex_step(self.flips, bits, p, w, k,
+                             ctx.lex_violation(w, k, capacity), capacity)
+        if found is not None:
+            (bits, p, w, k), _ = found
+        cstar = ctx.bound.cstar(w, k)
         if capacity - self.eta <= cstar <= capacity + self.eta:
             self.repair = None
             self._seed(bits, p, w, k, cstar, capacity)
@@ -500,12 +469,12 @@ class Posdc:
     def designated_eval(self, capacity: int):
         if self.repair is not None:
             _, p, w, k = self.repair
-            return p, self.ctx.record_viol(w, k, capacity)
+            return p, self.ctx.bound.certified(w, k, capacity)
         if self._best is None:
             _, p, w, k, cstar = self.best()
             self._best = (p, w, k, cstar)
         p, w, k, _ = self._best
-        return p, self.ctx.record_viol(w, k, capacity)
+        return p, self.ctx.bound.certified(w, k, capacity)
 
 
 def fast_nondominated_sort(profits, cap_bounds):
@@ -567,17 +536,12 @@ class Nsga2:
         self.p = b @ self.ctx.profits
         self.w = b @ self.ctx.weights
         self.k = b.sum(axis=1)
-        self.cstar = self._bounds(self.w, self.k)
-
-    def _bounds(self, w, k):
-        return chance.capacity_bound_array(w, k, self.ctx.delta, self.ctx.alpha,
-                                           self.ctx.bound_kind)
+        self.cstar = self.ctx.bound.cstar_array(self.w, self.k)
 
     def _consider(self, bits, p, w, k, capacity):
         """Fold freshly evaluated individuals into the tracked best feasible."""
-        viol = chance.violation_prob_array(w, k, self.ctx.delta, capacity,
-                                           self.ctx.bound_kind)
-        feas = viol <= self.ctx.alpha
+        bound = self.ctx.bound
+        feas = bound.tail_array(w, k, capacity) <= bound.alpha
         if not feas.any():
             return
         idx = np.flatnonzero(feas)
@@ -618,7 +582,7 @@ class Nsga2:
         cp = cb @ self.ctx.profits
         cw = cb @ self.ctx.weights
         ck = cb.sum(axis=1)
-        c_cstar = self._bounds(cw, ck)
+        c_cstar = self.ctx.bound.cstar_array(cw, ck)
         self._consider(children, cp, cw, ck, capacity)
 
         # elitist survival over parents + children
@@ -656,16 +620,14 @@ class Nsga2:
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def designated_eval(self, capacity: int):
+        bound = self.ctx.bound
         if self.best_feasible is not None:
             p, w, k, _ = self.best_feasible
-            return p, self.ctx.record_viol(w, k, capacity)
+            return p, bound.certified(w, k, capacity)
         if self._fallback is None or self._fallback[0] != capacity:
-            viol = chance.violation_prob_array(self.w, self.k, self.ctx.delta,
-                                               capacity, self.ctx.bound_kind)
-            j = np.lexsort((-self.p, viol))[0]
+            j = np.lexsort((-self.p, bound.tail_array(self.w, self.k, capacity)))[0]
             self._fallback = (capacity, int(self.p[j]),
-                              self.ctx.record_viol(int(self.w[j]), int(self.k[j]),
-                                                   capacity))
+                              bound.certified(int(self.w[j]), int(self.k[j]), capacity))
         return self._fallback[1], self._fallback[2]
 
 

@@ -11,16 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from dcckp import chance
 from dcckp.campaign import CampaignConfig, run_campaign
 from dcckp.chance import (
     CHEBYSHEV,
     CHERNOFF,
     ChanceParams,
-    chebyshev_capacity_bound,
-    chebyshev_violation_prob,
-    chernoff_capacity_bound,
     monte_carlo_violation,
+    tail_bound,
 )
 from dcckp.dynamics import build_schedule
 from dcckp.model import generate_instance
@@ -57,8 +54,9 @@ def test_criterion_1_chebyshev_round_trip():
         k = int(rng.integers(1, 200))
         delta = int(rng.integers(1, 101))
         alpha = float(10 ** rng.uniform(-6, -0.01))
-        c = chebyshev_capacity_bound(ew, k, delta, alpha)
-        back = chebyshev_violation_prob(ew, k, delta, c)
+        bound = tail_bound(ChanceParams(alpha, delta, CHEBYSHEV), k)
+        c = bound.cstar(ew, k)
+        back = bound.tail(ew, k, c)
         worst = max(worst, abs(back - alpha) / alpha)
     elapsed = time.perf_counter() - t0
     report(1, "chebyshev round trip", worst <= 1e-9 and elapsed < 1.0,
@@ -84,9 +82,8 @@ def test_criterion_2_chance_constraint_safety():
         bits[idx] = 1
         ew = int(inst.weight_array()[idx].sum())
         threshold = alpha + 3 * math.sqrt(alpha / samples)
-        for name, bound in (("cheby", chebyshev_capacity_bound),
-                            ("chern", chernoff_capacity_bound)):
-            cap = bound(ew, k, delta, alpha)
+        for name, kind in (("cheby", CHEBYSHEV), ("chern", CHERNOFF)):
+            cap = tail_bound(ChanceParams(alpha, delta, kind), k).cstar(ew, k)
             est = monte_carlo_violation(inst, bits, cap, samples, seed=7000 + case)
             if est > threshold:
                 failures.append((case, name, k, delta, alpha, est, threshold))
@@ -124,8 +121,7 @@ def cstar_side_optimum(inst, capacity, params):
     w = bits @ inst.weight_array()
     k = bits.sum(axis=1)
     p = bits @ inst.profit_array()
-    cstar = chance.capacity_bound_array(w, k, params.delta, params.alpha,
-                                        params.bound_kind)
+    cstar = tail_bound(params, n).cstar_array(w, k)
     feas = cstar < capacity
     return int(p[feas].max()) if feas.any() else 0
 

@@ -55,10 +55,15 @@ def test_config_validation():
         CampaignConfig(**{**TINY, "trace_every": 0})
     for field, bad in (("deltas", (0,)), ("deltas", (25, WEIGHT_OFFSET + 1)),
                        ("rs", (0,)), ("rs", (300, -1)),
-                       ("taus", (0,)), ("taus", (150, -5))):
+                       ("taus", (0,)), ("taus", (150, -5)),
+                       ("c0_fraction", 0.0), ("c0_fraction", -0.5),
+                       ("c0_fraction", 1.5), ("c_constant", 0),
+                       ("c_constant", -3), ("deltas", (25, 25)),
+                       ("alphas", (0.01, 0.010000001))):
         with pytest.raises(ValueError):
             CampaignConfig(**{**TINY, field: bad})
-    CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,)})
+    CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,),
+                      "c0_fraction": 1.0, "c_constant": 1})
 
 
 def test_single_run_summary_mean_is_run_value():

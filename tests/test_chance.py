@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcckp import chance
 from dcckp.chance import (
     CHEBYSHEV,
     CHERNOFF,
     ChanceParams,
-    capacity_bound,
-    capacity_bound_array,
-    chebyshev_capacity_bound,
-    chebyshev_violation_prob,
-    chernoff_capacity_alpha,
-    chernoff_capacity_bound,
-    chernoff_violation_prob,
+    ChebyshevBound,
+    ChernoffBound,
     monte_carlo_violation,
-    violation_prob_array,
+    tail_bound,
 )
 from dcckp.model import generate_instance
 
@@ -28,86 +22,99 @@ CHERN_BOUND_100_1_25_001 = 100 + 16.5 * (4.605170185988091 + math.sqrt(
     4.605170185988091 ** 2 + 9 * 4.605170185988091))                           # 306.5899990
 
 
+def bound(kind, delta=25, alpha=0.01, n=200):
+    return tail_bound(ChanceParams(alpha, delta, kind), n)
+
+
 def test_chebyshev_violation_examples():
-    assert chebyshev_violation_prob(100, 1, 25, 100) == 1.0   # at the mean
-    assert chebyshev_violation_prob(100, 1, 25, 50) == 1.0    # below the mean
-    assert chebyshev_violation_prob(400, 4, 50, 500) == pytest.approx(0.25, abs=0)
+    cheby = bound(CHEBYSHEV)
+    assert cheby.tail(100, 1, 100) == 1.0   # at the mean
+    assert cheby.tail(100, 1, 50) == 1.0    # below the mean
+    assert bound(CHEBYSHEV, delta=50).tail(400, 4, 500) == pytest.approx(0.25, abs=0)
 
 
 def test_chernoff_violation_examples():
-    assert chernoff_violation_prob(100, 1, 25, 100) == 1.0
-    assert chernoff_violation_prob(0, 0, 25, 10) == 0.0
+    chern = bound(CHERNOFF)
+    assert chern.tail(100, 1, 100) == 1.0
+    assert chern.tail(0, 0, 10) == 0.0
     # exponent written out: -3 * g^2 / (4*25*(75 + g)) at g = 206.58999899
     g = CHERN_BOUND_100_1_25_001 - 100
     expected = math.exp(-3 * g * g / (100 * (75 + g)))
-    got = chernoff_violation_prob(100, 1, 25, CHERN_BOUND_100_1_25_001)
+    got = chern.tail(100, 1, CHERN_BOUND_100_1_25_001)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.0105992, rel=1e-5)
 
 
 def test_empty_solution_conventions():
-    assert chebyshev_violation_prob(0, 0, 25, 10) == 0.0
-    assert chebyshev_violation_prob(0, 0, 25, 0) == 1.0
-    assert chernoff_violation_prob(0, 0, 25, 0) == 1.0
-    assert chebyshev_capacity_bound(0, 0, 25, 0.01) == 0.0
-    assert chernoff_capacity_bound(0, 0, 25, 0.01) == 0.0
+    for kind in (CHEBYSHEV, CHERNOFF):
+        b = bound(kind)
+        for view in (b.tail, b.certified):
+            assert view(0, 0, 10) == 0.0
+            assert view(0, 0, 0) == 1.0
+        assert b.margin[0] == 0.0
+        assert b.cstar(0, 0) == 0.0
 
 
 def test_capacity_bound_examples():
-    assert chebyshev_capacity_bound(100, 1, 25, 0.01) == pytest.approx(
+    assert bound(CHEBYSHEV).cstar(100, 1) == pytest.approx(
         CHEBY_BOUND_100_1_25_001, rel=1e-12)
-    assert chebyshev_capacity_bound(100, 1, 25, 0.01) == pytest.approx(243.614066, abs=1e-5)
-    assert chebyshev_capacity_bound(500, 4, 25, 0.5) == pytest.approx(
+    assert bound(CHEBYSHEV).cstar(100, 1) == pytest.approx(243.614066, abs=1e-5)
+    assert bound(CHEBYSHEV, alpha=0.5).cstar(500, 4) == pytest.approx(
         CHEBY_BOUND_500_4_25_05, rel=1e-12)
-    assert chernoff_capacity_bound(100, 1, 25, 0.01) == pytest.approx(
+    assert bound(CHERNOFF).cstar(100, 1) == pytest.approx(
         CHERN_BOUND_100_1_25_001, rel=1e-12)
-    assert chernoff_capacity_bound(100, 1, 25, 0.01) == pytest.approx(306.589999, abs=1e-5)
+    assert bound(CHERNOFF).cstar(100, 1) == pytest.approx(306.589999, abs=1e-5)
     # margin is linear in delta
-    assert chernoff_capacity_bound(100, 1, 50, 0.01) == pytest.approx(
+    assert bound(CHERNOFF, delta=50).cstar(100, 1) == pytest.approx(
         100 + 2 * (CHERN_BOUND_100_1_25_001 - 100), rel=1e-12)
 
 
 def test_capacity_bound_dispatch():
-    class Agg:
-        expected_weight_sum = 450
-        count = 3
-
-    cheby = capacity_bound(Agg, ChanceParams(0.01, 25, CHEBYSHEV))
-    chern = capacity_bound(Agg, ChanceParams(0.01, 25, CHERNOFF))
-    assert cheby == chebyshev_capacity_bound(450, 3, 25, 0.01)
-    assert chern == chernoff_capacity_bound(450, 3, 25, 0.01)
-    Agg.count = 0
-    Agg.expected_weight_sum = 0
-    assert capacity_bound(Agg, ChanceParams(0.01, 25, CHEBYSHEV)) == 0.0
-    assert capacity_bound(Agg, ChanceParams(0.01, 25, CHERNOFF)) == 0.0
+    cheby = tail_bound(ChanceParams(0.01, 25, CHEBYSHEV), 3)
+    chern = tail_bound(ChanceParams(0.01, 25, CHERNOFF), 3)
+    assert type(cheby) is ChebyshevBound
+    assert type(chern) is ChernoffBound
+    # one margin per item count 0..n, shared by every solution of that count
+    assert len(cheby.margin) == len(chern.margin) == 4
+    assert cheby.cstar(450, 3) == 450 + cheby.margin[3]
+    assert chern.cstar(450, 3) == 450 + chern.margin[3]
+    assert cheby.cstar(450, 3) == pytest.approx(
+        450 + 25 * math.sqrt(3 * 0.01 * 0.99 * 3) / 0.03, rel=1e-12)
+    # Chebyshev scores with its closed form; Chernoff with its certificate
+    assert cheby.certified(450, 3, 600) == cheby.tail(450, 3, 600)
+    assert chern.certified(450, 3, 600) < chern.tail(450, 3, 600)
 
 
 @given(st.integers(1, 200), st.integers(100, 100_000), st.integers(1, 100),
        st.floats(1e-6, 1 - 1e-6))
 def test_chebyshev_round_trip_identity(k, ew, delta, alpha):
-    c = chebyshev_capacity_bound(ew, k, delta, alpha)
-    assert chebyshev_violation_prob(ew, k, delta, c) == pytest.approx(alpha, rel=1e-9)
+    b = bound(CHEBYSHEV, delta, alpha, k)
+    c = b.cstar(ew, k)
+    assert b.tail(ew, k, c) == pytest.approx(alpha, rel=1e-9)
 
 
 @given(st.integers(1, 200), st.integers(100, 100_000), st.integers(1, 100),
        st.floats(1e-6, 1 - 1e-6))
 def test_chernoff_certificate_round_trip(k, ew, delta, alpha):
-    c = chernoff_capacity_bound(ew, k, delta, alpha)
-    assert chernoff_capacity_alpha(ew, k, delta, c) == pytest.approx(alpha, rel=1e-9)
+    b = bound(CHERNOFF, delta, alpha, k)
+    c = b.cstar(ew, k)
+    assert b.certified(ew, k, c) == pytest.approx(alpha, rel=1e-9)
     # the closed form is looser than the certificate everywhere above the mean
-    assert chernoff_violation_prob(ew, k, delta, c) >= chernoff_capacity_alpha(
-        ew, k, delta, c) * (1 - 1e-12)
+    assert b.tail(ew, k, c) >= b.certified(ew, k, c) * (1 - 1e-12)
 
 
 @given(st.integers(1, 150), st.integers(1, 100), st.floats(1e-5, 0.5))
 def test_capacity_bounds_monotone(k, delta, alpha):
     ew = 1000
-    for bound in (chebyshev_capacity_bound, chernoff_capacity_bound):
-        b = bound(ew, k, delta, alpha)
+    for kind in (CHEBYSHEV, CHERNOFF):
+        b = bound(kind, delta, alpha, k + 1).cstar(ew, k)
         assert b > ew  # strictly above the mean for k >= 1
-        assert bound(ew, k, delta, alpha * 0.5) > b      # tighter alpha, larger bound
-        assert bound(ew, k + 1, delta, alpha) >= b       # more items, larger bound
-        assert bound(ew, k, delta + 1, alpha) >= b       # more spread, larger bound
+        # tighter alpha, larger bound
+        assert bound(kind, delta, alpha * 0.5, k).cstar(ew, k) > b
+        # more items, larger bound
+        assert bound(kind, delta, alpha, k + 1).cstar(ew, k + 1) >= b
+        # more spread, larger bound
+        assert bound(kind, delta + 1, alpha, k).cstar(ew, k) >= b
 
 
 @given(st.integers(1, 150), st.integers(1, 100),
@@ -115,24 +122,40 @@ def test_capacity_bounds_monotone(k, delta, alpha):
 def test_violation_non_increasing_in_capacity(k, delta, gap_a, gap_b):
     ew = 2000
     lo, hi = sorted((gap_a, gap_b))
-    for viol in (chebyshev_violation_prob, chernoff_violation_prob):
-        v_lo = viol(ew, k, delta, ew + lo)
-        v_hi = viol(ew, k, delta, ew + hi)
-        assert 0.0 <= v_hi <= v_lo <= 1.0
-
-
-@given(st.integers(0, 60), st.integers(1, 100), st.floats(-500.0, 4000.0))
-def test_array_versions_match_scalars(k, delta, gap):
-    ew = 0 if k == 0 else 1500
-    cap = ew + gap
     for kind in (CHEBYSHEV, CHERNOFF):
-        scalar = chance.violation_prob(ew, k, delta, cap, kind)
-        arr = violation_prob_array([ew], [k], delta, [cap], kind)
-        assert arr[0] == pytest.approx(scalar, rel=1e-12, abs=1e-300)
-        sb = (chebyshev_capacity_bound if kind == CHEBYSHEV
-              else chernoff_capacity_bound)(ew, k, delta, 0.01)
-        ab = capacity_bound_array([ew], [k], delta, 0.01, kind)
-        assert ab[0] == pytest.approx(sb, rel=1e-12)
+        b = bound(kind, delta, 0.01, k)
+        for view in (b.tail, b.certified):
+            v_lo = view(ew, k, ew + lo)
+            v_hi = view(ew, k, ew + hi)
+            assert 0.0 <= v_hi <= v_lo <= 1.0
+
+
+def test_array_versions_match_scalars():
+    """The array forms give the scalar forms' values exactly, over every
+    item count and capacities below, at and above the mean. The one
+    exception is the Chernoff tail's last bit: numpy's vectorised exp and
+    the C library's exp (``math.exp``) differ by one ulp on a few percent of
+    inputs, so that case is checked to one ulp."""
+    rng = np.random.default_rng(5)
+    n = 60
+    k = np.arange(n + 1).repeat(20)
+    w = np.where(k > 0, rng.integers(100, 60_000, k.size), rng.integers(0, 3, k.size))
+    cap = w + rng.integers(-500, 4000, k.size)
+    cap[::7] = w[::7]  # at the mean
+    cap[k == 0] = rng.integers(-1, 2, int((k == 0).sum()))
+    for kind in (CHEBYSHEV, CHERNOFF):
+        for delta, alpha in ((1, 0.5), (25, 0.01), (100, 1e-6)):
+            b = bound(kind, delta, alpha, n)
+            scalar_cstar = [b.cstar(wi, ki) for wi, ki in zip(w.tolist(), k.tolist())]
+            assert np.array_equal(b.cstar_array(w, k), scalar_cstar)
+            scalar_tail = np.array([b.tail(wi, ki, ci) for wi, ki, ci
+                                    in zip(w.tolist(), k.tolist(), cap.tolist())])
+            array_tail = b.tail_array(w, k, cap)
+            if kind == CHEBYSHEV:
+                assert np.array_equal(array_tail, scalar_tail)
+            else:
+                assert (np.abs(array_tail - scalar_tail)
+                        <= np.spacing(scalar_tail)).all()
 
 
 def test_chance_params_validation():
@@ -195,6 +218,7 @@ def test_bounds_upper_bound_monte_carlo():
     rng = np.random.default_rng(21)
     inst = generate_instance("uncorrelated", 40, 50, seed=8)
     weights = inst.weight_array()
+    cheby, chern = bound(CHEBYSHEV, 50, n=40), bound(CHERNOFF, 50, n=40)
     for trial in range(5):
         k = int(rng.integers(3, 20))
         idx = rng.choice(40, size=k, replace=False)
@@ -204,6 +228,6 @@ def test_bounds_upper_bound_monte_carlo():
         cap = ew + float(rng.uniform(10, 400))
         truth = monte_carlo_violation(inst, bits, cap, 100_000, seed=trial)
         noise = 3 * math.sqrt(max(truth, 1e-6) / 100_000)
-        assert chebyshev_violation_prob(ew, k, 50, cap) >= truth - noise
-        assert chernoff_violation_prob(ew, k, 50, cap) >= truth - noise
-        assert chernoff_capacity_alpha(ew, k, 50, cap) >= truth - noise
+        assert cheby.tail(ew, k, cap) >= truth - noise
+        assert chern.tail(ew, k, cap) >= truth - noise
+        assert chern.certified(ew, k, cap) >= truth - noise

@@ -56,6 +56,23 @@ def test_run_and_summarize_and_stats(capsys, tmp_path):
     assert "H=" in out and "(1)" in out and "(2)" in out
 
 
+def test_summarize_reproduces_campaign_summary(capsys, tmp_path):
+    out_dir = tmp_path / "camp"
+    code, _, _ = run_cli(
+        capsys, "run", "--n", "10", "--delta", "25,50", "--alpha", "0.01,0.001",
+        "--r", "300", "--tau", "150", "--iters", "300", "--warmup", "50",
+        "--runs", "3", "--algos", "ea11,posdc,nsga2", "--bounds", "chebyshev,chernoff",
+        "--seed", "5", "--jobs", "2", "--out", str(out_dir))
+    assert code == 0
+    summary = out_dir / "summary.csv"
+    again = tmp_path / "again.csv"
+    code, _, _ = run_cli(capsys, "summarize", str(out_dir / "runs.csv"),
+                         "--out", str(again))
+    assert code == 0
+    assert again.read_bytes() == summary.read_bytes()
+    assert len(summary.read_text().splitlines()) == 1 + 2 * 2 * 3 * 2
+
+
 def test_run_missing_out_flag_is_config_error(capsys):
     code, _, _ = run_cli(capsys, "run", "--n", "10")
     assert code == 1
@@ -63,9 +80,12 @@ def test_run_missing_out_flag_is_config_error(capsys):
 
 @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--trace", "--trace-every", "0"],
                                   ["--delta", "25,150", "--jobs", "2"],
-                                  ["--delta", "0"], ["--r", "0"], ["--tau", "0"]],
+                                  ["--delta", "0"], ["--r", "0"], ["--tau", "0"],
+                                  ["--c0-fraction", "1.5", "--jobs", "2"],
+                                  ["--c0-fraction", "0"], ["--c", "0"]],
                          ids=["jobs", "trace_every", "delta_high", "delta_zero",
-                              "r", "tau"])
+                              "r", "tau", "c0_fraction_high", "c0_fraction_zero",
+                              "c_constant"])
 def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):
     started = []
     real_run_campaign = cli.run_campaign

@@ -1,6 +1,4 @@
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from dcckp.model import (
     BOUNDED_STRONGLY_CORRELATED,
@@ -8,11 +6,9 @@ from dcckp.model import (
     Instance,
     InstanceFormatError,
     Item,
-    SolutionAggregates,
     generate_instance,
     parse_instance,
     serialize_instance,
-    toggle,
 )
 
 
@@ -72,49 +68,6 @@ def test_instance_rejects_broken_correlation():
     with pytest.raises(ValueError):
         Instance(items=items, delta=25, kind=BOUNDED_STRONGLY_CORRELATED,
                  c_constant=100, seed=0)
-
-
-def test_toggle_single_bit():
-    inst = Instance(items=(Item(7, 150),), delta=25, kind=UNCORRELATED,
-                    c_constant=100, seed=0)
-    agg = SolutionAggregates.empty(inst)
-    toggle(agg, inst, 0)
-    assert (agg.profit_sum, agg.expected_weight_sum, agg.count) == (7, 150, 1)
-    toggle(agg, inst, 0)
-    assert (agg.profit_sum, agg.expected_weight_sum, agg.count) == (0, 0, 0)
-    assert not agg.bits.any()
-
-
-def test_toggle_out_of_range():
-    inst = generate_instance(UNCORRELATED, 4, 25, seed=1)
-    agg = SolutionAggregates.empty(inst)
-    with pytest.raises(IndexError):
-        agg.toggle(inst, 4)
-    with pytest.raises(IndexError):
-        agg.toggle(inst, -1)
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 19), max_size=60))
-def test_toggle_matches_recomputation(seed, indices):
-    inst = generate_instance(UNCORRELATED, 20, 25, seed=seed)
-    rng = np.random.default_rng(seed)
-    agg = SolutionAggregates.from_bits(inst, rng.integers(0, 2, inst.n))
-    for i in indices:
-        agg.toggle(inst, i)
-    fresh = SolutionAggregates.from_bits(inst, agg.bits)
-    assert agg.profit_sum == fresh.profit_sum
-    assert agg.expected_weight_sum == fresh.expected_weight_sum
-    assert agg.count == fresh.count
-    assert 0 <= agg.count <= inst.n
-
-
-def test_copy_is_independent():
-    inst = generate_instance(UNCORRELATED, 6, 25, seed=2)
-    a = SolutionAggregates.from_bits(inst, [1, 0, 1, 0, 0, 1])
-    b = a.copy()
-    b.toggle(inst, 1)
-    assert a.bits[1] == 0 and b.bits[1] == 1
-    assert a.count + 1 == b.count
 
 
 def test_serialize_parse_round_trip():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams, violation_prob_array
+from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams, tail_bound
 from dcckp.model import generate_instance
 from dcckp.oracle import (
     brute_force_chance_optimum,
@@ -175,7 +175,8 @@ def test_chance_optimum_below_deterministic():
             # the winning subset actually satisfies the surrogate constraint
             k = int(bits.sum())
             ew = int(inst.weight_array()[bits.astype(bool)].sum())
-            v = violation_prob_array([ew], [k], 25, [cap], kind)[0]
+            bound = tail_bound(ChanceParams(0.01, 25, kind), inst.n)
+            v = bound.tail_array([ew], [k], cap)[0]
             assert v <= 0.01
 
 

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcckp import chance, metrics
-from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams
+from dcckp import metrics
+from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams, tail_bound
 from dcckp.dynamics import build_schedule
-from dcckp.model import generate_instance
+from dcckp.model import UNCORRELATED, Instance, Item, generate_instance
 from dcckp.oracle import brute_force_chance_optimum, dp_optimal_profits
 from dcckp.solvers import (
     MUTATION_BLOCK,
-    LexFitness,
     Nsga2,
     OnePlusOneEA,
     Posdc,
@@ -20,8 +19,6 @@ from dcckp.solvers import (
     _RunContext,
     crowding_distances,
     fast_nondominated_sort,
-    lex_better_or_equal,
-    posdc_dominates,
     run_algorithm,
 )
 
@@ -34,19 +31,69 @@ def make_ctx(n=12, delta=25, alpha=0.01, kind=CHEBYSHEV, seed=1):
 
 # -- comparators --------------------------------------------------------------
 
+class FixedFlips:
+    """Stands in for ``_FlipBlocks``: every draw flips the same positions."""
+
+    def __init__(self, positions):
+        self.positions = positions
+
+    def draw(self):
+        return self.positions
+
+
 def test_lex_better_or_equal_cases():
-    assert lex_better_or_equal(LexFitness(0, 50), LexFitness(0, 40))
-    assert lex_better_or_equal(LexFitness(0.1, 100), LexFitness(0.2, 10))
-    assert lex_better_or_equal(LexFitness(0, 10), LexFitness(0, 10))
-    assert not lex_better_or_equal(LexFitness(0, 9), LexFitness(0, 10))
-    assert not lex_better_or_equal(LexFitness(0.2, 100), LexFitness(0.1, 0))
+    """The acceptance rule of ``_RunContext.lex_step``, shared by the
+    (1+1)-EA and POSDC's repair: smaller violation first, then higher
+    profit; equality accepted."""
+    items = (Item(40, 300), Item(50, 300), Item(10, 300), Item(40, 300))
+    inst = Instance(items=items, delta=25, kind=UNCORRELATED, c_constant=100, seed=0)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, CHEBYSHEV))
+    incumbent = (np.array([1, 0, 0, 0], np.uint8), 40, 300, 1)
+
+    def step(flips, inc_v, capacity=2000):
+        return ctx.lex_step(FixedFlips(flips), *incumbent, inc_v, capacity)
+
+    # both feasible: more profit is accepted, equal profit too, less is not
+    (bits, p, w, k), off_v = step([0, 1], 0.0)
+    assert bits.tolist() == [0, 1, 0, 0] and (p, w, k, off_v) == (50, 300, 1, 0.0)
+    (bits, p, _, _), _ = step([0, 3], 0.0)
+    assert bits.tolist() == [0, 0, 0, 1] and p == 40
+    assert step([0, 2], 0.0) is None
+    # a smaller violation wins at lower profit
+    (_, p, _, _), off_v = step([0, 2], 0.2)
+    assert p == 10 and off_v == 0.0
+    # a larger violation loses at higher profit
+    assert ctx.lex_violation(600, 2, 400) > 0.0
+    assert step([1], 0.0, capacity=400) is None
+    (_, p, w, k), off_v = step([1], 500.0, capacity=400)
+    assert (p, w, k) == (90, 600, 2) and off_v == ctx.lex_violation(600, 2, 400)
+    # an identical offspring changes nothing
+    assert step(None, 0.0) is None
 
 
 def test_posdc_dominates_cases():
-    assert posdc_dominates((10, 5), (8, 6))
-    assert not posdc_dominates((10, 5), (12, 4))
-    assert posdc_dominates((10, 5), (10, 5))
-    assert not posdc_dominates((10, 6), (11, 5))
+    """Weak dominance on (profit, C*) as the POSDC archives apply it: at
+    least the profit and at most the C*; equal points dominate each
+    other."""
+    bits = np.zeros(3, np.uint8)
+
+    def archive(*points):
+        arc = _Archive(3)
+        for p, c in points:
+            assert not arc.has_weak_dominator(p, c)
+            arc.insert(bits, p, 0, 0, c)
+        return arc
+
+    assert archive((10, 5)).has_weak_dominator(8, 6)
+    assert not archive((10, 5)).has_weak_dominator(12, 4)
+    assert archive((10, 5)).has_weak_dominator(10, 5)
+    assert not archive((10, 6)).has_weak_dominator(11, 5)
+    # an insert drops every member it weakly dominates, and only those
+    arc = archive((10, 5), (8, 3), (12, 9))
+    assert arc.size == 3
+    arc.insert(bits, 11, 0, 0, 4)
+    assert sorted(zip(arc.p[:arc.size].tolist(), arc.cstar[:arc.size].tolist())) == [
+        (8, 3.0), (11, 4.0), (12, 9.0)]
 
 
 # -- mutation -----------------------------------------------------------------
@@ -378,11 +425,15 @@ def test_ea_fitness_never_worsens_on_static_capacity():
     inst, ctx = make_ctx(n=12, alpha=0.01, kind=CHERNOFF, seed=2)
     capacity = int(0.5 * inst.total_expected_weight())
     ea = OnePlusOneEA(ctx, np.random.default_rng(7), capacity)
-    prev = ea.fitness(capacity)
+    def fitness():
+        # lexicographic order: smaller violation, then larger profit
+        return (ctx.lex_violation(ea.w, ea.k, capacity), -ea.p)
+
+    prev = fitness()
     for _ in range(3000):
         ea.step(capacity)
-        cur = ea.fitness(capacity)
-        assert lex_better_or_equal(cur, prev)
+        cur = fitness()
+        assert cur <= prev
         prev = cur
 
 
@@ -393,11 +444,11 @@ def test_ea_recovers_feasibility_after_capacity_drop():
     ea = OnePlusOneEA(ctx, np.random.default_rng(9), high)
     for _ in range(4000):
         ea.step(high)
-    assert ctx.viol(ea.w, ea.k, high) <= 0.01
+    assert ctx.bound.tail(ea.w, ea.k, high) <= 0.01
     ea.on_change(low)
     for _ in range(6000):
         ea.step(low)
-    assert ctx.viol(ea.w, ea.k, low) <= 0.01
+    assert ctx.bound.tail(ea.w, ea.k, low) <= 0.01
 
 
 # -- NSGA-II ------------------------------------------------------------------
@@ -480,10 +531,9 @@ def test_nsga2_best_feasible_tracks_highest_profit():
         alg.generation(capacity)
     assert alg.best_feasible is not None
     p, w, k, bits = alg.best_feasible
-    assert ctx.viol(w, k, capacity) <= 0.01
+    assert ctx.bound.tail(w, k, capacity) <= 0.01
     # designated solution must dominate every feasible member of the population
-    viols = chance.violation_prob_array(alg.w, alg.k, ctx.delta, capacity,
-                                        ctx.bound_kind)
+    viols = ctx.bound.tail_array(alg.w, alg.k, capacity)
     feas = viols <= 0.01
     if feas.any():
         assert p >= alg.p[feas].max()
@@ -499,7 +549,7 @@ def test_nsga2_on_change_resets_best():
     alg.on_change(tight)
     if alg.best_feasible is not None:
         p, w, k, _ = alg.best_feasible
-        assert ctx.viol(w, k, tight) <= 0.01
+        assert ctx.bound.tail(w, k, tight) <= 0.01
 
 
 # -- runner -------------------------------------------------------------------
@@ -654,8 +704,7 @@ def cstar_side_optimum(inst, capacity, params):
     w = bits @ inst.weight_array()
     k = bits.sum(axis=1)
     p = bits @ inst.profit_array()
-    cstar = chance.capacity_bound_array(w, k, params.delta, params.alpha,
-                                        params.bound_kind)
+    cstar = tail_bound(params, n).cstar_array(w, k)
     feas = cstar < capacity
     return int(p[feas].max()) if feas.any() else 0
 
