@@ -89,6 +89,14 @@ class CampaignConfig:
         for d in self.deltas:
             if not 1 <= d <= WEIGHT_OFFSET:
                 raise ValueError(f"delta must be in [1, {WEIGHT_OFFSET}], got {d}")
+        # item weights do not depend on delta, so one instance settles c0
+        inst = generate_instance(self.kind, self.n, self.deltas[0],
+                                 self.c_constant, self.instance_seed)
+        c0 = dynamics.default_initial_capacity(inst, self.c0_fraction)
+        c_min, c_max = dynamics.default_clamp_bounds(inst)
+        if not c_min <= c0 <= c_max:
+            raise ValueError(f"c0_fraction={self.c0_fraction} gives an initial "
+                             f"capacity of {c0}, outside [{c_min}, {c_max}]")
         for r in self.rs:
             if r < 1:
                 raise ValueError(f"r must be >= 1, got {r}")

@@ -14,10 +14,12 @@ per iteration):
   down), fast non-dominated sorting, crowding distance, uniform crossover and
   1/n mutation; one generation is charged 20 iterations.
 
-``run_algorithm`` drives any of them through a capacity schedule and scores
-the offline error against a precomputed DP optimum table. Each solver sets
-``changed`` whenever its designated solution may have changed; the driver
-re-evaluates the designated solution only then and at capacity changes.
+``run_algorithm`` drives any of them, in one loop, through a capacity
+schedule and scores the offline error against a precomputed DP optimum
+table; a solver's ``stride`` is the iterations one step is charged. Each
+solver sets ``changed`` whenever its designated solution may have changed;
+the driver re-evaluates the designated solution only then and at capacity
+changes.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ class OnePlusOneEA:
     """(1+1)-EA with lexicographic (violation, profit) acceptance."""
 
     name = "ea11"
+    stride = 1  # iterations charged per step
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
@@ -339,6 +342,7 @@ class Posdc:
     """
 
     name = "posdc"
+    stride = 1
 
     def __init__(self, ctx: _RunContext, rng, capacity: int, eta: int,
                  repair_cap: int = REPAIR_STEP_CAP):
@@ -518,6 +522,7 @@ class Nsga2:
 
     name = "nsga2"
     pop_size = 20
+    stride = pop_size  # one step is one generation
     crossover_rate = 0.9
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
@@ -531,12 +536,15 @@ class Nsga2:
         self.changed = True
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
+    def _evaluate(self, bits):
+        """(profit, expected weight, item count, C*) of each row of ``bits``."""
+        b = bits.astype(np.int64)
+        w = b @ self.ctx.weights
+        k = b.sum(axis=1)
+        return b @ self.ctx.profits, w, k, self.ctx.bound.cstar_array(w, k)
+
     def _evaluate_population(self):
-        b = self.bits.astype(np.int64)
-        self.p = b @ self.ctx.profits
-        self.w = b @ self.ctx.weights
-        self.k = b.sum(axis=1)
-        self.cstar = self.ctx.bound.cstar_array(self.w, self.k)
+        self.p, self.w, self.k, self.cstar = self._evaluate(self.bits)
 
     def _consider(self, bits, p, w, k, capacity):
         """Fold freshly evaluated individuals into the tracked best feasible."""
@@ -556,12 +564,15 @@ class Nsga2:
         for depth, front in enumerate(fronts):
             ranks[front] = depth
             crowd[front] = crowding_distances(p[front], cstar[front])
-        return ranks, crowd, fronts
+        return ranks, crowd
+
+    def step(self, capacity: int):
+        self.generation(capacity)
 
     def generation(self, capacity: int):
         rng = self.rng
         pop, n = self.pop_size, self.ctx.n
-        ranks, crowd, _ = self._ranks_and_crowding(self.p, self.cstar)
+        ranks, crowd = self._ranks_and_crowding(self.p, self.cstar)
 
         # binary tournaments on (rank, crowding)
         cand = rng.integers(0, pop, size=(pop, 2))
@@ -578,11 +589,7 @@ class Nsga2:
         children[1::2] = np.where(mix, p1, p2)
         children ^= (rng.random((pop, n)) < self.ctx.inv_n).astype(np.uint8)
 
-        cb = children.astype(np.int64)
-        cp = cb @ self.ctx.profits
-        cw = cb @ self.ctx.weights
-        ck = cb.sum(axis=1)
-        c_cstar = self.ctx.bound.cstar_array(cw, ck)
+        cp, cw, ck, c_cstar = self._evaluate(children)
         self._consider(children, cp, cw, ck, capacity)
 
         # elitist survival over parents + children
@@ -645,15 +652,17 @@ def _make_solver(algo: str, ctx, rng, capacity: int, eta: int):
 
 
 def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
-                  seed: int, eta: int | None = None, trace: bool = False) -> metrics.RunRecord:
+                  seed: int, trace: bool = False) -> metrics.RunRecord:
     """Run one algorithm through a capacity schedule.
 
-    Applies scheduled capacity changes at the start of their iteration and
-    scores the designated best solution's offline error on every
-    post-warmup iteration. The designated solution is re-evaluated only at a
-    capacity change or when the solver marks it ``changed``; the record keeps
-    one interval per run of equal values. Fully deterministic for fixed
-    inputs.
+    Each solver step is charged ``stride`` iterations and starts on a
+    multiple of it. Scheduled capacity changes apply at the start of their
+    iteration; one that falls inside a step is scored at once, and the
+    solver sees it just before its next step. The designated best
+    solution's offline error is scored on every post-warmup iteration, but
+    re-evaluated only at a capacity change or when the solver marks it
+    ``changed``; the record keeps one interval per run of equal values.
+    Fully deterministic for fixed inputs.
     """
     if params.delta != instance.delta:
         raise ValueError(
@@ -666,13 +675,11 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     if measured <= 0:
         raise ValueError("schedule has no post-warmup iterations; "
                          "total offline error is undefined")
-    if eta is None:
-        eta = schedule.r
 
     rng = np.random.default_rng(seed)
     ctx = _RunContext(instance, params)
     capacity = schedule.c0
-    solver = _make_solver(algo, ctx, rng, capacity, eta)
+    solver = _make_solver(algo, ctx, rng, capacity, schedule.r)
     recorder = metrics.OfflineErrorRecorder(warmup, measured, params.alpha, trace)
     p_star = int(dp_table[capacity])
 
@@ -680,55 +687,30 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         solver.changed = False
         recorder.record(i, p_star, *solver.designated_eval(capacity), capacity)
 
-    # (iteration, capacity in force from it on)
+    # one segment per capacity, from (iteration, capacity in force from it
+    # on); None keeps the initial capacity
     changes = list(zip(schedule.change_iters.tolist(),
                        schedule.change_caps.tolist()))
-    evaluations = 0
-    if algo == "nsga2":
-        pending_change = False
-        ptr = 0
-        i = 0
-        while i < total:
-            if pending_change:
-                solver.on_change(capacity)
-                pending_change = False
-            gen_end = min(i + Nsga2.pop_size, total)
-            if ptr < len(changes) and changes[ptr][0] == i:
-                capacity = changes[ptr][1]
-                p_star = int(dp_table[capacity])
-                ptr += 1
-                solver.on_change(capacity)
-            solver.generation(capacity)
-            evaluations += Nsga2.pop_size
+    if not changes or changes[0][0] != 0:
+        changes.insert(0, (0, None))
+    ends = [it for it, _ in changes[1:]] + [total]
+    step, stride = solver.step, solver.stride
+    for (start, new_capacity), end in zip(changes, ends):
+        first = start + -start % stride  # the solver's first step from here on
+        if new_capacity is not None:
+            capacity = new_capacity
+            p_star = int(dp_table[capacity])
+            if first != start:  # a change inside a step is scored at once
+                record(start)
+                if first >= end:
+                    continue  # the next change comes before the next step
+            solver.on_change(capacity)
+        step(capacity)
+        record(first)
+        for i in range(first + stride, end, stride):
+            step(capacity)
             if solver.changed:
                 record(i)
-            while ptr < len(changes) and changes[ptr][0] < gen_end:
-                # mid-generation change: offline error sees it immediately,
-                # the population reacts at the next generation boundary
-                it, capacity = changes[ptr]
-                p_star = int(dp_table[capacity])
-                ptr += 1
-                pending_change = True
-                record(it)
-            i = gen_end
-    else:
-        # one segment per capacity; None keeps the initial capacity
-        if not changes or changes[0][0] != 0:
-            changes.insert(0, (0, None))
-        ends = [it for it, _ in changes[1:]] + [total]
-        step = solver.step
-        for (start, new_capacity), end in zip(changes, ends):
-            if new_capacity is not None:
-                capacity = new_capacity
-                p_star = int(dp_table[capacity])
-                solver.on_change(capacity)
-            step(capacity)
-            record(start)
-            for i in range(start + 1, end):
-                step(capacity)
-                if solver.changed:
-                    record(i)
-        evaluations = total
 
     log = recorder.log()
     return metrics.RunRecord(
@@ -744,5 +726,5 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         total_offline_error=metrics.total_offline_error(log.series("phi")),
         feasible_fraction=float(log.series("feasible").mean()),
         change_count=schedule.change_count,
-        evaluations=evaluations,
+        evaluations=-(-total // stride) * stride,  # a truncated last step in full
     )

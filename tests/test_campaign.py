@@ -57,7 +57,8 @@ def test_config_validation():
                        ("rs", (0,)), ("rs", (300, -1)),
                        ("taus", (0,)), ("taus", (150, -5)),
                        ("c0_fraction", 0.0), ("c0_fraction", -0.5),
-                       ("c0_fraction", 1.5), ("c_constant", 0),
+                       ("c0_fraction", 1.5), ("c0_fraction", 1e-6),
+                       ("c_constant", 0),
                        ("c_constant", -3), ("deltas", (25, 25)),
                        ("alphas", (0.01, 0.010000001))):
         with pytest.raises(ValueError):

@@ -82,10 +82,11 @@ def test_run_missing_out_flag_is_config_error(capsys):
                                   ["--delta", "25,150", "--jobs", "2"],
                                   ["--delta", "0"], ["--r", "0"], ["--tau", "0"],
                                   ["--c0-fraction", "1.5", "--jobs", "2"],
-                                  ["--c0-fraction", "0"], ["--c", "0"]],
+                                  ["--c0-fraction", "0"], ["--c", "0"],
+                                  ["--c0-fraction", "1e-6"]],
                          ids=["jobs", "trace_every", "delta_high", "delta_zero",
                               "r", "tau", "c0_fraction_high", "c0_fraction_zero",
-                              "c_constant"])
+                              "c_constant", "c0_fraction_tiny"])
 def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):
     started = []
     real_run_campaign = cli.run_campaign

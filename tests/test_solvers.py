@@ -656,16 +656,23 @@ def reference_series(algo, inst, sched, params, dp, seed):
     return [np.array(col) for col in zip(*rows)]
 
 
-@pytest.mark.parametrize("algo", ["ea11", "posdc", "nsga2"])
-def test_recorder_misses_no_change(algo, monkeypatch):
+# (tau, warmup, total). tau=37 is not a multiple of 20, so NSGA-II sees
+# mid-generation changes; tau=7 puts several changes inside one generation,
+# warmup 0 puts a change on iteration 0, and 2963 iterations end in a
+# truncated generation
+@pytest.mark.parametrize("algo, tau, warmup, total", [
+    *(pytest.param(algo, 37, 5, 2965, id=algo)
+      for algo in ("ea11", "posdc", "nsga2")),
+    *(pytest.param(algo, 7, 0, 2963, id=f"{algo}-tau7-warmup0")
+      for algo in ("ea11", "posdc", "nsga2"))])
+def test_recorder_misses_no_change(algo, tau, warmup, total, monkeypatch):
     """Offline error scored only at marks and capacity changes equals
     scoring every iteration, whether the solver marks every step or only
     the steps that change its designated solution."""
     inst = generate_instance("uncorrelated", 12, 25, seed=4)
     dp = dp_optimal_profits(inst, inst.total_expected_weight())
-    # tau is not a multiple of 20, so NSGA-II sees mid-generation changes;
     # c0 sits far below a random solution, so POSDC starts by repairing
-    sched = build_schedule(600, 37, 2000, 5, 2965, 1,
+    sched = build_schedule(600, tau, 2000, warmup, total, 1,
                            inst.total_expected_weight(), seed=7)
     params = ChanceParams(0.01, 25, CHERNOFF)
     seed = 4
