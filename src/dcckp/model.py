@@ -21,6 +21,9 @@ KINDS = (UNCORRELATED, BOUNDED_STRONGLY_CORRELATED)
 WEIGHT_OFFSET = 100
 BASE_WEIGHT_LOW, BASE_WEIGHT_HIGH = 1, 1000
 PROFIT_LOW, PROFIT_HIGH = 1, 1000
+# C*, the tail formulas and NSGA-II's evaluation compute in float64, which
+# holds every integer below 2**53 exactly; instance totals must stay below it
+EXACT_FLOAT_TOTAL = 2 ** 53
 
 # short tokens used in instance files / CLI flags
 _KIND_TO_TOKEN = {UNCORRELATED: "uncorrelated", BOUNDED_STRONGLY_CORRELATED: "bsc"}
@@ -81,6 +84,11 @@ class Instance:
         if self.delta >= min_w:
             raise ValueError(
                 f"delta={self.delta} must stay below the smallest expected weight {min_w}")
+        for what, total in (("profit", sum(it.profit for it in self.items)),
+                            ("expected weight", self.total_expected_weight())):
+            if total >= EXACT_FLOAT_TOTAL:
+                raise ValueError(f"{what} total {total} reaches 2**53, beyond "
+                                 "which float64 does not hold every integer")
         if self.kind == BOUNDED_STRONGLY_CORRELATED:
             for i, it in enumerate(self.items):
                 if it.profit != it.expected_weight - WEIGHT_OFFSET + self.c_constant:

@@ -11,8 +11,10 @@ per iteration):
   [C, C + eta]. Keeping the infeasible side warm is what lets the search
   react when the capacity shifts.
 * ``Nsga2`` -- population of 20 on the objectives (profit up, capacity bound
-  down), fast non-dominated sorting, crowding distance, uniform crossover and
-  1/n mutation; one generation is charged 20 iterations.
+  down), a two-objective sweep for non-dominated sorting whose survival ranks
+  serve the next generation's tournaments, crowding distance, uniform
+  crossover as a masked XOR swap and 1/n mutation; one generation is charged
+  20 iterations.
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
 schedule and scores the offline error against a precomputed DP optimum
@@ -23,6 +25,8 @@ changes.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -481,23 +485,46 @@ class Posdc:
         return p, self.ctx.bound.certified(w, k, capacity)
 
 
+def _front_ranks(profits, cap_bounds) -> np.ndarray:
+    """Front depth of each point under (maximize profit, minimize capacity
+    bound), 0 for the non-dominated front.
+
+    A sweep for two objectives (Jensen, IEEE TEC 7(5), 2003): points are
+    visited by falling profit, then rising bound, and each joins the first
+    front whose latest member does not dominate it. A front's latest member
+    has the smallest key (bound, -profit) in the front, and it dominates a
+    later point exactly when its key is smaller, so the latest keys stay
+    sorted and a binary search places each point.
+    """
+    p = np.asarray(profits)
+    c = np.asarray(cap_bounds)
+    ps, cs = p.tolist(), c.tolist()
+    ranks = [0] * len(ps)
+    latest = []
+    for i in np.lexsort((c, -p)).tolist():
+        key = (cs[i], -ps[i])
+        depth = bisect_left(latest, key)
+        if depth == len(latest):
+            latest.append(key)
+        else:
+            latest[depth] = key
+        ranks[i] = depth
+    return np.array(ranks, np.int64)
+
+
+def _fronts(ranks):
+    """Indices of each front, by depth, ascending within each front."""
+    if not len(ranks):
+        return []
+    order = np.argsort(ranks, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ranks))[:-1])
+
+
 def fast_nondominated_sort(profits, cap_bounds):
-    """Front indices under (maximize profit, minimize capacity bound)."""
-    p = np.asarray(profits, np.float64)
-    c = np.asarray(cap_bounds, np.float64)
-    ge = p[:, None] >= p[None, :]
-    le = c[:, None] <= c[None, :]
-    strict = (p[:, None] > p[None, :]) | (c[:, None] < c[None, :])
-    dom = ge & le & strict  # dom[i, j]: i dominates j
-    counts = dom.sum(axis=0).astype(np.int64)
-    fronts = []
-    current = np.flatnonzero(counts == 0)
-    while current.size:
-        fronts.append(current)
-        counts = counts - dom[current].sum(axis=0)
-        counts[current] = -1
-        current = np.flatnonzero(counts == 0)
-    return fronts
+    """Front indices under (maximize profit, minimize capacity bound), each
+    front in ascending index order."""
+    return _fronts(_front_ranks(np.asarray(profits, np.float64),
+                               np.asarray(cap_bounds, np.float64)))
 
 
 def crowding_distances(profits, cap_bounds) -> np.ndarray:
@@ -518,7 +545,14 @@ def crowding_distances(profits, cap_bounds) -> np.ndarray:
 
 class Nsga2:
     """NSGA-II on (profit up, capacity bound down) with a tracked best
-    feasible solution for the current capacity."""
+    feasible solution for the current capacity.
+
+    The population's front ranks and crowding distances are kept between
+    generations (``ranks``, ``crowd``). The objectives do not depend on the
+    capacity, so the survivors' ranks among parents and children are their
+    ranks among themselves (Deb et al., IEEE TEC 6(2), 2002), and the next
+    tournaments need no sort of their own.
+    """
 
     name = "nsga2"
     pop_size = 20
@@ -528,6 +562,10 @@ class Nsga2:
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
         self.rng = rng
+        # columns profit, weight, 1: evaluation is one float64 BLAS matmul,
+        # exact while totals stay below 2**53, which ``Instance`` enforces
+        self._totals = np.column_stack(
+            [ctx.profits, ctx.weights, np.ones(ctx.n)]).astype(np.float64)
         self.bits = rng.integers(0, 2, (self.pop_size, ctx.n), np.uint8)
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
@@ -538,33 +576,30 @@ class Nsga2:
 
     def _evaluate(self, bits):
         """(profit, expected weight, item count, C*) of each row of ``bits``."""
-        b = bits.astype(np.int64)
-        w = b @ self.ctx.weights
-        k = b.sum(axis=1)
-        return b @ self.ctx.profits, w, k, self.ctx.bound.cstar_array(w, k)
+        p, w, k = (bits @ self._totals).astype(np.int64).T
+        return p, w, k, self.ctx.bound.cstar_array(w, k)
 
     def _evaluate_population(self):
+        """Evaluate ``bits`` and rank the population from scratch."""
         self.p, self.w, self.k, self.cstar = self._evaluate(self.bits)
+        self.ranks = _front_ranks(self.p, self.cstar)
+        self.crowd = np.empty(self.pop_size)
+        for front in _fronts(self.ranks):
+            self.crowd[front] = crowding_distances(self.p[front], self.cstar[front])
 
     def _consider(self, bits, p, w, k, capacity):
         """Fold freshly evaluated individuals into the tracked best feasible."""
+        best = self.best_feasible
+        if best is not None and p.max() <= best[0]:
+            return  # no row could replace it
         bound = self.ctx.bound
         feas = bound.tail_array(w, k, capacity) <= bound.alpha
         if not feas.any():
             return
         idx = np.flatnonzero(feas)
         j = idx[np.argmax(p[idx])]
-        if self.best_feasible is None or p[j] > self.best_feasible[0]:
+        if best is None or p[j] > best[0]:
             self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
-
-    def _ranks_and_crowding(self, p, cstar):
-        fronts = fast_nondominated_sort(p, cstar)
-        ranks = np.empty(len(p), np.int64)
-        crowd = np.empty(len(p), np.float64)
-        for depth, front in enumerate(fronts):
-            ranks[front] = depth
-            crowd[front] = crowding_distances(p[front], cstar[front])
-        return ranks, crowd
 
     def step(self, capacity: int):
         self.generation(capacity)
@@ -572,7 +607,7 @@ class Nsga2:
     def generation(self, capacity: int):
         rng = self.rng
         pop, n = self.pop_size, self.ctx.n
-        ranks, crowd = self._ranks_and_crowding(self.p, self.cstar)
+        ranks, crowd = self.ranks, self.crowd
 
         # binary tournaments on (rank, crowding)
         cand = rng.integers(0, pop, size=(pop, 2))
@@ -580,42 +615,50 @@ class Nsga2:
         a_wins = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
         pool = self.bits[np.where(a_wins, a, b)]
 
-        # uniform crossover on consecutive pairs, then 1/n mutation
+        # uniform crossover on consecutive pairs (a masked XOR swap), then
+        # 1/n mutation
         do_cross = rng.random(pop // 2) < self.crossover_rate
         mix = (rng.random((pop // 2, n)) < 0.5) & do_cross[:, None]
-        p1, p2 = pool[0::2], pool[1::2]
-        children = np.empty_like(pool)
-        children[0::2] = np.where(mix, p2, p1)
-        children[1::2] = np.where(mix, p1, p2)
-        children ^= (rng.random((pop, n)) < self.ctx.inv_n).astype(np.uint8)
+        pairs = pool.reshape(pop // 2, 2, n)
+        swap = (pairs[:, 0] ^ pairs[:, 1]) & mix
+        children = (pairs ^ swap[:, None]).reshape(pop, n)
+        children ^= (rng.random((pop, n)) < self.ctx.inv_n).view(np.uint8)
 
         cp, cw, ck, c_cstar = self._evaluate(children)
         self._consider(children, cp, cw, ck, capacity)
 
-        # elitist survival over parents + children
+        # elitist survival over parents + children: whole fronts by depth,
+        # then the most crowding-distant members of the front that overflows
         all_bits = np.concatenate([self.bits, children])
         all_p = np.concatenate([self.p, cp])
         all_w = np.concatenate([self.w, cw])
         all_k = np.concatenate([self.k, ck])
         all_c = np.concatenate([self.cstar, c_cstar])
-        fronts = fast_nondominated_sort(all_p, all_c)
-        chosen = []
-        for front in fronts:
-            if len(chosen) + len(front) <= pop:
-                chosen.extend(front.tolist())
-                if len(chosen) == pop:
-                    break
-            else:
-                cd = crowding_distances(all_p[front], all_c[front])
-                order = np.argsort(-cd, kind="stable")
-                chosen.extend(front[order[: pop - len(chosen)]].tolist())
-                break
-        chosen = np.asarray(chosen)
+        all_ranks = _front_ranks(all_p, all_c)
+        order = np.argsort(all_ranks, kind="stable")
+        ends = np.cumsum(np.bincount(all_ranks)).tolist()
+        full = bisect_right(ends, pop)  # fronts that survive whole
+        edges = [0] + ends[:full]
+        chosen = order[:edges[-1]]
+        if edges[-1] < pop:
+            front = order[edges[-1]:ends[full]]
+            cd = crowding_distances(all_p[front], all_c[front])
+            picked = front[np.argsort(-cd, kind="stable")[:pop - edges[-1]]]
+            chosen = np.concatenate([chosen, picked])
+            edges.append(pop)
         self.bits = all_bits[chosen]
         self.p = all_p[chosen]
         self.w = all_w[chosen]
         self.k = all_k[chosen]
         self.cstar = all_c[chosen]
+        # the survivors keep their depth, and each front is a run of
+        # ``chosen`` in the order a fresh sort of the survivors would list
+        # it, which is the order crowding's stable argsort breaks ties by;
+        # the overflowing front is measured on its chosen members only
+        self.ranks = all_ranks[chosen]
+        self.crowd = np.empty(pop)
+        for lo, hi in zip(edges, edges[1:]):
+            self.crowd[lo:hi] = crowding_distances(self.p[lo:hi], self.cstar[lo:hi])
         self.generations += 1
         self._fallback = None
         self.changed = True

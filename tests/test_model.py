@@ -70,6 +70,22 @@ def test_instance_rejects_broken_correlation():
                  c_constant=100, seed=0)
 
 
+@pytest.mark.parametrize("rows, ok", [
+    ([f"{2 ** 53 - 1} 200"], True),
+    ([f"{2 ** 53} 200"], False),
+    ([f"{2 ** 52} 200", f"{2 ** 52} 200"], False),
+    ([f"1 {2 ** 52}", f"1 {2 ** 52}"], False),
+])
+def test_parse_rejects_totals_float64_cannot_hold(rows, ok):
+    text = "\n".join([f"n {len(rows)} delta 25 kind uncorrelated c 100 seed 1",
+                      *rows]) + "\n"
+    if ok:
+        assert parse_instance(text).n == len(rows)
+    else:
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            parse_instance(text)
+
+
 def test_serialize_parse_round_trip():
     for kind in (UNCORRELATED, "bsc"):
         inst = generate_instance(kind, 10, 50, c_constant=37, seed=99)

@@ -478,12 +478,20 @@ def test_fast_nondominated_sort_three_point_example():
 
 
 def test_fast_nondominated_sort_matches_pairwise_oracle():
+    """Each front as an ordered array: ascending index is the order in which
+    crowding's stable argsort breaks ties. The sets are tie-heavy, with
+    exact duplicates and equal float bounds."""
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        m = int(rng.integers(2, 40))
-        profits = rng.integers(0, 15, m)
-        bounds = rng.integers(0, 15, m).astype(float)
-        got = [sorted(f.tolist()) for f in fast_nondominated_sort(profits, bounds)]
+    for _ in range(3000):
+        m = int(rng.integers(0, 41))
+        spread = int(rng.choice([3, 15, 1000]))
+        profits = rng.integers(0, spread, m)
+        bounds = rng.integers(0, spread, m) / 3.0
+        if m > 1:
+            dup = rng.integers(0, m, m // 3)
+            src = rng.integers(0, m, m // 3)
+            profits[dup], bounds[dup] = profits[src], bounds[src]
+        got = [f.tolist() for f in fast_nondominated_sort(profits, bounds)]
         assert got == pairwise_fronts_oracle(profits.tolist(), bounds.tolist())
 
 
@@ -550,6 +558,145 @@ def test_nsga2_on_change_resets_best():
     if alg.best_feasible is not None:
         p, w, k, _ = alg.best_feasible
         assert ctx.bound.tail(w, k, tight) <= 0.01
+
+
+def matrix_fronts(profits, cap_bounds):
+    """Fronts by peeling a pairwise dominance matrix (the sort NSGA-II used
+    before the sweep)."""
+    p = np.asarray(profits, np.float64)
+    c = np.asarray(cap_bounds, np.float64)
+    ge = p[:, None] >= p[None, :]
+    le = c[:, None] <= c[None, :]
+    strict = (p[:, None] > p[None, :]) | (c[:, None] < c[None, :])
+    dom = ge & le & strict  # dom[i, j]: i dominates j
+    counts = dom.sum(axis=0).astype(np.int64)
+    fronts = []
+    current = np.flatnonzero(counts == 0)
+    while current.size:
+        fronts.append(current)
+        counts = counts - dom[current].sum(axis=0)
+        counts[current] = -1
+        current = np.flatnonzero(counts == 0)
+    return fronts
+
+
+class ReferenceNsga2(Nsga2):
+    """NSGA-II with every generation done in full: the parents are sorted
+    again for the tournaments, crossover picks bits with ``np.where`` and
+    evaluation is an integer matmul. ``Nsga2`` must follow it bit for bit."""
+
+    def _evaluate(self, bits):
+        b = bits.astype(np.int64)
+        w = b @ self.ctx.weights
+        k = b.sum(axis=1)
+        return b @ self.ctx.profits, w, k, self.ctx.bound.cstar_array(w, k)
+
+    def _evaluate_population(self):
+        self.p, self.w, self.k, self.cstar = self._evaluate(self.bits)
+
+    def _consider(self, bits, p, w, k, capacity):
+        bound = self.ctx.bound
+        feas = bound.tail_array(w, k, capacity) <= bound.alpha
+        if not feas.any():
+            return
+        idx = np.flatnonzero(feas)
+        j = idx[np.argmax(p[idx])]
+        if self.best_feasible is None or p[j] > self.best_feasible[0]:
+            self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+
+    def _ranks_and_crowding(self, p, cstar):
+        fronts = matrix_fronts(p, cstar)
+        ranks = np.empty(len(p), np.int64)
+        crowd = np.empty(len(p), np.float64)
+        for depth, front in enumerate(fronts):
+            ranks[front] = depth
+            crowd[front] = crowding_distances(p[front], cstar[front])
+        return ranks, crowd
+
+    def generation(self, capacity: int):
+        rng = self.rng
+        pop, n = self.pop_size, self.ctx.n
+        ranks, crowd = self._ranks_and_crowding(self.p, self.cstar)
+
+        # binary tournaments on (rank, crowding)
+        cand = rng.integers(0, pop, size=(pop, 2))
+        a, b = cand[:, 0], cand[:, 1]
+        a_wins = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
+        pool = self.bits[np.where(a_wins, a, b)]
+
+        # uniform crossover on consecutive pairs, then 1/n mutation
+        do_cross = rng.random(pop // 2) < self.crossover_rate
+        mix = (rng.random((pop // 2, n)) < 0.5) & do_cross[:, None]
+        p1, p2 = pool[0::2], pool[1::2]
+        children = np.empty_like(pool)
+        children[0::2] = np.where(mix, p2, p1)
+        children[1::2] = np.where(mix, p1, p2)
+        children ^= (rng.random((pop, n)) < self.ctx.inv_n).astype(np.uint8)
+
+        cp, cw, ck, c_cstar = self._evaluate(children)
+        self._consider(children, cp, cw, ck, capacity)
+
+        # elitist survival over parents + children
+        all_bits = np.concatenate([self.bits, children])
+        all_p = np.concatenate([self.p, cp])
+        all_w = np.concatenate([self.w, cw])
+        all_k = np.concatenate([self.k, ck])
+        all_c = np.concatenate([self.cstar, c_cstar])
+        fronts = matrix_fronts(all_p, all_c)
+        chosen = []
+        for front in fronts:
+            if len(chosen) + len(front) <= pop:
+                chosen.extend(front.tolist())
+                if len(chosen) == pop:
+                    break
+            else:
+                cd = crowding_distances(all_p[front], all_c[front])
+                order = np.argsort(-cd, kind="stable")
+                chosen.extend(front[order[: pop - len(chosen)]].tolist())
+                break
+        chosen = np.asarray(chosen)
+        self.bits = all_bits[chosen]
+        self.p = all_p[chosen]
+        self.w = all_w[chosen]
+        self.k = all_k[chosen]
+        self.cstar = all_c[chosen]
+        self.generations += 1
+        self._fallback = None
+        self.changed = True
+
+
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+@pytest.mark.parametrize("n", [1, 2, 12, 100, 1000])
+def test_nsga2_follows_reference_generation(n, kind):
+    """Same seed, same population, best feasible solution and kept ranks as
+    a full re-sort, generation by generation, with capacity changes between
+    some generations."""
+    inst = generate_instance("uncorrelated", n, 25, seed=n)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
+    total = inst.total_expected_weight()
+    capacity = total // 2
+    live = Nsga2(ctx, np.random.default_rng(7), capacity)
+    ref = ReferenceNsga2(ctx, np.random.default_rng(7), capacity)
+    moves = np.random.default_rng(n)
+    for g in range(151):
+        if g:
+            if g % 10 == 0:
+                capacity = int(moves.integers(1, total + 1))
+                live.on_change(capacity)
+                ref.on_change(capacity)
+            live.generation(capacity)
+            ref.generation(capacity)
+        for name in ("bits", "p", "w", "k", "cstar"):
+            np.testing.assert_array_equal(getattr(live, name), getattr(ref, name),
+                                          strict=True)
+        if ref.best_feasible is None:
+            assert live.best_feasible is None
+        else:
+            assert live.best_feasible[:3] == ref.best_feasible[:3]
+            assert np.array_equal(live.best_feasible[3], ref.best_feasible[3])
+        ranks, crowd = ref._ranks_and_crowding(live.p, live.cstar)
+        assert np.array_equal(live.ranks, ranks)
+        assert np.array_equal(live.crowd, crowd)
 
 
 # -- runner -------------------------------------------------------------------
