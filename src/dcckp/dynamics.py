@@ -42,10 +42,9 @@ class CapacitySchedule:
 
     def capacities(self) -> np.ndarray:
         """Full per-iteration capacity series (for audits and CSV dumps)."""
-        caps = np.full(self.total_iters, self.c0, np.int64)
-        for idx, cap in zip(self.change_iters, self.change_caps):
-            caps[idx:] = cap
-        return caps
+        starts = np.append(0, self.change_iters)
+        lengths = np.diff(starts, append=self.total_iters)
+        return np.repeat(np.append(np.int64(self.c0), self.change_caps), lengths)
 
 
 def build_schedule(c0: int, tau: int, r: int, warmup: int, total_iters: int,

@@ -26,6 +26,7 @@ changes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -166,8 +167,8 @@ class _RunContext:
 
     def random_solution(self, rng):
         bits = rng.integers(0, 2, self.n, np.uint8)
-        return (bits, int(bits @ self.profits), int(bits @ self.weights),
-                int(bits.sum()))
+        return (bytearray(bits), int(bits @ self.profits),
+                int(bits @ self.weights), int(bits.sum()))
 
     def mutate(self, flips: _FlipBlocks, bits, p, w, k):
         """Standard bit mutation with the next positions of the solver's
@@ -176,7 +177,7 @@ class _RunContext:
         positions = flips.draw()
         if positions is None:
             return None
-        nb = bits.copy()
+        nb = bytearray(bits)
         pl, wl = self.profit_list, self.weight_list
         for i in positions:
             if nb[i]:
@@ -226,113 +227,82 @@ class OnePlusOneEA:
 
 
 class _Archive:
-    """Non-dominated store over (profit, capacity bound) with parallel numpy
-    columns so dominance scans stay vectorized."""
+    """Non-dominated store over (profit, capacity bound).
 
-    __slots__ = ("bits", "p", "w", "k", "cstar", "size")
+    The members sit in five lists in insertion order, which parent draws
+    index. ``_c`` and ``_p`` mirror them in ascending C*; no member weakly
+    dominates another, so profit rises along C* too, and a dominance query
+    is a binary search.
+    """
 
-    def __init__(self, n: int, capacity_hint: int = 64):
-        self.bits = np.empty((capacity_hint, n), np.uint8)
-        self.p = np.empty(capacity_hint, np.int64)
-        self.w = np.empty(capacity_hint, np.int64)
-        self.k = np.empty(capacity_hint, np.int64)
-        self.cstar = np.empty(capacity_hint, np.float64)
-        self.size = 0
+    __slots__ = ("bits", "p", "w", "k", "cstar", "_c", "_p")
 
-    def _ensure_room(self, extra: int = 1):
-        cap = len(self.p)
-        if self.size + extra <= cap:
-            return
-        new_cap = cap * 2
-        while self.size + extra > new_cap:
-            new_cap *= 2
-        grown_bits = np.empty((new_cap, self.bits.shape[1]), np.uint8)
-        grown_bits[:cap] = self.bits
-        self.bits = grown_bits
-        for name in ("p", "w", "k", "cstar"):
-            old = getattr(self, name)
-            new = np.empty(new_cap, old.dtype)
-            new[:cap] = old
-            setattr(self, name, new)
+    def __init__(self):
+        self.bits, self.p, self.w, self.k, self.cstar = [], [], [], [], []
+        self._c, self._p = [], []
+
+    @property
+    def size(self) -> int:
+        return len(self.p)
 
     def has_weak_dominator(self, p: int, cstar: float) -> bool:
-        s = self.size
-        if s == 0:
-            return False
-        return bool(((self.p[:s] >= p) & (self.cstar[:s] <= cstar)).any())
+        # the last member with C* <= cstar has the most profit among them
+        i = bisect_right(self._c, cstar)
+        return i > 0 and self._p[i - 1] >= p
 
     def insert(self, bits, p, w, k, cstar):
-        """Insert a member and drop everything it weakly dominates. The caller
-        must have checked ``has_weak_dominator`` first."""
-        s = self.size
-        if s:
-            dominated = (self.p[:s] <= p) & (self.cstar[:s] >= cstar)
-            if dominated.any():
-                keep = np.flatnonzero(~dominated)
-                m = len(keep)
-                self.bits[:m] = self.bits[keep]
-                self.p[:m] = self.p[keep]
-                self.w[:m] = self.w[keep]
-                self.k[:m] = self.k[keep]
-                self.cstar[:m] = self.cstar[keep]
-                self.size = s = m
-        self._ensure_room()
-        self.bits[s] = bits
-        self.p[s] = p
-        self.w[s] = w
-        self.k[s] = k
-        self.cstar[s] = cstar
-        self.size = s + 1
+        """Insert a member and drop everything it weakly dominates; the
+        survivors keep their order. The caller must have checked
+        ``has_weak_dominator`` first."""
+        sorted_c, sorted_p = self._c, self._p
+        lo = bisect_left(sorted_c, cstar)
+        hi = bisect_right(sorted_p, p, lo)  # [lo, hi): C* >= cstar, profit <= p
+        if lo != hi:
+            cs = self.cstar
+            for c in sorted_c[lo:hi]:  # C* values are distinct in a front
+                j = cs.index(c)
+                del self.bits[j], self.p[j], self.w[j], self.k[j], cs[j]
+            del sorted_c[lo:hi], sorted_p[lo:hi]
+        sorted_c.insert(lo, cstar)
+        sorted_p.insert(lo, p)
+        self.bits.append(bits)
+        self.p.append(p)
+        self.w.append(w)
+        self.k.append(k)
+        self.cstar.append(cstar)
 
     def extend(self, bits, p, w, k, cstar):
-        """Bulk append of already mutually non-dominated members."""
-        m = len(p)
-        self._ensure_room(m)
-        s = self.size
-        self.bits[s:s + m] = bits
-        self.p[s:s + m] = p
-        self.w[s:s + m] = w
-        self.k[s:s + m] = k
-        self.cstar[s:s + m] = cstar
-        self.size = s + m
+        """Bulk append of members that no member weakly dominates."""
+        self.bits += bits
+        self.p += p
+        self.w += w
+        self.k += k
+        self.cstar += cstar
+        by_cstar = sorted(zip(self.cstar, self.p))
+        self._c = [c for c, _ in by_cstar]
+        self._p = [q for _, q in by_cstar]
 
     def max_profit_index(self) -> int:
-        """Index of the highest-profit member; profit ties go to smaller C*."""
-        s = self.size
-        top = self.p[:s].max()
-        cand = np.flatnonzero(self.p[:s] == top)
-        if len(cand) > 1:
-            return int(cand[np.argmin(self.cstar[cand])])
-        return int(cand[0])
+        """Index of the highest-profit member."""
+        return self.cstar.index(self._c[-1])
 
     def min_cstar_index(self) -> int:
-        """Index of the smallest-C* member; C* ties go to higher profit."""
-        s = self.size
-        low = self.cstar[:s].min()
-        cand = np.flatnonzero(self.cstar[:s] == low)
-        if len(cand) > 1:
-            return int(cand[np.argmax(self.p[cand])])
-        return int(cand[0])
+        """Index of the smallest-C* member."""
+        return self.cstar.index(self._c[0])
 
     def member(self, i: int):
-        return (self.bits[i], int(self.p[i]), int(self.w[i]), int(self.k[i]),
-                float(self.cstar[i]))
-
-    def rows(self):
-        s = self.size
-        return self.bits[:s], self.p[:s], self.w[:s], self.k[:s], self.cstar[:s]
+        return self.bits[i], self.p[i], self.w[i], self.k[i], self.cstar[i]
 
 
-def _pareto_keep_mask(p: np.ndarray, cstar: np.ndarray) -> np.ndarray:
+def _pareto_keep_mask(p, cstar) -> list:
     """Mask of members not weakly dominated by any other (distinct C* values
     assumed, which the archive construction guarantees)."""
-    order = np.argsort(cstar, kind="stable")
-    keep = np.zeros(len(p), bool)
-    best = -np.inf
-    for idx in order:
-        if p[idx] > best:
-            keep[idx] = True
-            best = p[idx]
+    keep = [False] * len(p)
+    best = -math.inf
+    for i in sorted(range(len(p)), key=cstar.__getitem__):
+        if p[i] > best:
+            keep[i] = True
+            best = p[i]
     return keep
 
 
@@ -358,8 +328,8 @@ class Posdc:
         self.eta = eta
         self.repair_cap = repair_cap
         self.repair_steps = 0
-        self.s_minus = _Archive(ctx.n)
-        self.s_plus = _Archive(ctx.n)
+        self.s_minus = _Archive()
+        self.s_plus = _Archive()
         self._best = None  # cached (p, w, k, cstar) of the designated member
         self.changed = True
         bits, p, w, k = ctx.random_solution(rng)
@@ -401,14 +371,15 @@ class Posdc:
             return
         ctx = self.ctx
         sm, sp = self.s_minus, self.s_plus
-        j = self.parents.below(sm.size + sp.size)
-        if j < sm.size:
+        m = len(sm.p)
+        j = self.parents.below(m + len(sp.p))
+        if j < m:
             parent = sm
         else:
             parent = sp
-            j -= sm.size
-        child = ctx.mutate(self.flips, parent.bits[j], parent.p.item(j),
-                           parent.w.item(j), parent.k.item(j))
+            j -= m
+        child = ctx.mutate(self.flips, parent.bits[j], parent.p[j],
+                           parent.w[j], parent.k[j])
         if child is None:
             return  # duplicate of an archived member: always weakly dominated
         bits, p, w, k = child
@@ -421,7 +392,7 @@ class Posdc:
         elif capacity <= cstar <= capacity + self.eta:
             if not sp.has_weak_dominator(p, cstar):
                 sp.insert(bits, p, w, k, cstar)
-                if sm.size == 0:
+                if not sm.p:
                     self._best = None
                     self.changed = True
 
@@ -450,27 +421,23 @@ class Posdc:
         designated solution reseeds the archive even when out of window."""
         if self.repair is not None:
             return  # archives empty; repair keeps running against the new capacity
-        keep_bits, keep_p, keep_w, keep_k, keep_c = self.best()
-        keep_bits = keep_bits.copy()
-        b1, p1, w1, k1, c1 = self.s_minus.rows()
-        b2, p2, w2, k2, c2 = self.s_plus.rows()
-        bits = np.concatenate([b1, b2])
-        p = np.concatenate([p1, p2])
-        w = np.concatenate([w1, w2])
-        k = np.concatenate([k1, k2])
-        cstar = np.concatenate([c1, c2])
-        in_window = (cstar >= capacity - self.eta) & (cstar <= capacity + self.eta)
-        self.s_minus = _Archive(self.ctx.n)
-        self.s_plus = _Archive(self.ctx.n)
-        for side, region in ((self.s_minus, in_window & (cstar < capacity)),
-                             (self.s_plus, in_window & (cstar >= capacity))):
-            idx = np.flatnonzero(region)
-            if idx.size == 0:
-                continue
-            idx = idx[_pareto_keep_mask(p[idx], cstar[idx])]
-            side.extend(bits[idx], p[idx], w[idx], k[idx], cstar[idx])
+        designated = self.best()
+        low, high = capacity - self.eta, capacity + self.eta
+        minus, plus = [], []
+        for arc in (self.s_minus, self.s_plus):
+            for row in zip(arc.bits, arc.p, arc.w, arc.k, arc.cstar):
+                if low <= row[4] <= high:
+                    (minus if row[4] < capacity else plus).append(row)
+        self.s_minus = _Archive()
+        self.s_plus = _Archive()
+        for side, rows in ((self.s_minus, minus), (self.s_plus, plus)):
+            if rows:
+                cols = list(zip(*rows))
+                keep = _pareto_keep_mask(cols[1], cols[4])
+                side.extend(*([v for v, kept in zip(col, keep) if kept]
+                              for col in cols))
         if self.archive_size() == 0:
-            self._seed(keep_bits, keep_p, keep_w, keep_k, keep_c, capacity)
+            self._seed(*designated, capacity)
         self._best = None
         self.changed = True
 

@@ -59,6 +59,20 @@ def test_capacity_at_matches_linear_replay():
         assert np.array_equal(sched.capacities(), np.array(replay))
 
 
+
+def test_capacities_with_a_change_on_every_iteration():
+    """warmup 0 puts a change on iteration 0, and tau 1 one on every
+    iteration after it, so the series is the change list itself; a schedule
+    whose warm-up outlasts the run keeps c0 throughout."""
+    sched = build_schedule(500, 1, 50, 0, 300, 1, 2000, seed=5)
+    caps = sched.capacities()
+    assert caps.dtype == np.int64
+    assert np.array_equal(caps, sched.change_caps)
+    assert [sched.capacity_at(i) for i in range(300)] == caps.tolist()
+    quiet = build_schedule(500, 1, 50, 400, 300, 1, 2000, seed=5)
+    assert quiet.change_count == 0
+    assert quiet.capacities().tolist() == [500] * 300
+
 def test_change_count_formula():
     rng = np.random.default_rng(1)
     for trial in range(200):

@@ -48,16 +48,17 @@ def test_lex_better_or_equal_cases():
     items = (Item(40, 300), Item(50, 300), Item(10, 300), Item(40, 300))
     inst = Instance(items=items, delta=25, kind=UNCORRELATED, c_constant=100, seed=0)
     ctx = _RunContext(inst, ChanceParams(0.01, 25, CHEBYSHEV))
-    incumbent = (np.array([1, 0, 0, 0], np.uint8), 40, 300, 1)
+    incumbent = (bytearray([1, 0, 0, 0]), 40, 300, 1)
 
     def step(flips, inc_v, capacity=2000):
         return ctx.lex_step(FixedFlips(flips), *incumbent, inc_v, capacity)
 
     # both feasible: more profit is accepted, equal profit too, less is not
     (bits, p, w, k), off_v = step([0, 1], 0.0)
-    assert bits.tolist() == [0, 1, 0, 0] and (p, w, k, off_v) == (50, 300, 1, 0.0)
+    assert list(bits) == [0, 1, 0, 0] and (p, w, k, off_v) == (50, 300, 1, 0.0)
     (bits, p, _, _), _ = step([0, 3], 0.0)
-    assert bits.tolist() == [0, 0, 0, 1] and p == 40
+    assert list(bits) == [0, 0, 0, 1] and p == 40
+    assert list(incumbent[0]) == [1, 0, 0, 0]  # offspring are copies
     assert step([0, 2], 0.0) is None
     # a smaller violation wins at lower profit
     (_, p, _, _), off_v = step([0, 2], 0.2)
@@ -75,10 +76,10 @@ def test_posdc_dominates_cases():
     """Weak dominance on (profit, C*) as the POSDC archives apply it: at
     least the profit and at most the C*; equal points dominate each
     other."""
-    bits = np.zeros(3, np.uint8)
+    bits = bytearray(3)
 
     def archive(*points):
-        arc = _Archive(3)
+        arc = _Archive()
         for p, c in points:
             assert not arc.has_weak_dominator(p, c)
             arc.insert(bits, p, 0, 0, c)
@@ -92,8 +93,8 @@ def test_posdc_dominates_cases():
     arc = archive((10, 5), (8, 3), (12, 9))
     assert arc.size == 3
     arc.insert(bits, 11, 0, 0, 4)
-    assert sorted(zip(arc.p[:arc.size].tolist(), arc.cstar[:arc.size].tolist())) == [
-        (8, 3.0), (11, 4.0), (12, 9.0)]
+    # survivors keep their order and the new member comes last
+    assert list(zip(arc.p, arc.cstar)) == [(8, 3.0), (12, 9.0), (11, 4.0)]
 
 
 # -- mutation -----------------------------------------------------------------
@@ -149,16 +150,19 @@ def test_mutate_applies_the_drawn_flips():
     bits, p, w, k = ctx.random_solution(rng)
     mine = _FlipBlocks(np.random.default_rng(8), 12)
     twin = _FlipBlocks(np.random.default_rng(8), 12)
+    assert isinstance(bits, bytearray) and len(bits) == 12
     for _ in range(200):
+        before = bytes(bits)
         child = ctx.mutate(mine, bits, p, w, k)
         drawn = twin.draw()
+        assert bytes(bits) == before  # the parent is never edited
         if drawn is None:
             assert child is None
             continue
         nb, np_, nw, nk = child
-        expect = bits.copy()
+        expect = np.frombuffer(before, np.uint8).copy()
         expect[drawn] ^= 1
-        assert np.array_equal(nb, expect)
+        assert isinstance(nb, bytearray) and bytes(nb) == expect.tobytes()
         assert (np_, nw, nk) == (int(expect @ inst.profit_array()),
                                  int(expect @ inst.weight_array()), int(expect.sum()))
         bits, p, w, k = child
@@ -180,15 +184,15 @@ def test_index_blocks_uniform_below_changing_bounds():
 # -- archive ------------------------------------------------------------------
 
 def dummy_bits(n=6):
-    return np.zeros(n, np.uint8)
+    return bytearray(n)
 
 
 def fresh_posdc(capacity=1000, eta=500, alpha=0.5, kind=CHEBYSHEV):
     inst, ctx = make_ctx(n=6, alpha=alpha, kind=kind)
     pos = Posdc(ctx, np.random.default_rng(0), capacity, eta)
     pos.repair = None
-    pos.s_minus = _Archive(ctx.n)
-    pos.s_plus = _Archive(ctx.n)
+    pos.s_minus = _Archive()
+    pos.s_plus = _Archive()
     pos._best = None
     return pos
 
@@ -222,7 +226,170 @@ def test_archive_growth_preserves_members():
     for i in range(200):  # strictly improving profit with worse cstar: all kept
         arc.insert(dummy_bits(), 10 + i, 100, 1, 100.0 + i)
     assert arc.size == 200
-    assert arc.p[:200].tolist() == list(range(10, 210))
+    assert arc.p == list(range(10, 210))
+    assert arc.cstar == [100.0 + i for i in range(200)]
+
+
+class ReferenceArchive:
+    """The numpy archive that the list archive replaced: parallel columns
+    grown by doubling, a vectorised dominance scan, and compaction of the
+    survivors on insert. Its insertion order is the one parent draws index,
+    so the list archive must reproduce it exactly."""
+
+    def __init__(self, n, capacity_hint=4):
+        self.bits = np.empty((capacity_hint, n), np.uint8)
+        self.p = np.empty(capacity_hint, np.int64)
+        self.w = np.empty(capacity_hint, np.int64)
+        self.k = np.empty(capacity_hint, np.int64)
+        self.cstar = np.empty(capacity_hint, np.float64)
+        self.size = 0
+
+    def _ensure_room(self, extra=1):
+        cap = len(self.p)
+        if self.size + extra <= cap:
+            return
+        new_cap = cap * 2
+        while self.size + extra > new_cap:
+            new_cap *= 2
+        grown_bits = np.empty((new_cap, self.bits.shape[1]), np.uint8)
+        grown_bits[:cap] = self.bits
+        self.bits = grown_bits
+        for name in ("p", "w", "k", "cstar"):
+            old = getattr(self, name)
+            new = np.empty(new_cap, old.dtype)
+            new[:cap] = old
+            setattr(self, name, new)
+
+    def has_weak_dominator(self, p, cstar):
+        s = self.size
+        return bool(((self.p[:s] >= p) & (self.cstar[:s] <= cstar)).any())
+
+    def insert(self, bits, p, w, k, cstar):
+        s = self.size
+        if s:
+            dominated = (self.p[:s] <= p) & (self.cstar[:s] >= cstar)
+            if dominated.any():
+                keep = np.flatnonzero(~dominated)
+                m = len(keep)
+                for name in ("bits", "p", "w", "k", "cstar"):
+                    col = getattr(self, name)
+                    col[:m] = col[keep]
+                self.size = s = m
+        self.extend(np.asarray(bits)[None], [p], [w], [k], [cstar])
+
+    def extend(self, bits, p, w, k, cstar):
+        m = len(p)
+        self._ensure_room(m)
+        s = self.size
+        self.bits[s:s + m] = bits
+        self.p[s:s + m] = p
+        self.w[s:s + m] = w
+        self.k[s:s + m] = k
+        self.cstar[s:s + m] = cstar
+        self.size = s + m
+
+    def max_profit_index(self):
+        s = self.size
+        cand = np.flatnonzero(self.p[:s] == self.p[:s].max())
+        return int(cand[np.argmin(self.cstar[cand])])
+
+    def min_cstar_index(self):
+        s = self.size
+        cand = np.flatnonzero(self.cstar[:s] == self.cstar[:s].min())
+        return int(cand[np.argmax(self.p[cand])])
+
+    def rows(self):
+        s = self.size
+        return self.bits[:s], self.p[:s], self.w[:s], self.k[:s], self.cstar[:s]
+
+
+def reference_best(minus, plus):
+    """Designated row of a pair of reference archives, POSDC's rule."""
+    arc, i = ((minus, minus.max_profit_index()) if minus.size
+              else (plus, plus.min_cstar_index()))
+    return tuple(col[i] for col in arc.rows())
+
+
+def reference_on_change(minus, plus, capacity, eta, n):
+    """POSDC's re-partition on the reference archives: rows S- first, then
+    S+, filtered by the new window and side, then by a stable sweep over
+    ascending C*; the designated row reseeds when nothing survives."""
+    designated = reference_best(minus, plus)
+    bits, p, w, k, cstar = (np.concatenate(cols) for cols in
+                            zip(minus.rows(), plus.rows()))
+    in_window = (cstar >= capacity - eta) & (cstar <= capacity + eta)
+    sides = (ReferenceArchive(n), ReferenceArchive(n))
+    for side, region in zip(sides, (in_window & (cstar < capacity),
+                                    in_window & (cstar >= capacity))):
+        idx = np.flatnonzero(region)
+        best = -np.inf
+        for i in idx[np.argsort(cstar[idx], kind="stable")]:
+            if p[i] > best:
+                best = p[i]
+            else:
+                region[i] = False
+        idx = np.flatnonzero(region)
+        side.extend(bits[idx], p[idx], w[idx], k[idx], cstar[idx])
+    if sides[0].size + sides[1].size == 0:
+        sides[int(designated[4] >= capacity)].insert(*designated)
+    return sides
+
+
+def assert_same_members(arc, ref):
+    bits, p, w, k, cstar = ref.rows()
+    assert arc.p == p.tolist() and arc.cstar == cstar.tolist()
+    assert arc.w == w.tolist() and arc.k == k.tolist()
+    assert [bytes(b) for b in arc.bits] == [row.tobytes() for row in bits]
+
+
+def test_archive_matches_numpy_reference():
+    """Seeded streams of dominance queries, inserts and capacity changes
+    leave the list archives with the members of the numpy reference, in the
+    same insertion order, and designate the same member."""
+    rng = np.random.default_rng(2027)
+    eta = 30
+    for trial in range(12):
+        capacity = 100
+        pos = fresh_posdc(capacity=capacity, eta=eta)
+        n = pos.ctx.n
+        ref_minus, ref_plus = ReferenceArchive(n), ReferenceArchive(n)
+        for op in range(500):
+            if pos.archive_size() and rng.random() < 0.06:
+                shift = int(rng.integers(-20, 21)) if rng.random() < 0.8 else \
+                    int(rng.integers(-4 * eta, 4 * eta + 1))
+                capacity += shift
+                pos.on_change(capacity)
+                ref_minus, ref_plus = reference_on_change(
+                    ref_minus, ref_plus, capacity, eta, n)
+            else:
+                # integer C* and profit rising with it plus a little noise:
+                # long fronts, and ties in both are common
+                c = float(capacity + rng.integers(-eta - 5, eta + 6))
+                p = int(c) // 2 + int(rng.integers(0, 6))
+                w, k = int(rng.integers(0, 1000)), int(rng.integers(0, n + 1))
+                bits = rng.integers(0, 2, n, np.uint8)
+                if capacity - eta <= c < capacity:
+                    arc, ref = pos.s_minus, ref_minus
+                elif capacity <= c <= capacity + eta:
+                    arc, ref = pos.s_plus, ref_plus
+                else:
+                    continue
+                dominated = ref.has_weak_dominator(p, c)
+                assert arc.has_weak_dominator(p, c) == dominated
+                if not dominated:
+                    arc.insert(bytearray(bits), p, w, k, c)
+                    ref.insert(bits, p, w, k, c)
+            assert_same_members(pos.s_minus, ref_minus)
+            assert_same_members(pos.s_plus, ref_plus)
+            if ref_minus.size:
+                assert pos.s_minus.max_profit_index() == ref_minus.max_profit_index()
+            if ref_plus.size:
+                assert pos.s_plus.min_cstar_index() == ref_plus.min_cstar_index()
+            if pos.archive_size():
+                got = pos.best()
+                want = reference_best(ref_minus, ref_plus)
+                assert bytes(got[0]) == want[0].tobytes()
+                assert got[1:] == tuple(x.item() for x in want[1:])
 
 
 def test_posdc_best_prefers_s_minus_max_profit():
@@ -241,28 +408,42 @@ def test_posdc_best_s_plus_min_cstar_when_s_minus_empty():
     assert (p, cstar) == (20, 101.0)
 
 
-def test_posdc_best_tie_rules():
-    pos = fresh_posdc()
-    # hand-built state: equal profits with different bounds (the archive's own
-    # updates never produce this, but the designation rule must handle it)
-    arc = pos.s_minus
-    for p, c in ((7, 95.0), (7, 93.0)):
-        arc._ensure_room()
-        s = arc.size
-        arc.bits[s] = dummy_bits()
-        arc.p[s], arc.w[s], arc.k[s], arc.cstar[s] = p, int(c), 1, c
-        arc.size = s + 1
-    assert pos.best()[4] == 93.0
+def check_sorted_view(arc):
+    """The C*-sorted view holds exactly the members, with C* and profit both
+    strictly ascending, and its ends are the designated members."""
+    assert list(zip(arc._c, arc._p)) == sorted(zip(arc.cstar, arc.p))
+    assert all(a < b for a, b in zip(arc._c, arc._c[1:]))
+    assert all(a < b for a, b in zip(arc._p, arc._p[1:]))
+    if arc.size:
+        assert arc.p[arc.max_profit_index()] == max(arc.p)
+        assert arc.cstar[arc.min_cstar_index()] == min(arc.cstar)
 
-    pos2 = fresh_posdc()
-    arc = pos2.s_plus
-    for p, c in ((3, 101.0), (9, 101.0)):
-        arc._ensure_room()
-        s = arc.size
-        arc.bits[s] = dummy_bits()
-        arc.p[s], arc.w[s], arc.k[s], arc.cstar[s] = p, int(c), 1, c
-        arc.size = s + 1
-    assert pos2.best()[1] == 9
+
+def test_archive_sorted_view_strictly_ascending():
+    """After every ``insert`` and ``extend`` of a seeded random stream, with
+    many equal profits and equal C* values among the candidates."""
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        arc = _Archive()
+        points = [(int(p), float(c)) for p, c in
+                  zip(rng.integers(0, 40, 60), rng.integers(0, 40, 60))]
+        front = [m for m in set(points)
+                 if not any(o != m and o[0] >= m[0] and o[1] <= m[1]
+                            for o in points)]
+        rng.shuffle(front)
+        half = len(front) // 2
+        for batch in (front[:half], front[half:]):
+            arc.extend([dummy_bits()] * len(batch), [p for p, _ in batch],
+                       [0] * len(batch), [0] * len(batch), [c for _, c in batch])
+            check_sorted_view(arc)
+        assert sorted(zip(arc.p, arc.cstar)) == sorted(front)
+        for p, c in zip(rng.integers(0, 60, 300), rng.integers(0, 60, 300)):
+            p, c = int(p), float(c)
+            dominated = any(q >= p and d <= c for q, d in zip(arc.p, arc.cstar))
+            assert arc.has_weak_dominator(p, c) == dominated
+            if not dominated:
+                arc.insert(dummy_bits(), p, 0, 0, c)
+                check_sorted_view(arc)
 
 
 def test_posdc_best_raises_when_empty():
@@ -283,17 +464,19 @@ def check_archive_invariants(pos, capacity, allow_out_of_window=0):
     for arc, lo, hi in ((pos.s_minus, capacity - pos.eta, capacity),
                         (pos.s_plus, capacity, capacity + pos.eta)):
         s = arc.size
-        p, c = arc.p[:s], arc.cstar[:s]
+        p, c = arc.p, arc.cstar
+        assert len(arc.bits) == len(arc.w) == len(arc.k) == len(c) == s
         # pairwise weak-dominance check (oracle-style, O(s^2))
         for i in range(s):
             for j in range(s):
                 if i != j:
                     assert not (p[i] >= p[j] and c[i] <= c[j])
         if arc is pos.s_minus:
-            inside = (c >= lo) & (c < hi)
+            inside = sum(lo <= x < hi for x in c)
         else:
-            inside = (c >= lo) & (c <= hi)
-        out_of_window += int(s - inside.sum())
+            inside = sum(lo <= x <= hi for x in c)
+        out_of_window += s - inside
+        check_sorted_view(arc)
     assert out_of_window <= allow_out_of_window
 
 
@@ -305,6 +488,13 @@ def test_posdc_archive_invariants_static():
         run_posdc_steps(pos, capacity, 50)
         if pos.repair is None:
             check_archive_invariants(pos, capacity)
+    # every member's aggregates match its bits
+    for arc in (pos.s_minus, pos.s_plus):
+        for bits, p, w, k, c in zip(arc.bits, arc.p, arc.w, arc.k, arc.cstar):
+            x = np.frombuffer(bits, np.uint8)
+            assert (p, w, k) == (int(x @ inst.profit_array()),
+                                 int(x @ inst.weight_array()), int(x.sum()))
+            assert c == ctx.bound.cstar(w, k)
 
 
 def test_posdc_on_change_matches_reclassification_oracle():
@@ -316,8 +506,8 @@ def test_posdc_on_change_matches_reclassification_oracle():
         run_posdc_steps(pos, capacity, 3000)
         if pos.repair is not None:
             continue
-        before = [(int(p), float(c)) for arc in (pos.s_minus, pos.s_plus)
-                  for p, c in zip(arc.p[:arc.size], arc.cstar[:arc.size])]
+        before = [(p, c) for arc in (pos.s_minus, pos.s_plus)
+                  for p, c in zip(arc.p, arc.cstar)]
         best_p = pos.best()[1]
         new_c = capacity + int(rng.integers(-400, 401))
         pos.on_change(new_c)
@@ -332,8 +522,8 @@ def test_posdc_on_change_matches_reclassification_oracle():
                 if not any(o != m and o[0] >= m[0] and o[1] <= m[1]
                            for o in side_members):
                     expect.add(m)
-        got = {(int(p), float(c)) for arc in (pos.s_minus, pos.s_plus)
-               for p, c in zip(arc.p[:arc.size], arc.cstar[:arc.size])}
+        got = {(p, c) for arc in (pos.s_minus, pos.s_plus)
+               for p, c in zip(arc.p, arc.cstar)}
         if expect:
             assert got == expect
             check_archive_invariants(pos, new_c)
@@ -373,7 +563,7 @@ def test_posdc_reseeds_out_of_window_survivor():
     pos.on_change(3000)  # window [2900, 3100] contains nothing
     assert pos.archive_size() == 1
     assert pos.s_minus.size == 1  # cstar 950 < 3000 lands on the feasible side
-    assert pos.s_minus.p[0] == 15
+    assert pos.s_minus.p == [15] and pos.s_minus.cstar == [950.0]
     # invariant allows exactly this one out-of-window survivor
     check_archive_invariants(pos, 3000, allow_out_of_window=1)
 
