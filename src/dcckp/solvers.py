@@ -18,10 +18,17 @@ per iteration):
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
 schedule and scores the offline error against a precomputed DP optimum
-table; a solver's ``stride`` is the iterations one step is charged. Each
-solver sets ``changed`` whenever its designated solution may have changed;
-the driver re-evaluates the designated solution only then and at capacity
-changes.
+table; a solver's ``stride`` is the iterations one step is charged. One call
+``step(capacity, first, end, record)`` takes every step that starts in
+``[first, end)``, a stretch of constant capacity, and calls ``record(i)``
+after the step at ``first`` and after every later step ``i`` that may have
+changed the designated solution; the driver re-evaluates the designated
+solution only then and at capacity changes. The (1+1)-EA and POSDC keep
+their state in locals for the whole stretch. Mutation yields the
+offspring's profit, weight and item count without building its bits, which
+are copied from the parent only when the offspring is kept, and a feasible
+incumbent rejects a lower-profit offspring without evaluating the bound
+(violations are never negative, so this is exact).
 """
 
 from __future__ import annotations
@@ -48,34 +55,23 @@ class _FlipBlocks:
     solver that draws nothing else between mutations follows the same
     trajectory as with a per-iteration draw; the uniforms cost a few ns each
     in one vectorised call, and the per-iteration Python work does not grow
-    with n.
+    with n. ``_RunContext.mutate`` reads the block: iteration ``t`` of it
+    flips ``positions[starts[t]:starts[t + 1]]``, ascending.
     """
 
-    __slots__ = ("rng", "n", "_first", "_pos", "_next")
+    __slots__ = ("rng", "n", "starts", "positions", "t")
 
     def __init__(self, rng, n: int):
         self.rng = rng
         self.n = n
-        self._next = MUTATION_BLOCK  # the first draw fills a block
+        self.t = MUTATION_BLOCK  # the first read fills a block
 
-    def draw(self):
-        """Ascending flip positions of the next iteration, or None when no
-        bit flips."""
-        t = self._next
-        if t == MUTATION_BLOCK:
-            self._fill()
-            t = 0
-        self._next = t + 1
-        a = self._first[t]
-        b = self._first[t + 1]
-        return self._pos[a:b] if a != b else None
-
-    def _fill(self):
+    def fill(self):
         n = self.n
         hits = np.flatnonzero(self.rng.random(n * MUTATION_BLOCK) < 1.0 / n)
         iteration = hits // n
-        self._pos = (hits - iteration * n).tolist()
-        self._first = np.searchsorted(
+        self.positions = (hits - iteration * n).tolist()
+        self.starts = np.searchsorted(
             iteration, np.arange(MUTATION_BLOCK + 1)).tolist()
 
 
@@ -92,27 +88,24 @@ class _IndexBlocks:
     def __init__(self, rng):
         self.rng = rng
         self._words = []
-        self._next = 0
-
-    def _word(self) -> int:
-        i = self._next
-        if i == len(self._words):
-            self._words = self.rng.integers(
-                0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist()
-            i = 0
-        self._next = i + 1
-        return self._words[i]
+        self._next = MUTATION_BLOCK  # the first draw fills a block
 
     def below(self, m: int) -> int:
         """Uniform integer in [0, m)."""
-        prod = self._word() * m
-        low = prod & _WORD_MASK
-        if low < m:
-            reject = ((1 << 64) - m) % m
-            while low < reject:
-                prod = self._word() * m
-                low = prod & _WORD_MASK
-        return prod >> 64
+        words, i = self._words, self._next
+        while True:
+            if i == MUTATION_BLOCK:
+                words = self._words = self.rng.integers(
+                    0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist()
+                i = 0
+            prod = words[i] * m
+            i += 1
+            low = prod & _WORD_MASK
+            # the threshold ((2^64 - m) mod m) is below m, so it is needed
+            # only when low is
+            if low >= m or low >= ((1 << 64) - m) % m:
+                self._next = i
+                return prod >> 64
 
 
 class _RunContext:
@@ -149,21 +142,34 @@ class _RunContext:
             v += w - capacity
         return v
 
-    def lex_step(self, flips: _FlipBlocks, bits, p, w, k, inc_v: float,
-                 capacity: int):
-        """One (1+1) step under lexicographic acceptance: mutate the
-        incumbent (bits, p, w, k), whose lex violation at ``capacity`` is
-        ``inc_v``, and return ((bits, p, w, k), lex violation) of the
-        offspring when it is at least as good (smaller violation, or equal
-        violation and at least the profit), else None. An identical
-        offspring also gives None: accepting it would change nothing."""
-        child = self.mutate(flips, bits, p, w, k)
-        if child is None:
-            return None
-        off_v = self.lex_violation(child[2], child[3], capacity)
-        if off_v < inc_v or (off_v == inc_v and child[1] >= p):
-            return child, off_v
-        return None
+    def lex_run(self, flips: _FlipBlocks, incumbent, capacity: int,
+                first: int, end: int):
+        """(1+1) steps under lexicographic acceptance at iterations
+        ``first`` .. ``end - 1`` from ``incumbent`` = (bits, p, w, k).
+
+        An offspring replaces the incumbent when it is at least as good:
+        smaller violation, or equal violation and at least the profit. An
+        offspring identical to the incumbent is never kept, since keeping
+        it would change nothing. Yields (i, incumbent) after the step at
+        ``first`` and after every later step ``i`` that replaced it; a
+        caller that stops iterating takes no further step.
+        """
+        mutate, lex_violation = self.mutate, self.lex_violation
+        bits, p, w, k = incumbent
+        v = lex_violation(w, k, capacity)
+        for i in range(first, end):
+            child = mutate(flips, bits, p, w, k)
+            # a feasible incumbent (v == 0) keeps its place against any
+            # lower profit: the offspring's violation cannot be smaller
+            if child is not None and (v or child[1] >= p):
+                positions, cp, cw, ck = child
+                cv = lex_violation(cw, ck, capacity)
+                if cv < v or (cv == v and cp >= p):
+                    bits, p, w, k, v = _flipped(bits, positions), cp, cw, ck, cv
+                    yield i, (bits, p, w, k)
+                    continue
+            if i == first:
+                yield i, (bits, p, w, k)
 
     def random_solution(self, rng):
         bits = rng.integers(0, 2, self.n, np.uint8)
@@ -171,26 +177,44 @@ class _RunContext:
                 int(bits @ self.weights), int(bits.sum()))
 
     def mutate(self, flips: _FlipBlocks, bits, p, w, k):
-        """Standard bit mutation with the next positions of the solver's
-        ``flips``; returns None when no bit flips (the offspring is an exact
-        copy)."""
-        positions = flips.draw()
-        if positions is None:
+        """Standard bit mutation of (bits, p, w, k) with the next
+        iteration's positions of the solver's ``flips``.
+
+        Returns (positions, p, w, k) of the offspring, whose bits are
+        ``_flipped(bits, positions)``; they are built only for an offspring
+        that is kept. Returns None when no bit flips (the offspring is an
+        exact copy).
+        """
+        t = flips.t
+        if t == MUTATION_BLOCK:
+            flips.fill()
+            t = 0
+        flips.t = t + 1
+        starts = flips.starts
+        a = starts[t]
+        b = starts[t + 1]
+        if a == b:
             return None
-        nb = bytearray(bits)
+        positions = flips.positions[a:b]
         pl, wl = self.profit_list, self.weight_list
         for i in positions:
-            if nb[i]:
-                nb[i] = 0
+            if bits[i]:
                 p -= pl[i]
                 w -= wl[i]
                 k -= 1
             else:
-                nb[i] = 1
                 p += pl[i]
                 w += wl[i]
                 k += 1
-        return nb, p, w, k
+        return positions, p, w, k
+
+
+def _flipped(bits: bytearray, positions) -> bytearray:
+    """A copy of ``bits`` with ``positions`` flipped."""
+    child = bytearray(bits)
+    for i in positions:
+        child[i] ^= 1
+    return child
 
 
 class OnePlusOneEA:
@@ -203,24 +227,16 @@ class OnePlusOneEA:
         self.ctx = ctx
         self.flips = _FlipBlocks(rng, ctx.n)
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
-        self.changed = True
-        self._inc = None  # (capacity, lex violation of the incumbent there)
 
     def on_change(self, capacity: int):
-        # the incumbent's violation is keyed on the capacity it was taken at
+        # each step call measures the incumbent against its own capacity
         pass
 
-    def step(self, capacity: int):
-        ctx = self.ctx
-        inc = self._inc
-        if inc is None or inc[0] != capacity:
-            inc = self._inc = (capacity, ctx.lex_violation(self.w, self.k, capacity))
-        found = ctx.lex_step(self.flips, self.bits, self.p, self.w, self.k,
-                             inc[1], capacity)
-        if found is not None:
-            (self.bits, self.p, self.w, self.k), off_v = found
-            self._inc = (capacity, off_v)
-            self.changed = True
+    def step(self, capacity: int, first: int, end: int, record):
+        run = self.ctx.lex_run(self.flips, (self.bits, self.p, self.w, self.k),
+                               capacity, first, end)
+        for i, (self.bits, self.p, self.w, self.k) in run:
+            record(i)
 
     def designated_eval(self, capacity: int):
         return self.p, self.ctx.bound.certified(self.w, self.k, capacity)
@@ -331,7 +347,6 @@ class Posdc:
         self.s_minus = _Archive()
         self.s_plus = _Archive()
         self._best = None  # cached (p, w, k, cstar) of the designated member
-        self.changed = True
         bits, p, w, k = ctx.random_solution(rng)
         cstar = ctx.bound.cstar(w, k)
         if capacity - eta <= cstar <= capacity + eta:
@@ -346,7 +361,6 @@ class Posdc:
         side = self.s_minus if cstar < capacity else self.s_plus
         side.insert(bits, p, w, k, cstar)
         self._best = None
-        self.changed = True
 
     def archive_size(self) -> int:
         return self.s_minus.size + self.s_plus.size
@@ -365,55 +379,77 @@ class Posdc:
             return self.s_plus.member(self.s_plus.min_cstar_index())
         raise RuntimeError("POSDC archives are empty (repair still running)")
 
-    def step(self, capacity: int):
+    def step(self, capacity: int, first: int, end: int, record):
+        mark = first  # recorded after its step whatever happens
         if self.repair is not None:
-            self._repair_step(capacity)
-            return
-        ctx = self.ctx
+            first = self._repair(capacity, first, end, record)
+        ctx, flips = self.ctx, self.flips
+        mutate, cstar, below = ctx.mutate, ctx.bound.cstar, self.parents.below
         sm, sp = self.s_minus, self.s_plus
-        m = len(sm.p)
-        j = self.parents.below(m + len(sp.p))
-        if j < m:
-            parent = sm
-        else:
-            parent = sp
-            j -= m
-        child = ctx.mutate(self.flips, parent.bits[j], parent.p[j],
-                           parent.w[j], parent.k[j])
-        if child is None:
-            return  # duplicate of an archived member: always weakly dominated
-        bits, p, w, k = child
-        cstar = ctx.bound.cstar(w, k)
-        if capacity - self.eta <= cstar < capacity:
-            if not sm.has_weak_dominator(p, cstar):
-                sm.insert(bits, p, w, k, cstar)
-                self._best = None
-                self.changed = True
-        elif capacity <= cstar <= capacity + self.eta:
-            if not sp.has_weak_dominator(p, cstar):
-                sp.insert(bits, p, w, k, cstar)
-                if not sm.p:
-                    self._best = None
-                    self.changed = True
+        minus_dominated, plus_dominated = sm.has_weak_dominator, sp.has_weak_dominator
+        # the lists change in place until the next ``on_change``
+        m_bits, m_p, m_w, m_k = sm.bits, sm.p, sm.w, sm.k
+        p_bits, p_p, p_w, p_k = sp.bits, sp.p, sp.w, sp.k
+        low, high = capacity - self.eta, capacity + self.eta
+        m = len(m_p)
+        size = m + len(p_p)
+        for i in range(first, end):
+            j = below(size)
+            if j < m:
+                parent = m_bits[j]
+                child = mutate(flips, parent, m_p[j], m_w[j], m_k[j])
+            else:
+                j -= m
+                parent = p_bits[j]
+                child = mutate(flips, parent, p_p[j], p_w[j], p_k[j])
+            # no flip leaves a duplicate of an archived member, which is
+            # always weakly dominated
+            if child is not None:
+                positions, p, w, k = child
+                c = cstar(w, k)
+                if low <= c < capacity:
+                    if not minus_dominated(p, c):
+                        sm.insert(_flipped(parent, positions), p, w, k, c)
+                        m = len(m_p)
+                        size = m + len(p_p)
+                        self._best = None
+                        record(i)
+                        continue
+                elif capacity <= c <= high and not plus_dominated(p, c):
+                    sp.insert(_flipped(parent, positions), p, w, k, c)
+                    size = m + len(p_p)
+                    if not m:
+                        self._best = None
+                        record(i)
+                        continue
+            if i == mark:
+                record(i)
 
-    def _repair_step(self, capacity: int):
-        self.repair_steps += 1
-        self.changed = True
-        if self.repair_steps > self.repair_cap:
+    def _repair(self, capacity: int, first: int, end: int, record) -> int:
+        """Lexicographic repair steps from ``first`` until the incumbent's
+        C* lies in the window, which seeds the archive, or until ``end``.
+        Records like ``step``; returns the iteration after the last repair
+        step, and raises in place of step ``repair_cap + 1``."""
+        low, high = capacity - self.eta, capacity + self.eta
+        cstar = self.ctx.bound.cstar
+        stop = min(end, first + self.repair_cap - self.repair_steps)
+        run = self.ctx.lex_run(self.flips, self.repair, capacity, first, stop)
+        for i, self.repair in run:
+            bits, p, w, k = self.repair
+            c = cstar(w, k)
+            if low <= c <= high:
+                self.repair_steps += i + 1 - first
+                self.repair = None
+                self._seed(bits, p, w, k, c, capacity)
+                record(i)
+                return i + 1
+            record(i)
+        self.repair_steps += stop - first
+        if stop < end:
+            self.repair_steps += 1
             raise RuntimeError(
                 f"POSDC repair did not reach the window within {self.repair_cap} steps")
-        ctx = self.ctx
-        bits, p, w, k = self.repair
-        found = ctx.lex_step(self.flips, bits, p, w, k,
-                             ctx.lex_violation(w, k, capacity), capacity)
-        if found is not None:
-            (bits, p, w, k), _ = found
-        cstar = ctx.bound.cstar(w, k)
-        if capacity - self.eta <= cstar <= capacity + self.eta:
-            self.repair = None
-            self._seed(bits, p, w, k, cstar, capacity)
-        else:
-            self.repair = (bits, p, w, k)
+        return end
 
     def on_change(self, capacity: int):
         """Re-partition both archives against the shifted capacity, dropping
@@ -439,7 +475,6 @@ class Posdc:
         if self.archive_size() == 0:
             self._seed(*designated, capacity)
         self._best = None
-        self.changed = True
 
     def designated_eval(self, capacity: int):
         if self.repair is not None:
@@ -538,7 +573,6 @@ class Nsga2:
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
         self._fallback = None
-        self.changed = True
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def _evaluate(self, bits):
@@ -568,8 +602,10 @@ class Nsga2:
         if best is None or p[j] > best[0]:
             self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
 
-    def step(self, capacity: int):
-        self.generation(capacity)
+    def step(self, capacity: int, first: int, end: int, record):
+        for i in range(first, end, self.stride):
+            self.generation(capacity)
+            record(i)
 
     def generation(self, capacity: int):
         rng = self.rng
@@ -628,12 +664,10 @@ class Nsga2:
             self.crowd[lo:hi] = crowding_distances(self.p[lo:hi], self.cstar[lo:hi])
         self.generations += 1
         self._fallback = None
-        self.changed = True
 
     def on_change(self, capacity: int):
         self.best_feasible = None
         self._fallback = None
-        self.changed = True
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def designated_eval(self, capacity: int):
@@ -666,13 +700,14 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     """Run one algorithm through a capacity schedule.
 
     Each solver step is charged ``stride`` iterations and starts on a
-    multiple of it. Scheduled capacity changes apply at the start of their
-    iteration; one that falls inside a step is scored at once, and the
-    solver sees it just before its next step. The designated best
-    solution's offline error is scored on every post-warmup iteration, but
-    re-evaluated only at a capacity change or when the solver marks it
-    ``changed``; the record keeps one interval per run of equal values.
-    Fully deterministic for fixed inputs.
+    multiple of it; one ``step`` call takes the steps of one capacity.
+    Scheduled capacity changes apply at the start of their iteration; one
+    that falls inside a step is scored at once, and the solver sees it just
+    before its next step. The designated best solution's offline error is
+    scored on every post-warmup iteration, but re-evaluated only at a
+    capacity change or when the solver calls ``record``; the record keeps
+    one interval per run of equal values. Fully deterministic for fixed
+    inputs.
     """
     if params.delta != instance.delta:
         raise ValueError(
@@ -694,7 +729,6 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     p_star = int(dp_table[capacity])
 
     def record(i):
-        solver.changed = False
         recorder.record(i, p_star, *solver.designated_eval(capacity), capacity)
 
     # one segment per capacity, from (iteration, capacity in force from it
@@ -715,12 +749,7 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
                 if first >= end:
                     continue  # the next change comes before the next step
             solver.on_change(capacity)
-        step(capacity)
-        record(first)
-        for i in range(first + stride, end, stride):
-            step(capacity)
-            if solver.changed:
-                record(i)
+        step(capacity, first, end, record)
 
     log = recorder.log()
     return metrics.RunRecord(

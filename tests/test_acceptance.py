@@ -141,14 +141,12 @@ def test_criterion_4_static_optimum_recovery():
             target_pos = cstar_side_optimum(inst, capacity, params)
 
             ea = OnePlusOneEA(ctx, np.random.default_rng(9000 + i), capacity)
-            for _ in range(budget):
-                ea.step(capacity)
+            ea.step(capacity, 0, budget, lambda _: None)
             if ea.p == target_ea:
                 hits[("ea11", kind)] += 1
 
             pos = Posdc(ctx, np.random.default_rng(9000 + i), capacity, eta=500)
-            for _ in range(budget):
-                pos.step(capacity)
+            pos.step(capacity, 0, budget, lambda _: None)
             if pos.repair is None and pos.best()[1] == target_pos:
                 hits[("posdc", kind)] += 1
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ from dcckp.model import UNCORRELATED, Instance, Item, generate_instance
 from dcckp.oracle import brute_force_chance_optimum, dp_optimal_profits
 from dcckp.solvers import (
     MUTATION_BLOCK,
+    REPAIR_STEP_CAP,
     Nsga2,
     OnePlusOneEA,
     Posdc,
@@ -16,6 +17,7 @@ from dcckp.solvers import (
     _FlipBlocks,
     _IndexBlocks,
     _make_solver,
+    _flipped,
     _RunContext,
     crowding_distances,
     fast_nondominated_sort,
@@ -31,45 +33,94 @@ def make_ctx(n=12, delta=25, alpha=0.01, kind=CHEBYSHEV, seed=1):
 
 # -- comparators --------------------------------------------------------------
 
-class FixedFlips:
-    """Stands in for ``_FlipBlocks``: every draw flips the same positions."""
+def ignore(i):
+    pass
+
+
+class FixedFlips(_FlipBlocks):
+    """Stands in for a solver's ``_FlipBlocks``: every iteration flips the
+    same positions."""
 
     def __init__(self, positions):
-        self.positions = positions
+        self.each = list(positions or ())
+        self.t = MUTATION_BLOCK
 
-    def draw(self):
-        return self.positions
+    def fill(self):
+        m = len(self.each)
+        self.positions = self.each * MUTATION_BLOCK
+        self.starts = [m * t for t in range(MUTATION_BLOCK + 1)]
 
 
 def test_lex_better_or_equal_cases():
-    """The acceptance rule of ``_RunContext.lex_step``, shared by the
+    """The acceptance rule of ``_RunContext.lex_run``, shared by the
     (1+1)-EA and POSDC's repair: smaller violation first, then higher
     profit; equality accepted."""
     items = (Item(40, 300), Item(50, 300), Item(10, 300), Item(40, 300))
     inst = Instance(items=items, delta=25, kind=UNCORRELATED, c_constant=100, seed=0)
     ctx = _RunContext(inst, ChanceParams(0.01, 25, CHEBYSHEV))
-    incumbent = (bytearray([1, 0, 0, 0]), 40, 300, 1)
 
-    def step(flips, inc_v, capacity=2000):
-        return ctx.lex_step(FixedFlips(flips), *incumbent, inc_v, capacity)
+    def solution(*chosen):
+        x = np.zeros(4, np.uint8)
+        x[list(chosen)] = 1
+        return (bytearray(x), int(x @ inst.profit_array()),
+                int(x @ inst.weight_array()), len(chosen))
 
+    def step(incumbent, flips, capacity=2000):
+        """The incumbent after one step, and whether the offspring won."""
+        before = bytes(incumbent[0])
+        [(i, got)] = list(ctx.lex_run(FixedFlips(flips), incumbent, capacity, 7, 8))
+        assert i == 7 and bytes(incumbent[0]) == before  # offspring are copies
+        kept = got[0] is not incumbent[0]
+        assert kept or got == incumbent
+        return got, kept
+
+    one = solution(0)  # (40, 300, 1), feasible at 2000
     # both feasible: more profit is accepted, equal profit too, less is not
-    (bits, p, w, k), off_v = step([0, 1], 0.0)
-    assert list(bits) == [0, 1, 0, 0] and (p, w, k, off_v) == (50, 300, 1, 0.0)
-    (bits, p, _, _), _ = step([0, 3], 0.0)
-    assert list(bits) == [0, 0, 0, 1] and p == 40
-    assert list(incumbent[0]) == [1, 0, 0, 0]  # offspring are copies
-    assert step([0, 2], 0.0) is None
+    (bits, p, w, k), kept = step(one, [0, 1])
+    assert kept and list(bits) == [0, 1, 0, 0] and (p, w, k) == (50, 300, 1)
+    (bits, p, _, _), kept = step(one, [0, 3])
+    assert kept and list(bits) == [0, 0, 0, 1] and p == 40
+    assert step(one, [0, 2]) == (one, False)
     # a smaller violation wins at lower profit
-    (_, p, _, _), off_v = step([0, 2], 0.2)
-    assert p == 10 and off_v == 0.0
+    two = solution(0, 1)  # (90, 600, 2)
+    assert ctx.lex_violation(600, 2, 400) > ctx.lex_violation(300, 1, 400) > 0.0
+    (_, p, _, _), kept = step(two, [1], capacity=400)
+    assert kept and p == 40
+    (_, p, _, _), kept = step(solution(0, 1, 2), [2], capacity=400)
+    assert kept and p == 90
     # a larger violation loses at higher profit
-    assert ctx.lex_violation(600, 2, 400) > 0.0
-    assert step([1], 0.0, capacity=400) is None
-    (_, p, w, k), off_v = step([1], 500.0, capacity=400)
-    assert (p, w, k) == (90, 600, 2) and off_v == ctx.lex_violation(600, 2, 400)
+    assert step(one, [1], capacity=400) == (one, False)
+    assert step(two, [2], capacity=400) == (two, False)
+    # equal violations (both above the mean by the same weight): profit decides
+    assert ctx.lex_violation(300, 1, 200) > 0.0
+    (_, p, _, _), kept = step(one, [0, 1], capacity=200)
+    assert kept and p == 50
+    assert step(one, [0, 2], capacity=200) == (one, False)
     # an identical offspring changes nothing
-    assert step(None, 0.0) is None
+    assert step(one, None) == (one, False)
+
+
+def test_lex_run_rejects_lower_profit_against_a_feasible_incumbent_unevaluated(
+        monkeypatch):
+    """A feasible incumbent has violation 0, which no offspring undercuts,
+    so a lower-profit offspring loses without a bound evaluation; an
+    offspring with at least its profit is evaluated."""
+    items = (Item(40, 300), Item(50, 300), Item(10, 300))
+    inst = Instance(items=items, delta=25, kind=UNCORRELATED, c_constant=100, seed=0)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, CHEBYSHEV))
+    calls = []
+    lex_violation = _RunContext.lex_violation
+
+    def counted(self, *args):
+        calls.append(args)
+        return lex_violation(self, *args)
+
+    monkeypatch.setattr(_RunContext, "lex_violation", counted)
+    incumbent = (bytearray([1, 0, 0]), 40, 300, 1)
+    list(ctx.lex_run(FixedFlips([0, 2]), incumbent, 2000, 0, 5))
+    assert calls == [(300, 1, 2000)]  # the incumbent's own, once per call
+    list(ctx.lex_run(FixedFlips([0, 1]), incumbent, 2000, 0, 1))
+    assert calls[1:] == [(300, 1, 2000), (300, 1, 2000)]
 
 
 def test_posdc_dominates_cases():
@@ -99,19 +150,26 @@ def test_posdc_dominates_cases():
 
 # -- mutation -----------------------------------------------------------------
 
+def drawn_flips(ctx, flips):
+    """The positions ``ctx.mutate`` flips in its next iteration, or None."""
+    child = ctx.mutate(flips, bytearray(ctx.n), 0, 0, 0)
+    return None if child is None else child[0]
+
+
 @pytest.mark.parametrize("n", [12, 100, 1000])
 def test_flip_blocks_match_independent_bit_flips(n):
     """Chi-square tests at p > 0.001 (fixed seed, thresholds fixed up front):
     flip counts follow Bin(n, 1/n), also in the last eighth of each block,
     positions are uniform, and about (1 - 1/n)^n of the iterations flip
     nothing."""
+    _, ctx = make_ctx(n=n)
     flips = _FlipBlocks(np.random.default_rng(2024), n)
     blocks = 80
     iters = blocks * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 80 block ends
     counts = np.empty(iters, np.int64)
     positions = []
     for t in range(iters):
-        drawn = flips.draw()
+        drawn = drawn_flips(ctx, flips)
         counts[t] = 0 if drawn is None else len(drawn)
         if drawn is not None:
             assert drawn == sorted(set(drawn)) and 0 <= drawn[0] and drawn[-1] < n
@@ -137,11 +195,12 @@ def test_flip_blocks_match_independent_bit_flips(n):
 def test_flip_blocks_replay_a_per_iteration_draw(n):
     """A block reads the same uniforms as one rng.random(n) per iteration,
     so solver trajectories do not depend on the block size."""
+    _, ctx = make_ctx(n=n)
     flips = _FlipBlocks(np.random.default_rng(31), n)
     twin = np.random.default_rng(31)
     for _ in range(3 * MUTATION_BLOCK + 7):
         expect = np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
-        assert flips.draw() == (expect or None)
+        assert drawn_flips(ctx, flips) == (expect or None)
 
 
 def test_mutate_applies_the_drawn_flips():
@@ -149,23 +208,26 @@ def test_mutate_applies_the_drawn_flips():
     rng = np.random.default_rng(3)
     bits, p, w, k = ctx.random_solution(rng)
     mine = _FlipBlocks(np.random.default_rng(8), 12)
-    twin = _FlipBlocks(np.random.default_rng(8), 12)
+    twin = np.random.default_rng(8)
     assert isinstance(bits, bytearray) and len(bits) == 12
-    for _ in range(200):
+    for _ in range(600):
         before = bytes(bits)
         child = ctx.mutate(mine, bits, p, w, k)
-        drawn = twin.draw()
+        drawn = np.flatnonzero(twin.random(12) < 1.0 / 12).tolist()
         assert bytes(bits) == before  # the parent is never edited
-        if drawn is None:
+        if not drawn:
             assert child is None
             continue
-        nb, np_, nw, nk = child
+        positions, np_, nw, nk = child
+        assert positions == drawn
+        nb = _flipped(bits, positions)
+        assert bytes(bits) == before
         expect = np.frombuffer(before, np.uint8).copy()
         expect[drawn] ^= 1
         assert isinstance(nb, bytearray) and bytes(nb) == expect.tobytes()
         assert (np_, nw, nk) == (int(expect @ inst.profit_array()),
                                  int(expect @ inst.weight_array()), int(expect.sum()))
-        bits, p, w, k = child
+        bits, p, w, k = nb, np_, nw, nk
 
 
 def test_index_blocks_uniform_below_changing_bounds():
@@ -179,6 +241,51 @@ def test_index_blocks_uniform_below_changing_bounds():
     # still stay in range
     big = (1 << 63) + 1
     assert all(0 <= draws.below(big) < big for _ in range(100))
+
+
+class WordIndexBlocks:
+    """``_IndexBlocks`` as it was written with a separate word fetch: the
+    reference ``below`` must replay."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._words = []
+        self._next = 0
+        self.rejections = 0
+
+    def _word(self):
+        i = self._next
+        if i == len(self._words):
+            self._words = self.rng.integers(
+                0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist()
+            i = 0
+        self._next = i + 1
+        return self._words[i]
+
+    def below(self, m):
+        prod = self._word() * m
+        low = prod & ((1 << 64) - 1)
+        if low < m:
+            reject = ((1 << 64) - m) % m
+            while low < reject:
+                self.rejections += 1
+                prod = self._word() * m
+                low = prod & ((1 << 64) - 1)
+        return prod >> 64
+
+
+def test_index_blocks_replay_a_word_by_word_reference():
+    """Same draws and the same words consumed as the word-by-word Lemire
+    reference, across block ends and through the rejection path."""
+    draws = _IndexBlocks(np.random.default_rng(5))
+    ref = WordIndexBlocks(np.random.default_rng(5))
+    bounds = (1, 2, 3, 20, 1000, (1 << 63) + 1, (1 << 64) - 1, 1 << 63)
+    for t in range(5 * MUTATION_BLOCK):
+        m = bounds[t % len(bounds)]
+        assert draws.below(m) == ref.below(m)
+    assert ref.rejections > 100
+    assert draws.rng.integers(0, 1 << 62) == ref.rng.integers(0, 1 << 62)
+    assert draws.below(7) == ref.below(7)  # mid-block position kept
 
 
 # -- archive ------------------------------------------------------------------
@@ -455,8 +562,7 @@ def test_posdc_best_raises_when_empty():
 # -- POSDC dynamics -----------------------------------------------------------
 
 def run_posdc_steps(pos, capacity, steps):
-    for _ in range(steps):
-        pos.step(capacity)
+    pos.step(capacity, 0, steps, ignore)
 
 
 def check_archive_invariants(pos, capacity, allow_out_of_window=0):
@@ -586,7 +692,7 @@ def test_posdc_repair_reaches_window_and_seeds():
     assert pos.repair is not None
     steps = 0
     while pos.repair is not None and steps < 100_000:
-        pos.step(capacity)
+        pos.step(capacity, steps, steps + 1, ignore)
         steps += 1
     assert pos.repair is None, "repair did not terminate"
     assert pos.archive_size() == 1
@@ -599,8 +705,8 @@ def test_posdc_repair_cap_raises():
     if pos.repair is None:
         pytest.skip("random init landed in window")
     with pytest.raises(RuntimeError):
-        for _ in range(10):
-            pos.step(600)
+        pos.step(600, 0, 10, ignore)
+    assert pos.repair_steps == 4
 
 
 def test_posdc_eta_validation():
@@ -620,8 +726,8 @@ def test_ea_fitness_never_worsens_on_static_capacity():
         return (ctx.lex_violation(ea.w, ea.k, capacity), -ea.p)
 
     prev = fitness()
-    for _ in range(3000):
-        ea.step(capacity)
+    for i in range(3000):
+        ea.step(capacity, i, i + 1, ignore)
         cur = fitness()
         assert cur <= prev
         prev = cur
@@ -632,12 +738,10 @@ def test_ea_recovers_feasibility_after_capacity_drop():
     high = int(0.8 * inst.total_expected_weight())
     low = int(0.3 * inst.total_expected_weight())
     ea = OnePlusOneEA(ctx, np.random.default_rng(9), high)
-    for _ in range(4000):
-        ea.step(high)
+    ea.step(high, 0, 4000, ignore)
     assert ctx.bound.tail(ea.w, ea.k, high) <= 0.01
     ea.on_change(low)
-    for _ in range(6000):
-        ea.step(low)
+    ea.step(low, 4000, 10_000, ignore)
     assert ctx.bound.tail(ea.w, ea.k, low) <= 0.01
 
 
@@ -973,7 +1077,7 @@ def reference_series(algo, inst, sched, params, dp, seed):
             if i in changes:
                 capacity = int(caps[i])
                 solver.on_change(capacity)
-            solver.step(capacity)
+            solver.step(capacity, i, i + 1, ignore)
         elif i % Nsga2.pop_size == 0:
             if pending:
                 solver.on_change(capacity)
@@ -1003,9 +1107,9 @@ def reference_series(algo, inst, sched, params, dp, seed):
     *(pytest.param(algo, 7, 0, 2963, id=f"{algo}-tau7-warmup0")
       for algo in ("ea11", "posdc", "nsga2"))])
 def test_recorder_misses_no_change(algo, tau, warmup, total, monkeypatch):
-    """Offline error scored only at marks and capacity changes equals
-    scoring every iteration, whether the solver marks every step or only
-    the steps that change its designated solution."""
+    """Offline error scored only at records and capacity changes equals
+    scoring every iteration, whether the solver records after every step or
+    only after the steps that may change its designated solution."""
     inst = generate_instance("uncorrelated", 12, 25, seed=4)
     dp = dp_optimal_profits(inst, inst.total_expected_weight())
     # c0 sits far below a random solution, so POSDC starts by repairing
@@ -1016,15 +1120,19 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, monkeypatch):
     if algo == "posdc":  # the repair phase outlasts the warm-up
         pos = Posdc(_RunContext(inst, params), np.random.default_rng(seed), 600,
                     sched.r)
-        for _ in range(sched.warmup):
-            pos.step(600)
+        pos.step(600, 0, sched.warmup, ignore)
         assert pos.repair is not None
 
     normal = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
     cls = {"ea11": OnePlusOneEA, "posdc": Posdc, "nsga2": Nsga2}[algo]
-    monkeypatch.setattr(cls, "changed", property(lambda self: True,
-                                                 lambda self, value: None),
-                        raising=False)
+    segment_step = cls.step
+
+    def every_step(self, capacity, first, end, record):
+        # a call of one step records after it
+        for i in range(first, end, self.stride):
+            segment_step(self, capacity, i, i + 1, record)
+
+    monkeypatch.setattr(cls, "step", every_step)
     marked = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
     monkeypatch.undo()
     reference = reference_series(algo, inst, sched, params, dp, seed)
@@ -1037,6 +1145,109 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, monkeypatch):
         assert rec.feasible_fraction == float(reference[1].mean())
         assert rec.total_offline_error == float(reference[0].mean())
     assert len(normal.intervals.starts) < len(reference[0]) // 4
+
+
+def solver_state(solver):
+    """Everything a step may change, the Generator's state included."""
+    if isinstance(solver, Nsga2):
+        best = solver.best_feasible
+        return (solver.bits.tobytes(), solver.p.tolist(), solver.w.tolist(),
+                solver.k.tolist(), solver.cstar.tolist(), solver.ranks.tolist(),
+                solver.crowd.tolist(), solver.generations,
+                best and (*best[:3], best[3].tobytes()),
+                solver.rng.bit_generator.state)
+    rng = solver.flips.rng.bit_generator.state
+    if isinstance(solver, OnePlusOneEA):
+        return bytes(solver.bits), solver.p, solver.w, solver.k, solver.flips.t, rng
+    repair = solver.repair and (bytes(solver.repair[0]), *solver.repair[1:])
+    archives = [([bytes(b) for b in arc.bits], arc.p, arc.w, arc.k, arc.cstar,
+                 arc._c, arc._p) for arc in (solver.s_minus, solver.s_plus)]
+    return (repair, solver.repair_steps, archives, solver.flips.t,
+            solver.parents._next, rng)
+
+
+def take_segment(solver, capacity, first, end, per_step):
+    """Every step starting in [first, end) in one call, or in one call per
+    step; returns the recorded (iteration, designated evaluation) rows and
+    the message of a RuntimeError, if one ended the segment."""
+    rows = []
+
+    def record(i):
+        rows.append((i, solver.designated_eval(capacity)))
+
+    try:
+        if per_step:
+            for i in range(first, end, solver.stride):
+                solver.step(capacity, i, i + 1, record)
+        else:
+            solver.step(capacity, first, end, record)
+    except RuntimeError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+@pytest.mark.parametrize("algo", ["ea11", "posdc", "nsga2"])
+@pytest.mark.parametrize("case", ["repair-ends-mid-segment", "in-window-before-step",
+                                  "repair-cap"])
+def test_segment_step_equals_single_steps(case, algo, kind):
+    """One ``step(capacity, first, end, record)`` call leaves the solver,
+    its Generator and the scored series as one call per step does, and it
+    records after its first step and after every step that changed the
+    designated evaluation. POSDC starts repairing (c0 = 600 sits far below
+    a random solution): its repair ends inside a segment, or the next
+    segment's capacity puts the pre-step repair incumbent in the window, or
+    the repair cap stops a segment with the same error after as many
+    steps."""
+    inst = generate_instance("uncorrelated", 12, 25, seed=8)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
+    total = inst.total_expected_weight()
+    cap = 20 if case == "repair-cap" else REPAIR_STEP_CAP
+
+    def make():
+        rng = np.random.default_rng(4)
+        if algo == "posdc":
+            return Posdc(ctx, rng, 600, 500, repair_cap=cap)
+        return _make_solver(algo, ctx, rng, 600, 500)
+
+    whole, single = make(), make()
+    stride = whole.stride
+    plan = [(600, 0, 3), (600, 3, 1500), (total // 2, 1500, 2500),
+            (total // 4, 2500, 2501), (total // 3, 2501, 4000)]
+    for n_seg, (capacity, start, end) in enumerate(plan):
+        first = start + -start % stride
+        if first >= end:
+            continue
+        if n_seg == 1 and algo == "posdc":
+            assert whole.repair is not None
+            if case == "in-window-before-step":
+                capacity = int(ctx.bound.cstar(*whole.repair[2:]))
+        if n_seg:
+            whole.on_change(capacity)
+            single.on_change(capacity)
+        rows, error = take_segment(whole, capacity, first, end, per_step=False)
+        dense, single_error = take_segment(single, capacity, first, end, per_step=True)
+        assert error == single_error
+        assert solver_state(whole) == solver_state(single)
+        steps = [i for i, _ in dense]
+        assert steps[0] == first and steps == list(range(first, steps[-1] + 1, stride))
+        got = dict(rows)
+        assert len(got) == len(rows) and list(got) == sorted(got)
+        assert first in got and set(got) <= set(steps)
+        scored = None
+        for i, value in dense:
+            scored = got.get(i, scored)
+            assert scored == value, (n_seg, i)
+        if algo == "posdc" and n_seg == 1:
+            if case == "repair-cap":
+                assert error is not None and whole.repair_steps == cap + 1
+                assert steps[-1] == cap - 1
+                return
+            assert whole.repair is None
+            if case == "repair-ends-mid-segment":
+                assert 4 <= whole.repair_steps < end - 1
+        assert error is None
+    assert algo != "posdc" or whole.archive_size() > 1
 
 
 def cstar_side_optimum(inst, capacity, params):
