@@ -160,7 +160,7 @@ def _cmd_dump_schedule(args) -> int:
                                        args.iters, args.c_min, args.c_max,
                                        args.seed)
     lines = ["iteration,capacity"]
-    lines.extend(f"{i},{c}" for i, c in dynamics.schedule_csv_rows(schedule))
+    lines.extend(f"{i},{c}" for i, c in enumerate(schedule.capacities().tolist()))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -87,10 +87,3 @@ def default_initial_capacity(instance, fraction: float = 0.5) -> int:
 
 def default_clamp_bounds(instance) -> tuple[int, int]:
     return 1, instance.total_expected_weight()
-
-
-def schedule_csv_rows(schedule: CapacitySchedule):
-    """Yield (iteration, capacity) pairs for the audit CSV."""
-    caps = schedule.capacities()
-    for i, c in enumerate(caps):
-        yield i, int(c)

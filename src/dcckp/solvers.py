@@ -20,11 +20,15 @@ per iteration):
 schedule and scores the offline error against a precomputed DP optimum
 table; a solver's ``stride`` is the iterations one step is charged. One call
 ``step(capacity, first, end, record)`` takes every step that starts in
-``[first, end)``, a stretch of constant capacity, and calls ``record(i)``
-after the step at ``first`` and after every later step ``i`` that may have
-changed the designated solution; the driver re-evaluates the designated
-solution only then and at capacity changes. The (1+1)-EA and POSDC keep
-their state in locals for the whole stretch. Mutation yields the
+``[first, end)``, a stretch of constant capacity. The designated solution is
+re-evaluated only at records, and one rule places them: the driver records
+the start of every stretch, before its first step, and a solver calls
+``record(i)`` after each step ``i`` that may have changed its designated
+solution (a record supersedes an earlier one at the same iteration). POSDC
+has one seeding rule as well: its repair incumbent seeds the archive as soon
+as its C* lies in [C - eta, C + eta], checked at construction, after each
+accepted repair step and at each capacity change. The (1+1)-EA and POSDC
+keep their state in locals for the whole stretch. Mutation yields the
 offspring's profit, weight and item count without building its bits, which
 are copied from the parent only when the offspring is kept, and a feasible
 incumbent rejects a lower-profit offspring without evaluating the bound
@@ -150,9 +154,9 @@ class _RunContext:
         An offspring replaces the incumbent when it is at least as good:
         smaller violation, or equal violation and at least the profit. An
         offspring identical to the incumbent is never kept, since keeping
-        it would change nothing. Yields (i, incumbent) after the step at
-        ``first`` and after every later step ``i`` that replaced it; a
-        caller that stops iterating takes no further step.
+        it would change nothing. Yields (i, incumbent) after every step
+        ``i`` that replaced it, the only steps that change the designated
+        solution; a caller that stops iterating takes no further step.
         """
         mutate, lex_violation = self.mutate, self.lex_violation
         bits, p, w, k = incumbent
@@ -167,9 +171,6 @@ class _RunContext:
                 if cv < v or (cv == v and cp >= p):
                     bits, p, w, k, v = _flipped(bits, positions), cp, cw, ck, cv
                     yield i, (bits, p, w, k)
-                    continue
-            if i == first:
-                yield i, (bits, p, w, k)
 
     def random_solution(self, rng):
         bits = rng.integers(0, 2, self.n, np.uint8)
@@ -327,40 +328,44 @@ class Posdc:
 
     Until the initial random solution (or a repaired descendant of it) lands
     inside [C - eta, C + eta], every step is a lexicographic (1+1)-EA repair
-    step; afterwards steps mutate a uniformly chosen archive member and insert
-    the offspring into the matching window side unless weakly dominated.
+    step; ``_end_repair`` checks that at construction, after each accepted
+    repair step and at each capacity change. Afterwards steps mutate a
+    uniformly chosen archive member and insert the offspring into the
+    matching window side unless weakly dominated.
     """
 
     name = "posdc"
     stride = 1
 
-    def __init__(self, ctx: _RunContext, rng, capacity: int, eta: int,
-                 repair_cap: int = REPAIR_STEP_CAP):
+    def __init__(self, ctx: _RunContext, rng, capacity: int, eta: int):
         if eta < 1:
             raise ValueError("eta must be >= 1")
         self.ctx = ctx
         self.flips = _FlipBlocks(rng, ctx.n)
         self.parents = _IndexBlocks(rng)
         self.eta = eta
-        self.repair_cap = repair_cap
         self.repair_steps = 0
         self.s_minus = _Archive()
         self.s_plus = _Archive()
-        self._best = None  # cached (p, w, k, cstar) of the designated member
-        bits, p, w, k = ctx.random_solution(rng)
-        cstar = ctx.bound.cstar(w, k)
-        if capacity - eta <= cstar <= capacity + eta:
-            self.repair = None
-            self._seed(bits, p, w, k, cstar, capacity)
-        else:
-            self.repair = (bits, p, w, k)
+        self.repair = ctx.random_solution(rng)
+        self._end_repair(capacity)
 
     # -- archive plumbing ----------------------------------------------------
 
     def _seed(self, bits, p, w, k, cstar, capacity):
         side = self.s_minus if cstar < capacity else self.s_plus
         side.insert(bits, p, w, k, cstar)
-        self._best = None
+
+    def _end_repair(self, capacity: int) -> bool:
+        """Seed the archive with the repair incumbent, and end the repair,
+        when its C* lies in [C - eta, C + eta]."""
+        bits, p, w, k = self.repair
+        cstar = self.ctx.bound.cstar(w, k)
+        if not capacity - self.eta <= cstar <= capacity + self.eta:
+            return False
+        self.repair = None
+        self._seed(bits, p, w, k, cstar, capacity)
+        return True
 
     def archive_size(self) -> int:
         return self.s_minus.size + self.s_plus.size
@@ -380,7 +385,6 @@ class Posdc:
         raise RuntimeError("POSDC archives are empty (repair still running)")
 
     def step(self, capacity: int, first: int, end: int, record):
-        mark = first  # recorded after its step whatever happens
         if self.repair is not None:
             first = self._repair(capacity, first, end, record)
         ctx, flips = self.ctx, self.flips
@@ -412,51 +416,43 @@ class Posdc:
                         sm.insert(_flipped(parent, positions), p, w, k, c)
                         m = len(m_p)
                         size = m + len(p_p)
-                        self._best = None
                         record(i)
-                        continue
                 elif capacity <= c <= high and not plus_dominated(p, c):
                     sp.insert(_flipped(parent, positions), p, w, k, c)
                     size = m + len(p_p)
                     if not m:
-                        self._best = None
                         record(i)
-                        continue
-            if i == mark:
-                record(i)
 
     def _repair(self, capacity: int, first: int, end: int, record) -> int:
-        """Lexicographic repair steps from ``first`` until the incumbent's
-        C* lies in the window, which seeds the archive, or until ``end``.
-        Records like ``step``; returns the iteration after the last repair
-        step, and raises in place of step ``repair_cap + 1``."""
-        low, high = capacity - self.eta, capacity + self.eta
-        cstar = self.ctx.bound.cstar
-        stop = min(end, first + self.repair_cap - self.repair_steps)
+        """Lexicographic repair steps from ``first`` until ``_end_repair``
+        seeds the archive, or until ``end``. Records after each accepted
+        repair step, the only steps that change the designated solution;
+        returns the iteration after the last repair step, and raises in
+        place of step ``REPAIR_STEP_CAP + 1``."""
+        stop = min(end, first + REPAIR_STEP_CAP - self.repair_steps)
         run = self.ctx.lex_run(self.flips, self.repair, capacity, first, stop)
         for i, self.repair in run:
-            bits, p, w, k = self.repair
-            c = cstar(w, k)
-            if low <= c <= high:
-                self.repair_steps += i + 1 - first
-                self.repair = None
-                self._seed(bits, p, w, k, c, capacity)
-                record(i)
-                return i + 1
+            seeded = self._end_repair(capacity)
             record(i)
+            if seeded:
+                self.repair_steps += i + 1 - first
+                return i + 1
         self.repair_steps += stop - first
         if stop < end:
             self.repair_steps += 1
             raise RuntimeError(
-                f"POSDC repair did not reach the window within {self.repair_cap} steps")
+                f"POSDC repair did not reach the window within {REPAIR_STEP_CAP} steps")
         return end
 
     def on_change(self, capacity: int):
         """Re-partition both archives against the shifted capacity, dropping
         members outside the new window; if nothing survives, the previously
-        designated solution reseeds the archive even when out of window."""
+        designated solution reseeds the archive even when out of window.
+        While repairing, the archives are empty and the incumbent seeds
+        them if the new window holds it."""
         if self.repair is not None:
-            return  # archives empty; repair keeps running against the new capacity
+            self._end_repair(capacity)
+            return
         designated = self.best()
         low, high = capacity - self.eta, capacity + self.eta
         minus, plus = [], []
@@ -474,16 +470,11 @@ class Posdc:
                               for col in cols))
         if self.archive_size() == 0:
             self._seed(*designated, capacity)
-        self._best = None
 
     def designated_eval(self, capacity: int):
-        if self.repair is not None:
-            _, p, w, k = self.repair
-            return p, self.ctx.bound.certified(w, k, capacity)
-        if self._best is None:
-            _, p, w, k, cstar = self.best()
-            self._best = (p, w, k, cstar)
-        p, w, k, _ = self._best
+        # the repair incumbent (bits, p, w, k), else the archive's designated
+        # member (bits, p, w, k, cstar)
+        _, p, w, k, *_ = self.repair or self.best()
         return p, self.ctx.bound.certified(w, k, capacity)
 
 
@@ -572,7 +563,6 @@ class Nsga2:
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
-        self._fallback = None
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def _evaluate(self, bits):
@@ -663,11 +653,9 @@ class Nsga2:
         for lo, hi in zip(edges, edges[1:]):
             self.crowd[lo:hi] = crowding_distances(self.p[lo:hi], self.cstar[lo:hi])
         self.generations += 1
-        self._fallback = None
 
     def on_change(self, capacity: int):
         self.best_feasible = None
-        self._fallback = None
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def designated_eval(self, capacity: int):
@@ -675,11 +663,8 @@ class Nsga2:
         if self.best_feasible is not None:
             p, w, k, _ = self.best_feasible
             return p, bound.certified(w, k, capacity)
-        if self._fallback is None or self._fallback[0] != capacity:
-            j = np.lexsort((-self.p, bound.tail_array(self.w, self.k, capacity)))[0]
-            self._fallback = (capacity, int(self.p[j]),
-                              bound.certified(int(self.w[j]), int(self.k[j]), capacity))
-        return self._fallback[1], self._fallback[2]
+        j = np.lexsort((-self.p, bound.tail_array(self.w, self.k, capacity)))[0]
+        return int(self.p[j]), bound.certified(int(self.w[j]), int(self.k[j]), capacity)
 
 
 ALGORITHMS = ("ea11", "posdc", "nsga2")
@@ -704,10 +689,12 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     Scheduled capacity changes apply at the start of their iteration; one
     that falls inside a step is scored at once, and the solver sees it just
     before its next step. The designated best solution's offline error is
-    scored on every post-warmup iteration, but re-evaluated only at a
-    capacity change or when the solver calls ``record``; the record keeps
-    one interval per run of equal values. Fully deterministic for fixed
-    inputs.
+    scored on every post-warmup iteration, but re-evaluated only at records:
+    this loop records the start of each stretch (after ``on_change``,
+    before the first step), and the solver records after each step that may
+    have changed its designated solution, which supersedes the record at
+    that iteration. The log keeps one interval per run of equal values.
+    Fully deterministic for fixed inputs.
     """
     if params.delta != instance.delta:
         raise ValueError(
@@ -749,6 +736,7 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
                 if first >= end:
                     continue  # the next change comes before the next step
             solver.on_change(capacity)
+        record(first)
         step(capacity, first, end, record)
 
     log = recorder.log()

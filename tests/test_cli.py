@@ -3,6 +3,7 @@ import pytest
 
 from dcckp import cli
 from dcckp.cli import main
+from dcckp.dynamics import build_schedule
 from dcckp.model import parse_instance
 
 
@@ -123,6 +124,8 @@ def test_dump_schedule(capsys, tmp_path):
     assert lines[20] == "19,500"  # constant through the warmup
     caps = [int(line.split(",")[1]) for line in lines[1:]]
     assert max(abs(b - a) for a, b in zip(caps, caps[1:])) <= 50
+    sched = build_schedule(500, 10, 50, 20, 60, 1, 1000, seed=2)
+    assert lines[1:] == [f"{i},{sched.capacity_at(i)}" for i in range(60)]
 
 
 def test_dump_dp(capsys, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcckp import metrics
+from dcckp import metrics, solvers
 from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams, tail_bound
 from dcckp.dynamics import build_schedule
 from dcckp.model import UNCORRELATED, Instance, Item, generate_instance
@@ -66,13 +66,23 @@ def test_lex_better_or_equal_cases():
                 int(x @ inst.weight_array()), len(chosen))
 
     def step(incumbent, flips, capacity=2000):
-        """The incumbent after one step, and whether the offspring won."""
+        """The incumbent after one step, and whether the offspring won; a
+        rejected offspring yields nothing."""
         before = bytes(incumbent[0])
-        [(i, got)] = list(ctx.lex_run(FixedFlips(flips), incumbent, capacity, 7, 8))
-        assert i == 7 and bytes(incumbent[0]) == before  # offspring are copies
-        kept = got[0] is not incumbent[0]
-        assert kept or got == incumbent
-        return got, kept
+        source = FixedFlips(flips)
+        run = list(ctx.lex_run(source, incumbent, capacity, 7, 8))
+        assert source.t == 1  # one step drew one mutation
+        assert bytes(incumbent[0]) == before  # offspring are copies
+        if not run:
+            return incumbent, False
+        [(i, got)] = run
+        bits, p, w, k = got
+        assert i == 7 and bits is not incumbent[0]
+        assert bytes(bits) == bytes(_flipped(incumbent[0], flips))
+        x = np.frombuffer(bits, np.uint8)
+        assert (p, w, k) == (int(x @ inst.profit_array()),
+                             int(x @ inst.weight_array()), int(x.sum()))
+        return got, True
 
     one = solution(0)  # (40, 300, 1), feasible at 2000
     # both feasible: more profit is accepted, equal profit too, less is not
@@ -300,7 +310,6 @@ def fresh_posdc(capacity=1000, eta=500, alpha=0.5, kind=CHEBYSHEV):
     pos.repair = None
     pos.s_minus = _Archive()
     pos.s_plus = _Archive()
-    pos._best = None
     return pos
 
 
@@ -699,12 +708,43 @@ def test_posdc_repair_reaches_window_and_seeds():
     assert steps == pos.repair_steps
 
 
-def test_posdc_repair_cap_raises():
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_posdc_seeds_when_the_window_reaches_the_repair_incumbent(kind, monkeypatch):
+    """A capacity change whose window holds the repair incumbent's C* seeds
+    the archive at the change, without a further repair step, and the next
+    step mutates an archive member."""
+    inst = generate_instance("uncorrelated", 12, 25, seed=8)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
+    pos = Posdc(ctx, np.random.default_rng(4), 600, eta=500)
+    pos.step(600, 0, 3, ignore)
+    assert pos.repair is not None and pos.repair_steps == 3
+    bits, p, w, k = pos.repair
+    incumbent = (bytes(bits), p, w, k, ctx.bound.cstar(w, k))
+    capacity = int(incumbent[4])
+    pos.on_change(capacity)
+    assert pos.repair is None and pos.archive_size() == 1
+    member = pos.best()
+    assert (bytes(member[0]), *member[1:]) == incumbent
+    assert pos.repair_steps == 3
+    draws = []
+    below = _IndexBlocks.below
+
+    def counted(self, m):
+        draws.append(m)
+        return below(self, m)
+
+    monkeypatch.setattr(_IndexBlocks, "below", counted)
+    pos.step(capacity, 3, 4, ignore)
+    assert draws == [1] and pos.repair_steps == 3
+
+
+def test_posdc_repair_cap_raises(monkeypatch):
+    monkeypatch.setattr(solvers, "REPAIR_STEP_CAP", 3)
     inst, ctx = make_ctx(n=12, seed=8)
-    pos = Posdc(ctx, np.random.default_rng(4), 600, eta=500, repair_cap=3)
+    pos = Posdc(ctx, np.random.default_rng(4), 600, eta=500)
     if pos.repair is None:
         pytest.skip("random init landed in window")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="within 3 steps"):
         pos.step(600, 0, 10, ignore)
     assert pos.repair_steps == 4
 
@@ -955,8 +995,6 @@ class ReferenceNsga2(Nsga2):
         self.k = all_k[chosen]
         self.cstar = all_c[chosen]
         self.generations += 1
-        self._fallback = None
-        self.changed = True
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
@@ -1097,25 +1135,27 @@ def reference_series(algo, inst, sched, params, dp, seed):
     return [np.array(col) for col in zip(*rows)]
 
 
-# (tau, warmup, total). tau=37 is not a multiple of 20, so NSGA-II sees
-# mid-generation changes; tau=7 puts several changes inside one generation,
-# warmup 0 puts a change on iteration 0, and 2963 iterations end in a
-# truncated generation
-@pytest.mark.parametrize("algo, tau, warmup, total", [
-    *(pytest.param(algo, 37, 5, 2965, id=algo)
+# (tau, warmup, total) under both bound families, Chernoff unsuffixed.
+# tau=37 is not a multiple of 20, so NSGA-II sees mid-generation changes;
+# tau=7 puts several changes inside one generation, warmup 0 puts a change
+# on iteration 0, and 2963 iterations end in a truncated generation
+@pytest.mark.parametrize("algo, tau, warmup, total, kind", [
+    *(pytest.param(algo, 37, 5, 2965, kind, id=algo + suffix)
+      for kind, suffix in ((CHERNOFF, ""), (CHEBYSHEV, "-chebyshev"))
       for algo in ("ea11", "posdc", "nsga2")),
-    *(pytest.param(algo, 7, 0, 2963, id=f"{algo}-tau7-warmup0")
+    *(pytest.param(algo, 7, 0, 2963, kind, id=f"{algo}-tau7-warmup0{suffix}")
+      for kind, suffix in ((CHERNOFF, ""), (CHEBYSHEV, "-chebyshev"))
       for algo in ("ea11", "posdc", "nsga2"))])
-def test_recorder_misses_no_change(algo, tau, warmup, total, monkeypatch):
-    """Offline error scored only at records and capacity changes equals
-    scoring every iteration, whether the solver records after every step or
-    only after the steps that may change its designated solution."""
+def test_recorder_misses_no_change(algo, tau, warmup, total, kind, monkeypatch):
+    """Offline error scored only at records equals scoring every iteration,
+    whether every step is recorded or only the stretch starts and the steps
+    that may change the designated solution."""
     inst = generate_instance("uncorrelated", 12, 25, seed=4)
     dp = dp_optimal_profits(inst, inst.total_expected_weight())
     # c0 sits far below a random solution, so POSDC starts by repairing
     sched = build_schedule(600, tau, 2000, warmup, total, 1,
                            inst.total_expected_weight(), seed=7)
-    params = ChanceParams(0.01, 25, CHERNOFF)
+    params = ChanceParams(0.01, 25, kind)
     seed = 4
     if algo == "posdc":  # the repair phase outlasts the warm-up
         pos = Posdc(_RunContext(inst, params), np.random.default_rng(seed), 600,
@@ -1128,9 +1168,9 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, monkeypatch):
     segment_step = cls.step
 
     def every_step(self, capacity, first, end, record):
-        # a call of one step records after it
         for i in range(first, end, self.stride):
             segment_step(self, capacity, i, i + 1, record)
+            record(i)
 
     monkeypatch.setattr(cls, "step", every_step)
     marked = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
@@ -1168,9 +1208,10 @@ def solver_state(solver):
 
 def take_segment(solver, capacity, first, end, per_step):
     """Every step starting in [first, end) in one call, or in one call per
-    step; returns the recorded (iteration, designated evaluation) rows and
-    the message of a RuntimeError, if one ended the segment."""
-    rows = []
+    step; returns the recorded (iteration, designated evaluation) rows, the
+    designated evaluation after every step (per-step calls only) and the
+    message of a RuntimeError, if one ended the segment."""
+    rows, dense = [], []
 
     def record(i):
         rows.append((i, solver.designated_eval(capacity)))
@@ -1179,36 +1220,36 @@ def take_segment(solver, capacity, first, end, per_step):
         if per_step:
             for i in range(first, end, solver.stride):
                 solver.step(capacity, i, i + 1, record)
+                dense.append((i, solver.designated_eval(capacity)))
         else:
             solver.step(capacity, first, end, record)
     except RuntimeError as exc:
-        return rows, str(exc)
-    return rows, None
+        return rows, dense, str(exc)
+    return rows, dense, None
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
 @pytest.mark.parametrize("algo", ["ea11", "posdc", "nsga2"])
 @pytest.mark.parametrize("case", ["repair-ends-mid-segment", "in-window-before-step",
                                   "repair-cap"])
-def test_segment_step_equals_single_steps(case, algo, kind):
+def test_segment_step_equals_single_steps(case, algo, kind, monkeypatch):
     """One ``step(capacity, first, end, record)`` call leaves the solver,
-    its Generator and the scored series as one call per step does, and it
-    records after its first step and after every step that changed the
-    designated evaluation. POSDC starts repairing (c0 = 600 sits far below
-    a random solution): its repair ends inside a segment, or the next
-    segment's capacity puts the pre-step repair incumbent in the window, or
-    the repair cap stops a segment with the same error after as many
-    steps."""
+    its Generator and the recorded rows as one call per step does, and the
+    designated evaluation from before the segment, updated by those rows,
+    equals a fresh evaluation after every step: every step that changed it
+    is recorded. POSDC starts repairing (c0 = 600 sits far below a random
+    solution): its repair ends inside a segment, or the next segment's
+    capacity puts the repair incumbent in the window, which seeds the
+    archive at the change, or the repair cap stops a segment with the same
+    error after as many steps."""
     inst = generate_instance("uncorrelated", 12, 25, seed=8)
     ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
     total = inst.total_expected_weight()
     cap = 20 if case == "repair-cap" else REPAIR_STEP_CAP
+    monkeypatch.setattr(solvers, "REPAIR_STEP_CAP", cap)
 
     def make():
-        rng = np.random.default_rng(4)
-        if algo == "posdc":
-            return Posdc(ctx, rng, 600, 500, repair_cap=cap)
-        return _make_solver(algo, ctx, rng, 600, 500)
+        return _make_solver(algo, ctx, np.random.default_rng(4), 600, 500)
 
     whole, single = make(), make()
     stride = whole.stride
@@ -1225,19 +1266,25 @@ def test_segment_step_equals_single_steps(case, algo, kind):
         if n_seg:
             whole.on_change(capacity)
             single.on_change(capacity)
-        rows, error = take_segment(whole, capacity, first, end, per_step=False)
-        dense, single_error = take_segment(single, capacity, first, end, per_step=True)
+        before = whole.designated_eval(capacity)
+        assert single.designated_eval(capacity) == before
+        rows, _, error = take_segment(whole, capacity, first, end, per_step=False)
+        single_rows, dense, single_error = take_segment(
+            single, capacity, first, end, per_step=True)
         assert error == single_error
         assert solver_state(whole) == solver_state(single)
+        assert rows == single_rows
         steps = [i for i, _ in dense]
         assert steps[0] == first and steps == list(range(first, steps[-1] + 1, stride))
         got = dict(rows)
         assert len(got) == len(rows) and list(got) == sorted(got)
-        assert first in got and set(got) <= set(steps)
-        scored = None
+        assert set(got) <= set(steps)
+        scored = previous = before
         for i, value in dense:
             scored = got.get(i, scored)
             assert scored == value, (n_seg, i)
+            assert value == previous or i in got, (n_seg, i)
+            previous = value
         if algo == "posdc" and n_seg == 1:
             if case == "repair-cap":
                 assert error is not None and whole.repair_steps == cap + 1
@@ -1246,6 +1293,8 @@ def test_segment_step_equals_single_steps(case, algo, kind):
             assert whole.repair is None
             if case == "repair-ends-mid-segment":
                 assert 4 <= whole.repair_steps < end - 1
+            else:  # seeded at the capacity change, before any step
+                assert whole.repair_steps == 3
         assert error is None
     assert algo != "posdc" or whole.archive_size() > 1
 
