@@ -123,3 +123,11 @@ def test_defaults_from_instance():
     assert default_initial_capacity(inst) == round(0.5 * total_w)
     assert default_initial_capacity(inst, 0.25) == round(0.25 * total_w)
     assert default_clamp_bounds(inst) == (1, total_w)
+
+
+def test_csv_rows_cover_every_iteration():
+    sched = build_schedule(100, 10, 5, 5, 40, 1, 1000, seed=2)
+    rows = list(enumerate(sched.capacities().tolist()))
+    assert len(rows) == 40
+    assert rows[0] == (0, 100)
+    assert all(rows[i][1] == sched.capacity_at(i) for i in range(40))
