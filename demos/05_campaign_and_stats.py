@@ -23,8 +23,7 @@ for i, cell in enumerate(result.cells, start=1):
 
 print(f"\n{'variant':>22} {'mean phi':>10} {'std':>8}   stat")
 for row in result.summary_rows:
-    cell = row["cell"]
-    print(f"{cell.algo + '-' + cell.bound:>22} {row['mean']:>10.1f} "
+    print(f"{row['algo'] + '-' + row['bound']:>22} {row['mean']:>10.1f} "
           f"{row['std']:>8.1f}   {row['stat']}")
 
 groups = [[result.records[(c, j)].total_offline_error for j in range(config.runs)]

@@ -278,9 +278,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     # the summary is a function of runs.csv alone, so `dcckp summarize`
     # reproduces summary.csv from it
     summary_rows = summarize_runs_csv(runs_csv)
-    cell_of = {cell.cell_id: cell for cell in cells}
-    for row in summary_rows:
-        row["cell"] = cell_of[row["cell_id"]]
     summary_csv = format_summary_csv(summary_rows)
 
     result = CampaignResult(config=config, cells=cells, records=records,

@@ -246,21 +246,21 @@ class OnePlusOneEA:
 class _Archive:
     """Non-dominated store over (profit, capacity bound).
 
-    The members sit in five lists in insertion order, which parent draws
-    index. ``_c`` and ``_p`` mirror them in ascending C*; no member weakly
-    dominates another, so profit rises along C* too, and a dominance query
-    is a binary search.
+    ``members`` holds (bits, p, w, k, cstar) tuples in ascending C*, the
+    order parent draws index. No member weakly dominates another, so profit
+    rises along C* too: the last member has the most profit and the first
+    the smallest C*. ``_c`` and ``_p`` are the members' keys in the same
+    order, so a dominance query is a binary search.
     """
 
-    __slots__ = ("bits", "p", "w", "k", "cstar", "_c", "_p")
+    __slots__ = ("members", "_c", "_p")
 
     def __init__(self):
-        self.bits, self.p, self.w, self.k, self.cstar = [], [], [], [], []
-        self._c, self._p = [], []
+        self.members, self._c, self._p = [], [], []
 
     @property
     def size(self) -> int:
-        return len(self.p)
+        return len(self.members)
 
     def has_weak_dominator(self, p: int, cstar: float) -> bool:
         # the last member with C* <= cstar has the most profit among them
@@ -268,58 +268,31 @@ class _Archive:
         return i > 0 and self._p[i - 1] >= p
 
     def insert(self, bits, p, w, k, cstar):
-        """Insert a member and drop everything it weakly dominates; the
-        survivors keep their order. The caller must have checked
+        """Insert a member in C* order in place of the run of members it
+        weakly dominates. The caller must have checked
         ``has_weak_dominator`` first."""
-        sorted_c, sorted_p = self._c, self._p
-        lo = bisect_left(sorted_c, cstar)
-        hi = bisect_right(sorted_p, p, lo)  # [lo, hi): C* >= cstar, profit <= p
-        if lo != hi:
-            cs = self.cstar
-            for c in sorted_c[lo:hi]:  # C* values are distinct in a front
-                j = cs.index(c)
-                del self.bits[j], self.p[j], self.w[j], self.k[j], cs[j]
-            del sorted_c[lo:hi], sorted_p[lo:hi]
-        sorted_c.insert(lo, cstar)
-        sorted_p.insert(lo, p)
-        self.bits.append(bits)
-        self.p.append(p)
-        self.w.append(w)
-        self.k.append(k)
-        self.cstar.append(cstar)
+        lo = bisect_left(self._c, cstar)
+        hi = bisect_right(self._p, p, lo)  # [lo, hi): C* >= cstar, profit <= p
+        self.members[lo:hi] = [(bits, p, w, k, cstar)]
+        self._c[lo:hi] = [cstar]
+        self._p[lo:hi] = [p]
 
-    def extend(self, bits, p, w, k, cstar):
-        """Bulk append of members that no member weakly dominates."""
-        self.bits += bits
-        self.p += p
-        self.w += w
-        self.k += k
-        self.cstar += cstar
-        by_cstar = sorted(zip(self.cstar, self.p))
-        self._c = [c for c, _ in by_cstar]
-        self._p = [q for _, q in by_cstar]
-
-    def max_profit_index(self) -> int:
-        """Index of the highest-profit member."""
-        return self.cstar.index(self._c[-1])
-
-    def min_cstar_index(self) -> int:
-        """Index of the smallest-C* member."""
-        return self.cstar.index(self._c[0])
-
-    def member(self, i: int):
-        return self.bits[i], self.p[i], self.w[i], self.k[i], self.cstar[i]
+    def extend(self, members):
+        """Append members that continue the front: C* and profit both rise
+        along them, from above the last member's."""
+        self.members += members
+        self._c += [m[4] for m in members]
+        self._p += [m[1] for m in members]
 
 
-def _pareto_keep_mask(p, cstar) -> list:
-    """Mask of members not weakly dominated by any other (distinct C* values
-    assumed, which the archive construction guarantees)."""
-    keep = [False] * len(p)
+def _pareto_keep_mask(p) -> list:
+    """Mask of the members that no other weakly dominates, for profits
+    listed in ascending, distinct C*: a running profit maximum."""
+    keep = []
     best = -math.inf
-    for i in sorted(range(len(p)), key=cstar.__getitem__):
-        if p[i] > best:
-            keep[i] = True
-            best = p[i]
+    for q in p:
+        keep.append(q > best)
+        best = max(best, q)
     return keep
 
 
@@ -378,10 +351,10 @@ class Posdc:
         Returns (bits, profit, expected_weight_sum, count, cstar); raises when
         both archives are empty (still repairing).
         """
-        if self.s_minus.size:
-            return self.s_minus.member(self.s_minus.max_profit_index())
-        if self.s_plus.size:
-            return self.s_plus.member(self.s_plus.min_cstar_index())
+        if self.s_minus.members:
+            return self.s_minus.members[-1]
+        if self.s_plus.members:
+            return self.s_plus.members[0]
         raise RuntimeError("POSDC archives are empty (repair still running)")
 
     def step(self, capacity: int, first: int, end: int, record):
@@ -392,20 +365,14 @@ class Posdc:
         sm, sp = self.s_minus, self.s_plus
         minus_dominated, plus_dominated = sm.has_weak_dominator, sp.has_weak_dominator
         # the lists change in place until the next ``on_change``
-        m_bits, m_p, m_w, m_k = sm.bits, sm.p, sm.w, sm.k
-        p_bits, p_p, p_w, p_k = sp.bits, sp.p, sp.w, sp.k
+        minus, plus = sm.members, sp.members
         low, high = capacity - self.eta, capacity + self.eta
-        m = len(m_p)
-        size = m + len(p_p)
+        m = len(minus)
+        size = m + len(plus)
         for i in range(first, end):
             j = below(size)
-            if j < m:
-                parent = m_bits[j]
-                child = mutate(flips, parent, m_p[j], m_w[j], m_k[j])
-            else:
-                j -= m
-                parent = p_bits[j]
-                child = mutate(flips, parent, p_p[j], p_w[j], p_k[j])
+            parent, p, w, k, _ = minus[j] if j < m else plus[j - m]
+            child = mutate(flips, parent, p, w, k)
             # no flip leaves a duplicate of an archived member, which is
             # always weakly dominated
             if child is not None:
@@ -414,12 +381,12 @@ class Posdc:
                 if low <= c < capacity:
                     if not minus_dominated(p, c):
                         sm.insert(_flipped(parent, positions), p, w, k, c)
-                        m = len(m_p)
-                        size = m + len(p_p)
+                        m = len(minus)
+                        size = m + len(plus)
                         record(i)
                 elif capacity <= c <= high and not plus_dominated(p, c):
                     sp.insert(_flipped(parent, positions), p, w, k, c)
-                    size = m + len(p_p)
+                    size = m + len(plus)
                     if not m:
                         record(i)
 
@@ -454,20 +421,19 @@ class Posdc:
             self._end_repair(capacity)
             return
         designated = self.best()
-        low, high = capacity - self.eta, capacity + self.eta
-        minus, plus = [], []
-        for arc in (self.s_minus, self.s_plus):
-            for row in zip(arc.bits, arc.p, arc.w, arc.k, arc.cstar):
-                if low <= row[4] <= high:
-                    (minus if row[4] < capacity else plus).append(row)
+        # every S- member's C* is below every S+ member's, so S- then S+ is
+        # one list in ascending C*; the new window and its sides are runs
+        members = self.s_minus.members + self.s_plus.members
+        cs = self.s_minus._c + self.s_plus._c
+        lo = bisect_left(cs, capacity - self.eta)
+        mid = bisect_left(cs, capacity, lo)
+        hi = bisect_right(cs, capacity + self.eta, mid)
         self.s_minus = _Archive()
         self.s_plus = _Archive()
-        for side, rows in ((self.s_minus, minus), (self.s_plus, plus)):
-            if rows:
-                cols = list(zip(*rows))
-                keep = _pareto_keep_mask(cols[1], cols[4])
-                side.extend(*([v for v, kept in zip(col, keep) if kept]
-                              for col in cols))
+        for side, run in ((self.s_minus, members[lo:mid]),
+                          (self.s_plus, members[mid:hi])):
+            keep = _pareto_keep_mask([row[1] for row in run])
+            side.extend([row for row, kept in zip(run, keep) if kept])
         if self.archive_size() == 0:
             self._seed(*designated, capacity)
 
@@ -578,26 +544,32 @@ class Nsga2:
         for front in _fronts(self.ranks):
             self.crowd[front] = crowding_distances(self.p[front], self.cstar[front])
 
-    def _consider(self, bits, p, w, k, capacity):
-        """Fold freshly evaluated individuals into the tracked best feasible."""
+    def _consider(self, bits, p, w, k, capacity) -> bool:
+        """Fold freshly evaluated individuals into the tracked best feasible;
+        returns whether it was replaced."""
         best = self.best_feasible
         if best is not None and p.max() <= best[0]:
-            return  # no row could replace it
+            return False  # no row could replace it
         bound = self.ctx.bound
         feas = bound.tail_array(w, k, capacity) <= bound.alpha
         if not feas.any():
-            return
+            return False
         idx = np.flatnonzero(feas)
         j = idx[np.argmax(p[idx])]
         if best is None or p[j] > best[0]:
             self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+            return True
+        return False
 
     def step(self, capacity: int, first: int, end: int, record):
+        # the designated solution is the tracked best feasible, which changes
+        # only when replaced, or else follows the population
         for i in range(first, end, self.stride):
-            self.generation(capacity)
-            record(i)
+            if self.generation(capacity) or self.best_feasible is None:
+                record(i)
 
-    def generation(self, capacity: int):
+    def generation(self, capacity: int) -> bool:
+        """One generation; returns whether it replaced the best feasible."""
         rng = self.rng
         pop, n = self.pop_size, self.ctx.n
         ranks, crowd = self.ranks, self.crowd
@@ -618,7 +590,7 @@ class Nsga2:
         children ^= (rng.random((pop, n)) < self.ctx.inv_n).view(np.uint8)
 
         cp, cw, ck, c_cstar = self._evaluate(children)
-        self._consider(children, cp, cw, ck, capacity)
+        replaced = self._consider(children, cp, cw, ck, capacity)
 
         # elitist survival over parents + children: whole fronts by depth,
         # then the most crowding-distant members of the front that overflows
@@ -653,6 +625,7 @@ class Nsga2:
         for lo, hi in zip(edges, edges[1:]):
             self.crowd[lo:hi] = crowding_distances(self.p[lo:hi], self.cstar[lo:hi])
         self.generations += 1
+        return replaced
 
     def on_change(self, capacity: int):
         self.best_feasible = None

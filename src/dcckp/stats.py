@@ -85,8 +85,11 @@ def pairwise_labels(named_groups, family_alpha: float = 0.05) -> dict:
 
     ``named_groups`` maps group name -> samples (lower values are better).
     Returns {(a, b): '+' | '-' | '*'} over all ordered pairs, '*' on the
-    diagonal; the matrix is antisymmetric in '+'/'-'.
+    diagonal; the matrix is antisymmetric in '+'/'-'. ``family_alpha`` must
+    lie in (0, 1).
     """
+    if not 0.0 < family_alpha < 1.0:
+        raise ValueError(f"family_alpha must lie in (0, 1), got {family_alpha}")
     names = list(named_groups)
     if len(names) < 2:
         raise ValueError("need at least two named groups")

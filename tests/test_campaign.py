@@ -103,7 +103,7 @@ def test_runs_csv_schema_and_summary_consistency():
     # recomputing the summary from the CSV text reproduces it exactly
     recomputed = {r["cell_id"]: r for r in summarize_runs_csv(result.runs_csv)}
     for row in result.summary_rows:
-        again = recomputed[row["cell"].cell_id]
+        again = recomputed[row["cell_id"]]
         assert again["mean"] == row["mean"]
         assert again["std"] == row["std"]
         assert again["stat"] == row["stat"]
@@ -112,7 +112,7 @@ def test_runs_csv_schema_and_summary_consistency():
 def test_stat_labels_antisymmetric_in_summary():
     cfg = CampaignConfig(**{**TINY, "runs": 4, "total_iters": 400})
     result = run_campaign(cfg)
-    stats = {row["cell"].cell_id: row["stat"] for row in result.summary_rows}
+    stats = {row["cell_id"]: row["stat"] for row in result.summary_rows}
     ids = [c.cell_id for c in result.cells]
     # two cells: each stat column refers to the other with a mirrored label
     flip = {"+": "-", "-": "+", "*": "*"}

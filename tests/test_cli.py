@@ -57,6 +57,30 @@ def test_run_and_summarize_and_stats(capsys, tmp_path):
     assert "H=" in out and "(1)" in out and "(2)" in out
 
 
+def write_runs_csv(path, errors):
+    """A runs.csv of one setting: cell id suffix -> total offline errors."""
+    lines = ["cell_id,algo,bound,r,tau,delta,alpha,run_seed,"
+             "total_offline_error,feasible_fraction,change_count"]
+    for suffix, values in errors.items():
+        algo, bound = suffix.split("-")
+        lines += [f"uncorrelated-n10-d25-r300-t150-a0.01-{suffix},{algo},{bound},"
+                  f"300,150,25,0.01,{j},{v!r},1.0,2" for j, v in enumerate(values)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("family_alpha", ["5", "1", "0", "-1", "nan"])
+def test_stats_rejects_family_alpha_outside_unit_interval(capsys, tmp_path, family_alpha):
+    runs_csv = tmp_path / "runs.csv"
+    write_runs_csv(runs_csv, {"ea11-chernoff": [1.0, 3.0, 5.0, 7.0],
+                              "posdc-chernoff": [2.0, 4.0, 6.0, 8.0]})
+    code, out, _ = run_cli(capsys, "stats", str(runs_csv))
+    assert code == 0 and "(1) uncorrelated" in out and "(*)" in out
+    code, out, err = run_cli(capsys, "stats", str(runs_csv),
+                             "--family-alpha", family_alpha)
+    assert code == 1 and out == ""
+    assert "family_alpha must lie in (0, 1)" in err
+
+
 def test_summarize_reproduces_campaign_summary(capsys, tmp_path):
     out_dir = tmp_path / "camp"
     code, _, _ = run_cli(

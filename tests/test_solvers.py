@@ -154,8 +154,8 @@ def test_posdc_dominates_cases():
     arc = archive((10, 5), (8, 3), (12, 9))
     assert arc.size == 3
     arc.insert(bits, 11, 0, 0, 4)
-    # survivors keep their order and the new member comes last
-    assert list(zip(arc.p, arc.cstar)) == [(8, 3.0), (12, 9.0), (11, 4.0)]
+    # the new member takes the dominated member's place in C* order
+    assert keys(arc) == [(8, 3.0), (11, 4.0), (12, 9.0)]
 
 
 # -- mutation -----------------------------------------------------------------
@@ -304,6 +304,11 @@ def dummy_bits(n=6):
     return bytearray(n)
 
 
+def keys(arc):
+    """(profit, C*) of each member, in the archive's order."""
+    return [(p, c) for _, p, _, _, c in arc.members]
+
+
 def fresh_posdc(capacity=1000, eta=500, alpha=0.5, kind=CHEBYSHEV):
     inst, ctx = make_ctx(n=6, alpha=alpha, kind=kind)
     pos = Posdc(ctx, np.random.default_rng(0), capacity, eta)
@@ -318,8 +323,7 @@ def test_archive_strict_dominance_replacement():
     pos.s_minus.insert(dummy_bits(), 10, 90, 1, 90.0)
     assert not pos.s_minus.has_weak_dominator(12, 85.0)
     pos.s_minus.insert(dummy_bits(), 12, 85, 1, 85.0)
-    assert pos.s_minus.size == 1
-    assert pos.s_minus.p[0] == 12 and pos.s_minus.cstar[0] == 85.0
+    assert keys(pos.s_minus) == [(12, 85.0)]
 
 
 def test_archive_rejects_exact_duplicates():
@@ -342,15 +346,14 @@ def test_archive_growth_preserves_members():
     for i in range(200):  # strictly improving profit with worse cstar: all kept
         arc.insert(dummy_bits(), 10 + i, 100, 1, 100.0 + i)
     assert arc.size == 200
-    assert arc.p == list(range(10, 210))
-    assert arc.cstar == [100.0 + i for i in range(200)]
+    assert keys(arc) == [(10 + i, 100.0 + i) for i in range(200)]
 
 
 class ReferenceArchive:
     """The numpy archive that the list archive replaced: parallel columns
     grown by doubling, a vectorised dominance scan, and compaction of the
-    survivors on insert. Its insertion order is the one parent draws index,
-    so the list archive must reproduce it exactly."""
+    survivors on insert, in insertion order. The list archive must hold the
+    same members in C* order and designate the same one."""
 
     def __init__(self, n, capacity_hint=4):
         self.bits = np.empty((capacity_hint, n), np.uint8)
@@ -451,17 +454,25 @@ def reference_on_change(minus, plus, capacity, eta, n):
     return sides
 
 
-def assert_same_members(arc, ref):
+def assert_same_members(arc, ref, designated):
+    """``arc.members`` are the reference's rows stably sorted by C*, and the
+    member at ``designated`` (-1 on S-, 0 on S+) is the row the reference
+    designates on that side."""
     bits, p, w, k, cstar = ref.rows()
-    assert arc.p == p.tolist() and arc.cstar == cstar.tolist()
-    assert arc.w == w.tolist() and arc.k == k.tolist()
-    assert [bytes(b) for b in arc.bits] == [row.tobytes() for row in bits]
+    rows = [(b.tobytes(), *row) for b, row in
+            zip(bits, zip(p.tolist(), w.tolist(), k.tolist(), cstar.tolist()))]
+    members = [(bytes(b), *row) for b, *row in arc.members]
+    order = np.argsort(cstar, kind="stable")
+    assert members == [rows[i] for i in order]
+    if ref.size:
+        i = ref.max_profit_index() if designated == -1 else ref.min_cstar_index()
+        assert members[designated] == rows[i]
 
 
 def test_archive_matches_numpy_reference():
     """Seeded streams of dominance queries, inserts and capacity changes
-    leave the list archives with the members of the numpy reference, in the
-    same insertion order, and designate the same member."""
+    leave the list archives with the members of the numpy reference, in C*
+    order, and designate the same member."""
     rng = np.random.default_rng(2027)
     eta = 30
     for trial in range(12):
@@ -495,12 +506,8 @@ def test_archive_matches_numpy_reference():
                 if not dominated:
                     arc.insert(bytearray(bits), p, w, k, c)
                     ref.insert(bits, p, w, k, c)
-            assert_same_members(pos.s_minus, ref_minus)
-            assert_same_members(pos.s_plus, ref_plus)
-            if ref_minus.size:
-                assert pos.s_minus.max_profit_index() == ref_minus.max_profit_index()
-            if ref_plus.size:
-                assert pos.s_plus.min_cstar_index() == ref_plus.min_cstar_index()
+            assert_same_members(pos.s_minus, ref_minus, -1)
+            assert_same_members(pos.s_plus, ref_plus, 0)
             if pos.archive_size():
                 got = pos.best()
                 want = reference_best(ref_minus, ref_plus)
@@ -525,14 +532,12 @@ def test_posdc_best_s_plus_min_cstar_when_s_minus_empty():
 
 
 def check_sorted_view(arc):
-    """The C*-sorted view holds exactly the members, with C* and profit both
-    strictly ascending, and its ends are the designated members."""
-    assert list(zip(arc._c, arc._p)) == sorted(zip(arc.cstar, arc.p))
-    assert all(a < b for a, b in zip(arc._c, arc._c[1:]))
-    assert all(a < b for a, b in zip(arc._p, arc._p[1:]))
-    if arc.size:
-        assert arc.p[arc.max_profit_index()] == max(arc.p)
-        assert arc.cstar[arc.min_cstar_index()] == min(arc.cstar)
+    """C* and profit both rise strictly along the members, so the last has
+    the most profit and the first the smallest C*, and ``_c``/``_p`` are
+    the members' keys in the same order."""
+    points = keys(arc)
+    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(points, points[1:]))
+    assert arc._c == [c for _, c in points] and arc._p == [p for p, _ in points]
 
 
 def test_archive_sorted_view_strictly_ascending():
@@ -543,19 +548,17 @@ def test_archive_sorted_view_strictly_ascending():
         arc = _Archive()
         points = [(int(p), float(c)) for p, c in
                   zip(rng.integers(0, 40, 60), rng.integers(0, 40, 60))]
-        front = [m for m in set(points)
-                 if not any(o != m and o[0] >= m[0] and o[1] <= m[1]
-                            for o in points)]
-        rng.shuffle(front)
+        front = sorted((c, p) for p, c in set(points)
+                       if not any(o != (p, c) and o[0] >= p and o[1] <= c
+                                  for o in points))
         half = len(front) // 2
-        for batch in (front[:half], front[half:]):
-            arc.extend([dummy_bits()] * len(batch), [p for p, _ in batch],
-                       [0] * len(batch), [0] * len(batch), [c for _, c in batch])
+        for batch in (front[:half], front[half:]):  # a bulk build in two parts
+            arc.extend([(dummy_bits(), p, 0, 0, c) for c, p in batch])
             check_sorted_view(arc)
-        assert sorted(zip(arc.p, arc.cstar)) == sorted(front)
+        assert keys(arc) == [(p, c) for c, p in front]
         for p, c in zip(rng.integers(0, 60, 300), rng.integers(0, 60, 300)):
             p, c = int(p), float(c)
-            dominated = any(q >= p and d <= c for q, d in zip(arc.p, arc.cstar))
+            dominated = any(q >= p and d <= c for q, d in keys(arc))
             assert arc.has_weak_dominator(p, c) == dominated
             if not dominated:
                 arc.insert(dummy_bits(), p, 0, 0, c)
@@ -579,8 +582,7 @@ def check_archive_invariants(pos, capacity, allow_out_of_window=0):
     for arc, lo, hi in ((pos.s_minus, capacity - pos.eta, capacity),
                         (pos.s_plus, capacity, capacity + pos.eta)):
         s = arc.size
-        p, c = arc.p, arc.cstar
-        assert len(arc.bits) == len(arc.w) == len(arc.k) == len(c) == s
+        p, c = zip(*keys(arc)) if s else ((), ())
         # pairwise weak-dominance check (oracle-style, O(s^2))
         for i in range(s):
             for j in range(s):
@@ -593,6 +595,9 @@ def check_archive_invariants(pos, capacity, allow_out_of_window=0):
         out_of_window += s - inside
         check_sorted_view(arc)
     assert out_of_window <= allow_out_of_window
+    # S- then S+ is one run of ascending C*
+    if pos.s_minus.size and pos.s_plus.size:
+        assert pos.s_minus.members[-1][4] < pos.s_plus.members[0][4]
 
 
 def test_posdc_archive_invariants_static():
@@ -605,7 +610,7 @@ def test_posdc_archive_invariants_static():
             check_archive_invariants(pos, capacity)
     # every member's aggregates match its bits
     for arc in (pos.s_minus, pos.s_plus):
-        for bits, p, w, k, c in zip(arc.bits, arc.p, arc.w, arc.k, arc.cstar):
+        for bits, p, w, k, c in arc.members:
             x = np.frombuffer(bits, np.uint8)
             assert (p, w, k) == (int(x @ inst.profit_array()),
                                  int(x @ inst.weight_array()), int(x.sum()))
@@ -621,8 +626,7 @@ def test_posdc_on_change_matches_reclassification_oracle():
         run_posdc_steps(pos, capacity, 3000)
         if pos.repair is not None:
             continue
-        before = [(p, c) for arc in (pos.s_minus, pos.s_plus)
-                  for p, c in zip(arc.p, arc.cstar)]
+        before = keys(pos.s_minus) + keys(pos.s_plus)
         best_p = pos.best()[1]
         new_c = capacity + int(rng.integers(-400, 401))
         pos.on_change(new_c)
@@ -637,8 +641,7 @@ def test_posdc_on_change_matches_reclassification_oracle():
                 if not any(o != m and o[0] >= m[0] and o[1] <= m[1]
                            for o in side_members):
                     expect.add(m)
-        got = {(p, c) for arc in (pos.s_minus, pos.s_plus)
-               for p, c in zip(arc.p, arc.cstar)}
+        got = set(keys(pos.s_minus) + keys(pos.s_plus))
         if expect:
             assert got == expect
             check_archive_invariants(pos, new_c)
@@ -652,12 +655,9 @@ def test_posdc_on_change_identity_keeps_members():
     capacity = int(0.5 * inst.total_expected_weight())
     pos = Posdc(ctx, np.random.default_rng(1), capacity, eta=500)
     run_posdc_steps(pos, capacity, 2000)
-    before = {(int(p), float(c)) for arc in (pos.s_minus, pos.s_plus)
-              for p, c in zip(arc.p[:arc.size], arc.cstar[:arc.size])}
+    before = (list(pos.s_minus.members), list(pos.s_plus.members))
     pos.on_change(capacity)
-    after = {(int(p), float(c)) for arc in (pos.s_minus, pos.s_plus)
-             for p, c in zip(arc.p[:arc.size], arc.cstar[:arc.size])}
-    assert before == after
+    assert (pos.s_minus.members, pos.s_plus.members) == before
 
 
 def test_posdc_shift_by_eta_moves_plus_members_into_minus_interval():
@@ -665,10 +665,7 @@ def test_posdc_shift_by_eta_moves_plus_members_into_minus_interval():
     pos.s_plus.insert(dummy_bits(), 10, 1200, 2, 1200.0)
     pos.s_plus.insert(dummy_bits(), 20, 1400, 3, 1400.0)
     pos.on_change(1500)
-    got_minus = {(int(p), float(c)) for p, c in
-                 zip(pos.s_minus.p[:pos.s_minus.size],
-                     pos.s_minus.cstar[:pos.s_minus.size])}
-    assert got_minus == {(10, 1200.0), (20, 1400.0)}
+    assert keys(pos.s_minus) == [(10, 1200.0), (20, 1400.0)]
     assert pos.s_plus.size == 0
 
 
@@ -678,7 +675,7 @@ def test_posdc_reseeds_out_of_window_survivor():
     pos.on_change(3000)  # window [2900, 3100] contains nothing
     assert pos.archive_size() == 1
     assert pos.s_minus.size == 1  # cstar 950 < 3000 lands on the feasible side
-    assert pos.s_minus.p == [15] and pos.s_minus.cstar == [950.0]
+    assert keys(pos.s_minus) == [(15, 950.0)]
     # invariant allows exactly this one out-of-window survivor
     check_archive_invariants(pos, 3000, allow_out_of_window=1)
 
@@ -892,6 +889,31 @@ def test_nsga2_on_change_resets_best():
     if alg.best_feasible is not None:
         p, w, k, _ = alg.best_feasible
         assert ctx.bound.tail(w, k, tight) <= 0.01
+
+
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_nsga2_records_only_when_the_best_feasible_changes(kind):
+    """A generation records when it replaces the tracked best feasible
+    solution, or while there is none (the fallback designation follows the
+    population); a stretch that never replaces it records nothing beyond the
+    driver's stretch-start record."""
+    inst, ctx = make_ctx(n=12, kind=kind, seed=5)
+    rows = []
+    alg = Nsga2(ctx, np.random.default_rng(3), 1)
+    alg.step(1, 0, 100, rows.append)  # nothing is feasible below one unit
+    assert alg.best_feasible is None and rows == list(range(0, 100, 20))
+
+    capacity = 10 * inst.total_expected_weight()  # every subset is feasible
+    alg.on_change(capacity)
+    profits = [alg.best_feasible[0]]
+    alg.step(capacity, 100, 4100, lambda i: profits.append(alg.best_feasible[0]))
+    # one record per replacement, each by a higher profit, up to all items
+    assert len(profits) > 1 and profits == sorted(set(profits))
+    assert profits[-1] == int(inst.profit_array().sum())
+    best = alg.best_feasible
+    rows.clear()
+    alg.step(capacity, 4100, 4300, rows.append)
+    assert alg.generations == 215 and alg.best_feasible is best and rows == []
 
 
 def matrix_fronts(profits, cap_bounds):
@@ -1200,8 +1222,8 @@ def solver_state(solver):
     if isinstance(solver, OnePlusOneEA):
         return bytes(solver.bits), solver.p, solver.w, solver.k, solver.flips.t, rng
     repair = solver.repair and (bytes(solver.repair[0]), *solver.repair[1:])
-    archives = [([bytes(b) for b in arc.bits], arc.p, arc.w, arc.k, arc.cstar,
-                 arc._c, arc._p) for arc in (solver.s_minus, solver.s_plus)]
+    archives = [([(bytes(b), *row) for b, *row in arc.members], arc._c, arc._p)
+                for arc in (solver.s_minus, solver.s_plus)]
     return (repair, solver.repair_steps, archives, solver.flips.t,
             solver.parents._next, rng)
 

@@ -116,6 +116,14 @@ def test_tightening_alpha_never_creates_significance():
             assert loose[pair] == label
 
 
+@pytest.mark.parametrize("family_alpha", [5.0, 1.0, 0.0, -1.0, math.nan])
+def test_pairwise_labels_rejects_family_alpha_outside_unit_interval(family_alpha):
+    named = {"a": [1.0, 2.0, 3.0], "b": [10.0, 11.0, 12.0]}
+    with pytest.raises(ValueError, match="family_alpha"):
+        pairwise_labels(named, family_alpha=family_alpha)
+    assert pairwise_labels(named, family_alpha=0.999)[("a", "b")] == BETTER
+
+
 def test_format_stat_column():
     names = ["alg1", "alg2", "alg3"]
     labels = {("alg2", "alg1"): BETTER, ("alg2", "alg3"): SAME,
