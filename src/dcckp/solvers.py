@@ -444,61 +444,63 @@ class Posdc:
         return p, self.ctx.bound.certified(w, k, capacity)
 
 
-def _front_ranks(profits, cap_bounds) -> np.ndarray:
-    """Front depth of each point under (maximize profit, minimize capacity
-    bound), 0 for the non-dominated front.
+def _fronts(profits, cap_bounds) -> list:
+    """Indices of each front under (maximize profit, minimize capacity
+    bound), by depth, ascending within each front; takes numpy arrays.
 
     A sweep for two objectives (Jensen, IEEE TEC 7(5), 2003): points are
     visited by falling profit, then rising bound, and each joins the first
-    front whose latest member does not dominate it. A front's latest member
-    has the smallest key (bound, -profit) in the front, and it dominates a
-    later point exactly when its key is smaller, so the latest keys stay
-    sorted and a binary search places each point.
+    front whose latest member does not dominate it, which is the first whose
+    latest bound exceeds its own, since every earlier point has at least its
+    profit; an exact duplicate joins its twin's front, visited just before.
+    The latest bounds stay sorted, so a binary search places each point.
     """
-    p = np.asarray(profits)
-    c = np.asarray(cap_bounds)
-    ps, cs = p.tolist(), c.tolist()
-    ranks = [0] * len(ps)
-    latest = []
-    for i in np.lexsort((c, -p)).tolist():
-        key = (cs[i], -ps[i])
-        depth = bisect_left(latest, key)
-        if depth == len(latest):
-            latest.append(key)
-        else:
-            latest[depth] = key
-        ranks[i] = depth
-    return np.array(ranks, np.int64)
-
-
-def _fronts(ranks):
-    """Indices of each front, by depth, ascending within each front."""
-    if not len(ranks):
-        return []
-    order = np.argsort(ranks, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(ranks))[:-1])
+    ps, cs = profits.tolist(), cap_bounds.tolist()
+    fronts, latest = [], []
+    last_p = last_c = None
+    for i in np.lexsort((cap_bounds, -profits)).tolist():
+        p, c = ps[i], cs[i]
+        if c != last_c or p != last_p:
+            depth = bisect_right(latest, c)
+            if depth == len(latest):
+                latest.append(c)
+                fronts.append([])
+            else:
+                latest[depth] = c
+            last_p, last_c = p, c
+        fronts[depth].append(i)
+    for front in fronts:
+        front.sort()
+    return fronts
 
 
 def fast_nondominated_sort(profits, cap_bounds):
     """Front indices under (maximize profit, minimize capacity bound), each
     front in ascending index order."""
-    return _fronts(_front_ranks(np.asarray(profits, np.float64),
-                               np.asarray(cap_bounds, np.float64)))
+    fronts = _fronts(np.asarray(profits, np.float64), np.asarray(cap_bounds, np.float64))
+    return [np.array(front, np.int64) for front in fronts]
 
 
-def crowding_distances(profits, cap_bounds) -> np.ndarray:
-    """Crowding distance within one front; boundary members get +inf."""
+def crowding_distances(profits, cap_bounds) -> list:
+    """Crowding distance of each member of one non-dominated front, given as
+    two sequences; boundary members get +inf.
+
+    Along a front profit and capacity bound rise together, and equal profit
+    forces an equal bound (the other member would dominate), so one stable
+    sort by profit orders both objectives, ties included.
+    """
     m = len(profits)
-    d = np.zeros(m)
-    if m <= 2:
-        d[:] = np.inf
-        return d
-    for obj in (np.asarray(profits, np.float64), np.asarray(cap_bounds, np.float64)):
-        order = np.argsort(obj, kind="stable")
-        d[order[0]] = d[order[-1]] = np.inf
-        spread = obj[order[-1]] - obj[order[0]]
-        if spread > 0:
-            d[order[1:-1]] += (obj[order[2:]] - obj[order[:-2]]) / spread
+    d = [math.inf] * m
+    if m > 2:
+        order = sorted(range(m), key=profits.__getitem__)
+        lo, hi = order[0], order[-1]
+        # both spreads are 0 only on a front of equal members, whose
+        # differences are 0 too
+        p_spread = profits[hi] - profits[lo] or 1
+        c_spread = cap_bounds[hi] - cap_bounds[lo] or 1
+        for a, i, b in zip(order, order[1:], order[2:]):
+            d[i] = ((profits[b] - profits[a]) / p_spread
+                    + (cap_bounds[b] - cap_bounds[a]) / c_spread)
     return d
 
 
@@ -506,11 +508,14 @@ class Nsga2:
     """NSGA-II on (profit up, capacity bound down) with a tracked best
     feasible solution for the current capacity.
 
-    The population's front ranks and crowding distances are kept between
-    generations (``ranks``, ``crowd``). The objectives do not depend on the
-    capacity, so the survivors' ranks among parents and children are their
-    ranks among themselves (Deb et al., IEEE TEC 6(2), 2002), and the next
-    tournaments need no sort of their own.
+    Each individual's (profit, expected weight, item count) is one row of
+    the int64 matrix ``pwk``, whose columns ``p``, ``w`` and ``k`` are views,
+    so survival moves all three with one gather. The population's front ranks
+    and crowding distances are kept between generations (``ranks``,
+    ``crowd``). The objectives do not depend on the capacity, so the
+    survivors' ranks among parents and children are their ranks among
+    themselves (Deb et al., IEEE TEC 6(2), 2002), and the next tournaments
+    need no sort of their own.
     """
 
     name = "nsga2"
@@ -532,34 +537,41 @@ class Nsga2:
         self._consider(self.bits, self.p, self.w, self.k, capacity)
 
     def _evaluate(self, bits):
-        """(profit, expected weight, item count, C*) of each row of ``bits``."""
-        p, w, k = (bits @ self._totals).astype(np.int64).T
-        return p, w, k, self.ctx.bound.cstar_array(w, k)
+        """The (profit, expected weight, item count) rows of ``bits`` as one
+        int64 matrix, and the C* of each row."""
+        pwk = (bits @ self._totals).astype(np.int64)
+        return pwk, self.ctx.bound.cstar_array(pwk[:, 1], pwk[:, 2])
 
     def _evaluate_population(self):
         """Evaluate ``bits`` and rank the population from scratch."""
-        self.p, self.w, self.k, self.cstar = self._evaluate(self.bits)
-        self.ranks = _front_ranks(self.p, self.cstar)
-        self.crowd = np.empty(self.pop_size)
-        for front in _fronts(self.ranks):
-            self.crowd[front] = crowding_distances(self.p[front], self.cstar[front])
+        self.pwk, self.cstar = self._evaluate(self.bits)
+        self.ranks = [0] * self.pop_size
+        self.crowd = [0.0] * self.pop_size
+        ps, cs = self.p.tolist(), self.cstar.tolist()
+        for depth, front in enumerate(_fronts(self.p, self.cstar)):
+            distances = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
+            for i, d in zip(front, distances):
+                self.ranks[i], self.crowd[i] = depth, d
+
+    p = property(lambda self: self.pwk[:, 0])
+    w = property(lambda self: self.pwk[:, 1])
+    k = property(lambda self: self.pwk[:, 2])
 
     def _consider(self, bits, p, w, k, capacity) -> bool:
-        """Fold freshly evaluated individuals into the tracked best feasible;
-        returns whether it was replaced."""
+        """Fold freshly evaluated individuals into the tracked best feasible:
+        the first row of the highest feasible profit, if it beats the tracked
+        one; returns whether it was replaced."""
         best = self.best_feasible
         if best is not None and p.max() <= best[0]:
             return False  # no row could replace it
         bound = self.ctx.bound
-        feas = bound.tail_array(w, k, capacity) <= bound.alpha
-        if not feas.any():
+        # profits are never negative, so -1 marks the infeasible rows
+        feasible = np.where(bound.tail_array(w, k, capacity) <= bound.alpha, p, -1)
+        j = feasible.argmax()
+        if feasible[j] <= (-1 if best is None else best[0]):
             return False
-        idx = np.flatnonzero(feas)
-        j = idx[np.argmax(p[idx])]
-        if best is None or p[j] > best[0]:
-            self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
-            return True
-        return False
+        self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+        return True
 
     def step(self, capacity: int, first: int, end: int, record):
         # the designated solution is the tracked best feasible, which changes
@@ -572,58 +584,48 @@ class Nsga2:
         """One generation; returns whether it replaced the best feasible."""
         rng = self.rng
         pop, n = self.pop_size, self.ctx.n
-        ranks, crowd = self.ranks, self.crowd
 
-        # binary tournaments on (rank, crowding)
-        cand = rng.integers(0, pop, size=(pop, 2))
-        a, b = cand[:, 0], cand[:, 1]
-        a_wins = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
-        pool = self.bits[np.where(a_wins, a, b)]
+        # binary tournaments: the lower (rank, -crowding) wins, a on ties
+        key = list(zip(self.ranks, [-d for d in self.crowd]))
+        winners = [a if key[a] <= key[b] else b
+                   for a, b in rng.integers(0, pop, size=(pop, 2)).tolist()]
+        children = self.bits.take(winners, axis=0)
 
         # uniform crossover on consecutive pairs (a masked XOR swap), then
-        # 1/n mutation
+        # 1/n mutation, both in place on the tournament's copy
         do_cross = rng.random(pop // 2) < self.crossover_rate
         mix = (rng.random((pop // 2, n)) < 0.5) & do_cross[:, None]
-        pairs = pool.reshape(pop // 2, 2, n)
-        swap = (pairs[:, 0] ^ pairs[:, 1]) & mix
-        children = (pairs ^ swap[:, None]).reshape(pop, n)
+        pairs = children.reshape(pop // 2, 2, n)
+        pairs ^= ((pairs[:, 0] ^ pairs[:, 1]) & mix)[:, None]
         children ^= (rng.random((pop, n)) < self.ctx.inv_n).view(np.uint8)
 
-        cp, cw, ck, c_cstar = self._evaluate(children)
-        replaced = self._consider(children, cp, cw, ck, capacity)
+        pwk, cstar = self._evaluate(children)
+        replaced = self._consider(children, pwk[:, 0], pwk[:, 1], pwk[:, 2], capacity)
 
         # elitist survival over parents + children: whole fronts by depth,
-        # then the most crowding-distant members of the front that overflows
-        all_bits = np.concatenate([self.bits, children])
-        all_p = np.concatenate([self.p, cp])
-        all_w = np.concatenate([self.w, cw])
-        all_k = np.concatenate([self.k, ck])
-        all_c = np.concatenate([self.cstar, c_cstar])
-        all_ranks = _front_ranks(all_p, all_c)
-        order = np.argsort(all_ranks, kind="stable")
-        ends = np.cumsum(np.bincount(all_ranks)).tolist()
-        full = bisect_right(ends, pop)  # fronts that survive whole
-        edges = [0] + ends[:full]
-        chosen = order[:edges[-1]]
-        if edges[-1] < pop:
-            front = order[edges[-1]:ends[full]]
-            cd = crowding_distances(all_p[front], all_c[front])
-            picked = front[np.argsort(-cd, kind="stable")[:pop - edges[-1]]]
-            chosen = np.concatenate([chosen, picked])
-            edges.append(pop)
-        self.bits = all_bits[chosen]
-        self.p = all_p[chosen]
-        self.w = all_w[chosen]
-        self.k = all_k[chosen]
-        self.cstar = all_c[chosen]
-        # the survivors keep their depth, and each front is a run of
-        # ``chosen`` in the order a fresh sort of the survivors would list
-        # it, which is the order crowding's stable argsort breaks ties by;
-        # the overflowing front is measured on its chosen members only
-        self.ranks = all_ranks[chosen]
-        self.crowd = np.empty(pop)
-        for lo, hi in zip(edges, edges[1:]):
-            self.crowd[lo:hi] = crowding_distances(self.p[lo:hi], self.cstar[lo:hi])
+        # then the most crowding-distant members of the front that overflows.
+        # Each front is a run of ``chosen`` in the order a fresh sort of the
+        # survivors would list it, which is the order crowding's stable sort
+        # breaks ties by; the overflowing front is measured again on its
+        # chosen members only
+        all_pwk = np.concatenate([self.pwk, pwk])
+        all_c = np.concatenate([self.cstar, cstar])
+        ps, cs = all_pwk[:, 0].tolist(), all_c.tolist()
+        chosen, self.ranks, self.crowd = [], [], []
+        for depth, front in enumerate(_fronts(all_pwk[:, 0], all_c)):
+            room = pop - len(chosen)
+            if len(front) > room:
+                cd = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
+                most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)
+                front = [front[j] for j in most[:room]]  # stable: ties keep order
+            chosen += front
+            self.ranks += [depth] * len(front)
+            self.crowd += crowding_distances([ps[i] for i in front], [cs[i] for i in front])
+            if len(chosen) == pop:
+                break
+        self.bits = np.concatenate([self.bits, children]).take(chosen, axis=0)
+        self.pwk = all_pwk.take(chosen, axis=0)
+        self.cstar = all_c.take(chosen)
         self.generations += 1
         return replaced
 

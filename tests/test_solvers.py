@@ -808,12 +808,11 @@ def test_fast_nondominated_sort_three_point_example():
     assert [sorted(f.tolist()) for f in fronts] == [[1], [0], [2]]
 
 
-def test_fast_nondominated_sort_matches_pairwise_oracle():
-    """Each front as an ordered array: ascending index is the order in which
-    crowding's stable argsort breaks ties. The sets are tie-heavy, with
-    exact duplicates and equal float bounds."""
+def tie_heavy_sets(count=3000):
+    """Random (profits, bounds) sets with exact duplicates and equal float
+    bounds, of 0 to 40 points."""
     rng = np.random.default_rng(13)
-    for _ in range(3000):
+    for _ in range(count):
         m = int(rng.integers(0, 41))
         spread = int(rng.choice([3, 15, 1000]))
         profits = rng.integers(0, spread, m)
@@ -822,16 +821,52 @@ def test_fast_nondominated_sort_matches_pairwise_oracle():
             dup = rng.integers(0, m, m // 3)
             src = rng.integers(0, m, m // 3)
             profits[dup], bounds[dup] = profits[src], bounds[src]
+        yield profits, bounds
+
+
+def test_fast_nondominated_sort_matches_pairwise_oracle():
+    """Each front as an ordered array: ascending index is the order in which
+    crowding's stable sort breaks ties. The sets are tie-heavy, with exact
+    duplicates and equal float bounds."""
+    for profits, bounds in tie_heavy_sets():
         got = [f.tolist() for f in fast_nondominated_sort(profits, bounds)]
         assert got == pairwise_fronts_oracle(profits.tolist(), bounds.tolist())
 
 
+def reference_crowding(profits, cap_bounds) -> np.ndarray:
+    """Crowding distance with one stable sort per objective (the
+    implementation NSGA-II used before the one-sort form)."""
+    m = len(profits)
+    d = np.zeros(m)
+    if m <= 2:
+        d[:] = np.inf
+        return d
+    for obj in (np.asarray(profits, np.float64), np.asarray(cap_bounds, np.float64)):
+        order = np.argsort(obj, kind="stable")
+        d[order[0]] = d[order[-1]] = np.inf
+        spread = obj[order[-1]] - obj[order[0]]
+        if spread > 0:
+            d[order[1:-1]] += (obj[order[2:]] - obj[order[:-2]]) / spread
+    return d
+
+
+def test_crowding_matches_two_sort_reference():
+    """Bit for bit on every front of the tie-heavy sets, with the front's
+    members listed as NSGA-II lists them: ascending index, integer profits
+    and float bounds as Python lists."""
+    for profits, bounds in tie_heavy_sets():
+        for front in fast_nondominated_sort(profits, bounds):
+            got = crowding_distances(profits[front].tolist(), bounds[front].tolist())
+            want = reference_crowding(profits[front], bounds[front])
+            assert np.asarray(got, np.float64).tobytes() == want.tobytes()
+
+
 def test_crowding_boundaries_infinite():
-    d = crowding_distances([1, 2, 3, 4], [4.0, 3.0, 2.0, 1.0])
+    d = crowding_distances([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
     assert d[0] == np.inf and d[3] == np.inf
     assert np.isfinite(d[1]) and np.isfinite(d[2])
-    assert crowding_distances([5], [1.0])[0] == np.inf
-    assert (crowding_distances([5, 6], [1.0, 0.5]) == np.inf).all()
+    assert crowding_distances([5], [1.0]) == [np.inf]
+    assert crowding_distances([5, 6], [0.5, 1.0]) == [np.inf, np.inf]
 
 
 def test_nsga2_identical_population_single_front():
@@ -938,8 +973,9 @@ def matrix_fronts(profits, cap_bounds):
 
 class ReferenceNsga2(Nsga2):
     """NSGA-II with every generation done in full: the parents are sorted
-    again for the tournaments, crossover picks bits with ``np.where`` and
-    evaluation is an integer matmul. ``Nsga2`` must follow it bit for bit."""
+    again for the tournaments, crossover picks bits with ``np.where``,
+    evaluation is an integer matmul, and crowding sorts each objective on its
+    own. ``Nsga2`` must follow it bit for bit."""
 
     def _evaluate(self, bits):
         b = bits.astype(np.int64)
@@ -948,7 +984,8 @@ class ReferenceNsga2(Nsga2):
         return b @ self.ctx.profits, w, k, self.ctx.bound.cstar_array(w, k)
 
     def _evaluate_population(self):
-        self.p, self.w, self.k, self.cstar = self._evaluate(self.bits)
+        p, w, k, self.cstar = self._evaluate(self.bits)
+        self.pwk = np.column_stack([p, w, k])
 
     def _consider(self, bits, p, w, k, capacity):
         bound = self.ctx.bound
@@ -966,7 +1003,7 @@ class ReferenceNsga2(Nsga2):
         crowd = np.empty(len(p), np.float64)
         for depth, front in enumerate(fronts):
             ranks[front] = depth
-            crowd[front] = crowding_distances(p[front], cstar[front])
+            crowd[front] = reference_crowding(p[front], cstar[front])
         return ranks, crowd
 
     def generation(self, capacity: int):
@@ -1006,15 +1043,13 @@ class ReferenceNsga2(Nsga2):
                 if len(chosen) == pop:
                     break
             else:
-                cd = crowding_distances(all_p[front], all_c[front])
+                cd = reference_crowding(all_p[front], all_c[front])
                 order = np.argsort(-cd, kind="stable")
                 chosen.extend(front[order[: pop - len(chosen)]].tolist())
                 break
         chosen = np.asarray(chosen)
         self.bits = all_bits[chosen]
-        self.p = all_p[chosen]
-        self.w = all_w[chosen]
-        self.k = all_k[chosen]
+        self.pwk = np.column_stack([all_p[chosen], all_w[chosen], all_k[chosen]])
         self.cstar = all_c[chosen]
         self.generations += 1
 
@@ -1214,8 +1249,8 @@ def solver_state(solver):
     if isinstance(solver, Nsga2):
         best = solver.best_feasible
         return (solver.bits.tobytes(), solver.p.tolist(), solver.w.tolist(),
-                solver.k.tolist(), solver.cstar.tolist(), solver.ranks.tolist(),
-                solver.crowd.tolist(), solver.generations,
+                solver.k.tolist(), solver.cstar.tolist(), list(solver.ranks),
+                list(solver.crowd), solver.generations,
                 best and (*best[:3], best[3].tobytes()),
                 solver.rng.bit_generator.state)
     rng = solver.flips.rng.bit_generator.state
