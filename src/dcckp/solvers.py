@@ -11,10 +11,11 @@ per iteration):
   [C, C + eta]. Keeping the infeasible side warm is what lets the search
   react when the capacity shifts.
 * ``Nsga2`` -- population of 20 on the objectives (profit up, capacity bound
-  down), a two-objective sweep for non-dominated sorting whose survival ranks
-  serve the next generation's tournaments, crowding distance, uniform
-  crossover as a masked XOR swap and 1/n mutation; one generation is charged
-  20 iterations.
+  C* down), a two-objective sweep for non-dominated sorting whose survival
+  ranks serve the next generation's tournaments, crowding distance by one
+  sort per front, uniform crossover as a masked XOR swap and 1/n mutation;
+  one generation is charged 20 iterations. A solution is feasible when its
+  C* is at most the capacity, which needs no tail evaluation.
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
 schedule and scores the offline error against a precomputed DP optimum
@@ -494,8 +495,7 @@ def crowding_distances(profits, cap_bounds) -> list:
     if m > 2:
         order = sorted(range(m), key=profits.__getitem__)
         lo, hi = order[0], order[-1]
-        # both spreads are 0 only on a front of equal members, whose
-        # differences are 0 too
+        # zero spreads mean a front of equal members, whose differences are 0
         p_spread = profits[hi] - profits[lo] or 1
         c_spread = cap_bounds[hi] - cap_bounds[lo] or 1
         for a, i, b in zip(order, order[1:], order[2:]):
@@ -506,16 +506,17 @@ def crowding_distances(profits, cap_bounds) -> list:
 
 class Nsga2:
     """NSGA-II on (profit up, capacity bound down) with a tracked best
-    feasible solution for the current capacity.
+    feasible solution for the current capacity: the most profitable one seen
+    with C* <= C. Without one, the designated solution is the population's
+    smallest C*, the most profitable among equals.
 
-    Each individual's (profit, expected weight, item count) is one row of
-    the int64 matrix ``pwk``, whose columns ``p``, ``w`` and ``k`` are views,
-    so survival moves all three with one gather. The population's front ranks
-    and crowding distances are kept between generations (``ranks``,
-    ``crowd``). The objectives do not depend on the capacity, so the
-    survivors' ranks among parents and children are their ranks among
-    themselves (Deb et al., IEEE TEC 6(2), 2002), and the next tournaments
-    need no sort of their own.
+    Each individual's (profit, expected weight, item count) is one row of the
+    int64 matrix ``pwk`` (``p``, ``w`` and ``k`` are its columns), so survival
+    moves all three with one gather. Front ranks and crowding distances are
+    kept between generations (``ranks``, ``crowd``): the objectives do not
+    depend on the capacity, so the survivors' ranks among parents and
+    children are their ranks among themselves (Deb et al., IEEE TEC 6(2),
+    2002), and the next tournaments need no sort of their own.
     """
 
     name = "nsga2"
@@ -534,7 +535,7 @@ class Nsga2:
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
-        self._consider(self.bits, self.p, self.w, self.k, capacity)
+        self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
 
     def _evaluate(self, bits):
         """The (profit, expected weight, item count) rows of ``bits`` as one
@@ -545,8 +546,7 @@ class Nsga2:
     def _evaluate_population(self):
         """Evaluate ``bits`` and rank the population from scratch."""
         self.pwk, self.cstar = self._evaluate(self.bits)
-        self.ranks = [0] * self.pop_size
-        self.crowd = [0.0] * self.pop_size
+        self.ranks, self.crowd = [0] * self.pop_size, [0.0] * self.pop_size
         ps, cs = self.p.tolist(), self.cstar.tolist()
         for depth, front in enumerate(_fronts(self.p, self.cstar)):
             distances = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
@@ -557,16 +557,13 @@ class Nsga2:
     w = property(lambda self: self.pwk[:, 1])
     k = property(lambda self: self.pwk[:, 2])
 
-    def _consider(self, bits, p, w, k, capacity) -> bool:
+    def _consider(self, bits, p, w, k, cstar, capacity) -> bool:
         """Fold freshly evaluated individuals into the tracked best feasible:
-        the first row of the highest feasible profit, if it beats the tracked
-        one; returns whether it was replaced."""
+        the first row of the highest profit among those with C* <= C, if it
+        beats the tracked one; returns whether it was replaced."""
         best = self.best_feasible
-        if best is not None and p.max() <= best[0]:
-            return False  # no row could replace it
-        bound = self.ctx.bound
         # profits are never negative, so -1 marks the infeasible rows
-        feasible = np.where(bound.tail_array(w, k, capacity) <= bound.alpha, p, -1)
+        feasible = np.where(cstar <= capacity, p, -1)
         j = feasible.argmax()
         if feasible[j] <= (-1 if best is None else best[0]):
             return False
@@ -600,7 +597,7 @@ class Nsga2:
         children ^= (rng.random((pop, n)) < self.ctx.inv_n).view(np.uint8)
 
         pwk, cstar = self._evaluate(children)
-        replaced = self._consider(children, pwk[:, 0], pwk[:, 1], pwk[:, 2], capacity)
+        replaced = self._consider(children, pwk[:, 0], pwk[:, 1], pwk[:, 2], cstar, capacity)
 
         # elitist survival over parents + children: whole fronts by depth,
         # then the most crowding-distant members of the front that overflows.
@@ -631,14 +628,14 @@ class Nsga2:
 
     def on_change(self, capacity: int):
         self.best_feasible = None
-        self._consider(self.bits, self.p, self.w, self.k, capacity)
+        self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
 
     def designated_eval(self, capacity: int):
         bound = self.ctx.bound
         if self.best_feasible is not None:
             p, w, k, _ = self.best_feasible
             return p, bound.certified(w, k, capacity)
-        j = np.lexsort((-self.p, bound.tail_array(self.w, self.k, capacity)))[0]
+        j = np.lexsort((-self.p, self.cstar))[0]  # smallest C*, then most profit
         return int(self.p[j]), bound.certified(int(self.w[j]), int(self.k[j]), capacity)
 
 

@@ -897,33 +897,82 @@ def test_nsga2_population_size_and_rank0_invariants():
                                 and (p[i] > p[j] or c[i] < c[j]))
 
 
-def test_nsga2_best_feasible_tracks_highest_profit():
-    inst, ctx = make_ctx(n=15, alpha=0.01, seed=12)
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_nsga2_best_feasible_tracks_highest_profit(kind):
+    inst, ctx = make_ctx(n=15, alpha=0.01, kind=kind, seed=12)
     capacity = int(0.6 * inst.total_expected_weight())
     alg = Nsga2(ctx, np.random.default_rng(2), capacity)
     for _ in range(100):
         alg.generation(capacity)
     assert alg.best_feasible is not None
     p, w, k, bits = alg.best_feasible
-    assert ctx.bound.tail(w, k, capacity) <= 0.01
-    # designated solution must dominate every feasible member of the population
-    viols = ctx.bound.tail_array(alg.w, alg.k, capacity)
-    feas = viols <= 0.01
+    assert ctx.bound.cstar(w, k) <= capacity
+    assert (p, w, k) == (int(bits @ inst.profit_array()),
+                         int(bits @ inst.weight_array()), int(bits.sum()))
+    # the tracked solution has at least the profit of every feasible member
+    feas = alg.cstar <= capacity
     if feas.any():
         assert p >= alg.p[feas].max()
 
 
-def test_nsga2_on_change_resets_best():
-    inst, ctx = make_ctx(n=15, alpha=0.01, seed=12)
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_nsga2_on_change_resets_best(kind):
+    """After a capacity change the tracked solution is the population's first
+    row of the highest profit among those with C* <= C, even when the old
+    one had more profit."""
+    inst, ctx = make_ctx(n=15, alpha=0.01, kind=kind, seed=12)
     capacity = int(0.6 * inst.total_expected_weight())
     alg = Nsga2(ctx, np.random.default_rng(2), capacity)
     for _ in range(20):
         alg.generation(capacity)
-    tight = int(0.2 * inst.total_expected_weight())
+    before = alg.best_feasible[0]
+    tight = int(np.ceil(np.median(alg.cstar)))
     alg.on_change(tight)
-    if alg.best_feasible is not None:
-        p, w, k, _ = alg.best_feasible
-        assert ctx.bound.tail(w, k, tight) <= 0.01
+    feas = np.flatnonzero(alg.cstar <= tight)
+    j = feas[np.argmax(alg.p[feas])]
+    p, w, k, bits = alg.best_feasible
+    assert (p, w, k) == (alg.p[j], alg.w[j], alg.k[j])
+    assert np.array_equal(bits, alg.bits[j]) and bits is not alg.bits[j]
+    assert ctx.bound.cstar(w, k) <= tight and p <= before
+
+
+def nsga2_with_rows(ctx, rows):
+    """An ``Nsga2`` whose population has the given (p, w, k, cstar) rows, one
+    item set each (the bits mark the row, nothing more)."""
+    alg = Nsga2(ctx, np.random.default_rng(0), 1)
+    alg.bits = np.eye(len(rows), ctx.n, dtype=np.uint8)
+    alg.pwk = np.array([row[:3] for row in rows], np.int64)
+    alg.cstar = np.array([row[3] for row in rows], np.float64)
+    return alg
+
+
+def test_nsga2_cstar_equal_to_capacity_is_feasible():
+    """C* <= C decides feasibility: a row whose C* equals the capacity counts,
+    and among the feasible rows of the highest profit the first is taken."""
+    _, ctx = make_ctx(n=12)
+    alg = nsga2_with_rows(ctx, [(5, 50, 2, 90.0), (9, 60, 3, 100.0),
+                                (9, 61, 3, 99.5), (12, 70, 4, 100.5)])
+    alg.on_change(100)
+    assert alg.best_feasible[:3] == (9, 60, 3)
+    assert np.array_equal(alg.best_feasible[3], alg.bits[1])
+    # only a strictly higher feasible profit replaces the tracked solution
+    assert not alg._consider(alg.bits, alg.p, alg.w, alg.k, alg.cstar, 100)
+    assert alg._consider(alg.bits, alg.p, alg.w, alg.k, alg.cstar - 0.5, 100)
+    assert alg.best_feasible[:3] == (12, 70, 4)
+    alg.on_change(99)
+    assert alg.best_feasible[:3] == (5, 50, 2)
+
+
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_nsga2_fallback_designates_smallest_cstar(kind):
+    """With no row C* <= C, the designated row has the smallest C*, and a tie
+    goes to the higher profit."""
+    _, ctx = make_ctx(n=12, kind=kind)
+    alg = nsga2_with_rows(ctx, [(7, 80, 2, 120.0), (4, 70, 1, 110.0),
+                                (6, 75, 1, 110.0), (9, 90, 3, 130.0)])
+    alg.on_change(100)
+    assert alg.best_feasible is None
+    assert alg.designated_eval(100) == (6, ctx.bound.certified(75, 1, 100))
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
@@ -987,9 +1036,8 @@ class ReferenceNsga2(Nsga2):
         p, w, k, self.cstar = self._evaluate(self.bits)
         self.pwk = np.column_stack([p, w, k])
 
-    def _consider(self, bits, p, w, k, capacity):
-        bound = self.ctx.bound
-        feas = bound.tail_array(w, k, capacity) <= bound.alpha
+    def _consider(self, bits, p, w, k, cstar, capacity):
+        feas = cstar <= capacity
         if not feas.any():
             return
         idx = np.flatnonzero(feas)
@@ -1027,7 +1075,7 @@ class ReferenceNsga2(Nsga2):
         children ^= (rng.random((pop, n)) < self.ctx.inv_n).astype(np.uint8)
 
         cp, cw, ck, c_cstar = self._evaluate(children)
-        self._consider(children, cp, cw, ck, capacity)
+        self._consider(children, cp, cw, ck, c_cstar, capacity)
 
         # elitist survival over parents + children
         all_bits = np.concatenate([self.bits, children])
