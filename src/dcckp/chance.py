@@ -54,10 +54,10 @@ class TailBound:
     offers three views of the constraint:
 
     * ``cstar``: w + margin[k], the capacity the family certifies at alpha
-      (the POSDC windows and NSGA-II's second objective);
-    * ``tail``: the closed-form upper bound on Pr[W(x) >= C] (selection: the
-      (1+1)-EA's lexicographic fitness, NSGA-II's best feasible solution and
-      the exhaustive oracle);
+      (the POSDC windows, NSGA-II's second objective and its feasibility);
+    * ``tail``: the closed-form upper bound on Pr[W(x) >= C] (the (1+1)-EA's
+      lexicographic fitness, the exhaustive oracle and the demos; NSGA-II
+      no longer uses it);
     * ``certified``: the alpha level at which C* equals C, so that
       ``certified(w, k, C) <= alpha`` exactly when ``cstar(w, k) <= C``
       (scoring). For Chebyshev it is ``tail`` itself.
@@ -124,9 +124,10 @@ class ChernoffBound(TailBound):
     margin is 0.66 * delta * (u + sqrt(u^2 + 9 u k)) with u = -ln(alpha).
 
     0.66 is the paper's constant. The exact inverse of the tail has 2/3 in
-    its place, so this margin is exactly 0.99 times the margin at which the
-    tail equals alpha, and the tail evaluated at C* reads slightly above
-    alpha. ``certified`` inverts the margin itself: solving
+    its place, so this margin is 0.99 times the margin at which the tail
+    equals alpha: near C* the users of ``tail`` (the (1+1)-EA, the oracle)
+    reject what those of C* (POSDC, NSGA-II) accept. ``certified`` inverts
+    the margin itself: solving
     C = E + 0.66 * delta * (u + sqrt(u^2 + 9 u k)) for u gives
     u = B^2 / (2B + 9k) with B = (C - E) / (0.66 * delta), which reads below
     the tail at every capacity above the mean. Nothing here proves that the

@@ -139,6 +139,9 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    # checked here as well, since a setting of one cell labels no pairs
+    if not 0.0 < args.family_alpha < 1.0:
+        raise ValueError(f"family_alpha must lie in (0, 1), got {args.family_alpha}")
     out = []
     for setting, family in group_runs_csv(args.runs_csv.read_text()).items():
         if len(family) < 2:

@@ -11,11 +11,10 @@ per iteration):
   [C, C + eta]. Keeping the infeasible side warm is what lets the search
   react when the capacity shifts.
 * ``Nsga2`` -- population of 20 on the objectives (profit up, capacity bound
-  C* down), a two-objective sweep for non-dominated sorting whose survival
-  ranks serve the next generation's tournaments, crowding distance by one
-  sort per front, uniform crossover as a masked XOR swap and 1/n mutation;
-  one generation is charged 20 iterations. A solution is feasible when its
-  C* is at most the capacity, which needs no tail evaluation.
+  C* down), feasible when C* <= C, a two-objective sweep for non-dominated
+  sorting whose survival ranks serve the next generation's tournaments,
+  crowding distance by one sort per front, uniform crossover as a masked XOR
+  swap and 1/n mutation; one generation is charged 20 iterations.
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
 schedule and scores the offline error against a precomputed DP optimum
@@ -463,11 +462,10 @@ def _fronts(profits, cap_bounds) -> list:
         p, c = ps[i], cs[i]
         if c != last_c or p != last_p:
             depth = bisect_right(latest, c)
-            if depth == len(latest):
+            if depth == len(latest):  # a new front
                 latest.append(c)
                 fronts.append([])
-            else:
-                latest[depth] = c
+            latest[depth] = c
             last_p, last_c = p, c
         fronts[depth].append(i)
     for front in fronts:
@@ -505,18 +503,18 @@ def crowding_distances(profits, cap_bounds) -> list:
 
 
 class Nsga2:
-    """NSGA-II on (profit up, capacity bound down) with a tracked best
+    """NSGA-II on (profit up, capacity bound C* down) with a tracked best
     feasible solution for the current capacity: the most profitable one seen
     with C* <= C. Without one, the designated solution is the population's
     smallest C*, the most profitable among equals.
 
     Each individual's (profit, expected weight, item count) is one row of the
     int64 matrix ``pwk`` (``p``, ``w`` and ``k`` are its columns), so survival
-    moves all three with one gather. Front ranks and crowding distances are
-    kept between generations (``ranks``, ``crowd``): the objectives do not
-    depend on the capacity, so the survivors' ranks among parents and
-    children are their ranks among themselves (Deb et al., IEEE TEC 6(2),
-    2002), and the next tournaments need no sort of their own.
+    moves all three with one gather. Front ranks and crowding distances, one
+    sort per front, are kept between generations (``ranks``, ``crowd``): the
+    objectives do not depend on the capacity, so the survivors' ranks among
+    parents and children are their ranks among themselves (Deb et al., IEEE
+    TEC 6(2), 2002), and the next tournaments need no sort of their own.
     """
 
     name = "nsga2"
@@ -600,11 +598,10 @@ class Nsga2:
         replaced = self._consider(children, pwk[:, 0], pwk[:, 1], pwk[:, 2], cstar, capacity)
 
         # elitist survival over parents + children: whole fronts by depth,
-        # then the most crowding-distant members of the front that overflows.
-        # Each front is a run of ``chosen`` in the order a fresh sort of the
-        # survivors would list it, which is the order crowding's stable sort
-        # breaks ties by; the overflowing front is measured again on its
-        # chosen members only
+        # then the most crowding-distant members of the front that overflows,
+        # which is measured again on its chosen members. Each front is a run
+        # of ``chosen`` in the order a fresh sort of the survivors would list
+        # it, the order by which crowding's stable sort breaks ties
         all_pwk = np.concatenate([self.pwk, pwk])
         all_c = np.concatenate([self.cstar, cstar])
         ps, cs = all_pwk[:, 0].tolist(), all_c.tolist()

@@ -81,6 +81,19 @@ def test_stats_rejects_family_alpha_outside_unit_interval(capsys, tmp_path, fami
     assert "family_alpha must lie in (0, 1)" in err
 
 
+@pytest.mark.parametrize("family_alpha", ["5", "0", "nan"])
+def test_stats_rejects_family_alpha_before_grouping(capsys, tmp_path, family_alpha):
+    """A runs.csv of one row has no pair to label, and still fails."""
+    runs_csv = tmp_path / "runs.csv"
+    write_runs_csv(runs_csv, {"ea11-chernoff": [1.0]})
+    code, out, _ = run_cli(capsys, "stats", str(runs_csv))
+    assert code == 0 and out.strip() == ""
+    code, out, err = run_cli(capsys, "stats", str(runs_csv),
+                             "--family-alpha", family_alpha)
+    assert code == 1 and out == ""
+    assert "family_alpha must lie in (0, 1)" in err
+
+
 def test_summarize_reproduces_campaign_summary(capsys, tmp_path):
     out_dir = tmp_path / "camp"
     code, _, _ = run_cli(
