@@ -28,8 +28,8 @@ for k in (10, 50):
         # one bound object per (alpha, delta, family): C* = E(W) + margin[k]
         c1 = tail_bound(ChanceParams(alpha, inst.delta, "chebyshev"), inst.n).cstar(ew, k)
         c2 = tail_bound(ChanceParams(alpha, inst.delta, "chernoff"), inst.n).cstar(ew, k)
-        mc1 = monte_carlo_violation(inst, bits, c1, 200_000, seed=1)
-        mc2 = monte_carlo_violation(inst, bits, c2, 200_000, seed=1)
+        # one set of draws serves both capacities
+        mc1, mc2 = monte_carlo_violation(inst, bits, [c1, c2], 200_000, seed=1)
         print(f"{alpha:>8} {c1:>14.1f} {c2:>13.1f} {mc1:>14.5f} {mc2:>14.5f}")
 
 print("""

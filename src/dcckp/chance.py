@@ -161,34 +161,35 @@ def tail_bound(params: ChanceParams, n: int) -> TailBound:
     return _FAMILIES[params.bound_kind](params, n)
 
 
-def monte_carlo_violation(instance, bits, capacity: float, samples: int,
-                          seed: int, _chunk_values: int = 4_000_000) -> float:
+def monte_carlo_violation(instance, bits, capacity, samples: int,
+                          seed: int, _chunk_values: int = 4_000_000) -> float | list[float]:
     """Estimate the true Pr[W(x) >= capacity] by sampling realized weights.
 
     Draws ``samples`` independent realizations of the selected items' weights
     from the continuous uniform [E(w_i) - delta, E(w_i) + delta] and returns
-    the hit fraction. Deterministic for a fixed seed.
+    the hit fraction. Deterministic for a fixed seed. ``capacity`` may be a
+    sequence: one set of draws then gives a list of hit fractions, each equal
+    to what a scalar call with the same seed returns.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    caps = np.asarray(capacity, np.float64).reshape(-1)
     mask = np.asarray(bits, bool)
-    k = int(mask.sum())
-    if k == 0:
-        return 1.0 if capacity <= 0 else 0.0
+    k = int(mask.sum())  # k = 0 draws nothing: every realization is W = 0
     delta = instance.delta
     ew_sum = int(instance.weight_array()[mask].sum())
     # sum of k uniforms on [0,1), rescaled: W = (ew_sum - k*delta) + 2*delta*U
     low_corner = ew_sum - k * delta
     rng = np.random.default_rng(seed)
-    rows = max(1, _chunk_values // k)
+    rows = max(1, _chunk_values // max(k, 1))
     buf = np.empty((rows, k))
-    hits = 0
+    hits = np.zeros(caps.size, np.int64)
     done = 0
     while done < samples:
         m = min(rows, samples - done)
         block = buf[:m]
         rng.random(out=block)
         totals = low_corner + 2.0 * delta * block.sum(axis=1)
-        hits += int(np.count_nonzero(totals >= capacity))
+        hits += np.count_nonzero(totals[:, None] >= caps, axis=0)
         done += m
-    return hits / samples
+    return (hits / samples).tolist() if np.ndim(capacity) else float(hits[0] / samples)

@@ -207,6 +207,27 @@ def test_monte_carlo_deterministic():
     assert 0.3 < a < 0.7  # at the mean of a 7-item sum
 
 
+def test_monte_carlo_capacity_sequence_matches_scalar_calls():
+    # one set of draws for several capacities, as criterion 2 uses it
+    inst = generate_instance("uncorrelated", 30, 25, seed=4)
+    for k, seed in ((1, 2), (7, 3), (30, 4)):
+        bits = np.zeros(30, np.uint8)
+        bits[:k] = 1
+        ew = int(inst.weight_array()[:k].sum())
+        caps = [ew - 40, ew, ew + 10.5, float(ew + 30), ew + 25 * k]
+        # a small chunk forces several draw blocks
+        together = monte_carlo_violation(inst, bits, caps, 30_001, seed=seed,
+                                         _chunk_values=1000)
+        assert together == [monte_carlo_violation(inst, bits, c, 30_001, seed=seed,
+                                                  _chunk_values=1000)
+                             for c in caps]
+        assert all(type(v) is float for v in together)
+        assert together == monte_carlo_violation(inst, bits, np.array(caps), 30_001,
+                                                 seed=seed, _chunk_values=1000)
+    empty = np.zeros(30, np.uint8)
+    assert monte_carlo_violation(inst, empty, (-1, 0, 1), 100, seed=0) == [1.0, 1.0, 0.0]
+
+
 def test_monte_carlo_rejects_zero_samples():
     inst = generate_instance("uncorrelated", 3, 25, seed=1)
     with pytest.raises(ValueError):

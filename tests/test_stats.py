@@ -1,19 +1,63 @@
+"""Statistics tests. scipy is the reference here only: the library itself
+computes midranks and p-values with numpy and ``math``."""
+
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtr
+from scipy.stats import chi2, rankdata
 from scipy.stats import kruskal as scipy_kruskal
 
 from dcckp.stats import (
     BETTER,
     SAME,
     WORSE,
+    _chi2_sf,
+    _pooled_ranks,
     dunn_z,
     format_stat_column,
     kruskal_wallis,
     pairwise_labels,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def tie_heavy_groups(rng, n_groups):
+    return [rng.integers(0, int(rng.integers(2, 12)), size=int(rng.integers(1, 15))).tolist()
+            for _ in range(n_groups)]
+
+
+def reference_pairwise_labels(named_groups, family_alpha=0.05):
+    """The scipy-based labels the library used before its closed forms:
+    ``rankdata`` midranks, Dunn's z, and p = 2 (1 - ndtr(|z|))."""
+    names = list(named_groups)
+    arrs = [np.asarray(named_groups[name], np.float64) for name in names]
+    pooled = np.concatenate(arrs)
+    ranks = rankdata(pooled)
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    n_total = pooled.size
+    sizes = np.array([a.size for a in arrs], np.float64)
+    bounds = np.cumsum([0] + [a.size for a in arrs])
+    mean_ranks = [ranks[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    var_base = (n_total * (n_total + 1) / 12.0
+                - (tie_counts ** 3 - tie_counts).sum() / (12.0 * (n_total - 1)))
+    threshold = family_alpha / (len(names) * (len(names) - 1) // 2)
+    labels = {}
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            se = np.sqrt(var_base * (1.0 / sizes[i] + 1.0 / sizes[j]))
+            z = 0.0 if i == j or se == 0.0 else (mean_ranks[i] - mean_ranks[j]) / se
+            p_two = 2.0 * (1.0 - float(ndtr(abs(z))))
+            labels[(a, b)] = SAME if i == j or p_two >= threshold else (
+                BETTER if z < 0 else WORSE)
+    return labels
 
 
 def test_h_statistic_hand_computed():
@@ -41,6 +85,48 @@ def test_matches_scipy_with_ties():
         ref_h, ref_p = scipy_kruskal(*groups)
         assert h == pytest.approx(ref_h, rel=1e-10)
         assert p == pytest.approx(ref_p, abs=1e-8)
+
+
+def test_midranks_equal_scipy_rankdata():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        arrs = [np.asarray(g, np.float64)
+                for g in tie_heavy_groups(rng, int(rng.integers(2, 7)))]
+        n_total, group_ranks, _ = _pooled_ranks(arrs)
+        ranks = np.concatenate(group_ranks)
+        assert n_total == ranks.size
+        assert np.array_equal(ranks, rankdata(np.concatenate(arrs)))
+
+
+@pytest.mark.parametrize("df", range(1, 13))
+def test_chi2_sf_matches_scipy(df):
+    xs = np.linspace(0.0, 200.0, 2001)
+    ours = np.array([_chi2_sf(float(x), df) for x in xs])
+    np.testing.assert_allclose(ours, chi2.sf(xs, df), rtol=1e-12, atol=0.0)
+
+
+def test_labels_equal_scipy_reference_on_tie_heavy_groups():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(300):
+        groups = tie_heavy_groups(rng, int(rng.integers(2, 7)))
+        if len({v for g in groups for v in g}) == 1:
+            continue
+        named = {f"g{i}": g for i, g in enumerate(groups)}
+        for family_alpha in (0.001, 0.01, 0.05, 0.2, 0.5):
+            assert pairwise_labels(named, family_alpha) == \
+                reference_pairwise_labels(named, family_alpha)
+            checked += 1
+    assert checked > 1000
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it costs about 1 s and 70 MB
+    code = ("import dcckp, dcckp.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_permutation_within_group_invariant():
