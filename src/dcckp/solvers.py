@@ -11,10 +11,10 @@ per iteration):
   [C, C + eta]. Keeping the infeasible side warm is what lets the search
   react when the capacity shifts.
 * ``Nsga2`` -- population of 20 on the objectives (profit up, capacity bound
-  C* down), feasible when C* <= C, a two-objective sweep for non-dominated
-  sorting whose survival ranks serve the next generation's tournaments,
-  crowding distance by one sort per front, uniform crossover as a masked XOR
-  swap and 1/n mutation; one generation is charged 20 iterations.
+  C* down), feasible when C* <= C, sweep-sorted fronts whose ranks serve the
+  next tournaments, one crowding sort per front, uniform crossover as a
+  masked XOR swap and 1/n mutation; a generation, charged 20 iterations,
+  draws tournament ints, crossover decisions, mask words and mutation gaps.
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
 schedule and scores the offline error against a precomputed DP optimum
@@ -77,6 +77,16 @@ class _FlipBlocks:
         self.positions = (hits - iteration * n).tolist()
         self.starts = np.searchsorted(
             iteration, np.arange(MUTATION_BLOCK + 1)).tolist()
+
+
+def _flip_positions(rng, cells: int, p: float):
+    """Ascending positions below ``cells`` of independent flips of probability
+    ``p``: cumulated geometric gaps, in batches of twice the mean count."""
+    batch = 2 * math.ceil(cells * p)
+    ends = rng.geometric(p, batch).cumsum()  # each flip's position + 1
+    while ends[-1] <= cells:
+        ends = np.concatenate([ends, ends[-1] + rng.geometric(p, batch).cumsum()])
+    return ends[:ends.searchsorted(cells, "right")] - 1
 
 
 _WORD_MASK = (1 << 64) - 1
@@ -514,7 +524,9 @@ class Nsga2:
     sort per front, are kept between generations (``ranks``, ``crowd``): the
     objectives do not depend on the capacity, so the survivors' ranks among
     parents and children are their ranks among themselves (Deb et al., IEEE
-    TEC 6(2), 2002), and the next tournaments need no sort of their own.
+    TEC 6(2), 2002), and the next tournaments need no sort of their own. A
+    generation draws tournament ints, crossover decisions, raw 64-bit mask
+    words (mask bit j is bit j % 64 of word j // 64), then mutation gaps.
     """
 
     name = "nsga2"
@@ -589,10 +601,13 @@ class Nsga2:
         # uniform crossover on consecutive pairs (a masked XOR swap), then
         # 1/n mutation, both in place on the tournament's copy
         do_cross = rng.random(pop // 2) < self.crossover_rate
-        mix = (rng.random((pop // 2, n)) < 0.5) & do_cross[:, None]
+        words = rng.bit_generator.random_raw((pop // 2, -(-n // 64)))
+        mix = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                            count=n, bitorder="little")
+        mix &= do_cross[:, None]
         pairs = children.reshape(pop // 2, 2, n)
         pairs ^= ((pairs[:, 0] ^ pairs[:, 1]) & mix)[:, None]
-        children ^= (rng.random((pop, n)) < self.ctx.inv_n).view(np.uint8)
+        children.reshape(-1)[_flip_positions(rng, pop * n, self.ctx.inv_n)] ^= 1
 
         pwk, cstar = self._evaluate(children)
         replaced = self._consider(children, pwk[:, 0], pwk[:, 1], pwk[:, 2], cstar, capacity)

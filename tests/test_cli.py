@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,30 @@ def test_run_and_summarize_and_stats(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "stats", str(runs_csv))
     assert code == 0
     assert "H=" in out and "(1)" in out and "(2)" in out
+
+
+# the per-algorithm runs.csv digests of the CI "runs.csv digest" campaign;
+# a change to a solver's RNG stream or designation moves its digest
+CI_DIGEST_ARGS = ("run", "--n", "20", "--iters", "2000", "--warmup", "100", "--tau", "100",
+                  "--runs", "2", "--algos", "ea11,posdc,nsga2", "--alpha", "0.01,0.0001",
+                  "--seed", "1")
+CI_ALGO_DIGESTS = {
+    "ea11": "7c5518686e8bd9f1e8d3cffe2672de5b28f695adb006d2b736fd6ef522b32ede",
+    "posdc": "87764269125aa526986dcccbf217f7399cee0061ca4cae9a0da43f1c8cdc287b",
+    "nsga2": "94359a2e1b44b58609b1039f47b53e973455de6025d87e2e59780434bf80b19b",
+}
+
+
+def test_ci_digest_campaign_per_algorithm_digests(capsys, tmp_path):
+    """Each algorithm's digest as CI's awk takes it: the sha256 of the rows
+    whose algo column names it, each with its newline."""
+    code, _, _ = run_cli(capsys, *CI_DIGEST_ARGS, "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "runs.csv").read_text().splitlines(keepends=True)
+    digests = {algo: hashlib.sha256("".join(
+        row for row in rows if row.split(",")[1] == algo).encode()).hexdigest()
+        for algo in CI_ALGO_DIGESTS}
+    assert digests == CI_ALGO_DIGESTS
 
 
 def write_runs_csv(path, errors):

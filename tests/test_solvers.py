@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +18,7 @@ from dcckp.solvers import (
     _Archive,
     _FlipBlocks,
     _IndexBlocks,
+    _flip_positions,
     _make_solver,
     _flipped,
     _RunContext,
@@ -166,6 +169,15 @@ def drawn_flips(ctx, flips):
     return None if child is None else child[0]
 
 
+def count_p_value(sample, n, p, top=4):
+    """Chi-square p-value of flip counts against Bin(n, p); counts >= top
+    share one bin."""
+    pmf = stats.binom.pmf(np.arange(top), n, p)
+    pmf = np.append(pmf, 1.0 - pmf.sum())
+    observed = np.bincount(np.minimum(sample, top), minlength=top + 1)
+    return stats.chisquare(observed, pmf * len(sample)).pvalue
+
+
 @pytest.mark.parametrize("n", [12, 100, 1000])
 def test_flip_blocks_match_independent_bit_flips(n):
     """Chi-square tests at p > 0.001 (fixed seed, thresholds fixed up front):
@@ -185,17 +197,9 @@ def test_flip_blocks_match_independent_bit_flips(n):
             assert drawn == sorted(set(drawn)) and 0 <= drawn[0] and drawn[-1] < n
             positions.extend(drawn)
 
-    top = 4  # counts >= 4 share one bin
-    pmf = stats.binom.pmf(np.arange(top), n, 1.0 / n)
-    pmf = np.append(pmf, 1.0 - pmf.sum())
-
-    def count_p_value(sample):
-        observed = np.bincount(np.minimum(sample, top), minlength=top + 1)
-        return stats.chisquare(observed, pmf * len(sample)).pvalue
-
-    assert count_p_value(counts) > 1e-3
+    assert count_p_value(counts, n, 1.0 / n) > 1e-3
     tails = counts[:blocks * MUTATION_BLOCK].reshape(blocks, MUTATION_BLOCK)
-    assert count_p_value(tails[:, -MUTATION_BLOCK // 8:].ravel()) > 1e-3
+    assert count_p_value(tails[:, -MUTATION_BLOCK // 8:].ravel(), n, 1.0 / n) > 1e-3
     assert stats.chisquare(np.bincount(positions, minlength=n)).pvalue > 1e-3
     noop = (1.0 - 1.0 / n) ** n
     assert abs(np.mean(counts == 0) - noop) < 4 * np.sqrt(noop * (1 - noop) / iters)
@@ -211,6 +215,56 @@ def test_flip_blocks_replay_a_per_iteration_draw(n):
     for _ in range(3 * MUTATION_BLOCK + 7):
         expect = np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
         assert drawn_flips(ctx, flips) == (expect or None)
+
+
+class CountingGenerator:
+    """A Generator that counts its ``geometric`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return self.rng.geometric(p, size)
+
+
+def check_flip_positions(rng, rows, n, p, draws):
+    """Chi-square tests at p > 0.001 on ``draws`` calls of ``_flip_positions``
+    over ``rows`` rows of n cells: flip counts per row follow Bin(n, p) and
+    positions within a row are uniform. The positions ascend in range."""
+    counts, columns = [], []
+    for _ in range(draws):
+        positions = _flip_positions(rng, rows * n, p)
+        assert np.all(np.diff(positions) > 0)
+        assert np.all((positions >= 0) & (positions < rows * n))
+        counts.append(np.bincount(positions // n, minlength=rows))
+        columns.append(positions % n)
+    assert count_p_value(np.concatenate(counts), n, p) > 1e-3
+    assert stats.chisquare(np.bincount(np.concatenate(columns), minlength=n)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [12, 100, 1000])
+def test_flip_positions_match_independent_bit_flips(n):
+    """NSGA-II's mutation draw over a population of rows of n cells, each
+    cell flipping with probability 1/n (fixed seed, thresholds fixed up
+    front)."""
+    check_flip_positions(np.random.default_rng(2025), Nsga2.pop_size, n, 1.0 / n, 2000)
+
+
+def test_flip_positions_draw_further_batches():
+    """With one expected flip in 10 cells the first batch of two gaps often
+    ends inside the cells; the further batches keep the draw exact."""
+    rng = CountingGenerator(np.random.default_rng(6))
+    draws = 20000
+    check_flip_positions(rng, 1, 10, 0.1, draws)
+    assert rng.calls > draws * 1.1
+
+
+def test_flip_positions_with_certain_flips():
+    rng = np.random.default_rng(4)
+    for cells in (1, 2, 20, 1000):
+        assert _flip_positions(rng, cells, 1.0).tolist() == list(range(cells))
 
 
 def test_mutate_applies_the_drawn_flips():
@@ -1000,6 +1054,55 @@ def test_nsga2_records_only_when_the_best_feasible_changes(kind):
     assert alg.generations == 215 and alg.best_feasible is best and rows == []
 
 
+class ScriptedTournaments:
+    """A Generator whose tournaments always pick individual 0 then 1, so
+    every pair is (population row 0, row 1), and which keeps each
+    ``random`` draw (the crossover decisions)."""
+
+    def __init__(self, rng, pop):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.pairs = np.tile([[0, 0], [1, 1]], (pop // 2, 1))
+        self.uniforms = []
+
+    def integers(self, low, high, size):
+        return self.pairs
+
+    def random(self, size):
+        self.uniforms.append(self.rng.random(size))
+        return self.uniforms[-1]
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_nsga2_crossover_mask_is_fair_at_every_position(n, monkeypatch):
+    """Pairs of an all-zero and an all-one parent, with mutation switched
+    off: the first child of a crossing pair is its mask. Each of the n
+    positions, those of the partial last word included, is set in about half
+    of the masks (every |z| < 5, and a chi-square over all positions at
+    p > 0.001, fixed seed); a pair that does not cross is left unchanged."""
+    _, ctx = make_ctx(n=n)
+    live = Nsga2(ctx, np.random.default_rng(3), 10 ** 9)
+    pop = live.pop_size
+    live.rng = ScriptedTournaments(np.random.default_rng(41), pop)
+    monkeypatch.setattr(solvers, "_flip_positions", lambda *args: np.empty(0, np.int64))
+    children, evaluate = [], live._evaluate
+    live._evaluate = lambda bits: (children.append(bits.copy()), evaluate(bits))[1]
+    parents = np.zeros((pop, n), np.uint8)
+    parents[1] = 1
+    for _ in range(400):
+        live.bits = parents.copy()
+        live.generation(10 ** 9)
+    pairs = np.array(children).reshape(-1, 2, n)
+    crossed = np.concatenate(live.rng.uniforms) < live.crossover_rate
+    assert (pairs[~crossed] == parents[:2]).all() and 0 < (~crossed).sum()
+    masks = pairs[crossed]
+    assert (masks[:, 1] == 1 - masks[:, 0]).all()
+    trials = len(masks)
+    z = (masks[:, 0].sum(axis=0) - trials / 2) / np.sqrt(trials / 4)
+    assert np.abs(z).max() < 5
+    assert stats.chi2.sf(np.sum(z ** 2), n) > 1e-3
+
+
 def matrix_fronts(profits, cap_bounds):
     """Fronts by peeling a pairwise dominance matrix (the sort NSGA-II used
     before the sweep)."""
@@ -1065,14 +1168,32 @@ class ReferenceNsga2(Nsga2):
         a_wins = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
         pool = self.bits[np.where(a_wins, a, b)]
 
-        # uniform crossover on consecutive pairs, then 1/n mutation
+        # uniform crossover on consecutive pairs: a pair's mask takes its
+        # bits from raw 64-bit words, drawn one at a time, bit j from bit
+        # j % 64 of word j // 64
         do_cross = rng.random(pop // 2) < self.crossover_rate
-        mix = (rng.random((pop // 2, n)) < 0.5) & do_cross[:, None]
+        mix = np.zeros((pop // 2, n), bool)
+        for pair in range(pop // 2):
+            words = [rng.bit_generator.random_raw() for _ in range(-(-n // 64))]
+            for j in range(n):
+                mix[pair, j] = do_cross[pair] and (words[j // 64] >> (j % 64)) & 1
         p1, p2 = pool[0::2], pool[1::2]
         children = np.empty_like(pool)
         children[0::2] = np.where(mix, p2, p1)
         children[1::2] = np.where(mix, p1, p2)
-        children ^= (rng.random((pop, n)) < self.ctx.inv_n).astype(np.uint8)
+
+        # 1/n mutation: walk the geometric gaps between flips one at a time
+        # over the children's pop * n cells, row by row, in batches of twice
+        # the expected flip count until a position passes the last cell
+        cells, inv_n = pop * n, self.ctx.inv_n
+        flips = np.zeros(cells, np.uint8)
+        position = -1
+        while position < cells:
+            for _ in range(2 * math.ceil(cells * inv_n)):
+                position += rng.geometric(inv_n)
+                if position < cells:
+                    flips[position] = 1
+        children ^= flips.reshape(pop, n)
 
         cp, cw, ck, c_cstar = self._evaluate(children)
         self._consider(children, cp, cw, ck, c_cstar, capacity)
