@@ -66,7 +66,7 @@ CI_DIGEST_ARGS = ("run", "--n", "20", "--iters", "2000", "--warmup", "100", "--t
                   "--seed", "1")
 CI_ALGO_DIGESTS = {
     "ea11": "7c5518686e8bd9f1e8d3cffe2672de5b28f695adb006d2b736fd6ef522b32ede",
-    "posdc": "87764269125aa526986dcccbf217f7399cee0061ca4cae9a0da43f1c8cdc287b",
+    "posdc": "3e1234eaa5fe72d355ab35b64cb5a90c54052f4ba518a291468b85c61887caad",
     "nsga2": "94359a2e1b44b58609b1039f47b53e973455de6025d87e2e59780434bf80b19b",
 }
 

@@ -17,6 +17,7 @@ from dcckp.solvers import (
     Posdc,
     _Archive,
     _FlipBlocks,
+    _GapFlipBlocks,
     _IndexBlocks,
     _flip_positions,
     _make_solver,
@@ -265,6 +266,70 @@ def test_flip_positions_with_certain_flips():
     rng = np.random.default_rng(4)
     for cells in (1, 2, 20, 1000):
         assert _flip_positions(rng, cells, 1.0).tolist() == list(range(cells))
+
+
+@pytest.mark.parametrize("n", [12, 100, 1000])
+def test_gap_flip_blocks_match_independent_bit_flips(n):
+    """POSDC's gap-drawn blocks are standard bit mutation (chi-square tests
+    at p > 0.001, fixed seed, thresholds fixed up front): each iteration's
+    flip count follows Bin(n, 1/n), also in the last eighth of each block,
+    and positions are uniform and ascending within an iteration."""
+    flips = _GapFlipBlocks(np.random.default_rng(2026), n)
+    blocks = 80
+    counts, positions = [], []
+    for _ in range(blocks):
+        flips.fill()
+        starts = flips.starts
+        assert len(starts) == MUTATION_BLOCK + 1 and starts[0] == 0
+        assert starts[-1] == len(flips.positions)
+        for a, b in zip(starts, starts[1:]):
+            drawn = flips.positions[a:b]
+            assert drawn == sorted(set(drawn)) and all(0 <= x < n for x in drawn)
+            counts.append(b - a)
+        positions += flips.positions
+
+    counts = np.array(counts)
+    assert count_p_value(counts, n, 1.0 / n) > 1e-3
+    tails = counts.reshape(blocks, MUTATION_BLOCK)[:, -MUTATION_BLOCK // 8:]
+    assert count_p_value(tails.ravel(), n, 1.0 / n) > 1e-3
+    assert stats.chisquare(np.bincount(positions, minlength=n)).pvalue > 1e-3
+
+
+class ScriptedGaps:
+    """A Generator whose ``geometric`` returns fixed gaps, then a gap past
+    any block."""
+
+    def __init__(self, gaps):
+        self.gaps = list(gaps)
+
+    def geometric(self, p, size):
+        out = (self.gaps + [10 ** 9] * size)[:size]
+        self.gaps = self.gaps[size:]
+        return np.array(out, np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 12, 100])
+def test_gap_flip_blocks_place_the_edge_cells(n):
+    """A flip in a block's first cell belongs to its first iteration, and
+    one in its last cell to its last iteration, at position n - 1."""
+    cells = n * MUTATION_BLOCK
+    flips = _GapFlipBlocks(ScriptedGaps([1, cells - 1]), n)
+    flips.fill()
+    assert flips.positions == [0, n - 1]
+    assert flips.starts == [0] + [1] * (MUTATION_BLOCK - 1) + [2]
+    flips = _GapFlipBlocks(ScriptedGaps([cells]), n)
+    flips.fill()
+    assert flips.positions == [n - 1]
+    assert flips.starts == [0] * MUTATION_BLOCK + [1]
+
+
+def test_posdc_draws_gap_blocks_and_the_ea_replays():
+    """POSDC, repair included, mutates from gap-drawn blocks; the (1+1)-EA
+    keeps the replay of one rng.random(n) per iteration."""
+    _, ctx = make_ctx(n=12)
+    rng = np.random.default_rng(0)
+    assert type(Posdc(ctx, rng, 600, eta=500).flips) is _GapFlipBlocks
+    assert type(OnePlusOneEA(ctx, rng, 600).flips) is _FlipBlocks
 
 
 def test_mutate_applies_the_drawn_flips():
@@ -787,6 +852,59 @@ def test_posdc_seeds_when_the_window_reaches_the_repair_incumbent(kind, monkeypa
     monkeypatch.setattr(_IndexBlocks, "below", counted)
     pos.step(capacity, 3, 4, ignore)
     assert draws == [1] and pos.repair_steps == 3
+
+
+def archive_rows(pos):
+    return [[(bytes(bits), *row) for bits, *row in side.members]
+            for side in (pos.s_minus, pos.s_plus)]
+
+
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
+    """An archive step whose iteration flips nothing draws no parent and
+    leaves the archives and the records as they were; every other step
+    draws one parent from the whole archive. A stretch taken in one call
+    makes exactly one parent draw per iteration with at least one flip."""
+    inst = generate_instance("uncorrelated", 12, 25, seed=6)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
+    capacity = inst.total_expected_weight() // 2
+    eta = inst.total_expected_weight() + 5000  # every solution is in window
+
+    def make():
+        pos = Posdc(ctx, np.random.default_rng(2), capacity, eta)
+        assert pos.repair is None
+        return pos
+
+    draws = []
+    below = _IndexBlocks.below
+
+    def counted(self, m):
+        draws.append(m)
+        return below(self, m)
+
+    monkeypatch.setattr(_IndexBlocks, "below", counted)
+    single, records, flipping = make(), [], 0
+    iters = 3 * MUTATION_BLOCK + 7
+    for i in range(iters):
+        before, size, t = archive_rows(single), single.archive_size(), single.flips.t
+        drawn = len(draws)
+        single.step(capacity, i, i + 1, records.append)
+        t = 0 if t == MUTATION_BLOCK else t  # the step filled a block
+        assert single.flips.t == t + 1
+        starts = single.flips.starts
+        if starts[t] == starts[t + 1]:
+            assert len(draws) == drawn and archive_rows(single) == before
+            assert i not in records
+        else:
+            flipping += 1
+            assert draws[drawn:] == [size]
+    assert 0 < flipping < iters and single.archive_size() > 1
+
+    draws.clear()
+    whole = make()
+    whole.step(capacity, 0, iters, ignore)
+    assert len(draws) == flipping
+    assert archive_rows(whole) == archive_rows(single)
 
 
 def test_posdc_repair_cap_raises(monkeypatch):
