@@ -14,7 +14,7 @@ import csv
 import io
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -74,6 +74,9 @@ class CampaignConfig:
             raise ValueError(f"c0_fraction must be in (0, 1], got {self.c0_fraction}")
         if self.c_constant < 1:
             raise ValueError(f"c_constant must be >= 1, got {self.c_constant}")
+        for name in ("base_seed", "instance_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("deltas", "rs", "taus", "alphas", "algos", "bounds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -211,7 +214,6 @@ class CampaignResult:
     summary_rows: list     # parsed summary rows, one per cell
     runs_csv: str
     summary_csv: str
-    out_paths: dict = field(default_factory=dict)
 
 
 def _format_float(x: float) -> str:
@@ -286,18 +288,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        runs_path = out / "runs.csv"
-        runs_path.write_text(runs_csv)
-        summary_path = out / "summary.csv"
-        summary_path.write_text(summary_csv)
-        result.out_paths = {"runs": runs_path, "summary": summary_path}
+        (out / "runs.csv").write_text(runs_csv)
+        (out / "summary.csv").write_text(summary_csv)
         if config.trace:
             for cell in cells:
                 for j in range(config.runs):
                     rec = records[(cell, j)]
                     path = out / f"trace-{cell.cell_id}-run{j}.csv"
                     path.write_text(_trace_csv(rec, config.trace_every))
-            result.out_paths["trace_dir"] = out
     return result
 
 

@@ -28,25 +28,28 @@ solution (a record supersedes an earlier one at the same iteration). POSDC
 has one seeding rule as well: its repair incumbent seeds the archive as soon
 as its C* lies in [C - eta, C + eta], checked at construction, after each
 accepted repair step and at each capacity change. The (1+1)-EA and POSDC
-keep their state in locals for the whole stretch. Mutation yields the
+keep their state in locals for the whole stretch. Mutation returns the
 offspring's profit, weight and item count without building its bits, which
 are copied from the parent only when the offspring is kept, and a feasible
 incumbent rejects a lower-profit offspring without evaluating the bound
 (violations are never negative, so this is exact).
 
-Both draw standard bit mutation in blocks of ``MUTATION_BLOCK`` iterations.
-POSDC's blocks come from geometric gaps (``_GapFlipBlocks``), about one draw
-per flip, and its archive steps skip an iteration that flips nothing before
-drawing a parent. The (1+1)-EA's blocks replay one ``rng.random(n)`` per
-iteration (``_FlipBlocks``), which costs n uniforms an iteration but keeps
-its trajectories: acceptance criterion 4's 95/100 threshold sits at the
-EA's measured success rate, so a new EA stream fails it about half the time.
+Both read standard bit mutation from a flip stream, ``next_flips()``, which
+returns one iteration's ascending flip positions (``[]`` when nothing flips)
+and draws ``MUTATION_BLOCK`` iterations at a time (``_stream``). POSDC's
+stream comes from geometric gaps (``_gap_flips``), about one draw per flip.
+The (1+1)-EA's replays one ``rng.random(n)`` per iteration (``_replay_flips``),
+which costs n uniforms an iteration but keeps its trajectories: acceptance
+criterion 4's 95/100 threshold sits at the EA's measured success rate, so a
+new EA stream fails it about half the time. Both skip an iteration that
+flips nothing: its offspring would be an exact copy.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -57,52 +60,43 @@ REPAIR_STEP_CAP = 10 ** 6
 MUTATION_BLOCK = 256  # iterations of standard bit mutation drawn at once
 
 
-class _FlipBlocks:
-    """Flip positions of standard bit mutation, drawn ``MUTATION_BLOCK``
-    iterations at a time from one solver's Generator.
+def _stream(draw_block):
+    """The next item of blocks from ``draw_block()``, one item per call. The
+    first call draws the first block, and a block is drawn only when the
+    last one has run out, so the Generator's calls keep the order of the
+    items they serve."""
+    return chain.from_iterable(iter(draw_block, None)).__next__
 
-    A block is n * MUTATION_BLOCK uniforms, n per iteration in iteration
-    order, and bit i of an iteration flips when its uniform is below 1/n.
-    That is exactly the stream of one ``rng.random(n)`` per iteration, so a
-    solver that draws nothing else between mutations follows the same
-    trajectory as with a per-iteration draw; the uniforms cost a few ns each
-    in one vectorised call, and the per-iteration Python work does not grow
-    with n. ``_RunContext.mutate`` reads the block: iteration ``t`` of it
-    flips ``positions[starts[t]:starts[t + 1]]``, ascending. The (1+1)-EA
-    draws these; ``hits`` is the one part a subclass replaces.
-    """
 
-    __slots__ = ("rng", "n", "starts", "positions", "t")
+def _flip_stream(n: int, draw_hits):
+    """``next_flips()`` of standard bit mutation on n bits: one iteration's
+    ascending flip positions per call, ``[]`` when nothing flips. A block is
+    ``draw_hits()``, the ascending flips of ``MUTATION_BLOCK`` iterations as
+    positions in their n * MUTATION_BLOCK cells (iteration-major)."""
 
-    def __init__(self, rng, n: int):
-        self.rng = rng
-        self.n = n
-        self.t = MUTATION_BLOCK  # the first read fills a block
-
-    def fill(self):
-        n = self.n
-        hits = self.hits()
+    def block():
+        hits = draw_hits()
         iteration = hits // n
-        self.positions = (hits - iteration * n).tolist()
-        self.starts = np.searchsorted(
-            iteration, np.arange(MUTATION_BLOCK + 1)).tolist()
+        positions = (hits - iteration * n).tolist()
+        starts = np.searchsorted(iteration, np.arange(MUTATION_BLOCK + 1)).tolist()
+        return [positions[a:b] for a, b in zip(starts, starts[1:])]
 
-    def hits(self):
-        """Ascending flips of the next block, as positions in its
-        n * MUTATION_BLOCK cells (iteration-major)."""
-        n = self.n
-        return np.flatnonzero(self.rng.random(n * MUTATION_BLOCK) < 1.0 / n)
+    return _stream(block)
 
 
-class _GapFlipBlocks(_FlipBlocks):
-    """The same blocks drawn from geometric gaps (``_flip_positions``), whose
-    cost does not grow with n: about one draw per flip, not one uniform per
-    bit. Exact in distribution, but a different stream from the replay."""
+def _replay_flips(rng, n: int):
+    """Flips of one ``rng.random(n)`` per iteration, bit i flipping when its
+    uniform is below 1/n. A block is n * MUTATION_BLOCK uniforms in one
+    vectorised call, the same stream as a per-iteration draw, so a solver
+    that draws nothing else between mutations keeps its trajectory."""
+    return _flip_stream(n, lambda: np.flatnonzero(rng.random(n * MUTATION_BLOCK) < 1.0 / n))
 
-    __slots__ = ()
 
-    def hits(self):
-        return _flip_positions(self.rng, self.n * MUTATION_BLOCK, 1.0 / self.n)
+def _gap_flips(rng, n: int):
+    """Flips from geometric gaps (``_flip_positions``), whose cost does not
+    grow with n: about one draw per flip, not one uniform per bit. Exact in
+    distribution, but a different stream from ``_replay_flips``."""
+    return _flip_stream(n, lambda: _flip_positions(rng, n * MUTATION_BLOCK, 1.0 / n))
 
 
 def _flip_positions(rng, cells: int, p: float):
@@ -123,28 +117,21 @@ class _IndexBlocks:
     from blocks of ``MUTATION_BLOCK`` 64-bit words of one solver's Generator
     by Lemire's multiply-and-reject method, which is exact."""
 
-    __slots__ = ("rng", "_words", "_next")
+    __slots__ = ("next_word",)
 
     def __init__(self, rng):
-        self.rng = rng
-        self._words = []
-        self._next = MUTATION_BLOCK  # the first draw fills a block
+        self.next_word = _stream(
+            lambda: rng.integers(0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist())
 
     def below(self, m: int) -> int:
         """Uniform integer in [0, m)."""
-        words, i = self._words, self._next
+        next_word = self.next_word
         while True:
-            if i == MUTATION_BLOCK:
-                words = self._words = self.rng.integers(
-                    0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist()
-                i = 0
-            prod = words[i] * m
-            i += 1
+            prod = next_word() * m
             low = prod & _WORD_MASK
             # the threshold ((2^64 - m) mod m) is below m, so it is needed
             # only when low is
             if low >= m or low >= ((1 << 64) - m) % m:
-                self._next = i
                 return prod >> 64
 
 
@@ -182,10 +169,10 @@ class _RunContext:
             v += w - capacity
         return v
 
-    def lex_run(self, flips: _FlipBlocks, incumbent, capacity: int,
-                first: int, end: int):
+    def lex_run(self, next_flips, incumbent, capacity: int, first: int, end: int):
         """(1+1) steps under lexicographic acceptance at iterations
-        ``first`` .. ``end - 1`` from ``incumbent`` = (bits, p, w, k).
+        ``first`` .. ``end - 1`` from ``incumbent`` = (bits, p, w, k), each
+        mutating with one call of ``next_flips``.
 
         An offspring replaces the incumbent when it is at least as good:
         smaller violation, or equal violation and at least the profit. An
@@ -198,11 +185,13 @@ class _RunContext:
         bits, p, w, k = incumbent
         v = lex_violation(w, k, capacity)
         for i in range(first, end):
-            child = mutate(flips, bits, p, w, k)
+            positions = next_flips()
+            if not positions:
+                continue
+            cp, cw, ck = mutate(bits, p, w, k, positions)
             # a feasible incumbent (v == 0) keeps its place against any
             # lower profit: the offspring's violation cannot be smaller
-            if child is not None and (v or child[1] >= p):
-                positions, cp, cw, ck = child
+            if v or cp >= p:
                 cv = lex_violation(cw, ck, capacity)
                 if cv < v or (cv == v and cp >= p):
                     bits, p, w, k, v = _flipped(bits, positions), cp, cw, ck, cv
@@ -213,26 +202,10 @@ class _RunContext:
         return (bytearray(bits), int(bits @ self.profits),
                 int(bits @ self.weights), int(bits.sum()))
 
-    def mutate(self, flips: _FlipBlocks, bits, p, w, k):
-        """Standard bit mutation of (bits, p, w, k) with the next
-        iteration's positions of the solver's ``flips``.
-
-        Returns (positions, p, w, k) of the offspring, whose bits are
-        ``_flipped(bits, positions)``; they are built only for an offspring
-        that is kept. Returns None when no bit flips (the offspring is an
-        exact copy).
-        """
-        t = flips.t
-        if t == MUTATION_BLOCK:
-            flips.fill()
-            t = 0
-        flips.t = t + 1
-        starts = flips.starts
-        a = starts[t]
-        b = starts[t + 1]
-        if a == b:
-            return None
-        positions = flips.positions[a:b]
+    def mutate(self, bits, p, w, k, positions):
+        """(p, w, k) of the offspring of (bits, p, w, k) that flips
+        ``positions``; its bits, ``_flipped(bits, positions)``, are built
+        only for an offspring that is kept."""
         pl, wl = self.profit_list, self.weight_list
         for i in positions:
             if bits[i]:
@@ -243,7 +216,7 @@ class _RunContext:
                 p += pl[i]
                 w += wl[i]
                 k += 1
-        return positions, p, w, k
+        return p, w, k
 
 
 def _flipped(bits: bytearray, positions) -> bytearray:
@@ -262,7 +235,7 @@ class OnePlusOneEA:
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
-        self.flips = _FlipBlocks(rng, ctx.n)
+        self.next_flips = _replay_flips(rng, ctx.n)
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
 
     def on_change(self, capacity: int):
@@ -270,7 +243,7 @@ class OnePlusOneEA:
         pass
 
     def step(self, capacity: int, first: int, end: int, record):
-        run = self.ctx.lex_run(self.flips, (self.bits, self.p, self.w, self.k),
+        run = self.ctx.lex_run(self.next_flips, (self.bits, self.p, self.w, self.k),
                                capacity, first, end)
         for i, (self.bits, self.p, self.w, self.k) in run:
             record(i)
@@ -342,7 +315,7 @@ class Posdc:
     uniformly chosen archive member and insert the offspring into the
     matching window side unless weakly dominated.
 
-    Mutation, repair included, reads flip blocks drawn from geometric gaps.
+    Mutation, repair included, reads a flip stream drawn from geometric gaps.
     An archive step whose iteration flips nothing is skipped before its
     parent draw: its offspring would duplicate an archived member, which
     weakly dominates it, so the step could change nothing. Skipping it is
@@ -361,7 +334,7 @@ class Posdc:
         if eta < 1:
             raise ValueError("eta must be >= 1")
         self.ctx = ctx
-        self.flips = _GapFlipBlocks(rng, ctx.n)
+        self.next_flips = _gap_flips(rng, ctx.n)
         self.parents = _IndexBlocks(rng)
         self.eta = eta
         self.repair_steps = 0
@@ -407,7 +380,7 @@ class Posdc:
     def step(self, capacity: int, first: int, end: int, record):
         if self.repair is not None:
             first = self._repair(capacity, first, end, record)
-        ctx, flips = self.ctx, self.flips
+        ctx, next_flips = self.ctx, self.next_flips
         mutate, cstar, below = ctx.mutate, ctx.bound.cstar, self.parents.below
         sm, sp = self.s_minus, self.s_plus
         minus_dominated, plus_dominated = sm.has_weak_dominator, sp.has_weak_dominator
@@ -417,20 +390,15 @@ class Posdc:
         m = len(minus)
         size = m + len(plus)
         for i in range(first, end):
-            t = flips.t
-            if t == MUTATION_BLOCK:
-                flips.fill()
-                t = flips.t = 0
-            starts = flips.starts
+            positions = next_flips()
             # no flip leaves a duplicate of an archived member, which is
             # always weakly dominated: the step changes nothing, so it draws
             # no parent
-            if starts[t] == starts[t + 1]:
-                flips.t = t + 1
+            if not positions:
                 continue
             j = below(size)
             parent, p, w, k, _ = minus[j] if j < m else plus[j - m]
-            positions, p, w, k = mutate(flips, parent, p, w, k)
+            p, w, k = mutate(parent, p, w, k, positions)
             c = cstar(w, k)
             if low <= c < capacity:
                 if not minus_dominated(p, c):
@@ -451,7 +419,7 @@ class Posdc:
         returns the iteration after the last repair step, and raises in
         place of step ``REPAIR_STEP_CAP + 1``."""
         stop = min(end, first + REPAIR_STEP_CAP - self.repair_steps)
-        run = self.ctx.lex_run(self.flips, self.repair, capacity, first, stop)
+        run = self.ctx.lex_run(self.next_flips, self.repair, capacity, first, stop)
         for i, self.repair in run:
             seeded = self._end_repair(capacity)
             record(i)

@@ -60,14 +60,15 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     n_total, group_ranks, tie_counts = _pooled_ranks(arrs)
     if tie_counts.size == 1:
         return 0.0, 1.0
+    # sum of n_i (mean rank_i - (N + 1) / 2)^2: never negative, and exactly
+    # 0 for equal mean ranks, where the expanded form cancels to about -1e-14
     h = 0.0
     for r in group_ranks:
-        r_sum = r.sum()
-        h += r_sum * r_sum / r.size
-    h = 12.0 / (n_total * (n_total + 1)) * h - 3.0 * (n_total + 1)
+        gap = r.sum() - r.size * (n_total + 1) / 2.0
+        h += gap * gap / r.size
     tie_correction = 1.0 - (tie_counts ** 3 - tie_counts).sum() / (n_total ** 3 - n_total)
-    h /= tie_correction
-    return float(h), _chi2_sf(h, len(arrs) - 1)
+    h = float(12.0 / (n_total * (n_total + 1)) * h / tie_correction)
+    return h, _chi2_sf(h, len(arrs) - 1)
 
 
 def dunn_z(groups) -> np.ndarray:

@@ -60,8 +60,9 @@ def test_config_validation():
                        ("c0_fraction", 1.5), ("c0_fraction", 1e-6),
                        ("c_constant", 0),
                        ("c_constant", -3), ("deltas", (25, 25)),
-                       ("alphas", (0.01, 0.010000001))):
-        with pytest.raises(ValueError):
+                       ("alphas", (0.01, 0.010000001)),
+                       ("base_seed", -1), ("instance_seed", -1)):
+        with pytest.raises(ValueError, match=field if field.endswith("_seed") else None):
             CampaignConfig(**{**TINY, field: bad})
     CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,),
                       "c0_fraction": 1.0, "c_constant": 1})

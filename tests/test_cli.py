@@ -94,6 +94,21 @@ def write_runs_csv(path, errors):
     path.write_text("\n".join(lines) + "\n")
 
 
+def test_stats_on_groups_with_equal_mean_ranks(capsys, tmp_path):
+    """Six cells with the same errors in any order have H = 0 at odd df,
+    where the expanded form of H cancels below 0 and the chi-square
+    survival took the square root of a negative value."""
+    errors = [3.2, 1.5, 3.8, 3.5, 3.8, 2.4, 1.8, 1.4, 3.5, 3.3, 4.7]
+    rng = np.random.default_rng(1)
+    runs_csv = tmp_path / "runs.csv"
+    write_runs_csv(runs_csv, {f"{algo}-{bound}": rng.permutation(errors).tolist()
+                              for algo in ("ea11", "posdc", "nsga2")
+                              for bound in ("chebyshev", "chernoff")})
+    code, out, err = run_cli(capsys, "stats", str(runs_csv))
+    assert code == 0 and err == ""
+    assert "H=0.0000 p=1\n" in out and "(6)" in out
+
+
 @pytest.mark.parametrize("family_alpha", ["5", "1", "0", "-1", "nan"])
 def test_stats_rejects_family_alpha_outside_unit_interval(capsys, tmp_path, family_alpha):
     runs_csv = tmp_path / "runs.csv"
@@ -147,10 +162,11 @@ def test_run_missing_out_flag_is_config_error(capsys):
                                   ["--delta", "0"], ["--r", "0"], ["--tau", "0"],
                                   ["--c0-fraction", "1.5", "--jobs", "2"],
                                   ["--c0-fraction", "0"], ["--c", "0"],
-                                  ["--c0-fraction", "1e-6"]],
+                                  ["--c0-fraction", "1e-6"], ["--seed", "-1"],
+                                  ["--instance-seed", "-1"]],
                          ids=["jobs", "trace_every", "delta_high", "delta_zero",
                               "r", "tau", "c0_fraction_high", "c0_fraction_zero",
-                              "c_constant", "c0_fraction_tiny"])
+                              "c_constant", "c0_fraction_tiny", "seed", "instance_seed"])
 def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):
     started = []
     real_run_campaign = cli.run_campaign

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +18,14 @@ from dcckp.solvers import (
     OnePlusOneEA,
     Posdc,
     _Archive,
-    _FlipBlocks,
-    _GapFlipBlocks,
     _IndexBlocks,
     _flip_positions,
+    _gap_flips,
     _make_solver,
     _flipped,
+    _replay_flips,
     _RunContext,
+    _stream,
     crowding_distances,
     fast_nondominated_sort,
     run_algorithm,
@@ -41,18 +44,10 @@ def ignore(i):
     pass
 
 
-class FixedFlips(_FlipBlocks):
-    """Stands in for a solver's ``_FlipBlocks``: every iteration flips the
-    same positions."""
-
-    def __init__(self, positions):
-        self.each = list(positions or ())
-        self.t = MUTATION_BLOCK
-
-    def fill(self):
-        m = len(self.each)
-        self.positions = self.each * MUTATION_BLOCK
-        self.starts = [m * t for t in range(MUTATION_BLOCK + 1)]
+def FixedFlips(positions, *times):
+    """Stands in for a solver's flip stream: every iteration flips the same
+    positions, for ``times`` iterations if given."""
+    return itertools.repeat(list(positions or ()), *times).__next__
 
 
 def test_lex_better_or_equal_cases():
@@ -73,9 +68,10 @@ def test_lex_better_or_equal_cases():
         """The incumbent after one step, and whether the offspring won; a
         rejected offspring yields nothing."""
         before = bytes(incumbent[0])
-        source = FixedFlips(flips)
+        source = FixedFlips(flips, 1)
         run = list(ctx.lex_run(source, incumbent, capacity, 7, 8))
-        assert source.t == 1  # one step drew one mutation
+        with pytest.raises(StopIteration):
+            source()  # one step drew one mutation
         assert bytes(incumbent[0]) == before  # offspring are copies
         if not run:
             return incumbent, False
@@ -164,12 +160,6 @@ def test_posdc_dominates_cases():
 
 # -- mutation -----------------------------------------------------------------
 
-def drawn_flips(ctx, flips):
-    """The positions ``ctx.mutate`` flips in its next iteration, or None."""
-    child = ctx.mutate(flips, bytearray(ctx.n), 0, 0, 0)
-    return None if child is None else child[0]
-
-
 def count_p_value(sample, n, p, top=4):
     """Chi-square p-value of flip counts against Bin(n, p); counts >= top
     share one bin."""
@@ -185,16 +175,15 @@ def test_flip_blocks_match_independent_bit_flips(n):
     flip counts follow Bin(n, 1/n), also in the last eighth of each block,
     positions are uniform, and about (1 - 1/n)^n of the iterations flip
     nothing."""
-    _, ctx = make_ctx(n=n)
-    flips = _FlipBlocks(np.random.default_rng(2024), n)
+    next_flips = _replay_flips(np.random.default_rng(2024), n)
     blocks = 80
     iters = blocks * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 80 block ends
     counts = np.empty(iters, np.int64)
     positions = []
     for t in range(iters):
-        drawn = drawn_flips(ctx, flips)
-        counts[t] = 0 if drawn is None else len(drawn)
-        if drawn is not None:
+        drawn = next_flips()
+        counts[t] = len(drawn)
+        if drawn:
             assert drawn == sorted(set(drawn)) and 0 <= drawn[0] and drawn[-1] < n
             positions.extend(drawn)
 
@@ -210,24 +199,47 @@ def test_flip_blocks_match_independent_bit_flips(n):
 def test_flip_blocks_replay_a_per_iteration_draw(n):
     """A block reads the same uniforms as one rng.random(n) per iteration,
     so solver trajectories do not depend on the block size."""
-    _, ctx = make_ctx(n=n)
-    flips = _FlipBlocks(np.random.default_rng(31), n)
+    next_flips = _replay_flips(np.random.default_rng(31), n)
     twin = np.random.default_rng(31)
     for _ in range(3 * MUTATION_BLOCK + 7):
-        expect = np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
-        assert drawn_flips(ctx, flips) == (expect or None)
+        assert next_flips() == np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
 
 
 class CountingGenerator:
-    """A Generator that counts its ``geometric`` calls."""
+    """A Generator that counts its draw calls."""
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = 0
 
-    def geometric(self, p, size):
-        self.calls += 1
-        return self.rng.geometric(p, size)
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args):
+            self.calls += 1
+            return draw(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("stream", ["items", "replay", "gaps", "words"])
+def test_streams_draw_a_block_only_when_the_last_runs_out(stream):
+    """A stream draws nothing before its first call, and then one block at
+    the first call of every ``MUTATION_BLOCK``, never ahead: so each solver's
+    Generator calls keep the order of the iterations they serve."""
+    rng = CountingGenerator(np.random.default_rng(9))
+    draw = {"items": lambda: _stream(lambda: rng.integers(0, 9, MUTATION_BLOCK).tolist()),
+            "replay": lambda: _replay_flips(rng, 12),
+            "gaps": lambda: _gap_flips(rng, 12),
+            # a bound of 1 accepts every word: one word per draw
+            "words": lambda: functools.partial(_IndexBlocks(rng).below, 1)}[stream]()
+    assert rng.calls == 0
+    for block in range(1, 4):
+        draw()
+        assert rng.calls == block
+        for _ in range(MUTATION_BLOCK - 1):
+            draw()
+        assert rng.calls == block
 
 
 def check_flip_positions(rng, rows, n, p, draws):
@@ -274,19 +286,14 @@ def test_gap_flip_blocks_match_independent_bit_flips(n):
     at p > 0.001, fixed seed, thresholds fixed up front): each iteration's
     flip count follows Bin(n, 1/n), also in the last eighth of each block,
     and positions are uniform and ascending within an iteration."""
-    flips = _GapFlipBlocks(np.random.default_rng(2026), n)
+    next_flips = _gap_flips(np.random.default_rng(2026), n)
     blocks = 80
     counts, positions = [], []
-    for _ in range(blocks):
-        flips.fill()
-        starts = flips.starts
-        assert len(starts) == MUTATION_BLOCK + 1 and starts[0] == 0
-        assert starts[-1] == len(flips.positions)
-        for a, b in zip(starts, starts[1:]):
-            drawn = flips.positions[a:b]
-            assert drawn == sorted(set(drawn)) and all(0 <= x < n for x in drawn)
-            counts.append(b - a)
-        positions += flips.positions
+    for _ in range(blocks * MUTATION_BLOCK):
+        drawn = next_flips()
+        assert drawn == sorted(set(drawn)) and all(0 <= x < n for x in drawn)
+        counts.append(len(drawn))
+        positions += drawn
 
     counts = np.array(counts)
     assert count_p_value(counts, n, 1.0 / n) > 1e-3
@@ -313,43 +320,49 @@ def test_gap_flip_blocks_place_the_edge_cells(n):
     """A flip in a block's first cell belongs to its first iteration, and
     one in its last cell to its last iteration, at position n - 1."""
     cells = n * MUTATION_BLOCK
-    flips = _GapFlipBlocks(ScriptedGaps([1, cells - 1]), n)
-    flips.fill()
-    assert flips.positions == [0, n - 1]
-    assert flips.starts == [0] + [1] * (MUTATION_BLOCK - 1) + [2]
-    flips = _GapFlipBlocks(ScriptedGaps([cells]), n)
-    flips.fill()
-    assert flips.positions == [n - 1]
-    assert flips.starts == [0] * MUTATION_BLOCK + [1]
+
+    def first_block(gaps):
+        next_flips = _gap_flips(ScriptedGaps(gaps), n)
+        return [next_flips() for _ in range(MUTATION_BLOCK)]
+
+    assert first_block([1, cells - 1]) == [[0]] + [[]] * (MUTATION_BLOCK - 2) + [[n - 1]]
+    assert first_block([cells]) == [[]] * (MUTATION_BLOCK - 1) + [[n - 1]]
 
 
 def test_posdc_draws_gap_blocks_and_the_ea_replays():
     """POSDC, repair included, mutates from gap-drawn blocks; the (1+1)-EA
-    keeps the replay of one rng.random(n) per iteration."""
+    keeps the replay of one rng.random(n) per iteration. Each solver's
+    stream reads its Generator after the initial solution, as a twin
+    stream on a twin Generator does."""
     _, ctx = make_ctx(n=12)
-    rng = np.random.default_rng(0)
-    assert type(Posdc(ctx, rng, 600, eta=500).flips) is _GapFlipBlocks
-    assert type(OnePlusOneEA(ctx, rng, 600).flips) is _FlipBlocks
+    iters = 2 * MUTATION_BLOCK + 3
+
+    def drawn(solver, stream):
+        twin = np.random.default_rng(0)
+        ctx.random_solution(twin)
+        next_flips = stream(twin, 12)
+        got = [solver.next_flips() for _ in range(iters)]
+        return got, [next_flips() for _ in range(iters)]
+
+    got, gaps = drawn(Posdc(ctx, np.random.default_rng(0), 600, eta=500), _gap_flips)
+    assert got == gaps
+    got, replay = drawn(OnePlusOneEA(ctx, np.random.default_rng(0), 600), _replay_flips)
+    assert got == replay
+    assert gaps != replay
 
 
 def test_mutate_applies_the_drawn_flips():
     inst, ctx = make_ctx(n=12)
     rng = np.random.default_rng(3)
     bits, p, w, k = ctx.random_solution(rng)
-    mine = _FlipBlocks(np.random.default_rng(8), 12)
-    twin = np.random.default_rng(8)
+    next_flips = _replay_flips(np.random.default_rng(8), 12)
     assert isinstance(bits, bytearray) and len(bits) == 12
     for _ in range(600):
         before = bytes(bits)
-        child = ctx.mutate(mine, bits, p, w, k)
-        drawn = np.flatnonzero(twin.random(12) < 1.0 / 12).tolist()
+        drawn = next_flips()  # [] at about a third of the iterations
+        np_, nw, nk = ctx.mutate(bits, p, w, k, drawn)
         assert bytes(bits) == before  # the parent is never edited
-        if not drawn:
-            assert child is None
-            continue
-        positions, np_, nw, nk = child
-        assert positions == drawn
-        nb = _flipped(bits, positions)
+        nb = _flipped(bits, drawn)
         assert bytes(bits) == before
         expect = np.frombuffer(before, np.uint8).copy()
         expect[drawn] ^= 1
@@ -406,14 +419,15 @@ class WordIndexBlocks:
 def test_index_blocks_replay_a_word_by_word_reference():
     """Same draws and the same words consumed as the word-by-word Lemire
     reference, across block ends and through the rejection path."""
-    draws = _IndexBlocks(np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    draws = _IndexBlocks(rng)
     ref = WordIndexBlocks(np.random.default_rng(5))
     bounds = (1, 2, 3, 20, 1000, (1 << 63) + 1, (1 << 64) - 1, 1 << 63)
     for t in range(5 * MUTATION_BLOCK):
         m = bounds[t % len(bounds)]
         assert draws.below(m) == ref.below(m)
     assert ref.rejections > 100
-    assert draws.rng.integers(0, 1 << 62) == ref.rng.integers(0, 1 << 62)
+    assert rng.integers(0, 1 << 62) == ref.rng.integers(0, 1 << 62)
     assert draws.below(7) == ref.below(7)  # mid-block position kept
 
 
@@ -884,15 +898,21 @@ def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
 
     monkeypatch.setattr(_IndexBlocks, "below", counted)
     single, records, flipping = make(), [], 0
+    drawn_flips = []
+    next_flips = single.next_flips
+
+    def watched():
+        drawn_flips.append(next_flips())
+        return drawn_flips[-1]
+
+    single.next_flips = watched
     iters = 3 * MUTATION_BLOCK + 7
     for i in range(iters):
-        before, size, t = archive_rows(single), single.archive_size(), single.flips.t
+        before, size = archive_rows(single), single.archive_size()
         drawn = len(draws)
         single.step(capacity, i, i + 1, records.append)
-        t = 0 if t == MUTATION_BLOCK else t  # the step filled a block
-        assert single.flips.t == t + 1
-        starts = single.flips.starts
-        if starts[t] == starts[t + 1]:
+        assert len(drawn_flips) == i + 1  # one mutation per step
+        if not drawn_flips[-1]:
             assert len(draws) == drawn and archive_rows(single) == before
             assert i not in records
         else:
@@ -1531,23 +1551,26 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, kind, monkeypatch):
     assert len(normal.intervals.starts) < len(reference[0]) // 4
 
 
-def solver_state(solver):
-    """Everything a step may change, the Generator's state included."""
+def solver_state(solver, rng):
+    """Everything a step may change: the state of the Generator ``rng``
+    the solver was built on, and the draws the solver's streams hold from
+    it, read as the next ``MUTATION_BLOCK + 1`` flip lists and parent
+    draws (which advances both sides alike)."""
+    state = rng.bit_generator.state
     if isinstance(solver, Nsga2):
         best = solver.best_feasible
         return (solver.bits.tobytes(), solver.p.tolist(), solver.w.tolist(),
                 solver.k.tolist(), solver.cstar.tolist(), list(solver.ranks),
                 list(solver.crowd), solver.generations,
-                best and (*best[:3], best[3].tobytes()),
-                solver.rng.bit_generator.state)
-    rng = solver.flips.rng.bit_generator.state
+                best and (*best[:3], best[3].tobytes()), state)
+    flips = [solver.next_flips() for _ in range(MUTATION_BLOCK + 1)]
     if isinstance(solver, OnePlusOneEA):
-        return bytes(solver.bits), solver.p, solver.w, solver.k, solver.flips.t, rng
+        return bytes(solver.bits), solver.p, solver.w, solver.k, flips, state
+    parents = [solver.parents.below(1 << 62) for _ in range(MUTATION_BLOCK + 1)]
     repair = solver.repair and (bytes(solver.repair[0]), *solver.repair[1:])
     archives = [([(bytes(b), *row) for b, *row in arc.members], arc._c, arc._p)
                 for arc in (solver.s_minus, solver.s_plus)]
-    return (repair, solver.repair_steps, archives, solver.flips.t,
-            solver.parents._next, rng)
+    return repair, solver.repair_steps, archives, flips, parents, state
 
 
 def take_segment(solver, capacity, first, end, per_step):
@@ -1592,10 +1615,9 @@ def test_segment_step_equals_single_steps(case, algo, kind, monkeypatch):
     cap = 20 if case == "repair-cap" else REPAIR_STEP_CAP
     monkeypatch.setattr(solvers, "REPAIR_STEP_CAP", cap)
 
-    def make():
-        return _make_solver(algo, ctx, np.random.default_rng(4), 600, 500)
-
-    whole, single = make(), make()
+    whole_rng, single_rng = np.random.default_rng(4), np.random.default_rng(4)
+    whole = _make_solver(algo, ctx, whole_rng, 600, 500)
+    single = _make_solver(algo, ctx, single_rng, 600, 500)
     stride = whole.stride
     plan = [(600, 0, 3), (600, 3, 1500), (total // 2, 1500, 2500),
             (total // 4, 2500, 2501), (total // 3, 2501, 4000)]
@@ -1616,7 +1638,7 @@ def test_segment_step_equals_single_steps(case, algo, kind, monkeypatch):
         single_rows, dense, single_error = take_segment(
             single, capacity, first, end, per_step=True)
         assert error == single_error
-        assert solver_state(whole) == solver_state(single)
+        assert solver_state(whole, whole_rng) == solver_state(single, single_rng)
         assert rows == single_rows
         steps = [i for i, _ in dense]
         assert steps[0] == first and steps == list(range(first, steps[-1] + 1, stride))

@@ -73,6 +73,23 @@ def test_identical_groups_convention():
     assert (h, p) == (0.0, 1.0)
 
 
+EQUAL_RANKS_11 = [3.2, 1.5, 3.8, 3.5, 3.8, 2.4, 1.8, 1.4, 3.5, 3.3, 4.7]
+EQUAL_RANKS_22 = [0.1, 0.31, 0.84, 0.67, 0.02, 0.45, 0.41, 0.49, 0.21, 0.59, 0.07,
+                  0.28, 0.37, 0.94, 0.08, 0.75, 0.19, 0.57, 0.39, 0.46, 0.75, 0.4]
+
+
+@pytest.mark.parametrize("groups", [
+    [EQUAL_RANKS_11] * 6,
+    [np.random.default_rng(seed).permutation(EQUAL_RANKS_11).tolist() for seed in range(6)],
+    [EQUAL_RANKS_22] * 3,
+], ids=["six-copies", "six-shuffled-copies", "three-copies"])
+def test_equal_mean_ranks_give_zero_h(groups):
+    """Groups with equal mean ranks have H exactly 0 and p exactly 1; the
+    expanded form of H cancels to about -3e-14 here, which raised (odd df)
+    or gave p > 1 (even df)."""
+    assert kruskal_wallis(groups) == (0.0, 1.0)
+
+
 def test_matches_scipy_with_ties():
     rng = np.random.default_rng(3)
     for _ in range(20):
