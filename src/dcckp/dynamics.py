@@ -60,6 +60,8 @@ def build_schedule(c0: int, tau: int, r: int, warmup: int, total_iters: int,
         raise ValueError("warmup must be >= 0")
     if not c_min <= c0 <= c_max:
         raise ValueError(f"c0={c0} outside clamp range [{c_min}, {c_max}]")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     idx = np.arange(warmup, total_iters, tau, dtype=np.int64)
     rng = np.random.default_rng(seed)
     steps = rng.integers(-r, r + 1, size=len(idx))

@@ -61,19 +61,6 @@ class IntervalLog:
             return None
         return np.repeat(values, np.diff(self.starts, append=self.length))
 
-    @classmethod
-    def from_series(cls, **series) -> "IntervalLog":
-        """Log of dense series of one length: a new entry wherever any of
-        them changes value."""
-        dense = {name: np.asarray(values) for name, values in series.items()}
-        length = len(next(iter(dense.values())))
-        change = np.zeros(length, bool)
-        change[:1] = True
-        for values in dense.values():
-            change[1:] |= values[1:] != values[:-1]
-        starts = np.flatnonzero(change)
-        return cls(length, starts, {k: v[starts] for k, v in dense.items()})
-
 
 class OfflineErrorRecorder:
     """Builds a run's interval log from the iterations at which the
@@ -140,21 +127,14 @@ class _Series:
         log = rec.intervals
         dense = {name: log.series(name) for name in log.columns}
         dense[self.column] = np.asarray(value)
-        rec.intervals = IntervalLog.from_series(**dense)
+        rec.intervals = IntervalLog(log.length, np.arange(log.length), dense)
 
 
 @dataclass
 class RunRecord:
     """Result of one (algorithm, instance, schedule, seed) run."""
 
-    algo: str
-    bound_kind: str
-    instance_seed: int
     run_seed: int
-    r: int
-    tau: int
-    delta: int
-    alpha: float
     intervals: IntervalLog = field(repr=False)
     total_offline_error: float = 0.0
     feasible_fraction: float = 0.0

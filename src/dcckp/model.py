@@ -124,6 +124,8 @@ def generate_instance(kind: str, n: int, delta: int, c_constant: int = 100,
         raise ValueError(f"delta must be in [1, {WEIGHT_OFFSET}], got {delta}")
     if c_constant < 1:
         raise ValueError("c_constant must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     base = rng.integers(BASE_WEIGHT_LOW, BASE_WEIGHT_HIGH + 1, size=n)
     if kind == UNCORRELATED:

@@ -6,10 +6,10 @@ per iteration):
 * ``OnePlusOneEA`` -- single incumbent, standard bit mutation (each bit
   flips with probability 1/n), lexicographic (constraint violation, profit)
   acceptance.
-* ``Posdc`` -- dual non-dominated archives around the current capacity: S-
-  holds solutions whose capacity bound sits in [C - eta, C), S+ those in
-  [C, C + eta]. Keeping the infeasible side warm is what lets the search
-  react when the capacity shifts.
+* ``Posdc`` -- two non-dominated sets around the current capacity, kept as
+  one list in ascending capacity bound: S- holds solutions whose bound sits
+  in [C - eta, C), S+ those in [C, C + eta]. Keeping the infeasible side
+  warm is what lets the search react when the capacity shifts.
 * ``Nsga2`` -- population of 20 on the objectives (profit up, capacity bound
   C* down), feasible when C* <= C, sweep-sorted fronts whose ranks serve the
   next tournaments, one crowding sort per front, uniform crossover as a
@@ -253,45 +253,49 @@ class OnePlusOneEA:
 
 
 class _Archive:
-    """Non-dominated store over (profit, capacity bound).
+    """POSDC's two non-dominated sets over (profit, capacity bound).
 
     ``members`` holds (bits, p, w, k, cstar) tuples in ascending C*, the
-    order parent draws index. No member weakly dominates another, so profit
-    rises along C* too: the last member has the most profit and the first
-    the smallest C*. ``_c`` and ``_p`` are the members' keys in the same
-    order, so a dominance query is a binary search.
+    order parent draws index; the first ``m``, whose C* is below the
+    capacity, are S- and the rest S+. No member weakly dominates another of
+    its side, so profit rises along C* within a side. ``_c`` and ``_p`` are
+    the members' keys in the same order, so a dominance query is a binary
+    search within the side of ``cstar < capacity``.
     """
 
-    __slots__ = ("members", "_c", "_p")
+    __slots__ = ("members", "_c", "_p", "m")
 
     def __init__(self):
         self.members, self._c, self._p = [], [], []
+        self.m = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    def has_weak_dominator(self, p: int, cstar: float, capacity: int) -> bool:
+        # the side's last member with C* <= cstar has the most profit of them
+        lo = 0 if cstar < capacity else self.m
+        i = bisect_right(self._c, cstar, lo)
+        return i > lo and self._p[i - 1] >= p
 
-    def has_weak_dominator(self, p: int, cstar: float) -> bool:
-        # the last member with C* <= cstar has the most profit among them
-        i = bisect_right(self._c, cstar)
-        return i > 0 and self._p[i - 1] >= p
-
-    def insert(self, bits, p, w, k, cstar):
-        """Insert a member in C* order in place of the run of members it
-        weakly dominates. The caller must have checked
+    def insert(self, bits, p, w, k, cstar, capacity: int):
+        """Insert a member in C* order in place of the run of its side's
+        members it weakly dominates. The caller must have checked
         ``has_weak_dominator`` first."""
-        lo = bisect_left(self._c, cstar)
-        hi = bisect_right(self._p, p, lo)  # [lo, hi): C* >= cstar, profit <= p
+        lo, hi = (0, self.m) if cstar < capacity else (self.m, len(self._p))
+        lo = bisect_left(self._c, cstar, lo, hi)
+        hi = bisect_right(self._p, p, lo, hi)  # [lo, hi): C* >= cstar, profit <= p
         self.members[lo:hi] = [(bits, p, w, k, cstar)]
         self._c[lo:hi] = [cstar]
         self._p[lo:hi] = [p]
+        if cstar < capacity:
+            self.m += lo + 1 - hi
 
-    def extend(self, members):
-        """Append members that continue the front: C* and profit both rise
-        along them, from above the last member's."""
+    def extend(self, members, capacity: int):
+        """Append members whose C* rises from above the last member's, and
+        whose profit rises within each side; ``m`` becomes the count of
+        members below the capacity."""
         self.members += members
         self._c += [m[4] for m in members]
         self._p += [m[1] for m in members]
+        self.m = bisect_left(self._c, capacity)
 
 
 def _pareto_keep_mask(p) -> list:
@@ -306,14 +310,14 @@ def _pareto_keep_mask(p) -> list:
 
 
 class Posdc:
-    """Dual-archive Pareto tracker around the moving capacity.
+    """Pareto tracker of two archive sides around the moving capacity.
 
     Until the initial random solution (or a repaired descendant of it) lands
     inside [C - eta, C + eta], every step is a lexicographic (1+1)-EA repair
     step; ``_end_repair`` checks that at construction, after each accepted
     repair step and at each capacity change. Afterwards steps mutate a
-    uniformly chosen archive member and insert the offspring into the
-    matching window side unless weakly dominated.
+    uniformly chosen archive member and insert the offspring into its side
+    of ``archive`` unless weakly dominated there.
 
     Mutation, repair included, reads a flip stream drawn from geometric gaps.
     An archive step whose iteration flips nothing is skipped before its
@@ -338,16 +342,11 @@ class Posdc:
         self.parents = _IndexBlocks(rng)
         self.eta = eta
         self.repair_steps = 0
-        self.s_minus = _Archive()
-        self.s_plus = _Archive()
+        self.archive = _Archive()
         self.repair = ctx.random_solution(rng)
         self._end_repair(capacity)
 
     # -- archive plumbing ----------------------------------------------------
-
-    def _seed(self, bits, p, w, k, cstar, capacity):
-        side = self.s_minus if cstar < capacity else self.s_plus
-        side.insert(bits, p, w, k, cstar)
 
     def _end_repair(self, capacity: int) -> bool:
         """Seed the archive with the repair incumbent, and end the repair,
@@ -357,11 +356,11 @@ class Posdc:
         if not capacity - self.eta <= cstar <= capacity + self.eta:
             return False
         self.repair = None
-        self._seed(bits, p, w, k, cstar, capacity)
+        self.archive.insert(bits, p, w, k, cstar, capacity)
         return True
 
     def archive_size(self) -> int:
-        return self.s_minus.size + self.s_plus.size
+        return len(self.archive.members)
 
     # -- designation and archive queries ---------------------------------------
 
@@ -369,26 +368,22 @@ class Posdc:
         """Designated solution: highest profit in S-, else smallest C* in S+.
 
         Returns (bits, profit, expected_weight_sum, count, cstar); raises when
-        both archives are empty (still repairing).
+        the archive is empty (still repairing).
         """
-        if self.s_minus.members:
-            return self.s_minus.members[-1]
-        if self.s_plus.members:
-            return self.s_plus.members[0]
-        raise RuntimeError("POSDC archives are empty (repair still running)")
+        members, m = self.archive.members, self.archive.m
+        if not members:
+            raise RuntimeError("POSDC archive is empty (repair still running)")
+        return members[m - 1] if m else members[0]
 
     def step(self, capacity: int, first: int, end: int, record):
         if self.repair is not None:
             first = self._repair(capacity, first, end, record)
         ctx, next_flips = self.ctx, self.next_flips
         mutate, cstar, below = ctx.mutate, ctx.bound.cstar, self.parents.below
-        sm, sp = self.s_minus, self.s_plus
-        minus_dominated, plus_dominated = sm.has_weak_dominator, sp.has_weak_dominator
-        # the lists change in place until the next ``on_change``
-        minus, plus = sm.members, sp.members
+        arc = self.archive
+        dominated, insert = arc.has_weak_dominator, arc.insert
+        members = arc.members  # changes in place until the next ``on_change``
         low, high = capacity - self.eta, capacity + self.eta
-        m = len(minus)
-        size = m + len(plus)
         for i in range(first, end):
             positions = next_flips()
             # no flip leaves a duplicate of an archived member, which is
@@ -396,20 +391,13 @@ class Posdc:
             # no parent
             if not positions:
                 continue
-            j = below(size)
-            parent, p, w, k, _ = minus[j] if j < m else plus[j - m]
+            parent, p, w, k, _ = members[below(len(members))]
             p, w, k = mutate(parent, p, w, k, positions)
             c = cstar(w, k)
-            if low <= c < capacity:
-                if not minus_dominated(p, c):
-                    sm.insert(_flipped(parent, positions), p, w, k, c)
-                    m = len(minus)
-                    size = m + len(plus)
-                    record(i)
-            elif capacity <= c <= high and not plus_dominated(p, c):
-                sp.insert(_flipped(parent, positions), p, w, k, c)
-                size = m + len(plus)
-                if not m:
+            if low <= c <= high and not dominated(p, c, capacity):
+                insert(_flipped(parent, positions), p, w, k, c, capacity)
+                # an S+ insert changes the designation only when S- is empty
+                if c < capacity or not arc.m:
                     record(i)
 
     def _repair(self, capacity: int, first: int, end: int, record) -> int:
@@ -434,30 +422,27 @@ class Posdc:
         return end
 
     def on_change(self, capacity: int):
-        """Re-partition both archives against the shifted capacity, dropping
+        """Re-partition the archive against the shifted capacity, dropping
         members outside the new window; if nothing survives, the previously
         designated solution reseeds the archive even when out of window.
-        While repairing, the archives are empty and the incumbent seeds
-        them if the new window holds it."""
+        While repairing, the archive is empty and the incumbent seeds it if
+        the new window holds it."""
         if self.repair is not None:
             self._end_repair(capacity)
             return
         designated = self.best()
-        # every S- member's C* is below every S+ member's, so S- then S+ is
-        # one list in ascending C*; the new window and its sides are runs
-        members = self.s_minus.members + self.s_plus.members
-        cs = self.s_minus._c + self.s_plus._c
+        # the members are in ascending C*, so the new window and its sides
+        # are runs of them
+        members, cs = self.archive.members, self.archive._c
         lo = bisect_left(cs, capacity - self.eta)
         mid = bisect_left(cs, capacity, lo)
         hi = bisect_right(cs, capacity + self.eta, mid)
-        self.s_minus = _Archive()
-        self.s_plus = _Archive()
-        for side, run in ((self.s_minus, members[lo:mid]),
-                          (self.s_plus, members[mid:hi])):
+        self.archive = arc = _Archive()
+        for run in (members[lo:mid], members[mid:hi]):
             keep = _pareto_keep_mask([row[1] for row in run])
-            side.extend([row for row, kept in zip(run, keep) if kept])
-        if self.archive_size() == 0:
-            self._seed(*designated, capacity)
+            arc.extend([row for row, kept in zip(run, keep) if kept], capacity)
+        if not arc.members:
+            arc.insert(*designated, capacity)
 
     def designated_eval(self, capacity: int):
         # the repair incumbent (bits, p, w, k), else the archive's designated
@@ -737,14 +722,7 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
 
     log = recorder.log()
     return metrics.RunRecord(
-        algo=algo,
-        bound_kind=params.bound_kind,
-        instance_seed=instance.seed,
         run_seed=seed,
-        r=schedule.r,
-        tau=schedule.tau,
-        delta=instance.delta,
-        alpha=params.alpha,
         intervals=log,
         total_offline_error=metrics.total_offline_error(log.series("phi")),
         feasible_fraction=float(log.series("feasible").mean()),

@@ -83,6 +83,22 @@ def test_ci_digest_campaign_per_algorithm_digests(capsys, tmp_path):
     assert digests == CI_ALGO_DIGESTS
 
 
+# runs.csv of a churn-shaped POSDC campaign (bounded strongly correlated,
+# tau 25): its capacity drops reseed the archive's S+ side, which the CI
+# digest campaign never does
+CHURN_POSDC_ARGS = ("run", "--kind", "bsc", "--n", "30", "--iters", "4000", "--warmup", "100",
+                    "--tau", "25", "--runs", "2", "--algos", "posdc", "--alpha", "0.01,0.0001",
+                    "--seed", "1")
+CHURN_POSDC_DIGEST = "0a56dd72781e0ea2aad988ba3c302f134bbd834eab39e38682c3f26d22e86fc4"
+
+
+def test_churn_posdc_campaign_digest(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, *CHURN_POSDC_ARGS, "--out", str(tmp_path))
+    assert code == 0
+    runs = (tmp_path / "runs.csv").read_bytes()
+    assert hashlib.sha256(runs).hexdigest() == CHURN_POSDC_DIGEST
+
+
 def write_runs_csv(path, errors):
     """A runs.csv of one setting: cell id suffix -> total offline errors."""
     lines = ["cell_id,algo,bound,r,tau,delta,alpha,run_seed,"
@@ -205,6 +221,16 @@ def test_dump_schedule(capsys, tmp_path):
     assert max(abs(b - a) for a, b in zip(caps, caps[1:])) <= 50
     sched = build_schedule(500, 10, 50, 20, 60, 1, 1000, seed=2)
     assert lines[1:] == [f"{i},{sched.capacity_at(i)}" for i in range(60)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-instance"],
+    ["dump-schedule", "--c0", "5", "--tau", "2", "--r", "1", "--iters", "5", "--c-max", "10"],
+], ids=["gen-instance", "dump-schedule"])
+def test_negative_seed_is_rejected_by_name(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert "error: seed must be >= 0" in err
 
 
 def test_dump_dp(capsys, tmp_path):

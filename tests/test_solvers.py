@@ -134,28 +134,36 @@ def test_lex_run_rejects_lower_profit_against_a_feasible_incumbent_unevaluated(
 
 
 def test_posdc_dominates_cases():
-    """Weak dominance on (profit, C*) as the POSDC archives apply it: at
-    least the profit and at most the C*; equal points dominate each
-    other."""
+    """Weak dominance on (profit, C*) as the POSDC archive applies it within
+    a side: at least the profit and at most the C*; equal points dominate
+    each other. A member of the other side dominates nothing."""
     bits = bytearray(3)
 
-    def archive(*points):
+    def archive(*points, capacity=100):
         arc = _Archive()
         for p, c in points:
-            assert not arc.has_weak_dominator(p, c)
-            arc.insert(bits, p, 0, 0, c)
+            assert not arc.has_weak_dominator(p, c, capacity)
+            arc.insert(bits, p, 0, 0, c, capacity)
         return arc
 
-    assert archive((10, 5)).has_weak_dominator(8, 6)
-    assert not archive((10, 5)).has_weak_dominator(12, 4)
-    assert archive((10, 5)).has_weak_dominator(10, 5)
-    assert not archive((10, 6)).has_weak_dominator(11, 5)
+    assert archive((10, 5)).has_weak_dominator(8, 6, 100)
+    assert not archive((10, 5)).has_weak_dominator(12, 4, 100)
+    assert archive((10, 5)).has_weak_dominator(10, 5, 100)
+    assert not archive((10, 6)).has_weak_dominator(11, 5, 100)
     # an insert drops every member it weakly dominates, and only those
     arc = archive((10, 5), (8, 3), (12, 9))
-    assert arc.size == 3
-    arc.insert(bits, 11, 0, 0, 4)
+    assert len(arc.members) == 3 and arc.m == 3
+    arc.insert(bits, 11, 0, 0, 4, 100)
     # the new member takes the dominated member's place in C* order
-    assert keys(arc) == [(8, 3.0), (11, 4.0), (12, 9.0)]
+    assert keys(arc.members) == [(8, 3.0), (11, 4.0), (12, 9.0)] and arc.m == 3
+    # S- (C* < 6) and S+ are separate sets
+    arc = archive((10, 5), (4, 6), capacity=6)
+    assert keys(arc.members) == [(10, 5.0), (4, 6.0)] and arc.m == 1
+    assert not arc.has_weak_dominator(8, 7, 6)
+    assert arc.has_weak_dominator(8, 5.5, 6)
+    assert arc.has_weak_dominator(3, 7, 6)
+    arc.insert(bits, 12, 0, 0, 6, 6)  # replaces (4, 6) only
+    assert keys(arc.members) == [(10, 5.0), (12, 6.0)] and arc.m == 1
 
 
 # -- mutation -----------------------------------------------------------------
@@ -437,56 +445,61 @@ def dummy_bits(n=6):
     return bytearray(n)
 
 
-def keys(arc):
+def keys(members):
     """(profit, C*) of each member, in the archive's order."""
-    return [(p, c) for _, p, _, _, c in arc.members]
+    return [(p, c) for _, p, _, _, c in members]
+
+
+def sides(pos):
+    """S- and S+ of POSDC's archive: its members split at ``m``."""
+    arc = pos.archive
+    return arc.members[:arc.m], arc.members[arc.m:]
 
 
 def fresh_posdc(capacity=1000, eta=500, alpha=0.5, kind=CHEBYSHEV):
     inst, ctx = make_ctx(n=6, alpha=alpha, kind=kind)
     pos = Posdc(ctx, np.random.default_rng(0), capacity, eta)
     pos.repair = None
-    pos.s_minus = _Archive()
-    pos.s_plus = _Archive()
+    pos.archive = _Archive()
     return pos
 
 
 def test_archive_strict_dominance_replacement():
-    pos = fresh_posdc()
-    pos.s_minus.insert(dummy_bits(), 10, 90, 1, 90.0)
-    assert not pos.s_minus.has_weak_dominator(12, 85.0)
-    pos.s_minus.insert(dummy_bits(), 12, 85, 1, 85.0)
-    assert keys(pos.s_minus) == [(12, 85.0)]
+    arc = fresh_posdc().archive
+    arc.insert(dummy_bits(), 10, 90, 1, 90.0, 1000)
+    assert not arc.has_weak_dominator(12, 85.0, 1000)
+    arc.insert(dummy_bits(), 12, 85, 1, 85.0, 1000)
+    assert keys(arc.members) == [(12, 85.0)] and arc.m == 1
 
 
 def test_archive_rejects_exact_duplicates():
-    pos = fresh_posdc()
-    pos.s_minus.insert(dummy_bits(), 10, 90, 1, 90.0)
-    assert pos.s_minus.has_weak_dominator(10, 90.0)
+    arc = fresh_posdc().archive
+    arc.insert(dummy_bits(), 10, 90, 1, 90.0, 1000)
+    assert arc.has_weak_dominator(10, 90.0, 1000)
 
 
 def test_archive_keeps_incomparable_members():
-    pos = fresh_posdc()
-    pos.s_minus.insert(dummy_bits(), 10, 90, 1, 90.0)
-    pos.s_minus.insert(dummy_bits(), 12, 95, 2, 95.0)
-    pos.s_minus.insert(dummy_bits(), 8, 80, 1, 80.0)
-    assert pos.s_minus.size == 3
+    arc = fresh_posdc().archive
+    arc.insert(dummy_bits(), 10, 90, 1, 90.0, 1000)
+    arc.insert(dummy_bits(), 12, 95, 2, 95.0, 1000)
+    arc.insert(dummy_bits(), 8, 80, 1, 80.0, 1000)
+    assert len(arc.members) == 3 and arc.m == 3
 
 
 def test_archive_growth_preserves_members():
-    pos = fresh_posdc()
-    arc = pos.s_minus
+    arc = fresh_posdc().archive
     for i in range(200):  # strictly improving profit with worse cstar: all kept
-        arc.insert(dummy_bits(), 10 + i, 100, 1, 100.0 + i)
-    assert arc.size == 200
-    assert keys(arc) == [(10 + i, 100.0 + i) for i in range(200)]
+        arc.insert(dummy_bits(), 10 + i, 100, 1, 100.0 + i, 1000)
+    assert len(arc.members) == 200 and arc.m == 200
+    assert keys(arc.members) == [(10 + i, 100.0 + i) for i in range(200)]
 
 
 class ReferenceArchive:
     """The numpy archive that the list archive replaced: parallel columns
     grown by doubling, a vectorised dominance scan, and compaction of the
-    survivors on insert, in insertion order. The list archive must hold the
-    same members in C* order and designate the same one."""
+    survivors on insert, in insertion order. Each side of the list archive
+    must hold the same members as one of these, in C* order, and designate
+    the same one."""
 
     def __init__(self, n, capacity_hint=4):
         self.bits = np.empty((capacity_hint, n), np.uint8)
@@ -587,14 +600,14 @@ def reference_on_change(minus, plus, capacity, eta, n):
     return sides
 
 
-def assert_same_members(arc, ref, designated):
-    """``arc.members`` are the reference's rows stably sorted by C*, and the
-    member at ``designated`` (-1 on S-, 0 on S+) is the row the reference
-    designates on that side."""
+def assert_same_members(side, ref, designated):
+    """The members of one side are the reference's rows stably sorted by C*,
+    and the member at ``designated`` (-1 on S-, 0 on S+) is the row the
+    reference designates on that side."""
     bits, p, w, k, cstar = ref.rows()
     rows = [(b.tobytes(), *row) for b, row in
             zip(bits, zip(p.tolist(), w.tolist(), k.tolist(), cstar.tolist()))]
-    members = [(bytes(b), *row) for b, *row in arc.members]
+    members = [(bytes(b), *row) for b, *row in side]
     order = np.argsort(cstar, kind="stable")
     assert members == [rows[i] for i in order]
     if ref.size:
@@ -604,8 +617,8 @@ def assert_same_members(arc, ref, designated):
 
 def test_archive_matches_numpy_reference():
     """Seeded streams of dominance queries, inserts and capacity changes
-    leave the list archives with the members of the numpy reference, in C*
-    order, and designate the same member."""
+    leave each side of the list archive with the members of its numpy
+    reference, in C* order, and designate the same member."""
     rng = np.random.default_rng(2027)
     eta = 30
     for trial in range(12):
@@ -629,18 +642,20 @@ def test_archive_matches_numpy_reference():
                 w, k = int(rng.integers(0, 1000)), int(rng.integers(0, n + 1))
                 bits = rng.integers(0, 2, n, np.uint8)
                 if capacity - eta <= c < capacity:
-                    arc, ref = pos.s_minus, ref_minus
+                    ref = ref_minus
                 elif capacity <= c <= capacity + eta:
-                    arc, ref = pos.s_plus, ref_plus
+                    ref = ref_plus
                 else:
                     continue
                 dominated = ref.has_weak_dominator(p, c)
-                assert arc.has_weak_dominator(p, c) == dominated
+                assert pos.archive.has_weak_dominator(p, c, capacity) == dominated
                 if not dominated:
-                    arc.insert(bytearray(bits), p, w, k, c)
+                    pos.archive.insert(bytearray(bits), p, w, k, c, capacity)
                     ref.insert(bits, p, w, k, c)
-            assert_same_members(pos.s_minus, ref_minus, -1)
-            assert_same_members(pos.s_plus, ref_plus, 0)
+            check_sorted_view(pos.archive, capacity)
+            minus, plus = sides(pos)
+            assert_same_members(minus, ref_minus, -1)
+            assert_same_members(plus, ref_plus, 0)
             if pos.archive_size():
                 got = pos.best()
                 want = reference_best(ref_minus, ref_plus)
@@ -649,53 +664,64 @@ def test_archive_matches_numpy_reference():
 
 
 def test_posdc_best_prefers_s_minus_max_profit():
-    pos = fresh_posdc()
-    pos.s_minus.insert(dummy_bits(), 5, 90, 1, 90.0)
-    pos.s_minus.insert(dummy_bits(), 7, 95, 1, 95.0)
-    pos.s_plus.insert(dummy_bits(), 20, 101, 2, 101.0)
+    pos = fresh_posdc(capacity=100)
+    pos.archive.insert(dummy_bits(), 5, 90, 1, 90.0, 100)
+    pos.archive.insert(dummy_bits(), 7, 95, 1, 95.0, 100)
+    pos.archive.insert(dummy_bits(), 20, 101, 2, 101.0, 100)
+    assert pos.archive.m == 2
     assert pos.best()[1] == 7
 
 
 def test_posdc_best_s_plus_min_cstar_when_s_minus_empty():
-    pos = fresh_posdc()
-    pos.s_plus.insert(dummy_bits(), 30, 105, 2, 105.0)
-    pos.s_plus.insert(dummy_bits(), 20, 101, 2, 101.0)
+    pos = fresh_posdc(capacity=100)
+    pos.archive.insert(dummy_bits(), 30, 105, 2, 105.0, 100)
+    pos.archive.insert(dummy_bits(), 20, 101, 2, 101.0, 100)
+    assert pos.archive.m == 0
     bits, p, w, k, cstar = pos.best()
     assert (p, cstar) == (20, 101.0)
 
 
-def check_sorted_view(arc):
-    """C* and profit both rise strictly along the members, so the last has
-    the most profit and the first the smallest C*, and ``_c``/``_p`` are
-    the members' keys in the same order."""
-    points = keys(arc)
-    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(points, points[1:]))
+def check_sorted_view(arc, capacity):
+    """C* rises strictly along the members, the first ``m`` are those below
+    the capacity, and profit rises strictly within each side, so the last of
+    a side has its most profit and the first its smallest C*; ``_c``/``_p``
+    are the members' keys in the same order."""
+    points = keys(arc.members)
+    assert all(a[1] < b[1] for a, b in zip(points, points[1:]))
+    assert arc.m == sum(c < capacity for _, c in points)
+    for side in (points[:arc.m], points[arc.m:]):
+        assert all(a[0] < b[0] for a, b in zip(side, side[1:]))
     assert arc._c == [c for _, c in points] and arc._p == [p for p, _ in points]
 
 
 def test_archive_sorted_view_strictly_ascending():
     """After every ``insert`` and ``extend`` of a seeded random stream, with
-    many equal profits and equal C* values among the candidates."""
+    many equal profits and equal C* values among the candidates, for a
+    capacity below, inside and above the candidates' C*."""
     rng = np.random.default_rng(12)
     for trial in range(30):
+        capacity = (0, 20, 61)[trial % 3]
         arc = _Archive()
+
+        def dominates(o, p, c):
+            return o[0] >= p and o[1] <= c and (o[1] < capacity) == (c < capacity)
+
         points = [(int(p), float(c)) for p, c in
                   zip(rng.integers(0, 40, 60), rng.integers(0, 40, 60))]
         front = sorted((c, p) for p, c in set(points)
-                       if not any(o != (p, c) and o[0] >= p and o[1] <= c
-                                  for o in points))
+                       if not any(o != (p, c) and dominates(o, p, c) for o in points))
         half = len(front) // 2
         for batch in (front[:half], front[half:]):  # a bulk build in two parts
-            arc.extend([(dummy_bits(), p, 0, 0, c) for c, p in batch])
-            check_sorted_view(arc)
-        assert keys(arc) == [(p, c) for c, p in front]
+            arc.extend([(dummy_bits(), p, 0, 0, c) for c, p in batch], capacity)
+            check_sorted_view(arc, capacity)
+        assert keys(arc.members) == [(p, c) for c, p in front]
         for p, c in zip(rng.integers(0, 60, 300), rng.integers(0, 60, 300)):
             p, c = int(p), float(c)
-            dominated = any(q >= p and d <= c for q, d in keys(arc))
-            assert arc.has_weak_dominator(p, c) == dominated
+            dominated = any(dominates(o, p, c) for o in keys(arc.members))
+            assert arc.has_weak_dominator(p, c, capacity) == dominated
             if not dominated:
-                arc.insert(dummy_bits(), p, 0, 0, c)
-                check_sorted_view(arc)
+                arc.insert(dummy_bits(), p, 0, 0, c, capacity)
+                check_sorted_view(arc, capacity)
 
 
 def test_posdc_best_raises_when_empty():
@@ -712,25 +738,24 @@ def run_posdc_steps(pos, capacity, steps):
 
 def check_archive_invariants(pos, capacity, allow_out_of_window=0):
     out_of_window = 0
-    for arc, lo, hi in ((pos.s_minus, capacity - pos.eta, capacity),
-                        (pos.s_plus, capacity, capacity + pos.eta)):
-        s = arc.size
-        p, c = zip(*keys(arc)) if s else ((), ())
+    minus, plus = sides(pos)
+    for side, lo, hi in ((minus, capacity - pos.eta, capacity),
+                         (plus, capacity, capacity + pos.eta)):
+        s = len(side)
+        p, c = zip(*keys(side)) if s else ((), ())
         # pairwise weak-dominance check (oracle-style, O(s^2))
         for i in range(s):
             for j in range(s):
                 if i != j:
                     assert not (p[i] >= p[j] and c[i] <= c[j])
-        if arc is pos.s_minus:
+        if side is minus:
             inside = sum(lo <= x < hi for x in c)
         else:
             inside = sum(lo <= x <= hi for x in c)
         out_of_window += s - inside
-        check_sorted_view(arc)
     assert out_of_window <= allow_out_of_window
-    # S- then S+ is one run of ascending C*
-    if pos.s_minus.size and pos.s_plus.size:
-        assert pos.s_minus.members[-1][4] < pos.s_plus.members[0][4]
+    # one run of ascending C*, split at the capacity by ``m``
+    check_sorted_view(pos.archive, capacity)
 
 
 def test_posdc_archive_invariants_static():
@@ -742,12 +767,11 @@ def test_posdc_archive_invariants_static():
         if pos.repair is None:
             check_archive_invariants(pos, capacity)
     # every member's aggregates match its bits
-    for arc in (pos.s_minus, pos.s_plus):
-        for bits, p, w, k, c in arc.members:
-            x = np.frombuffer(bits, np.uint8)
-            assert (p, w, k) == (int(x @ inst.profit_array()),
-                                 int(x @ inst.weight_array()), int(x.sum()))
-            assert c == ctx.bound.cstar(w, k)
+    for bits, p, w, k, c in pos.archive.members:
+        x = np.frombuffer(bits, np.uint8)
+        assert (p, w, k) == (int(x @ inst.profit_array()),
+                             int(x @ inst.weight_array()), int(x.sum()))
+        assert c == ctx.bound.cstar(w, k)
 
 
 def test_posdc_on_change_matches_reclassification_oracle():
@@ -759,7 +783,7 @@ def test_posdc_on_change_matches_reclassification_oracle():
         run_posdc_steps(pos, capacity, 3000)
         if pos.repair is not None:
             continue
-        before = keys(pos.s_minus) + keys(pos.s_plus)
+        before = keys(pos.archive.members)
         best_p = pos.best()[1]
         new_c = capacity + int(rng.integers(-400, 401))
         pos.on_change(new_c)
@@ -774,7 +798,7 @@ def test_posdc_on_change_matches_reclassification_oracle():
                 if not any(o != m and o[0] >= m[0] and o[1] <= m[1]
                            for o in side_members):
                     expect.add(m)
-        got = set(keys(pos.s_minus) + keys(pos.s_plus))
+        got = set(keys(pos.archive.members))
         if expect:
             assert got == expect
             check_archive_invariants(pos, new_c)
@@ -788,29 +812,48 @@ def test_posdc_on_change_identity_keeps_members():
     capacity = int(0.5 * inst.total_expected_weight())
     pos = Posdc(ctx, np.random.default_rng(1), capacity, eta=500)
     run_posdc_steps(pos, capacity, 2000)
-    before = (list(pos.s_minus.members), list(pos.s_plus.members))
+    before = (list(pos.archive.members), pos.archive.m)
     pos.on_change(capacity)
-    assert (pos.s_minus.members, pos.s_plus.members) == before
+    assert (pos.archive.members, pos.archive.m) == before
 
 
 def test_posdc_shift_by_eta_moves_plus_members_into_minus_interval():
     pos = fresh_posdc(capacity=1000, eta=500)
-    pos.s_plus.insert(dummy_bits(), 10, 1200, 2, 1200.0)
-    pos.s_plus.insert(dummy_bits(), 20, 1400, 3, 1400.0)
+    pos.archive.insert(dummy_bits(), 10, 1200, 2, 1200.0, 1000)
+    pos.archive.insert(dummy_bits(), 20, 1400, 3, 1400.0, 1000)
+    assert pos.archive.m == 0
     pos.on_change(1500)
-    assert keys(pos.s_minus) == [(10, 1200.0), (20, 1400.0)]
-    assert pos.s_plus.size == 0
+    minus, plus = sides(pos)
+    assert keys(minus) == [(10, 1200.0), (20, 1400.0)]
+    assert plus == []
 
 
 def test_posdc_reseeds_out_of_window_survivor():
     pos = fresh_posdc(capacity=1000, eta=100)
-    pos.s_minus.insert(dummy_bits(), 15, 950, 2, 950.0)
+    pos.archive.insert(dummy_bits(), 15, 950, 2, 950.0, 1000)
     pos.on_change(3000)  # window [2900, 3100] contains nothing
     assert pos.archive_size() == 1
-    assert pos.s_minus.size == 1  # cstar 950 < 3000 lands on the feasible side
-    assert keys(pos.s_minus) == [(15, 950.0)]
+    minus, _ = sides(pos)  # cstar 950 < 3000 lands on the feasible side
+    assert keys(minus) == [(15, 950.0)]
     # invariant allows exactly this one out-of-window survivor
     check_archive_invariants(pos, 3000, allow_out_of_window=1)
+
+
+def test_posdc_reseeds_out_of_window_survivor_into_s_plus():
+    """After a drop that empties the window, the designated member, whose
+    C* now lies above C + eta, reseeds S+; the S+ member it was designated
+    over is dropped."""
+    pos = fresh_posdc(capacity=1000, eta=100)
+    pos.archive.insert(dummy_bits(), 15, 950, 2, 950.0, 1000)
+    pos.archive.insert(dummy_bits(), 20, 1050, 3, 1050.0, 1000)
+    designated = pos.best()
+    assert designated[1] == 15 and pos.archive.m == 1
+    pos.on_change(500)  # window [400, 600] contains nothing
+    assert pos.archive_size() == 1 and pos.archive.m == 0
+    _, plus = sides(pos)  # cstar 950 >= 500 lands on the infeasible side
+    assert keys(plus) == [(15, 950.0)]
+    assert pos.best() == designated
+    check_archive_invariants(pos, 500, allow_out_of_window=1)
 
 
 def test_posdc_in_window_init_skips_repair():
@@ -869,14 +912,13 @@ def test_posdc_seeds_when_the_window_reaches_the_repair_incumbent(kind, monkeypa
 
 
 def archive_rows(pos):
-    return [[(bytes(bits), *row) for bits, *row in side.members]
-            for side in (pos.s_minus, pos.s_plus)]
+    return [(bytes(bits), *row) for bits, *row in pos.archive.members], pos.archive.m
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
 def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
     """An archive step whose iteration flips nothing draws no parent and
-    leaves the archives and the records as they were; every other step
+    leaves the archive and the records as they were; every other step
     draws one parent from the whole archive. A stretch taken in one call
     makes exactly one parent draw per iteration with at least one flip."""
     inst = generate_instance("uncorrelated", 12, 25, seed=6)
@@ -1568,9 +1610,9 @@ def solver_state(solver, rng):
         return bytes(solver.bits), solver.p, solver.w, solver.k, flips, state
     parents = [solver.parents.below(1 << 62) for _ in range(MUTATION_BLOCK + 1)]
     repair = solver.repair and (bytes(solver.repair[0]), *solver.repair[1:])
-    archives = [([(bytes(b), *row) for b, *row in arc.members], arc._c, arc._p)
-                for arc in (solver.s_minus, solver.s_plus)]
-    return repair, solver.repair_steps, archives, flips, parents, state
+    arc = solver.archive
+    archive = ([(bytes(b), *row) for b, *row in arc.members], arc._c, arc._p, arc.m)
+    return repair, solver.repair_steps, archive, flips, parents, state
 
 
 def take_segment(solver, capacity, first, end, per_step):
