@@ -451,40 +451,43 @@ class Posdc:
         return p, self.ctx.bound.certified(w, k, capacity)
 
 
-def _fronts(profits, cap_bounds) -> list:
-    """Indices of each front under (maximize profit, minimize capacity
-    bound), by depth, ascending within each front; takes numpy arrays.
+def _fronts(ps, cs, order):
+    """Fronts under (maximize profit, minimize capacity bound), by depth, one
+    per ``next``; each a list of indices in ascending order. ``ps`` and
+    ``cs`` list the points' objectives, and ``order`` lists the points by
+    falling profit, then rising bound (``np.lexsort((c, -p))``), so a caller
+    that has enough fronts stops the peel.
 
-    A sweep for two objectives (Jensen, IEEE TEC 7(5), 2003): points are
-    visited by falling profit, then rising bound, and each joins the first
-    front whose latest member does not dominate it, which is the first whose
-    latest bound exceeds its own, since every earlier point has at least its
-    profit; an exact duplicate joins its twin's front, visited just before.
-    The latest bounds stay sorted, so a binary search places each point.
+    Each pass peels one front (Deb et al., IEEE TEC 6(2), 2002) from the
+    points left: every point visited before another has at least its profit,
+    so a point is dominated by none of them when its bound is below that of
+    every point kept in the pass, or when it duplicates the last one kept.
+    The rest keep their order for the next pass.
     """
-    ps, cs = profits.tolist(), cap_bounds.tolist()
-    fronts, latest = [], []
-    last_p = last_c = None
-    for i in np.lexsort((cap_bounds, -profits)).tolist():
-        p, c = ps[i], cs[i]
-        if c != last_c or p != last_p:
-            depth = bisect_right(latest, c)
-            if depth == len(latest):  # a new front
-                latest.append(c)
-                fronts.append([])
-            latest[depth] = c
-            last_p, last_c = p, c
-        fronts[depth].append(i)
-    for front in fronts:
-        front.sort()
-    return fronts
+    while order:
+        front, rest = [], []
+        last_p, last_c = ps[order[0]], cs[order[0]]  # the first point is kept
+        for i in order:
+            c = cs[i]
+            if c < last_c:
+                front.append(i)
+                last_p, last_c = ps[i], c
+            elif c == last_c and ps[i] == last_p:
+                front.append(i)
+            else:
+                rest.append(i)
+        # a front of every point lists them all
+        front = list(range(len(ps))) if len(front) == len(ps) else sorted(front)
+        yield front
+        order = rest
 
 
 def fast_nondominated_sort(profits, cap_bounds):
     """Front indices under (maximize profit, minimize capacity bound), each
     front in ascending index order."""
-    fronts = _fronts(np.asarray(profits, np.float64), np.asarray(cap_bounds, np.float64))
-    return [np.array(front, np.int64) for front in fronts]
+    p, c = np.asarray(profits, np.float64), np.asarray(cap_bounds, np.float64)
+    order = np.lexsort((c, -p)).tolist()
+    return [np.array(front, np.int64) for front in _fronts(p.tolist(), c.tolist(), order)]
 
 
 def crowding_distances(profits, cap_bounds) -> list:
@@ -518,12 +521,15 @@ class Nsga2:
     Each individual's (profit, expected weight, item count) is one row of the
     int64 matrix ``pwk`` (``p``, ``w`` and ``k`` are its columns), so survival
     moves all three with one gather. Front ranks and crowding distances, one
-    sort per front, are kept between generations (``ranks``, ``crowd``): the
-    objectives do not depend on the capacity, so the survivors' ranks among
-    parents and children are their ranks among themselves (Deb et al., IEEE
-    TEC 6(2), 2002), and the next tournaments need no sort of their own. A
-    generation draws tournament ints, crossover decisions, raw 64-bit mask
-    words (mask bit j is bit j % 64 of word j // 64), then mutation gaps.
+    sort per front, are kept between generations (``ranks``, ``crowd``, and
+    the tournament keys ``(rank, -crowd)``): the objectives do not depend on
+    the capacity, so the survivors' ranks among parents and children are
+    their ranks among themselves (Deb et al., IEEE TEC 6(2), 2002), and the
+    next tournaments need no sort of their own. Survival peels fronts of
+    parents and children only until it has ``pop_size`` members; the 40
+    nearly always form one front, so it usually peels one. A generation
+    draws tournament ints, crossover decisions, raw 64-bit mask words (mask
+    bit j is bit j % 64 of word j // 64), then mutation gaps.
     """
 
     name = "nsga2"
@@ -534,10 +540,13 @@ class Nsga2:
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
         self.rng = rng
-        # columns profit, weight, 1: evaluation is one float64 BLAS matmul,
-        # exact while totals stay below 2**53, which ``Instance`` enforces
-        self._totals = np.column_stack(
-            [ctx.profits, ctx.weights, np.ones(ctx.n)]).astype(np.float64)
+        # columns profit, weight, 1: evaluation is one BLAS matmul, exact
+        # while every partial sum is a float's exact integer: float32 (half
+        # the bytes to cast the bits to) when the column totals stay below
+        # 2**24, else float64, whose 2**53 ``Instance`` enforces
+        totals = np.column_stack([ctx.profits, ctx.weights, np.ones(ctx.n)])
+        self._totals = totals.astype(
+            np.float32 if totals.sum(axis=0).max() < 2 ** 24 else np.float64)
         self.bits = rng.integers(0, 2, (self.pop_size, ctx.n), np.uint8)
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
@@ -547,18 +556,27 @@ class Nsga2:
     def _evaluate(self, bits):
         """The (profit, expected weight, item count) rows of ``bits`` as one
         int64 matrix, and the C* of each row."""
-        pwk = (bits @ self._totals).astype(np.int64)
+        pwk = np.dot(bits, self._totals).astype(np.int64)
         return pwk, self.ctx.bound.cstar_array(pwk[:, 1], pwk[:, 2])
 
     def _evaluate_population(self):
         """Evaluate ``bits`` and rank the population from scratch."""
         self.pwk, self.cstar = self._evaluate(self.bits)
-        self.ranks, self.crowd = [0] * self.pop_size, [0.0] * self.pop_size
+        ranks, crowd = [0] * self.pop_size, [0.0] * self.pop_size
         ps, cs = self.p.tolist(), self.cstar.tolist()
-        for depth, front in enumerate(_fronts(self.p, self.cstar)):
+        order = np.lexsort((self.cstar, -self.p)).tolist()
+        for depth, front in enumerate(_fronts(ps, cs, order)):
             distances = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
             for i, d in zip(front, distances):
-                self.ranks[i], self.crowd[i] = depth, d
+                ranks[i], crowd[i] = depth, d
+        self._rank(ranks, crowd)
+
+    def _rank(self, ranks, crowd):
+        """Keep each individual's front rank and crowding distance, and its
+        tournament key, of which the higher wins: (-rank, crowding), or the
+        crowding alone while every rank is 0."""
+        self.ranks, self.crowd = ranks, crowd
+        self.keys = list(zip([-r for r in ranks], crowd)) if any(ranks) else crowd
 
     p = property(lambda self: self.pwk[:, 0])
     w = property(lambda self: self.pwk[:, 1])
@@ -568,14 +586,22 @@ class Nsga2:
         """Fold freshly evaluated individuals into the tracked best feasible:
         the first row of the highest profit among those with C* <= C, if it
         beats the tracked one; returns whether it was replaced."""
-        best = self.best_feasible
-        # profits are never negative, so -1 marks the infeasible rows
-        feasible = np.where(cstar <= capacity, p, -1)
-        j = feasible.argmax()
-        if feasible[j] <= (-1 if best is None else best[0]):
+        j = self._better_feasible(p.tolist(), cstar.tolist(), capacity, 0)
+        if j < 0:
             return False
         self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
         return True
+
+    def _better_feasible(self, ps, cs, capacity, start) -> int:
+        """Index from ``start`` on of the first of the highest profit among
+        rows with C* <= C, if it beats the tracked best feasible; else -1."""
+        # profits are never negative, so -1 stands for no tracked solution
+        best = -1 if self.best_feasible is None else self.best_feasible[0]
+        j = -1
+        for i in range(start, len(ps)):
+            if ps[i] > best and cs[i] <= capacity:
+                best, j = ps[i], i
+        return j
 
     def step(self, capacity: int, first: int, end: int, record):
         # the designated solution is the tracked best feasible, which changes
@@ -589,51 +615,64 @@ class Nsga2:
         rng = self.rng
         pop, n = self.pop_size, self.ctx.n
 
-        # binary tournaments: the lower (rank, -crowding) wins, a on ties
-        key = list(zip(self.ranks, [-d for d in self.crowd]))
-        winners = [a if key[a] <= key[b] else b
+        # binary tournaments: the higher key wins, a on ties
+        keys = self.keys
+        winners = [a if keys[a] >= keys[b] else b
                    for a, b in rng.integers(0, pop, size=(pop, 2)).tolist()]
         children = self.bits.take(winners, axis=0)
 
-        # uniform crossover on consecutive pairs (a masked XOR swap), then
-        # 1/n mutation, both in place on the tournament's copy
-        do_cross = rng.random(pop // 2) < self.crossover_rate
+        # uniform crossover on consecutive pairs (a masked XOR swap; a pair
+        # that does not cross has its mask words zeroed), then 1/n mutation,
+        # both in place on the tournament's copy
+        crosses, rate = rng.random(pop // 2).tolist(), self.crossover_rate
         words = rng.bit_generator.random_raw((pop // 2, -(-n // 64)))
+        for pair, u in enumerate(crosses):
+            if u >= rate:
+                words[pair] = 0
         mix = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
                             count=n, bitorder="little")
-        mix &= do_cross[:, None]
-        pairs = children.reshape(pop // 2, 2, n)
-        pairs ^= ((pairs[:, 0] ^ pairs[:, 1]) & mix)[:, None]
-        children.reshape(-1)[_flip_positions(rng, pop * n, self.ctx.inv_n)] ^= 1
+        mix &= children[0::2] ^ children[1::2]
+        children ^= mix.repeat(2, axis=0)
+        children.ravel()[_flip_positions(rng, pop * n, self.ctx.inv_n)] ^= 1
 
+        # parents then children, as rows of the merged population
         pwk, cstar = self._evaluate(children)
-        replaced = self._consider(children, pwk[:, 0], pwk[:, 1], pwk[:, 2], cstar, capacity)
-
-        # elitist survival over parents + children: whole fronts by depth,
-        # then the most crowding-distant members of the front that overflows,
-        # which is measured again on its chosen members. Each front is a run
-        # of ``chosen`` in the order a fresh sort of the survivors would list
-        # it, the order by which crowding's stable sort breaks ties
         all_pwk = np.concatenate([self.pwk, pwk])
         all_c = np.concatenate([self.cstar, cstar])
-        ps, cs = all_pwk[:, 0].tolist(), all_c.tolist()
-        chosen, self.ranks, self.crowd = [], [], []
-        for depth, front in enumerate(_fronts(all_pwk[:, 0], all_c)):
+        all_p = all_pwk[:, 0]
+        ps, cs = all_p.tolist(), all_c.tolist()
+        j = self._better_feasible(ps, cs, capacity, pop)
+        if j >= 0:
+            self.best_feasible = (ps[j], *all_pwk[j, 1:].tolist(), children[j - pop].copy())
+
+        # elitist survival: whole fronts by depth, then the most
+        # crowding-distant members of the front that overflows, which is
+        # measured again on its chosen members. Each front is a run of
+        # ``chosen`` in the order a fresh sort of the survivors would list
+        # it, the order by which crowding's stable sort breaks ties
+        chosen, ranks, crowd = [], [], []
+        for depth, front in enumerate(_fronts(ps, cs, np.lexsort((all_c, -all_p)).tolist())):
             room = pop - len(chosen)
             if len(front) > room:
-                cd = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
-                most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)
-                front = [front[j] for j in most[:room]]  # stable: ties keep order
+                # a front of every point is ``ps`` and ``cs`` in index order
+                whole = len(front) == len(ps)
+                cd = crowding_distances(*((ps, cs) if whole else (
+                    [ps[i] for i in front], [cs[i] for i in front])))
+                # stable: ties keep index order
+                most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)[:room]
+                front = most if whole else [front[i] for i in most]
             chosen += front
-            self.ranks += [depth] * len(front)
-            self.crowd += crowding_distances([ps[i] for i in front], [cs[i] for i in front])
+            ranks += [depth] * len(front)
+            crowd += crowding_distances([ps[i] for i in front], [cs[i] for i in front])
             if len(chosen) == pop:
                 break
+        self._rank(ranks, crowd)
+        chosen = np.array(chosen)
         self.bits = np.concatenate([self.bits, children]).take(chosen, axis=0)
         self.pwk = all_pwk.take(chosen, axis=0)
         self.cstar = all_c.take(chosen)
         self.generations += 1
-        return replaced
+        return j >= 0
 
     def on_change(self, capacity: int):
         self.best_feasible = None
@@ -721,11 +760,13 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         step(capacity, first, end, record)
 
     log = recorder.log()
+    spans = np.diff(log.starts, append=log.length)  # iterations per log entry
     return metrics.RunRecord(
         run_seed=seed,
         intervals=log,
         total_offline_error=metrics.total_offline_error(log.series("phi")),
-        feasible_fraction=float(log.series("feasible").mean()),
+        # the dense series' mean: an exact count, one correctly rounded division
+        feasible_fraction=int(spans[log.columns["feasible"]].sum()) / log.length,
         change_count=schedule.change_count,
         evaluations=-(-total // stride) * stride,  # a truncated last step in full
     )

@@ -207,6 +207,16 @@ def test_criterion_5_offline_error_invariants(desk_campaign):
            f"({seen_infeasible} infeasible iterations exercised)")
 
 
+def test_feasible_fraction_is_the_dense_mean(desk_campaign):
+    """``run_algorithm`` counts the feasible iterations on the interval log;
+    the share equals the dense series' mean bit for bit, on runs that spend
+    part of their iterations infeasible."""
+    records = desk_campaign.records.values()
+    for rec in records:
+        assert rec.feasible_fraction == float(rec.intervals.series("feasible").mean())
+    assert any(0 < rec.feasible_fraction < 1 for rec in records)
+
+
 def test_criterion_6_trend_reproduction(desk_campaign):
     phis = {(a, b, al): mean_phi(desk_campaign, a, b, al)
             for a in ("ea11", "posdc")

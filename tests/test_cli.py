@@ -99,6 +99,21 @@ def test_churn_posdc_campaign_digest(capsys, tmp_path):
     assert hashlib.sha256(runs).hexdigest() == CHURN_POSDC_DIGEST
 
 
+# runs.csv of the same churn-shaped campaign for NSGA-II: its parents and
+# children nearly always form one front, so every generation's survival
+# compares float C* values and picks by crowding distances, which divide
+# floats
+CHURN_NSGA2_ARGS = tuple("nsga2" if arg == "posdc" else arg for arg in CHURN_POSDC_ARGS)
+CHURN_NSGA2_DIGEST = "0977d9c5ec008f40659a7cd85c8e68cb3b5466b39fe0e1452a991baba12f54af"
+
+
+def test_churn_nsga2_campaign_digest(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, *CHURN_NSGA2_ARGS, "--out", str(tmp_path))
+    assert code == 0
+    runs = (tmp_path / "runs.csv").read_bytes()
+    assert hashlib.sha256(runs).hexdigest() == CHURN_NSGA2_DIGEST
+
+
 def write_runs_csv(path, errors):
     """A runs.csv of one setting: cell id suffix -> total offline errors."""
     lines = ["cell_id,algo,bound,r,tau,delta,alpha,run_seed,"

@@ -1403,13 +1403,21 @@ class ReferenceNsga2(Nsga2):
         self.generations += 1
 
 
-@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
-@pytest.mark.parametrize("n", [1, 2, 12, 100, 1000])
-def test_nsga2_follows_reference_generation(n, kind):
+# uncorrelated cases keep their bare ids; bsc is churn's kind, whose parents
+# and children nearly always form one front of 37 to 40 points, exact
+# duplicates included, so crowding ties and the chosen order are exercised
+REFERENCE_CASES = [
+    pytest.param(family, n, kind, id=f"{prefix}{n}-{kind}")
+    for family, prefix in (("uncorrelated", ""), ("bsc", "bsc-"))
+    for kind in (CHEBYSHEV, CHERNOFF) for n in (1, 2, 12, 100, 1000)]
+
+
+@pytest.mark.parametrize("family, n, kind", REFERENCE_CASES)
+def test_nsga2_follows_reference_generation(family, n, kind):
     """Same seed, same population, best feasible solution and kept ranks as
     a full re-sort, generation by generation, with capacity changes between
     some generations."""
-    inst = generate_instance("uncorrelated", n, 25, seed=n)
+    inst = generate_instance(family, n, 25, seed=n)
     ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
     total = inst.total_expected_weight()
     capacity = total // 2
