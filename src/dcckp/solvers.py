@@ -10,11 +10,10 @@ per iteration):
   one list in ascending capacity bound: S- holds solutions whose bound sits
   in [C - eta, C), S+ those in [C, C + eta]. Keeping the infeasible side
   warm is what lets the search react when the capacity shifts.
-* ``Nsga2`` -- population of 20 on the objectives (profit up, capacity bound
-  C* down), feasible when C* <= C, sweep-sorted fronts whose ranks serve the
-  next tournaments, one crowding sort per front, uniform crossover as a
-  masked XOR swap and 1/n mutation; a generation, charged 20 iterations,
-  draws tournament ints, crossover decisions, mask words and mutation gaps.
+* ``Nsga2`` -- population of 20 on (profit up, capacity bound C* down),
+  feasible when C* <= C, survival that peels fronts only until it is full,
+  uniform crossover as a masked XOR swap and 1/n mutation; a generation is
+  charged 20 iterations.
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
 schedule and scores the offline error against a precomputed DP optimum
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -300,13 +299,8 @@ class _Archive:
 
 def _pareto_keep_mask(p) -> list:
     """Mask of the members that no other weakly dominates, for profits
-    listed in ascending, distinct C*: a running profit maximum."""
-    keep = []
-    best = -math.inf
-    for q in p:
-        keep.append(q > best)
-        best = max(best, q)
-    return keep
+    listed in ascending, distinct C*: above the running profit maximum."""
+    return [q > best for q, best in zip(p, accumulate(p, max, initial=-math.inf))]
 
 
 class Posdc:
@@ -452,51 +446,36 @@ class Posdc:
 
 
 def _fronts(ps, cs, order):
-    """Fronts under (maximize profit, minimize capacity bound), by depth, one
-    per ``next``; each a list of indices in ascending order. ``ps`` and
-    ``cs`` list the points' objectives, and ``order`` lists the points by
-    falling profit, then rising bound (``np.lexsort((c, -p))``), so a caller
-    that has enough fronts stops the peel.
-
-    Each pass peels one front (Deb et al., IEEE TEC 6(2), 2002) from the
-    points left: every point visited before another has at least its profit,
-    so a point is dominated by none of them when its bound is below that of
-    every point kept in the pass, or when it duplicates the last one kept.
-    The rest keep their order for the next pass.
-    """
+    """Fronts of the points of objectives ``ps``, ``cs`` (profit up, bound down), one
+    per ``next`` by depth, in ascending index order. ``order`` lists them by falling
+    profit, then rising bound; each pass peels one front, keeping a point whose bound
+    is below that of every point kept before it, or that duplicates the last one kept."""
     while order:
         front, rest = [], []
         last_p, last_c = ps[order[0]], cs[order[0]]  # the first point is kept
         for i in order:
             c = cs[i]
-            if c < last_c:
+            if c < last_c or c == last_c and ps[i] == last_p:
                 front.append(i)
                 last_p, last_c = ps[i], c
-            elif c == last_c and ps[i] == last_p:
-                front.append(i)
             else:
                 rest.append(i)
-        # a front of every point lists them all
-        front = list(range(len(ps))) if len(front) == len(ps) else sorted(front)
-        yield front
+        yield list(range(len(ps))) if len(front) == len(ps) else sorted(front)
         order = rest
 
 
 def fast_nondominated_sort(profits, cap_bounds):
-    """Front indices under (maximize profit, minimize capacity bound), each
-    front in ascending index order."""
+    """Index arrays of the fronts by depth (see ``_fronts``)."""
     p, c = np.asarray(profits, np.float64), np.asarray(cap_bounds, np.float64)
-    order = np.lexsort((c, -p)).tolist()
-    return [np.array(front, np.int64) for front in _fronts(p.tolist(), c.tolist(), order)]
+    return [np.array(f, np.int64) for f in _fronts(p.tolist(), c.tolist(),
+                                                   np.lexsort((c, -p)).tolist())]
 
 
 def crowding_distances(profits, cap_bounds) -> list:
     """Crowding distance of each member of one non-dominated front, given as
-    two sequences; boundary members get +inf.
-
-    Along a front profit and capacity bound rise together, and equal profit
-    forces an equal bound (the other member would dominate), so one stable
-    sort by profit orders both objectives, ties included.
+    two sequences; boundary members get +inf. Along a front profit and bound
+    rise together, and equal profit forces an equal bound (the other member
+    would dominate), so one stable sort by profit orders both, ties included.
     """
     m = len(profits)
     d = [math.inf] * m
@@ -506,9 +485,11 @@ def crowding_distances(profits, cap_bounds) -> list:
         # zero spreads mean a front of equal members, whose differences are 0
         p_spread = profits[hi] - profits[lo] or 1
         c_spread = cap_bounds[hi] - cap_bounds[lo] or 1
-        for a, i, b in zip(order, order[1:], order[2:]):
+        a, i = lo, order[1]  # each member between its two neighbours
+        for b in order[2:]:
             d[i] = ((profits[b] - profits[a]) / p_spread
                     + (cap_bounds[b] - cap_bounds[a]) / c_spread)
+            a, i = i, b
     return d
 
 
@@ -519,17 +500,14 @@ class Nsga2:
     smallest C*, the most profitable among equals.
 
     Each individual's (profit, expected weight, item count) is one row of the
-    int64 matrix ``pwk`` (``p``, ``w`` and ``k`` are its columns), so survival
-    moves all three with one gather. Front ranks and crowding distances, one
-    sort per front, are kept between generations (``ranks``, ``crowd``, and
-    the tournament keys ``(rank, -crowd)``): the objectives do not depend on
-    the capacity, so the survivors' ranks among parents and children are
-    their ranks among themselves (Deb et al., IEEE TEC 6(2), 2002), and the
-    next tournaments need no sort of their own. Survival peels fronts of
-    parents and children only until it has ``pop_size`` members; the 40
-    nearly always form one front, so it usually peels one. A generation
-    draws tournament ints, crossover decisions, raw 64-bit mask words (mask
-    bit j is bit j % 64 of word j // 64), then mutation gaps.
+    int64 matrix ``pwk`` (columns ``p``, ``w``, ``k``). Survival peels the
+    fronts of parents and children (``_fronts``) only until ``pop_size`` are
+    chosen, nearly always from one front, and keeps the survivors' ranks,
+    crowding distances and tournament keys: the objectives do not depend on
+    the capacity, so these are the survivors' own (Deb et al., IEEE TEC 6(2),
+    2002). A generation draws tournament ints, crossover decisions, raw
+    64-bit mask words (mask bit j is bit j % 64 of word j // 64), then
+    mutation gaps.
     """
 
     name = "nsga2"
@@ -540,13 +518,10 @@ class Nsga2:
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
         self.rng = rng
-        # columns profit, weight, 1: evaluation is one BLAS matmul, exact
-        # while every partial sum is a float's exact integer: float32 (half
-        # the bytes to cast the bits to) when the column totals stay below
-        # 2**24, else float64, whose 2**53 ``Instance`` enforces
+        # columns profit, weight, 1: one exact BLAS matmul evaluates, in
+        # float32 while the totals stay below 2**24, else float64 (2**53)
         totals = np.column_stack([ctx.profits, ctx.weights, np.ones(ctx.n)])
-        self._totals = totals.astype(
-            np.float32 if totals.sum(axis=0).max() < 2 ** 24 else np.float64)
+        self._totals = totals.astype(np.float32 if totals.sum(0).max() < 2 ** 24 else float)
         self.bits = rng.integers(0, 2, (self.pop_size, ctx.n), np.uint8)
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
@@ -554,8 +529,7 @@ class Nsga2:
         self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
 
     def _evaluate(self, bits):
-        """The (profit, expected weight, item count) rows of ``bits`` as one
-        int64 matrix, and the C* of each row."""
+        """The int64 (profit, expected weight, item count) rows of ``bits``, and their C*."""
         pwk = np.dot(bits, self._totals).astype(np.int64)
         return pwk, self.ctx.bound.cstar_array(pwk[:, 1], pwk[:, 2])
 
@@ -563,18 +537,15 @@ class Nsga2:
         """Evaluate ``bits`` and rank the population from scratch."""
         self.pwk, self.cstar = self._evaluate(self.bits)
         ranks, crowd = [0] * self.pop_size, [0.0] * self.pop_size
-        ps, cs = self.p.tolist(), self.cstar.tolist()
-        order = np.lexsort((self.cstar, -self.p)).tolist()
-        for depth, front in enumerate(_fronts(ps, cs, order)):
-            distances = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
-            for i, d in zip(front, distances):
+        for depth, front in enumerate(fast_nondominated_sort(self.p, self.cstar)):
+            distances = crowding_distances(self.p[front].tolist(), self.cstar[front].tolist())
+            for i, d in zip(front.tolist(), distances):
                 ranks[i], crowd[i] = depth, d
         self._rank(ranks, crowd)
 
     def _rank(self, ranks, crowd):
-        """Keep each individual's front rank and crowding distance, and its
-        tournament key, of which the higher wins: (-rank, crowding), or the
-        crowding alone while every rank is 0."""
+        """Keep them and the tournament keys, the higher winning: (-rank,
+        crowding), or the crowding alone while every rank is 0."""
         self.ranks, self.crowd = ranks, crowd
         self.keys = list(zip([-r for r in ranks], crowd)) if any(ranks) else crowd
 
@@ -583,22 +554,17 @@ class Nsga2:
     k = property(lambda self: self.pwk[:, 2])
 
     def _consider(self, bits, p, w, k, cstar, capacity) -> bool:
-        """Fold freshly evaluated individuals into the tracked best feasible:
-        the first row of the highest profit among those with C* <= C, if it
-        beats the tracked one; returns whether it was replaced."""
-        j = self._better_feasible(p.tolist(), cstar.tolist(), capacity, 0)
-        if j < 0:
-            return False
-        self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
-        return True
+        """Fold evaluated rows into the tracked best feasible; True if one replaced it."""
+        j = self._better_feasible(p.tolist(), cstar.tolist(), capacity)
+        if j >= 0:
+            self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+        return j >= 0
 
-    def _better_feasible(self, ps, cs, capacity, start) -> int:
-        """Index from ``start`` on of the first of the highest profit among
-        rows with C* <= C, if it beats the tracked best feasible; else -1."""
-        # profits are never negative, so -1 stands for no tracked solution
-        best = -1 if self.best_feasible is None else self.best_feasible[0]
-        j = -1
-        for i in range(start, len(ps)):
+    def _better_feasible(self, ps, cs, capacity) -> int:
+        """The first row of the highest profit with C* <= C, if it beats the
+        tracked best feasible (profits are never negative); else -1."""
+        best, j = -1 if self.best_feasible is None else self.best_feasible[0], -1
+        for i in range(len(ps)):
             if ps[i] > best and cs[i] <= capacity:
                 best, j = ps[i], i
         return j
@@ -612,8 +578,7 @@ class Nsga2:
 
     def generation(self, capacity: int) -> bool:
         """One generation; returns whether it replaced the best feasible."""
-        rng = self.rng
-        pop, n = self.pop_size, self.ctx.n
+        rng, pop, n = self.rng, self.pop_size, self.ctx.n
 
         # binary tournaments: the higher key wins, a on ties
         keys = self.keys
@@ -621,9 +586,8 @@ class Nsga2:
                    for a, b in rng.integers(0, pop, size=(pop, 2)).tolist()]
         children = self.bits.take(winners, axis=0)
 
-        # uniform crossover on consecutive pairs (a masked XOR swap; a pair
-        # that does not cross has its mask words zeroed), then 1/n mutation,
-        # both in place on the tournament's copy
+        # uniform crossover on consecutive pairs as a masked XOR swap (no mask
+        # for a pair that does not cross), then 1/n mutation, in place
         crosses, rate = rng.random(pop // 2).tolist(), self.crossover_rate
         words = rng.bit_generator.random_raw((pop // 2, -(-n // 64)))
         for pair, u in enumerate(crosses):
@@ -635,32 +599,28 @@ class Nsga2:
         children ^= mix.repeat(2, axis=0)
         children.ravel()[_flip_positions(rng, pop * n, self.ctx.inv_n)] ^= 1
 
-        # parents then children, as rows of the merged population
+        # the merged population: parents, then children
         pwk, cstar = self._evaluate(children)
         all_pwk = np.concatenate([self.pwk, pwk])
         all_c = np.concatenate([self.cstar, cstar])
-        all_p = all_pwk[:, 0]
-        ps, cs = all_p.tolist(), all_c.tolist()
-        j = self._better_feasible(ps, cs, capacity, pop)
+        ps, cs = all_pwk[:, 0].tolist(), all_c.tolist()
+        j = self._better_feasible(ps[pop:], cs[pop:], capacity)
         if j >= 0:
-            self.best_feasible = (ps[j], *all_pwk[j, 1:].tolist(), children[j - pop].copy())
+            self.best_feasible = (ps[pop + j], *pwk[j, 1:].tolist(), children[j].copy())
 
-        # elitist survival: whole fronts by depth, then the most
-        # crowding-distant members of the front that overflows, which is
-        # measured again on its chosen members. Each front is a run of
-        # ``chosen`` in the order a fresh sort of the survivors would list
-        # it, the order by which crowding's stable sort breaks ties
+        # elitist survival: whole fronts by depth, then the most crowding-distant
+        # of the one that overflows; a front is a run of ``chosen`` in the order
+        # a fresh sort of the survivors lists it, which crowding's ties follow
         chosen, ranks, crowd = [], [], []
-        for depth, front in enumerate(_fronts(ps, cs, np.lexsort((all_c, -all_p)).tolist())):
+        order = np.lexsort((all_c, -all_pwk[:, 0])).tolist()
+        for depth, front in enumerate(_fronts(ps, cs, order)):
             room = pop - len(chosen)
             if len(front) > room:
-                # a front of every point is ``ps`` and ``cs`` in index order
-                whole = len(front) == len(ps)
+                whole = len(front) == len(ps)  # then ``ps`` and ``cs`` list it
                 cd = crowding_distances(*((ps, cs) if whole else (
                     [ps[i] for i in front], [cs[i] for i in front])))
-                # stable: ties keep index order
                 most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)[:room]
-                front = most if whole else [front[i] for i in most]
+                front = most if whole else [front[i] for i in most]  # ties keep order
             chosen += front
             ranks += [depth] * len(front)
             crowd += crowding_distances([ps[i] for i in front], [cs[i] for i in front])
@@ -760,12 +720,11 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         step(capacity, first, end, record)
 
     log = recorder.log()
-    spans = np.diff(log.starts, append=log.length)  # iterations per log entry
+    spans = np.diff(log.starts, append=log.length)  # iterations per entry, counted exactly
     return metrics.RunRecord(
         run_seed=seed,
         intervals=log,
         total_offline_error=metrics.total_offline_error(log.series("phi")),
-        # the dense series' mean: an exact count, one correctly rounded division
         feasible_fraction=int(spans[log.columns["feasible"]].sum()) / log.length,
         change_count=schedule.change_count,
         evaluations=-(-total // stride) * stride,  # a truncated last step in full
