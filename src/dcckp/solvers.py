@@ -544,8 +544,8 @@ class Nsga2:
         self._rank(ranks, crowd)
 
     def _rank(self, ranks, crowd):
-        """Keep them and the tournament keys, the higher winning: (-rank,
-        crowding), or the crowding alone while every rank is 0."""
+        """Keep the ranks and crowding distances, and the tournament keys (the
+        higher wins): (-rank, crowding), or the crowding alone while every rank is 0."""
         self.ranks, self.crowd = ranks, crowd
         self.keys = list(zip([-r for r in ranks], crowd)) if any(ranks) else crowd
 
