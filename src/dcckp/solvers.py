@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -299,8 +299,13 @@ class _Archive:
 
 def _pareto_keep_mask(p) -> list:
     """Mask of the members that no other weakly dominates, for profits
-    listed in ascending, distinct C*: above the running profit maximum."""
-    return [q > best for q, best in zip(p, accumulate(p, max, initial=-math.inf))]
+    listed in ascending, distinct C*: a running profit maximum."""
+    keep = []
+    best = -math.inf
+    for q in p:
+        keep.append(q > best)
+        best = max(best, q)
+    return keep
 
 
 class Posdc:
@@ -460,7 +465,7 @@ def _fronts(ps, cs, order):
                 last_p, last_c = ps[i], c
             else:
                 rest.append(i)
-        yield list(range(len(ps))) if len(front) == len(ps) else sorted(front)
+        yield sorted(front)
         order = rest
 
 
@@ -473,9 +478,11 @@ def fast_nondominated_sort(profits, cap_bounds):
 
 def crowding_distances(profits, cap_bounds) -> list:
     """Crowding distance of each member of one non-dominated front, given as
-    two sequences; boundary members get +inf. Along a front profit and bound
-    rise together, and equal profit forces an equal bound (the other member
-    would dominate), so one stable sort by profit orders both, ties included.
+    two sequences; boundary members get +inf.
+
+    Along a front profit and capacity bound rise together, and equal profit
+    forces an equal bound (the other member would dominate), so one stable
+    sort by profit orders both objectives, ties included.
     """
     m = len(profits)
     d = [math.inf] * m
@@ -518,10 +525,10 @@ class Nsga2:
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
         self.rng = rng
-        # columns profit, weight, 1: one exact BLAS matmul evaluates, in
-        # float32 while the totals stay below 2**24, else float64 (2**53)
-        totals = np.column_stack([ctx.profits, ctx.weights, np.ones(ctx.n)])
-        self._totals = totals.astype(np.float32 if totals.sum(0).max() < 2 ** 24 else float)
+        # columns profit, weight, 1: evaluation is one float64 BLAS matmul,
+        # exact while totals stay below 2**53, which ``Instance`` enforces
+        self._totals = np.column_stack(
+            [ctx.profits, ctx.weights, np.ones(ctx.n)]).astype(np.float64)
         self.bits = rng.integers(0, 2, (self.pop_size, ctx.n), np.uint8)
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
@@ -529,8 +536,9 @@ class Nsga2:
         self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
 
     def _evaluate(self, bits):
-        """The int64 (profit, expected weight, item count) rows of ``bits``, and their C*."""
-        pwk = np.dot(bits, self._totals).astype(np.int64)
+        """The (profit, expected weight, item count) rows of ``bits`` as one
+        int64 matrix, and the C* of each row."""
+        pwk = (bits @ self._totals).astype(np.int64)
         return pwk, self.ctx.bound.cstar_array(pwk[:, 1], pwk[:, 2])
 
     def _evaluate_population(self):
@@ -544,20 +552,21 @@ class Nsga2:
         self._rank(ranks, crowd)
 
     def _rank(self, ranks, crowd):
-        """Keep the ranks and crowding distances, and the tournament keys (the
-        higher wins): (-rank, crowding), or the crowding alone while every rank is 0."""
+        """Keep the ranks and crowding distances, and the tournament keys
+        (rank, -crowding), the lower of which wins."""
         self.ranks, self.crowd = ranks, crowd
-        self.keys = list(zip([-r for r in ranks], crowd)) if any(ranks) else crowd
+        self.keys = list(zip(ranks, [-d for d in crowd]))
 
     p = property(lambda self: self.pwk[:, 0])
     w = property(lambda self: self.pwk[:, 1])
     k = property(lambda self: self.pwk[:, 2])
 
     def _consider(self, bits, p, w, k, cstar, capacity) -> bool:
-        """Fold evaluated rows into the tracked best feasible; True if one replaced it."""
+        """Fold freshly evaluated individuals into the tracked best feasible;
+        returns whether it was replaced."""
         j = self._better_feasible(p.tolist(), cstar.tolist(), capacity)
         if j >= 0:
-            self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+            self._keep_best(j, bits, p, w, k)
         return j >= 0
 
     def _better_feasible(self, ps, cs, capacity) -> int:
@@ -569,6 +578,11 @@ class Nsga2:
                 best, j = ps[i], i
         return j
 
+    def _keep_best(self, j, bits, p, w, k):
+        """Track row ``j`` of ``bits``, with its profit, weight and item count
+        in ``p``, ``w`` and ``k``, as the best feasible."""
+        self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+
     def step(self, capacity: int, first: int, end: int, record):
         # the designated solution is the tracked best feasible, which changes
         # only when replaced, or else follows the population
@@ -578,11 +592,12 @@ class Nsga2:
 
     def generation(self, capacity: int) -> bool:
         """One generation; returns whether it replaced the best feasible."""
-        rng, pop, n = self.rng, self.pop_size, self.ctx.n
+        rng = self.rng
+        pop, n = self.pop_size, self.ctx.n
 
-        # binary tournaments: the higher key wins, a on ties
+        # binary tournaments: the lower key wins, a on ties
         keys = self.keys
-        winners = [a if keys[a] >= keys[b] else b
+        winners = [a if keys[a] <= keys[b] else b
                    for a, b in rng.integers(0, pop, size=(pop, 2)).tolist()]
         children = self.bits.take(winners, axis=0)
 
@@ -606,7 +621,7 @@ class Nsga2:
         ps, cs = all_pwk[:, 0].tolist(), all_c.tolist()
         j = self._better_feasible(ps[pop:], cs[pop:], capacity)
         if j >= 0:
-            self.best_feasible = (ps[pop + j], *pwk[j, 1:].tolist(), children[j].copy())
+            self._keep_best(j, children, *pwk.T)
 
         # elitist survival: whole fronts by depth, then the most crowding-distant
         # of the one that overflows; a front is a run of ``chosen`` in the order
@@ -616,11 +631,9 @@ class Nsga2:
         for depth, front in enumerate(_fronts(ps, cs, order)):
             room = pop - len(chosen)
             if len(front) > room:
-                whole = len(front) == len(ps)  # then ``ps`` and ``cs`` list it
-                cd = crowding_distances(*((ps, cs) if whole else (
-                    [ps[i] for i in front], [cs[i] for i in front])))
-                most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)[:room]
-                front = most if whole else [front[i] for i in most]  # ties keep order
+                cd = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
+                most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)
+                front = [front[i] for i in most[:room]]  # stable: ties keep order
             chosen += front
             ranks += [depth] * len(front)
             crowd += crowding_distances([ps[i] for i in front], [cs[i] for i in front])
