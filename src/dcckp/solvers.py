@@ -552,10 +552,12 @@ class Nsga2:
         self._rank(ranks, crowd)
 
     def _rank(self, ranks, crowd):
-        """Keep the ranks and crowding distances, and the tournament keys
-        (rank, -crowding), the lower of which wins."""
+        """Keep the ranks and crowding distances, and the tournament keys, the
+        lower of which wins: (rank, -crowding), or while every rank is 0 (the
+        usual case) -crowding alone, which orders the same and compares faster."""
         self.ranks, self.crowd = ranks, crowd
-        self.keys = list(zip(ranks, [-d for d in crowd]))
+        keys = [-d for d in crowd]
+        self.keys = list(zip(ranks, keys)) if any(ranks) else keys
 
     p = property(lambda self: self.pwk[:, 0])
     w = property(lambda self: self.pwk[:, 1])
@@ -579,8 +581,7 @@ class Nsga2:
         return j
 
     def _keep_best(self, j, bits, p, w, k):
-        """Track row ``j`` of ``bits``, with its profit, weight and item count
-        in ``p``, ``w`` and ``k``, as the best feasible."""
+        """Track row ``j`` of ``bits``, ``p``, ``w`` and ``k`` as the best feasible."""
         self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
 
     def step(self, capacity: int, first: int, end: int, record):
@@ -631,7 +632,9 @@ class Nsga2:
         for depth, front in enumerate(_fronts(ps, cs, order)):
             room = pop - len(chosen)
             if len(front) > room:
-                cd = crowding_distances([ps[i] for i in front], [cs[i] for i in front])
+                # a front of every point (the usual case) is ``ps`` and ``cs`` as they are
+                cd = crowding_distances(*((ps, cs) if len(front) == len(ps) else (
+                    [ps[i] for i in front], [cs[i] for i in front])))
                 most = sorted(range(len(front)), key=cd.__getitem__, reverse=True)
                 front = [front[i] for i in most[:room]]  # stable: ties keep order
             chosen += front
