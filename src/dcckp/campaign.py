@@ -317,20 +317,17 @@ def group_runs_csv(text: str) -> dict[str, dict[str, list[dict]]]:
 
 def summarize_runs_csv(text: str) -> list[dict]:
     """Per-cell runs, mean and std of the total offline error, plus stat
-    labels against the other cells of its setting, from a runs.csv payload.
-    Each row also carries the cell's coordinate columns as written."""
+    labels against the other cells of its setting, from a runs.csv payload;
+    the labels stay blank in a setting that is not ``stats.testable``. Each
+    row also carries the cell's coordinate columns as written."""
     out_rows = []
     for family in group_runs_csv(text).values():
         named = {cid: [float(r["total_offline_error"]) for r in rows]
                  for cid, rows in family.items()}
-        labels = None
+        labels = stats.pairwise_labels(named) if stats.testable(named) else None
         for cid, rows in family.items():
             vals = np.asarray(named[cid])
-            stat = ""
-            if len(named) > 1 and len(vals) > 1:
-                if labels is None:
-                    labels = stats.pairwise_labels(named)
-                stat = stats.format_stat_column(labels, list(named), cid)
+            stat = stats.format_stat_column(labels, list(named), cid) if labels else ""
             out_rows.append({
                 **{key: rows[0][key] for key in _CELL_COLUMNS},
                 "runs": len(vals), "mean": float(vals.mean()),

@@ -139,15 +139,18 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    # checked here as well, since a setting of one cell labels no pairs
+    # checked here as well, since an untested setting labels no pairs
     if not 0.0 < args.family_alpha < 1.0:
         raise ValueError(f"family_alpha must lie in (0, 1), got {args.family_alpha}")
     out = []
     for setting, family in group_runs_csv(args.runs_csv.read_text()).items():
-        if len(family) < 2:
-            continue
         named = {cid: [float(r["total_offline_error"]) for r in rows]
                  for cid, rows in family.items()}
+        if not stats.testable(named):
+            sys.stderr.write(f"setting {setting}: skipped, {len(named)} cell(s) of "
+                             f"{min(map(len, named.values()))} run(s) at fewest; "
+                             "a test needs 2 cells of 2 runs each\n")
+            continue
         h, p = stats.kruskal_wallis(list(named.values()))
         labels = stats.pairwise_labels(named, args.family_alpha)
         out.append(f"setting {setting}: H={h:.4f} p={p:.6g}")

@@ -41,7 +41,9 @@ The (1+1)-EA's replays one ``rng.random(n)`` per iteration (``_replay_flips``),
 which costs n uniforms an iteration but keeps its trajectories: acceptance
 criterion 4's 95/100 threshold sits at the EA's measured success rate, so a
 new EA stream fails it about half the time. Both skip an iteration that
-flips nothing: its offspring would be an exact copy.
+flips nothing: its offspring would be an exact copy. NSGA-II reads a stream
+of the same kind, one item per generation with all of its draws, drawn
+``MUTATION_BLOCK // pop_size`` generations at a time (``Nsga2._draw_block``).
 """
 
 from __future__ import annotations
@@ -512,9 +514,10 @@ class Nsga2:
     chosen, nearly always from one front, and keeps the survivors' ranks,
     crowding distances and tournament keys: the objectives do not depend on
     the capacity, so these are the survivors' own (Deb et al., IEEE TEC 6(2),
-    2002). A generation draws tournament ints, crossover decisions, raw
-    64-bit mask words (mask bit j is bit j % 64 of word j // 64), then
-    mutation gaps.
+    2002). A generation calls no Generator: it reads one item of a stream
+    built after the initial population, whose blocks (``_draw_block``) hold
+    the tournament ints, crossover decisions, mask words and mutation flips
+    of ``MUTATION_BLOCK // pop_size`` generations, one call of each kind.
     """
 
     name = "nsga2"
@@ -525,20 +528,43 @@ class Nsga2:
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
         self.rng = rng
-        # columns profit, weight, 1: evaluation is one float64 BLAS matmul,
+        # columns profit, weight, 1: evaluation is one float64 BLAS product,
         # exact while totals stay below 2**53, which ``Instance`` enforces
         self._totals = np.column_stack(
             [ctx.profits, ctx.weights, np.ones(ctx.n)]).astype(np.float64)
         self.bits = rng.integers(0, 2, (self.pop_size, ctx.n), np.uint8)
+        self._draws = _stream(self._draw_block)
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
         self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
 
+    def _draw_block(self):
+        """The draws of ``MUTATION_BLOCK // pop_size`` generations, one
+        Generator call of each kind: tournament ints, crossover decisions,
+        raw 64-bit mask words (mask bit j is bit j % 64 of word j // 64,
+        every word 0 for a pair that does not cross), then mutation gaps over
+        the block's cells, generation-major. One item per generation: its
+        tournament pairs, its (pop // 2, n) masks and its ascending flip
+        positions in its pop * n cells."""
+        rng, pop, n = self.rng, self.pop_size, self.ctx.n
+        gens, cells = MUTATION_BLOCK // pop, pop * n
+        pairs = rng.integers(0, pop, gens * 2 * pop).reshape(gens, pop, 2).tolist()
+        crosses = rng.random((gens, pop // 2))
+        words = rng.bit_generator.random_raw((gens, pop // 2, -(-n // 64)))
+        words[crosses >= self.crossover_rate] = 0
+        masks = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
+                              count=n, bitorder="little")
+        hits = _flip_positions(rng, gens * cells, self.ctx.inv_n)
+        cuts = hits.searchsorted(np.arange(gens + 1) * cells).tolist()
+        hits %= cells
+        return [(pairs[g], masks[g], hits[a:b])
+                for g, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+
     def _evaluate(self, bits):
         """The (profit, expected weight, item count) rows of ``bits`` as one
         int64 matrix, and the C* of each row."""
-        pwk = (bits @ self._totals).astype(np.int64)
+        pwk = np.dot(bits, self._totals).astype(np.int64)
         return pwk, self.ctx.bound.cstar_array(pwk[:, 1], pwk[:, 2])
 
     def _evaluate_population(self):
@@ -593,27 +619,20 @@ class Nsga2:
 
     def generation(self, capacity: int) -> bool:
         """One generation; returns whether it replaced the best feasible."""
-        rng = self.rng
-        pop, n = self.pop_size, self.ctx.n
+        pop = self.pop_size
+        pairs, mix, flips = self._draws()
 
         # binary tournaments: the lower key wins, a on ties
         keys = self.keys
-        winners = [a if keys[a] <= keys[b] else b
-                   for a, b in rng.integers(0, pop, size=(pop, 2)).tolist()]
+        winners = [a if keys[a] <= keys[b] else b for a, b in pairs]
         children = self.bits.take(winners, axis=0)
 
-        # uniform crossover on consecutive pairs as a masked XOR swap (no mask
-        # for a pair that does not cross), then 1/n mutation, in place
-        crosses, rate = rng.random(pop // 2).tolist(), self.crossover_rate
-        words = rng.bit_generator.random_raw((pop // 2, -(-n // 64)))
-        for pair, u in enumerate(crosses):
-            if u >= rate:
-                words[pair] = 0
-        mix = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
-                            count=n, bitorder="little")
+        # uniform crossover on consecutive pairs as a masked XOR swap (an
+        # all-zero mask for a pair that does not cross), then 1/n mutation,
+        # in place
         mix &= children[0::2] ^ children[1::2]
         children ^= mix.repeat(2, axis=0)
-        children.ravel()[_flip_positions(rng, pop * n, self.ctx.inv_n)] ^= 1
+        children.ravel()[flips] ^= 1
 
         # the merged population: parents, then children
         pwk, cstar = self._evaluate(children)

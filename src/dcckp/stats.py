@@ -122,6 +122,14 @@ def pairwise_labels(named_groups, family_alpha: float = 0.05) -> dict:
     return labels
 
 
+def testable(named_groups) -> bool:
+    """Whether a setting's groups, name -> samples, are tested: at least two
+    groups, each of at least two samples. With one sample per group the
+    ranks are a permutation whatever the data, so Kruskal-Wallis H reads
+    exactly k - 1."""
+    return len(named_groups) >= 2 and min(map(len, named_groups.values())) >= 2
+
+
 def format_stat_column(labels: dict, names, me: str) -> str:
     """Render one group's comparison column, e.g. ``2(+) 3(*) 4(-)``.
 

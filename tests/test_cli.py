@@ -67,7 +67,7 @@ CI_DIGEST_ARGS = ("run", "--n", "20", "--iters", "2000", "--warmup", "100", "--t
 CI_ALGO_DIGESTS = {
     "ea11": "7c5518686e8bd9f1e8d3cffe2672de5b28f695adb006d2b736fd6ef522b32ede",
     "posdc": "3e1234eaa5fe72d355ab35b64cb5a90c54052f4ba518a291468b85c61887caad",
-    "nsga2": "94359a2e1b44b58609b1039f47b53e973455de6025d87e2e59780434bf80b19b",
+    "nsga2": "7ca7dc089175284be321511c1a2203290926ef91f18ba6d0e0319652c6439390",
 }
 
 
@@ -104,7 +104,7 @@ def test_churn_posdc_campaign_digest(capsys, tmp_path):
 # compares float C* values and picks by crowding distances, which divide
 # floats
 CHURN_NSGA2_ARGS = tuple("nsga2" if arg == "posdc" else arg for arg in CHURN_POSDC_ARGS)
-CHURN_NSGA2_DIGEST = "0977d9c5ec008f40659a7cd85c8e68cb3b5466b39fe0e1452a991baba12f54af"
+CHURN_NSGA2_DIGEST = "0b2a1fdd8556f91883d838ab6de1f53bcd4af298166eb1cde4603ed2e4b8b01f"
 
 
 def test_churn_nsga2_campaign_digest(capsys, tmp_path):
@@ -164,6 +164,42 @@ def test_stats_rejects_family_alpha_before_grouping(capsys, tmp_path, family_alp
                              "--family-alpha", family_alpha)
     assert code == 1 and out == ""
     assert "family_alpha must lie in (0, 1)" in err
+
+
+def test_stats_skips_settings_with_a_cell_of_one_run(capsys, tmp_path):
+    """One rule for `dcckp stats` and summary.csv: a setting is tested only
+    when it has 2 cells and every cell 2 runs. With one run a cell, H would
+    read exactly k - 1 (5.0 for 6 cells) whatever the errors."""
+    out_dir = tmp_path / "camp"
+    code, _, _ = run_cli(
+        capsys, "run", "--n", "10", "--alpha", "0.01", "--iters", "300", "--warmup", "50",
+        "--tau", "150", "--runs", "1", "--algos", "ea11,posdc,nsga2",
+        "--bounds", "chebyshev,chernoff", "--seed", "5", "--out", str(out_dir))
+    assert code == 0
+    summary = (out_dir / "summary.csv").read_text().splitlines()
+    assert len(summary) == 7 and all(row.endswith(",") for row in summary[1:])
+    code, out, err = run_cli(capsys, "stats", str(out_dir / "runs.csv"))
+    assert code == 0 and "H=" not in out and "(1)" not in out
+    setting = summary[1].split(",")[0].rsplit("-", 2)[0]
+    assert err == (f"setting {setting}: skipped, 6 cell(s) of 1 run(s) at fewest; "
+                   "a test needs 2 cells of 2 runs each\n")
+
+    # one cell of one run beside cells of three skips the whole setting,
+    # in summary.csv as well
+    runs_csv = tmp_path / "runs.csv"
+    write_runs_csv(runs_csv, {"ea11-chernoff": [1.0, 3.0, 5.0],
+                              "posdc-chernoff": [2.0, 4.0, 6.0],
+                              "nsga2-chernoff": [7.0]})
+    code, out, err = run_cli(capsys, "stats", str(runs_csv))
+    assert code == 0 and out.strip() == "" and err.count("skipped, 3 cell(s) of 1 run(s)") == 1
+    code, out, _ = run_cli(capsys, "summarize", str(runs_csv))
+    assert code == 0 and all(row.endswith(",") for row in out.splitlines()[1:])
+    write_runs_csv(runs_csv, {"ea11-chernoff": [1.0, 3.0, 5.0],
+                              "posdc-chernoff": [2.0, 4.0, 6.0]})
+    code, out, err = run_cli(capsys, "stats", str(runs_csv))
+    assert code == 0 and "H=" in out and err == ""
+    code, out, _ = run_cli(capsys, "summarize", str(runs_csv))
+    assert code == 0 and not any(row.endswith(",") for row in out.splitlines()[1:])
 
 
 def test_summarize_reproduces_campaign_summary(capsys, tmp_path):

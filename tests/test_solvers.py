@@ -1237,16 +1237,16 @@ def test_nsga2_records_only_when_the_best_feasible_changes(kind):
 class ScriptedTournaments:
     """A Generator whose tournaments always pick individual 0 then 1, so
     every pair is (population row 0, row 1), and which keeps each
-    ``random`` draw (the crossover decisions)."""
+    ``random`` draw (a block's crossover decisions)."""
 
-    def __init__(self, rng, pop):
+    def __init__(self, rng):
         self.rng = rng
         self.bit_generator = rng.bit_generator
-        self.pairs = np.tile([[0, 0], [1, 1]], (pop // 2, 1))
         self.uniforms = []
 
     def integers(self, low, high, size):
-        return self.pairs
+        # a block's tournament ints, two per tournament: (0, 0), (1, 1), ...
+        return np.resize([0, 0, 1, 1], size)
 
     def random(self, size):
         self.uniforms.append(self.rng.random(size))
@@ -1263,7 +1263,7 @@ def test_nsga2_crossover_mask_is_fair_at_every_position(n, monkeypatch):
     _, ctx = make_ctx(n=n)
     live = Nsga2(ctx, np.random.default_rng(3), 10 ** 9)
     pop = live.pop_size
-    live.rng = ScriptedTournaments(np.random.default_rng(41), pop)
+    live.rng = ScriptedTournaments(np.random.default_rng(41))  # read from the first block on
     monkeypatch.setattr(solvers, "_flip_positions", lambda *args: np.empty(0, np.int64))
     children, evaluate = [], live._evaluate
     live._evaluate = lambda bits: (children.append(bits.copy()), evaluate(bits))[1]
@@ -1273,7 +1273,8 @@ def test_nsga2_crossover_mask_is_fair_at_every_position(n, monkeypatch):
         live.bits = parents.copy()
         live.generation(10 ** 9)
     pairs = np.array(children).reshape(-1, 2, n)
-    crossed = np.concatenate(live.rng.uniforms) < live.crossover_rate
+    # the decisions of the generations taken, in order, from whole blocks
+    crossed = np.concatenate(live.rng.uniforms).ravel()[:len(pairs)] < live.crossover_rate
     assert (pairs[~crossed] == parents[:2]).all() and 0 < (~crossed).sum()
     masks = pairs[crossed]
     assert (masks[:, 1] == 1 - masks[:, 0]).all()
@@ -1281,6 +1282,133 @@ def test_nsga2_crossover_mask_is_fair_at_every_position(n, monkeypatch):
     z = (masks[:, 0].sum(axis=0) - trials / 2) / np.sqrt(trials / 4)
     assert np.abs(z).max() < 5
     assert stats.chi2.sf(np.sum(z ** 2), n) > 1e-3
+
+
+GENS_PER_BLOCK = MUTATION_BLOCK // Nsga2.pop_size
+
+
+def nsga2_block_items(n, seed, blocks, rng=None):
+    """The stream items of the first ``blocks`` blocks of an NSGA-II on n
+    items, read from ``rng`` in place of its own Generator if given."""
+    _, ctx = make_ctx(n=n)
+    alg = Nsga2(ctx, np.random.default_rng(seed), 10 ** 9)
+    alg.rng = rng or alg.rng
+    return [alg._draws() for _ in range(blocks * GENS_PER_BLOCK)]
+
+
+class RecordingGenerator:
+    """A Generator that lists the names of its draw calls, the bit
+    generator's ``random_raw`` included."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+        self.bit_generator = self
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng.bit_generator if name == "random_raw" else self.rng, name)
+
+        def recorded(*args):
+            self.calls.append(name)
+            return draw(*args)
+
+        return recorded
+
+
+def test_nsga2_draws_one_block_of_each_kind_per_block():
+    """A block is one call of each kind (more gap batches only when the
+    first ends inside the cells), drawn at the first generation of each
+    block and never ahead; a generation draws nothing of its own."""
+    _, ctx = make_ctx(n=12)
+    alg = Nsga2(ctx, np.random.default_rng(6), 10 ** 9)
+    alg.rng = recording = RecordingGenerator(alg.rng)
+    for block in range(3):
+        alg.generation(10 ** 9)
+        kinds = [name for i, name in enumerate(recording.calls)
+                 if i == 0 or recording.calls[i - 1] != name]
+        assert kinds == ["integers", "random", "random_raw", "geometric"]
+        recording.calls.clear()
+        for _ in range(GENS_PER_BLOCK - 1):
+            alg.generation(10 ** 9)
+        assert recording.calls == []
+    assert alg.generations == 3 * GENS_PER_BLOCK
+
+
+def test_nsga2_block_tournament_ints_are_uniform():
+    """Each generation takes pop_size pairs, whose ints are uniform over
+    the population's rows (chi-square at p > 0.001, fixed seed)."""
+    items = nsga2_block_items(12, 2027, 200)
+    ints = np.array([pairs for pairs, _, _ in items])
+    assert ints.shape == (200 * GENS_PER_BLOCK, Nsga2.pop_size, 2)
+    counts = np.bincount(ints.ravel())
+    assert len(counts) == Nsga2.pop_size
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_nsga2_block_masks_cross_at_the_rate_and_are_fair(n):
+    """A pair crosses, its mask not all zero, at the crossover rate
+    (binomial |z| < 5; a crossing mask is all zero with probability 2^-n),
+    and each position of a crossing mask, those of the partial last word
+    included, is set in about half of them (every |z| < 5, and a chi-square
+    over all positions at p > 0.001, fixed seed)."""
+    items = nsga2_block_items(n, 2028, 100)
+    masks = np.concatenate([mix for _, mix, _ in items])
+    assert masks.shape == (100 * GENS_PER_BLOCK * Nsga2.pop_size // 2, n) and masks.max() == 1
+    crossed = masks.any(axis=1)
+    trials, rate = len(masks), Nsga2.crossover_rate
+    assert abs(crossed.sum() - trials * rate) < 5 * np.sqrt(trials * rate * (1 - rate))
+    crossing = masks[crossed]
+    z = (crossing.sum(axis=0) - len(crossing) / 2) / np.sqrt(len(crossing) / 4)
+    assert np.abs(z).max() < 5
+    assert stats.chi2.sf(np.sum(z ** 2), n) > 1e-3
+
+
+@pytest.mark.parametrize("n", [12, 100])
+def test_nsga2_block_flips_match_independent_bit_flips(n):
+    """Each generation's flips are ascending positions in its pop * n cells;
+    each row's flip count follows Bin(n, 1/n), also in the last generation
+    of each block, and the flips are uniform over a generation's cells
+    (chi-square tests at p > 0.001, fixed seed)."""
+    pop, blocks = Nsga2.pop_size, 600
+    items = nsga2_block_items(n, 2029, blocks)
+    counts, cells = [], []
+    for _, _, flips in items:
+        assert np.all(np.diff(flips) > 0) and np.all((flips >= 0) & (flips < pop * n))
+        counts.append(np.bincount(flips // n, minlength=pop))
+        cells.append(flips)
+    counts = np.array(counts)
+    assert count_p_value(counts.ravel(), n, 1.0 / n) > 1e-3
+    last = counts.reshape(blocks, GENS_PER_BLOCK, pop)[:, -1]
+    assert count_p_value(last.ravel(), n, 1.0 / n) > 1e-3
+    assert stats.chisquare(np.bincount(np.concatenate(cells), minlength=pop * n)).pvalue > 1e-3
+
+
+class ScriptedGapGenerator(ScriptedGaps):
+    """A Generator whose ``geometric`` returns fixed gaps (``ScriptedGaps``)
+    and whose other draws come from ``rng``."""
+
+    def __init__(self, rng, gaps):
+        super().__init__(gaps)
+        self.integers, self.random = rng.integers, rng.random
+        self.bit_generator = rng.bit_generator
+
+
+@pytest.mark.parametrize("n", [1, 12, 100])
+def test_nsga2_block_flips_place_the_edge_cells(n):
+    """Cells 0 and pop * n - 1 of every generation of a block can flip, and
+    each flip lands in its own generation at a cut between two."""
+    cells = Nsga2.pop_size * n
+
+    def first_block(positions):
+        ends = np.array(positions) + 1
+        gaps = np.diff(ends, prepend=0).tolist()
+        items = nsga2_block_items(n, 5, 1, ScriptedGapGenerator(np.random.default_rng(5), gaps))
+        return [flips.tolist() for _, _, flips in items]
+
+    edges = [g * cells + edge for g in range(GENS_PER_BLOCK) for edge in (0, cells - 1)]
+    assert first_block(edges) == [sorted({0, cells - 1})] * GENS_PER_BLOCK
+    assert first_block(edges[1::2]) == [[cells - 1]] * GENS_PER_BLOCK
+    assert first_block(edges[::2]) == [[0]] * GENS_PER_BLOCK
 
 
 def matrix_fronts(profits, cap_bounds):
@@ -1305,9 +1433,10 @@ def matrix_fronts(profits, cap_bounds):
 
 class ReferenceNsga2(Nsga2):
     """NSGA-II with every generation done in full: the parents are sorted
-    again for the tournaments, crossover picks bits with ``np.where``,
-    evaluation is an integer matmul, and crowding sorts each objective on its
-    own. ``Nsga2`` must follow it bit for bit."""
+    again for the tournaments, the draws of a block are taken one word and
+    one gap at a time, crossover picks bits with ``np.where``, evaluation is
+    an integer matmul, and crowding sorts each objective on its own.
+    ``Nsga2`` must follow it bit for bit."""
 
     def _evaluate(self, bits):
         b = bits.astype(np.int64)
@@ -1337,35 +1466,26 @@ class ReferenceNsga2(Nsga2):
             crowd[front] = reference_crowding(p[front], cstar[front])
         return ranks, crowd
 
-    def generation(self, capacity: int):
+    def _draw_block(self):
+        """The block ``Nsga2`` draws, in its order: the tournament ints of
+        every generation, then the crossover decisions, then the raw 64-bit
+        words, one at a time, a pair's mask bit j from bit j % 64 of its
+        word j // 64, then the geometric gaps between flips, one at a time,
+        over the block's cells, generation by generation and row by row, in
+        batches of twice the expected flip count until a position passes the
+        last cell. One (tournament pairs, masks, flips) item per generation."""
         rng = self.rng
         pop, n = self.pop_size, self.ctx.n
-        ranks, crowd = self._ranks_and_crowding(self.p, self.cstar)
-
-        # binary tournaments on (rank, crowding)
-        cand = rng.integers(0, pop, size=(pop, 2))
-        a, b = cand[:, 0], cand[:, 1]
-        a_wins = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
-        pool = self.bits[np.where(a_wins, a, b)]
-
-        # uniform crossover on consecutive pairs: a pair's mask takes its
-        # bits from raw 64-bit words, drawn one at a time, bit j from bit
-        # j % 64 of word j // 64
-        do_cross = rng.random(pop // 2) < self.crossover_rate
-        mix = np.zeros((pop // 2, n), bool)
-        for pair in range(pop // 2):
-            words = [rng.bit_generator.random_raw() for _ in range(-(-n // 64))]
-            for j in range(n):
-                mix[pair, j] = do_cross[pair] and (words[j // 64] >> (j % 64)) & 1
-        p1, p2 = pool[0::2], pool[1::2]
-        children = np.empty_like(pool)
-        children[0::2] = np.where(mix, p2, p1)
-        children[1::2] = np.where(mix, p1, p2)
-
-        # 1/n mutation: walk the geometric gaps between flips one at a time
-        # over the children's pop * n cells, row by row, in batches of twice
-        # the expected flip count until a position passes the last cell
-        cells, inv_n = pop * n, self.ctx.inv_n
+        gens = MUTATION_BLOCK // pop
+        cand = rng.integers(0, pop, size=(gens, pop, 2))
+        do_cross = rng.random((gens, pop // 2)) < self.crossover_rate
+        mix = np.zeros((gens, pop // 2, n), bool)
+        for g in range(gens):
+            for pair in range(pop // 2):
+                words = [rng.bit_generator.random_raw() for _ in range(-(-n // 64))]
+                for j in range(n):
+                    mix[g, pair, j] = do_cross[g, pair] and (words[j // 64] >> (j % 64)) & 1
+        cells, inv_n = gens * pop * n, self.ctx.inv_n
         flips = np.zeros(cells, np.uint8)
         position = -1
         while position < cells:
@@ -1373,7 +1493,26 @@ class ReferenceNsga2(Nsga2):
                 position += rng.geometric(inv_n)
                 if position < cells:
                     flips[position] = 1
-        children ^= flips.reshape(pop, n)
+        return list(zip(cand, mix, flips.reshape(gens, pop, n)))
+
+    def generation(self, capacity: int):
+        pop = self.pop_size
+        ranks, crowd = self._ranks_and_crowding(self.p, self.cstar)
+        cand, mix, flips = self._draws()
+
+        # binary tournaments on (rank, crowding)
+        a, b = cand[:, 0], cand[:, 1]
+        a_wins = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
+        pool = self.bits[np.where(a_wins, a, b)]
+
+        # uniform crossover on consecutive pairs, bits picked by the mask
+        p1, p2 = pool[0::2], pool[1::2]
+        children = np.empty_like(pool)
+        children[0::2] = np.where(mix, p2, p1)
+        children[1::2] = np.where(mix, p1, p2)
+
+        # 1/n mutation
+        children ^= flips
 
         cp, cw, ck, c_cstar = self._evaluate(children)
         self._consider(children, cp, cw, ck, c_cstar, capacity)
