@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -527,19 +528,21 @@ class Nsga2:
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
-        self.rng = rng
         # columns profit, weight, 1: evaluation is one float64 BLAS product,
         # exact while totals stay below 2**53, which ``Instance`` enforces
         self._totals = np.column_stack(
             [ctx.profits, ctx.weights, np.ones(ctx.n)]).astype(np.float64)
         self.bits = rng.integers(0, 2, (self.pop_size, ctx.n), np.uint8)
-        self._draws = _stream(self._draw_block)
+        # bound to the class, not to self: a stream that held self would make
+        # a reference cycle, and finished solvers would wait for the collector
+        self._draws = _stream(partial(self._draw_block, rng, ctx))
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
         self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
 
-    def _draw_block(self):
+    @classmethod
+    def _draw_block(cls, rng, ctx: _RunContext):
         """The draws of ``MUTATION_BLOCK // pop_size`` generations, one
         Generator call of each kind: tournament ints, crossover decisions,
         raw 64-bit mask words (mask bit j is bit j % 64 of word j // 64,
@@ -547,15 +550,15 @@ class Nsga2:
         the block's cells, generation-major. One item per generation: its
         tournament pairs, its (pop // 2, n) masks and its ascending flip
         positions in its pop * n cells."""
-        rng, pop, n = self.rng, self.pop_size, self.ctx.n
+        pop, n = cls.pop_size, ctx.n
         gens, cells = MUTATION_BLOCK // pop, pop * n
         pairs = rng.integers(0, pop, gens * 2 * pop).reshape(gens, pop, 2).tolist()
         crosses = rng.random((gens, pop // 2))
         words = rng.bit_generator.random_raw((gens, pop // 2, -(-n // 64)))
-        words[crosses >= self.crossover_rate] = 0
+        words[crosses >= cls.crossover_rate] = 0
         masks = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
                               count=n, bitorder="little")
-        hits = _flip_positions(rng, gens * cells, self.ctx.inv_n)
+        hits = _flip_positions(rng, gens * cells, ctx.inv_n)
         cuts = hits.searchsorted(np.arange(gens + 1) * cells).tolist()
         hits %= cells
         return [(pairs[g], masks[g], hits[a:b])

@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -1234,6 +1236,28 @@ def test_nsga2_records_only_when_the_best_feasible_changes(kind):
     assert alg.generations == 215 and alg.best_feasible is best and rows == []
 
 
+def draw_from(alg, rng):
+    """Let an ``Nsga2`` that has not yet taken a generation draw its blocks
+    from ``rng``."""
+    alg._draws = _stream(functools.partial(alg._draw_block, rng, alg.ctx))
+
+
+def test_nsga2_is_freed_without_the_cycle_collector():
+    """A finished NSGA-II holds no reference cycle (its draw stream does not
+    hold it), so its arrays are freed when the run drops it, not when the
+    collector next runs."""
+    _, ctx = make_ctx(n=12)
+    gc.disable()
+    try:
+        alg = Nsga2(ctx, np.random.default_rng(6), 10 ** 9)
+        alg.generation(10 ** 9)
+        freed = weakref.ref(alg)
+        del alg
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 class ScriptedTournaments:
     """A Generator whose tournaments always pick individual 0 then 1, so
     every pair is (population row 0, row 1), and which keeps each
@@ -1263,7 +1287,8 @@ def test_nsga2_crossover_mask_is_fair_at_every_position(n, monkeypatch):
     _, ctx = make_ctx(n=n)
     live = Nsga2(ctx, np.random.default_rng(3), 10 ** 9)
     pop = live.pop_size
-    live.rng = ScriptedTournaments(np.random.default_rng(41))  # read from the first block on
+    scripted = ScriptedTournaments(np.random.default_rng(41))
+    draw_from(live, scripted)
     monkeypatch.setattr(solvers, "_flip_positions", lambda *args: np.empty(0, np.int64))
     children, evaluate = [], live._evaluate
     live._evaluate = lambda bits: (children.append(bits.copy()), evaluate(bits))[1]
@@ -1274,7 +1299,7 @@ def test_nsga2_crossover_mask_is_fair_at_every_position(n, monkeypatch):
         live.generation(10 ** 9)
     pairs = np.array(children).reshape(-1, 2, n)
     # the decisions of the generations taken, in order, from whole blocks
-    crossed = np.concatenate(live.rng.uniforms).ravel()[:len(pairs)] < live.crossover_rate
+    crossed = np.concatenate(scripted.uniforms).ravel()[:len(pairs)] < live.crossover_rate
     assert (pairs[~crossed] == parents[:2]).all() and 0 < (~crossed).sum()
     masks = pairs[crossed]
     assert (masks[:, 1] == 1 - masks[:, 0]).all()
@@ -1289,10 +1314,11 @@ GENS_PER_BLOCK = MUTATION_BLOCK // Nsga2.pop_size
 
 def nsga2_block_items(n, seed, blocks, rng=None):
     """The stream items of the first ``blocks`` blocks of an NSGA-II on n
-    items, read from ``rng`` in place of its own Generator if given."""
+    items, drawn from ``rng`` in place of its own Generator if given."""
     _, ctx = make_ctx(n=n)
     alg = Nsga2(ctx, np.random.default_rng(seed), 10 ** 9)
-    alg.rng = rng or alg.rng
+    if rng is not None:
+        draw_from(alg, rng)
     return [alg._draws() for _ in range(blocks * GENS_PER_BLOCK)]
 
 
@@ -1320,7 +1346,8 @@ def test_nsga2_draws_one_block_of_each_kind_per_block():
     block and never ahead; a generation draws nothing of its own."""
     _, ctx = make_ctx(n=12)
     alg = Nsga2(ctx, np.random.default_rng(6), 10 ** 9)
-    alg.rng = recording = RecordingGenerator(alg.rng)
+    recording = RecordingGenerator(np.random.default_rng(6))
+    draw_from(alg, recording)
     for block in range(3):
         alg.generation(10 ** 9)
         kinds = [name for i, name in enumerate(recording.calls)
@@ -1466,7 +1493,8 @@ class ReferenceNsga2(Nsga2):
             crowd[front] = reference_crowding(p[front], cstar[front])
         return ranks, crowd
 
-    def _draw_block(self):
+    @classmethod
+    def _draw_block(cls, rng, ctx):
         """The block ``Nsga2`` draws, in its order: the tournament ints of
         every generation, then the crossover decisions, then the raw 64-bit
         words, one at a time, a pair's mask bit j from bit j % 64 of its
@@ -1474,18 +1502,17 @@ class ReferenceNsga2(Nsga2):
         over the block's cells, generation by generation and row by row, in
         batches of twice the expected flip count until a position passes the
         last cell. One (tournament pairs, masks, flips) item per generation."""
-        rng = self.rng
-        pop, n = self.pop_size, self.ctx.n
+        pop, n = cls.pop_size, ctx.n
         gens = MUTATION_BLOCK // pop
         cand = rng.integers(0, pop, size=(gens, pop, 2))
-        do_cross = rng.random((gens, pop // 2)) < self.crossover_rate
+        do_cross = rng.random((gens, pop // 2)) < cls.crossover_rate
         mix = np.zeros((gens, pop // 2, n), bool)
         for g in range(gens):
             for pair in range(pop // 2):
                 words = [rng.bit_generator.random_raw() for _ in range(-(-n // 64))]
                 for j in range(n):
                     mix[g, pair, j] = do_cross[g, pair] and (words[j // 64] >> (j % 64)) & 1
-        cells, inv_n = gens * pop * n, self.ctx.inv_n
+        cells, inv_n = gens * pop * n, ctx.inv_n
         flips = np.zeros(cells, np.uint8)
         position = -1
         while position < cells:
