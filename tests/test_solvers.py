@@ -216,17 +216,20 @@ def test_flip_blocks_replay_a_per_iteration_draw(n):
 
 
 class CountingGenerator:
-    """A Generator that counts its draw calls."""
+    """A Generator that counts its draw calls and lists their names, the
+    bit generator's ``random_raw`` included."""
 
     def __init__(self, rng):
-        self.rng = rng
-        self.calls = 0
+        self.rng, self.names = rng, []
+        self.bit_generator = self
+
+    calls = property(lambda self: len(self.names))
 
     def __getattr__(self, name):
-        draw = getattr(self.rng, name)
+        draw = getattr(self.rng.bit_generator if name == "random_raw" else self.rng, name)
 
         def counted(*args):
-            self.calls += 1
+            self.names.append(name)
             return draw(*args)
 
         return counted
@@ -1322,41 +1325,22 @@ def nsga2_block_items(n, seed, blocks, rng=None):
     return [alg._draws() for _ in range(blocks * GENS_PER_BLOCK)]
 
 
-class RecordingGenerator:
-    """A Generator that lists the names of its draw calls, the bit
-    generator's ``random_raw`` included."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, []
-        self.bit_generator = self
-
-    def __getattr__(self, name):
-        draw = getattr(self.rng.bit_generator if name == "random_raw" else self.rng, name)
-
-        def recorded(*args):
-            self.calls.append(name)
-            return draw(*args)
-
-        return recorded
-
-
 def test_nsga2_draws_one_block_of_each_kind_per_block():
     """A block is one call of each kind (more gap batches only when the
     first ends inside the cells), drawn at the first generation of each
     block and never ahead; a generation draws nothing of its own."""
     _, ctx = make_ctx(n=12)
     alg = Nsga2(ctx, np.random.default_rng(6), 10 ** 9)
-    recording = RecordingGenerator(np.random.default_rng(6))
-    draw_from(alg, recording)
+    rng = CountingGenerator(np.random.default_rng(6))
+    draw_from(alg, rng)
     for block in range(3):
         alg.generation(10 ** 9)
-        kinds = [name for i, name in enumerate(recording.calls)
-                 if i == 0 or recording.calls[i - 1] != name]
+        kinds = [name for i, name in enumerate(rng.names) if i == 0 or rng.names[i - 1] != name]
         assert kinds == ["integers", "random", "random_raw", "geometric"]
-        recording.calls.clear()
+        rng.names.clear()
         for _ in range(GENS_PER_BLOCK - 1):
             alg.generation(10 ** 9)
-        assert recording.calls == []
+        assert rng.names == []
     assert alg.generations == 3 * GENS_PER_BLOCK
 
 
