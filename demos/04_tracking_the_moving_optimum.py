@@ -38,10 +38,15 @@ evaluations per generation under that accounting, so with tau=1000 it only
 fits 50 generations between changes and trails the others here.
 """)
 
-# peek inside one run with tracing on
+# peek inside one run: its interval log holds one row per run of equal
+# values, each valid from its start up to the next row's
 params = ChanceParams(alpha=0.0001, delta=25, bound_kind="chernoff")
-rec = run_algorithm("posdc", inst, sched, params, dp, seed=2, trace=True)
-print("posdc-chernoff trace around the first capacity change:")
-for j in range(0, 3000, 500):
-    print(f"  iter {j:>5}: C={rec.capacity_trace[j]:>6} "
-          f"best={rec.best_profit_trace[j]:>6} phi={rec.per_iteration_phi[j]:>8.1f}")
+log = run_algorithm("posdc", inst, sched, params, dp, seed=2).intervals
+starts, cols = log.starts, log.columns
+t = int((cols["capacity"] != cols["capacity"][0]).argmax())  # first row at a new C
+print(f"posdc-chernoff interval log ({len(starts)} rows for {log.length} "
+      f"iterations) around the capacity change at iteration {starts[t]}:")
+for row in range(max(t - 3, 0), min(t + 5, len(starts))):
+    print(f"  from iter {starts[row]:>5}: C={cols['capacity'][row]:>6} "
+          f"best={cols['best_profit'][row]:>6} violation={cols['violation'][row]:.2e} "
+          f"phi={cols['phi'][row]:>8.1f}")

@@ -54,7 +54,6 @@ class CampaignConfig:
     out_dir: str | None = None
     jobs: int = 1
     trace: bool = False
-    trace_every: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "kind", normalize_kind(self.kind))
@@ -68,8 +67,6 @@ class CampaignConfig:
             raise ValueError("warmup must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
         if not 0.0 < self.c0_fraction <= 1.0:
             raise ValueError(f"c0_fraction must be in (0, 1], got {self.c0_fraction}")
         if self.c_constant < 1:
@@ -196,8 +193,7 @@ def execute_run(config: CampaignConfig, cell: Cell, run_idx: int):
         c_min, c_max, schedule_seed_for(config, cell, run_idx))
     params = ChanceParams(alpha=cell.alpha, delta=cell.delta, bound_kind=cell.bound)
     rec = solvers.run_algorithm(cell.algo, inst, schedule, params, dp,
-                                run_seed_for(config, cell, run_idx),
-                                trace=config.trace)
+                                run_seed_for(config, cell, run_idx))
     return cell, run_idx, rec
 
 
@@ -247,16 +243,15 @@ def format_summary_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _trace_csv(rec, every: int) -> str:
-    buf = io.StringIO()
-    buf.write(TRACE_CSV_HEADER + "\n")
-    phis = rec.per_iteration_phi
-    caps, profits, viols = (rec.capacity_trace, rec.best_profit_trace,
-                            rec.violation_trace)
-    for j in range(0, len(phis), every):
-        buf.write(f"{j},{caps[j]},{profits[j]},{_format_float(viols[j])},"
-                  f"{_format_float(phis[j])}\n")
-    return buf.getvalue()
+def _trace_csv(rec) -> str:
+    """A run's interval log, one row per entry: its first post-warmup
+    iteration and the exact values that hold from there to the next entry."""
+    log = rec.intervals
+    rows = zip(log.starts.tolist(), *(log.columns[name].tolist() for name in
+                                      ("capacity", "best_profit", "violation", "phi")))
+    return TRACE_CSV_HEADER + "\n" + "".join(
+        f"{j},{cap},{profit},{_format_float(viol)},{_format_float(phi)}\n"
+        for j, cap, profit, viol, phi in rows)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -291,11 +286,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         (out / "runs.csv").write_text(runs_csv)
         (out / "summary.csv").write_text(summary_csv)
         if config.trace:
-            for cell in cells:
-                for j in range(config.runs):
-                    rec = records[(cell, j)]
-                    path = out / f"trace-{cell.cell_id}-run{j}.csv"
-                    path.write_text(_trace_csv(rec, config.trace_every))
+            for (cell, j), rec in records.items():
+                (out / f"trace-{cell.cell_id}-run{j}.csv").write_text(_trace_csv(rec))
     return result
 
 

@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--c0-fraction", type=float, default=0.5)
     r.add_argument("--out", type=Path, required=True)
     r.add_argument("--jobs", type=int, default=1)
-    r.add_argument("--trace", action="store_true")
-    r.add_argument("--trace-every", type=int, default=1000)
+    r.add_argument("--trace", action="store_true",
+                   help="also write each run's interval log, trace-<cell>-run<i>.csv")
 
     s = sub.add_parser("summarize", help="summarize a runs.csv")
     s.add_argument("runs_csv", type=Path)
@@ -125,8 +125,7 @@ def _cmd_run(args) -> int:
         algos=tuple(args.algos), bounds=tuple(args.bounds), runs=args.runs,
         total_iters=args.iters, warmup=args.warmup,
         c0_fraction=args.c0_fraction, base_seed=args.seed,
-        out_dir=str(args.out), jobs=args.jobs, trace=args.trace,
-        trace_every=args.trace_every)
+        out_dir=str(args.out), jobs=args.jobs, trace=args.trace)
     result = run_campaign(config)
     sys.stdout.write(result.summary_csv)
     return 0

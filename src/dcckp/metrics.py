@@ -34,9 +34,8 @@ def total_offline_error(phis) -> float:
     return float(arr.mean())
 
 
-# log columns in row order, with the dtype of their per-iteration series;
-# the last three are kept only for traced runs
-COLUMNS = (("phi", np.float64), ("feasible", bool), ("capacity", np.int64),
+# log columns in row order, with the dtype of their per-iteration series
+COLUMNS = (("phi", np.float64), ("capacity", np.int64),
            ("best_profit", np.int64), ("violation", np.float64))
 
 
@@ -53,13 +52,9 @@ class IntervalLog:
     starts: np.ndarray
     columns: dict
 
-    def series(self, name: str):
-        """The dense per-iteration series of one column, or None if the log
-        does not keep it."""
-        values = self.columns.get(name)
-        if values is None:
-            return None
-        return np.repeat(values, np.diff(self.starts, append=self.length))
+    def series(self, name: str) -> np.ndarray:
+        """The dense per-iteration series of one column."""
+        return np.repeat(self.columns[name], np.diff(self.starts, append=self.length))
 
 
 class OfflineErrorRecorder:
@@ -72,20 +67,17 @@ class OfflineErrorRecorder:
     before the end of warm-up opens the log.
     """
 
-    def __init__(self, warmup: int, measured: int, alpha: float, trace: bool):
+    def __init__(self, warmup: int, measured: int, alpha: float):
         self.warmup = warmup
         self.measured = measured
         self.alpha = alpha
-        self.trace = trace
         self.starts: list[int] = []
         self.rows: list[tuple] = []
 
     def record(self, i: int, p_star: int, p_x: int, violation: float,
                capacity: int):
-        alpha = self.alpha
-        row = (offline_error(p_star, p_x, violation, alpha), violation <= alpha)
-        if self.trace:
-            row += (capacity, p_x, violation)
+        row = (offline_error(p_star, p_x, violation, self.alpha), capacity, p_x,
+               violation)
         j = i - self.warmup
         if j < 0:
             j = 0
@@ -140,12 +132,11 @@ class RunRecord:
     feasible_fraction: float = 0.0
     change_count: int = 0
     evaluations: int = 0
-    # dense views of the interval log; the three traces are None unless the
-    # run was traced
+    # dense views of the interval log
     per_iteration_phi: np.ndarray = _Series("phi")
-    capacity_trace: np.ndarray | None = _Series("capacity")
-    best_profit_trace: np.ndarray | None = _Series("best_profit")
-    violation_trace: np.ndarray | None = _Series("violation")
+    capacity_trace: np.ndarray = _Series("capacity")
+    best_profit_trace: np.ndarray = _Series("best_profit")
+    violation_trace: np.ndarray = _Series("violation")
 
     def __repr__(self):
         shown = (f for f in fields(self)

@@ -539,7 +539,7 @@ class Nsga2:
         self._evaluate_population()
         self.best_feasible = None  # (profit, w, k, bits copy)
         self.generations = 0
-        self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
+        self._consider(self.bits, self.pwk, self.p.tolist(), self.cstar.tolist(), capacity)
 
     @classmethod
     def _draw_block(cls, rng, ctx: _RunContext):
@@ -592,26 +592,18 @@ class Nsga2:
     w = property(lambda self: self.pwk[:, 1])
     k = property(lambda self: self.pwk[:, 2])
 
-    def _consider(self, bits, p, w, k, cstar, capacity) -> bool:
-        """Fold freshly evaluated individuals into the tracked best feasible;
-        returns whether it was replaced."""
-        j = self._better_feasible(p.tolist(), cstar.tolist(), capacity)
-        if j >= 0:
-            self._keep_best(j, bits, p, w, k)
-        return j >= 0
-
-    def _better_feasible(self, ps, cs, capacity) -> int:
-        """The first row of the highest profit with C* <= C, if it beats the
-        tracked best feasible (profits are never negative); else -1."""
+    def _consider(self, bits, pwk, ps, cs, capacity) -> bool:
+        """Track the first row of the highest profit with C* <= C, if it beats
+        the tracked best feasible (profits are never negative); returns whether
+        it did. ``ps`` and ``cs`` are the profits and C* of the rows of ``bits``
+        and ``pwk``, as lists."""
         best, j = -1 if self.best_feasible is None else self.best_feasible[0], -1
         for i in range(len(ps)):
             if ps[i] > best and cs[i] <= capacity:
                 best, j = ps[i], i
-        return j
-
-    def _keep_best(self, j, bits, p, w, k):
-        """Track row ``j`` of ``bits``, ``p``, ``w`` and ``k`` as the best feasible."""
-        self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+        if j >= 0:
+            self.best_feasible = (*pwk[j].tolist(), bits[j].copy())
+        return j >= 0
 
     def step(self, capacity: int, first: int, end: int, record):
         # the designated solution is the tracked best feasible, which changes
@@ -642,9 +634,7 @@ class Nsga2:
         all_pwk = np.concatenate([self.pwk, pwk])
         all_c = np.concatenate([self.cstar, cstar])
         ps, cs = all_pwk[:, 0].tolist(), all_c.tolist()
-        j = self._better_feasible(ps[pop:], cs[pop:], capacity)
-        if j >= 0:
-            self._keep_best(j, children, *pwk.T)
+        replaced = self._consider(children, pwk, ps[pop:], cs[pop:], capacity)
 
         # elitist survival: whole fronts by depth, then the most crowding-distant
         # of the one that overflows; a front is a run of ``chosen`` in the order
@@ -670,11 +660,11 @@ class Nsga2:
         self.pwk = all_pwk.take(chosen, axis=0)
         self.cstar = all_c.take(chosen)
         self.generations += 1
-        return j >= 0
+        return replaced
 
     def on_change(self, capacity: int):
         self.best_feasible = None
-        self._consider(self.bits, self.p, self.w, self.k, self.cstar, capacity)
+        self._consider(self.bits, self.pwk, self.p.tolist(), self.cstar.tolist(), capacity)
 
     def designated_eval(self, capacity: int):
         bound = self.ctx.bound
@@ -699,7 +689,7 @@ def _make_solver(algo: str, ctx, rng, capacity: int, eta: int):
 
 
 def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
-                  seed: int, trace: bool = False) -> metrics.RunRecord:
+                  seed: int) -> metrics.RunRecord:
     """Run one algorithm through a capacity schedule.
 
     Each solver step is charged ``stride`` iterations and starts on a
@@ -730,7 +720,7 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     ctx = _RunContext(instance, params)
     capacity = schedule.c0
     solver = _make_solver(algo, ctx, rng, capacity, schedule.r)
-    recorder = metrics.OfflineErrorRecorder(warmup, measured, params.alpha, trace)
+    recorder = metrics.OfflineErrorRecorder(warmup, measured, params.alpha)
     p_star = int(dp_table[capacity])
 
     def record(i):
@@ -759,11 +749,12 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
 
     log = recorder.log()
     spans = np.diff(log.starts, append=log.length)  # iterations per entry, counted exactly
+    feasible = log.columns["violation"] <= params.alpha  # as ``offline_error`` decides
     return metrics.RunRecord(
         run_seed=seed,
         intervals=log,
         total_offline_error=metrics.total_offline_error(log.series("phi")),
-        feasible_fraction=int(spans[log.columns["feasible"]].sum()) / log.length,
+        feasible_fraction=int(spans[feasible].sum()) / log.length,
         change_count=schedule.change_count,
         evaluations=-(-total // stride) * stride,  # a truncated last step in full
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from dcckp import campaign
@@ -51,8 +52,6 @@ def test_config_validation():
         CampaignConfig(**{**TINY, "kind": "mystery"})
     with pytest.raises(ValueError):
         CampaignConfig(**{**TINY, "jobs": 0})
-    with pytest.raises(ValueError):
-        CampaignConfig(**{**TINY, "trace_every": 0})
     for field, bad in (("deltas", (0,)), ("deltas", (25, WEIGHT_OFFSET + 1)),
                        ("rs", (0,)), ("rs", (300, -1)),
                        ("taus", (0,)), ("taus", (150, -5)),
@@ -123,15 +122,38 @@ def test_stat_labels_antisymmetric_in_summary():
 
 
 def test_campaign_writes_files(tmp_path):
-    cfg = CampaignConfig(**TINY, out_dir=str(tmp_path / "out"), trace=True,
-                         trace_every=100)
+    """Each trace file is its run's interval log: expanded over the
+    iterations each row holds for, its columns are the record's dense
+    series, exactly."""
+    cfg = CampaignConfig(**TINY, out_dir=str(tmp_path / "out"), trace=True)
     result = run_campaign(cfg)
     assert (tmp_path / "out" / "runs.csv").read_text() == result.runs_csv
     assert (tmp_path / "out" / "summary.csv").read_text() == result.summary_csv
-    traces = list((tmp_path / "out").glob("trace-*.csv"))
-    assert len(traces) == len(result.cells) * cfg.runs
-    header = traces[0].read_text().splitlines()[0]
-    assert header == "iteration,capacity,best_profit,violation_prob,phi"
+    assert len(list((tmp_path / "out").glob("trace-*.csv"))) == len(result.records)
+    for (cell, j), rec in result.records.items():
+        path = tmp_path / "out" / f"trace-{cell.cell_id}-run{j}.csv"
+        header, *lines = path.read_text().splitlines()
+        assert header == "iteration,capacity,best_profit,violation_prob,phi"
+        rows = [line.split(",") for line in lines]
+        starts = [int(row[0]) for row in rows]
+        assert starts[0] == 0
+        spans = np.diff(starts, append=cfg.total_iters)
+        assert (spans > 0).all()
+        for col, (series, parse) in enumerate(
+                ((rec.capacity_trace, int), (rec.best_profit_trace, int),
+                 (rec.violation_trace, float), (rec.per_iteration_phi, float)), 1):
+            dense = np.repeat([parse(row[col]) for row in rows], spans)
+            assert np.array_equal(dense, series)
+
+
+def test_trace_leaves_runs_csv_unchanged(tmp_path):
+    plain = run_campaign(CampaignConfig(**TINY, out_dir=str(tmp_path / "plain")))
+    traced = run_campaign(CampaignConfig(**TINY, out_dir=str(tmp_path / "traced"),
+                                         trace=True))
+    assert traced.runs_csv == plain.runs_csv
+    assert ((tmp_path / "traced" / "runs.csv").read_bytes()
+            == (tmp_path / "plain" / "runs.csv").read_bytes())
+    assert not list((tmp_path / "plain").glob("trace-*.csv"))
 
 
 def test_run_record_fields_round_trip_through_csv():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,3 +253,47 @@ def test_bounds_upper_bound_monte_carlo():
         assert cheby.tail(ew, k, cap) >= truth - noise
         assert chern.tail(ew, k, cap) >= truth - noise
         assert chern.certified(ew, k, cap) >= truth - noise
+
+
+def exact_survival(k, delta, gap):
+    """Pr[W >= w + gap] exactly, as a Fraction, for k items of half-width
+    delta and an integer gap. W = (w - k delta) + 2 delta U with
+    U ~ Irwin-Hall(k), and by the symmetry of U this is the Irwin-Hall CDF
+    at M / (2 delta), M = k delta - gap:
+    sum over j < M / (2 delta) of (-1)^j C(k, j) (M - 2 j delta)^k,
+    over (2 delta)^k k!."""
+    m = k * delta - gap
+    num = sum((-1) ** j * math.comb(k, j) * (m - 2 * j * delta) ** k
+              for j in range(k + 1) if 2 * j * delta < m)
+    return Fraction(num, (2 * delta) ** k * math.factorial(k))
+
+
+def test_exact_survival_helper():
+    assert exact_survival(1, 25, 0) == Fraction(1, 2)
+    assert exact_survival(4, 25, 0) == Fraction(1, 2)  # the mean of a symmetric law
+    assert exact_survival(3, 25, 75) == 0  # the top of the support
+    assert exact_survival(1, 25, 10) == Fraction(15, 50)  # one uniform item
+    inst = generate_instance("uncorrelated", 20, 25, seed=5)
+    bits = np.zeros(20, np.uint8)
+    bits[:6] = 1
+    ew = int(inst.weight_array()[:6].sum())
+    samples = 200_000
+    exact = float(exact_survival(6, 25, 40))
+    assert 0.01 < exact < 0.2
+    est = monte_carlo_violation(inst, bits, ew + 40, samples, seed=3)
+    assert abs(est - exact) < 4 * math.sqrt(exact * (1 - exact) / samples)
+
+
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+def test_margins_bound_the_exact_violation(kind):
+    """Proof, not sampling, that both margins are safe: a solution of k
+    items and expected weight w is accepted from capacity
+    w + ceil(margin[k]) on (capacities and expected weights are integers),
+    and there its exact violation probability is at most alpha, for every
+    k <= 100 at each delta and alpha below."""
+    for delta in (1, 25, 50, 100):
+        for alpha in (0.5, 0.1, 0.01, 0.001, 1e-4):
+            margin = bound(kind, delta, alpha, n=100).margin
+            for k in range(1, 101):
+                s = exact_survival(k, delta, math.ceil(margin[k]))
+                assert s <= Fraction(alpha), (k, delta, alpha, float(s))

@@ -224,14 +224,13 @@ def test_run_missing_out_flag_is_config_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "0"], ["--trace", "--trace-every", "0"],
-                                  ["--delta", "25,150", "--jobs", "2"],
+@pytest.mark.parametrize("flag", [["--jobs", "0"], ["--delta", "25,150", "--jobs", "2"],
                                   ["--delta", "0"], ["--r", "0"], ["--tau", "0"],
                                   ["--c0-fraction", "1.5", "--jobs", "2"],
                                   ["--c0-fraction", "0"], ["--c", "0"],
                                   ["--c0-fraction", "1e-6"], ["--seed", "-1"],
                                   ["--instance-seed", "-1"]],
-                         ids=["jobs", "trace_every", "delta_high", "delta_zero",
+                         ids=["jobs", "delta_high", "delta_zero",
                               "r", "tau", "c0_fraction_high", "c0_fraction_zero",
                               "c_constant", "c0_fraction_tiny", "seed", "instance_seed"])
 def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):

@@ -1195,8 +1195,9 @@ def test_nsga2_cstar_equal_to_capacity_is_feasible():
     assert alg.best_feasible[:3] == (9, 60, 3)
     assert np.array_equal(alg.best_feasible[3], alg.bits[1])
     # only a strictly higher feasible profit replaces the tracked solution
-    assert not alg._consider(alg.bits, alg.p, alg.w, alg.k, alg.cstar, 100)
-    assert alg._consider(alg.bits, alg.p, alg.w, alg.k, alg.cstar - 0.5, 100)
+    ps = alg.p.tolist()
+    assert not alg._consider(alg.bits, alg.pwk, ps, alg.cstar.tolist(), 100)
+    assert alg._consider(alg.bits, alg.pwk, ps, (alg.cstar - 0.5).tolist(), 100)
     assert alg.best_feasible[:3] == (12, 70, 4)
     alg.on_change(99)
     assert alg.best_feasible[:3] == (5, 50, 2)
@@ -1459,14 +1460,14 @@ class ReferenceNsga2(Nsga2):
         p, w, k, self.cstar = self._evaluate(self.bits)
         self.pwk = np.column_stack([p, w, k])
 
-    def _consider(self, bits, p, w, k, cstar, capacity):
-        feas = cstar <= capacity
+    def _consider(self, bits, pwk, ps, cs, capacity):
+        p, feas = np.array(ps), np.array(cs) <= capacity
         if not feas.any():
             return
         idx = np.flatnonzero(feas)
         j = idx[np.argmax(p[idx])]
         if self.best_feasible is None or p[j] > self.best_feasible[0]:
-            self.best_feasible = (int(p[j]), int(w[j]), int(k[j]), bits[j].copy())
+            self.best_feasible = (*(int(v) for v in pwk[j]), bits[j].copy())
 
     def _ranks_and_crowding(self, p, cstar):
         fronts = matrix_fronts(p, cstar)
@@ -1526,7 +1527,8 @@ class ReferenceNsga2(Nsga2):
         children ^= flips
 
         cp, cw, ck, c_cstar = self._evaluate(children)
-        self._consider(children, cp, cw, ck, c_cstar, capacity)
+        self._consider(children, np.column_stack([cp, cw, ck]), cp.tolist(),
+                       c_cstar.tolist(), capacity)
 
         # elitist survival over parents + children
         all_bits = np.concatenate([self.bits, children])
@@ -1648,7 +1650,7 @@ def test_run_record_phi_consistent_with_trace():
                            inst.total_expected_weight(), seed=7)
     params = ChanceParams(0.01, 25, CHERNOFF)
     for algo in ("ea11", "posdc", "nsga2"):
-        rec = run_algorithm(algo, inst, sched, params, dp, seed=3, trace=True)
+        rec = run_algorithm(algo, inst, sched, params, dp, seed=3)
         for j in range(0, len(rec.per_iteration_phi), 37):
             cap = int(rec.capacity_trace[j])
             p_star = int(dp[cap])
@@ -1663,9 +1665,9 @@ def test_run_record_phi_consistent_with_trace():
 
 
 def reference_series(algo, inst, sched, params, dp, seed):
-    """Dense (phi, feasible, capacity, profit, violation) per post-warmup
-    iteration, from a driver that re-evaluates the designated solution on
-    every iteration."""
+    """Dense (phi, capacity, profit, violation) per post-warmup iteration,
+    from a driver that re-evaluates the designated solution on every
+    iteration."""
     rng = np.random.default_rng(seed)
     ctx = _RunContext(inst, params)
     solver = _make_solver(algo, ctx, rng, sched.c0, sched.r)
@@ -1695,7 +1697,7 @@ def reference_series(algo, inst, sched, params, dp, seed):
             p_x, viol = solver.designated_eval(capacity)
             p_star = int(dp[capacity])
             rows.append((metrics.offline_error(p_star, p_x, viol, params.alpha),
-                         viol <= params.alpha, capacity, p_x, viol))
+                         capacity, p_x, viol))
     return [np.array(col) for col in zip(*rows)]
 
 
@@ -1727,7 +1729,7 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, kind, monkeypatch):
         pos.step(600, 0, sched.warmup, ignore)
         assert pos.repair is not None
 
-    normal = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
+    normal = run_algorithm(algo, inst, sched, params, dp, seed=seed)
     cls = {"ea11": OnePlusOneEA, "posdc": Posdc, "nsga2": Nsga2}[algo]
     segment_step = cls.step
 
@@ -1737,16 +1739,17 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, kind, monkeypatch):
             record(i)
 
     monkeypatch.setattr(cls, "step", every_step)
-    marked = run_algorithm(algo, inst, sched, params, dp, seed=seed, trace=True)
+    marked = run_algorithm(algo, inst, sched, params, dp, seed=seed)
     monkeypatch.undo()
     reference = reference_series(algo, inst, sched, params, dp, seed)
 
     for rec in (marked, normal):
-        got = (rec.per_iteration_phi, rec.intervals.series("feasible"),
-               rec.capacity_trace, rec.best_profit_trace, rec.violation_trace)
-        for a, b in zip(got, reference):
+        got = (rec.per_iteration_phi, rec.capacity_trace, rec.best_profit_trace,
+               rec.violation_trace)
+        for a, b in zip(got, reference, strict=True):
             assert np.array_equal(a, b)
-        assert rec.feasible_fraction == float(reference[1].mean())
+        assert rec.feasible_fraction == float((rec.violation_trace <= 0.01).mean())
+        assert rec.feasible_fraction == float((reference[3] <= 0.01).mean())
         assert rec.total_offline_error == float(reference[0].mean())
     assert len(normal.intervals.starts) < len(reference[0]) // 4
 
@@ -1889,8 +1892,8 @@ def test_static_recovery_smoke():
         params = ChanceParams(0.01, 25, kind)
         oracle_p, _ = brute_force_chance_optimum(inst, capacity, params)
 
-        rec = run_algorithm("ea11", inst, sched, params, dp, seed=2, trace=True)
+        rec = run_algorithm("ea11", inst, sched, params, dp, seed=2)
         assert rec.best_profit_trace[-1] == oracle_p
 
-        rec = run_algorithm("posdc", inst, sched, params, dp, seed=2, trace=True)
+        rec = run_algorithm("posdc", inst, sched, params, dp, seed=2)
         assert rec.best_profit_trace[-1] == cstar_side_optimum(inst, capacity, params)
