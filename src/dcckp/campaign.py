@@ -166,26 +166,30 @@ _INSTANCE_CACHE: dict = {}
 _DP_CACHE: dict = {}
 
 
-def _instance_and_dp(kind, n, delta, c_constant, instance_seed):
-    key = (kind, n, delta, c_constant, instance_seed)
+def _instance_and_dp(config: CampaignConfig, delta: int):
+    key = (config.kind, config.n, delta, config.c_constant, config.instance_seed)
     inst = _INSTANCE_CACHE.get(key)
     if inst is None:
-        inst = _INSTANCE_CACHE[key] = generate_instance(
-            kind, n, delta, c_constant, instance_seed)
+        inst = _INSTANCE_CACHE[key] = generate_instance(*key)
     # items (profits, expected weights) are drawn independently of delta, so
-    # every delta of an instance shares one DP table
-    dp_key = (kind, n, c_constant, instance_seed)
+    # every delta of an instance shares one DP table; it covers the
+    # capacities the grid's widest schedules (largest r, smallest tau) reach
+    c_min, c_max = dynamics.default_clamp_bounds(inst)
+    low, high = dynamics.capacity_range(
+        dynamics.default_initial_capacity(inst, config.c0_fraction),
+        min(config.taus), max(config.rs), config.warmup,
+        config.warmup + config.total_iters, c_min, c_max)
+    dp_key = (config.kind, config.n, config.c_constant, config.instance_seed,
+              low, high)
     dp = _DP_CACHE.get(dp_key)
     if dp is None:
-        dp = _DP_CACHE[dp_key] = oracle.dp_optimal_profits(
-            inst, inst.total_expected_weight())
+        dp = _DP_CACHE[dp_key] = oracle.dp_optimal_profits(inst, high, low)
     return inst, dp
 
 
 def execute_run(config: CampaignConfig, cell: Cell, run_idx: int):
     """Run one grid point; returns (cell, run_idx, RunRecord)."""
-    inst, dp = _instance_and_dp(cell.kind, cell.n, cell.delta,
-                                config.c_constant, config.instance_seed)
+    inst, dp = _instance_and_dp(config, cell.delta)
     c_min, c_max = dynamics.default_clamp_bounds(inst)
     c0 = dynamics.default_initial_capacity(inst, config.c0_fraction)
     schedule = dynamics.build_schedule(

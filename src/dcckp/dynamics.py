@@ -83,6 +83,15 @@ def build_schedule(c0: int, tau: int, r: int, warmup: int, total_iters: int,
                             change_iters=idx, change_caps=caps, clamp_count=clamps)
 
 
+def capacity_range(c0: int, tau: int, r: int, warmup: int, total_iters: int,
+                   c_min: int, c_max: int) -> tuple[int, int]:
+    """The capacities ``build_schedule`` can reach with these parameters,
+    whatever the seed: c0 moved by up to r per change, clamped into
+    [c_min, c_max]. Returns (low, high)."""
+    reach = r * len(range(warmup, total_iters, tau))
+    return max(c_min, c0 - reach), min(c_max, c0 + reach)
+
+
 def default_initial_capacity(instance, fraction: float = 0.5) -> int:
     return int(round(fraction * instance.total_expected_weight()))
 

@@ -1,5 +1,5 @@
-"""Exact deterministic baselines: DP over all capacities and brute-force
-optima for small instances (deterministic and chance-constrained)."""
+"""Exact deterministic baselines: DP over a window of capacities and
+brute-force optima for small instances (deterministic and chance-constrained)."""
 
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ _BRUTE_FORCE_MAX_N = 20
 _ENUM_CHUNK = 1 << 14
 
 
-def dp_optimal_profits(instance, c_max: int) -> np.ndarray:
+def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     """0/1 knapsack DP over expected weights: entry c is the best profit
-    achievable with total expected weight <= c, for every c in 0..c_max.
-    Returns int64.
+    achievable with total expected weight <= c, for every c in c_min..c_max.
+    Entries below c_min are -1, which no optimum can be. Returns int64.
 
     The table does not depend on item order, so items are visited in
     ascending expected weight, which keeps every prefix weight sum as small
@@ -23,32 +23,38 @@ def dp_optimal_profits(instance, c_max: int) -> np.ndarray:
     weight sum, capped at c_max) equals the prefix profit sum, because the
     whole prefix fits there; so an item of weight w only updates entries
     w..min(c_max, reach + w), and the entries above ``reach`` are written
-    once, just before they enter that range or at the end. Items that
-    cannot raise any entry (weight above c_max, profit <= 0) are skipped.
-    The accumulators are int32 when the total profit of the items kept is
-    below 2**31, and int64 otherwise."""
-    if c_max < 0:
-        raise ValueError("c_max must be >= 0")
+    once, just before they enter that range or at the end. No later item
+    reads an entry below c_min - S, S the weight of the items after this
+    one, so the update also starts no lower than that. Items that cannot
+    raise any entry (weight above c_max, profit <= 0) are skipped. The
+    accumulators are int32 when the total profit of the items kept is below
+    2**31, and int64 otherwise."""
+    if not 0 <= c_min <= c_max:
+        raise ValueError(f"need 0 <= c_min <= c_max, got {c_min}, {c_max}")
     weights = instance.weight_array()
     profits = instance.profit_array()
     keep = (weights <= c_max) & (profits > 0)
     order = np.argsort(weights[keep])
-    weights = weights[keep][order].tolist()
+    weights = weights[keep][order]
+    after = (weights.sum() - np.cumsum(weights)).tolist()
+    weights = weights.tolist()
     profits = profits[keep][order].tolist()
     dtype = np.int32 if sum(profits) < 2**31 else np.int64
     dp = np.empty(c_max + 1, dtype)
     dp[0] = 0
     scratch = np.empty(c_max + 1, dtype)  # dp[c - w] + p for the current item
     reach = profit_sum = 0
-    for w, p in zip(weights, profits):
+    for w, p, s in zip(weights, profits, after):
         top = min(c_max, reach + w)
         dp[reach + 1:top + 1] = profit_sum
-        span = top - w + 1
+        lo = min(max(w, c_min - s), top + 1)
+        span = top - lo + 1
         # the sum goes to scratch first, so each item is used at most once
-        np.add(dp[:span], p, out=scratch[:span])
-        np.maximum(dp[w:top + 1], scratch[:span], out=dp[w:top + 1])
+        np.add(dp[lo - w:top - w + 1], p, out=scratch[:span])
+        np.maximum(dp[lo:top + 1], scratch[:span], out=dp[lo:top + 1])
         reach, profit_sum = top, profit_sum + p
     dp[reach + 1:] = profit_sum
+    dp[:c_min] = -1
     return dp.astype(np.int64, copy=False)
 
 

@@ -707,8 +707,9 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     if params.delta != instance.delta:
         raise ValueError(
             f"params.delta={params.delta} does not match instance delta={instance.delta}")
-    if len(dp_table) <= schedule.c_max:
-        raise ValueError("DP table does not cover the schedule's capacity range")
+    caps = np.append(schedule.c0, schedule.change_caps)
+    if caps.min() < 0 or caps.max() >= len(dp_table) or (dp_table[caps] < 0).any():
+        raise ValueError("DP table does not cover the schedule's capacities")
     total = schedule.total_iters
     warmup = schedule.warmup
     measured = total - warmup

@@ -297,3 +297,34 @@ def test_margins_bound_the_exact_violation(kind):
             for k in range(1, 101):
                 s = exact_survival(k, delta, math.ceil(margin[k]))
                 assert s <= Fraction(alpha), (k, delta, alpha, float(s))
+
+
+def exact_margin_ceiling(delta, alpha, k):
+    """ceil(sqrt(delta^2 (1 - alpha) k / (3 alpha))), the Chebyshev margin
+    rounded up, exactly: for an integer m, m >= sqrt(q) iff m^2 >= ceil(q)."""
+    q = math.ceil(Fraction(delta * delta) * (1 - alpha) * k / (3 * alpha))
+    return math.isqrt(q - 1) + 1
+
+
+@pytest.mark.parametrize("read_alpha", [lambda a: Fraction(repr(a)), Fraction],
+                         ids=["decimal", "binary"])
+def test_chebyshev_margin_ceilings_against_exact(read_alpha):
+    """The float margin's ceiling is the exact one or one above it, never
+    below: where the exact margin is an integer, the float path can land
+    one ulp above it and reject a solution on the boundary, but it never
+    admits one the exact margin rejects. That happens at 19 of these
+    20,000 points, whether alpha is read as a decimal or as its binary
+    value."""
+    above = []
+    for delta in (1, 25, 50, 100):
+        for alpha in (0.5, 0.1, 0.01, 0.001, 1e-4):
+            margin = bound(CHEBYSHEV, delta, alpha, n=1000).margin
+            for k in range(1, 1001):
+                gap = math.ceil(margin[k]) - exact_margin_ceiling(
+                    delta, read_alpha(alpha), k)
+                assert 0 <= gap <= 1, (delta, alpha, k, margin[k])
+                if gap:
+                    above.append((delta, alpha, k))
+    assert len(above) == 19
+    assert (1, 0.01, 297) in above
+    assert bound(CHEBYSHEV, 1, 0.01, n=297).margin[297] == 99.00000000000001

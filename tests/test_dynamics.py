@@ -3,6 +3,7 @@ import pytest
 
 from dcckp.dynamics import (
     build_schedule,
+    capacity_range,
     default_clamp_bounds,
     default_initial_capacity,
 )
@@ -91,6 +92,29 @@ def test_clamp_bounds_hold():
     # hugging a narrow clamp range must record clamp events
     sched = build_schedule(10, 1, 30, 0, 200, 5, 40, seed=0)
     assert sched.clamp_count > 0
+
+
+def test_capacity_range_holds_every_schedule_capacity():
+    rng = np.random.default_rng(3)
+    clamps = 0
+    for trial in range(200):
+        warmup = int(rng.integers(0, 50))
+        total = int(rng.integers(warmup + 1, 600))
+        tau = int(rng.integers(1, 40))
+        r = int(rng.integers(1, 300))
+        # every other trial clamps hard: a c_max a few steps above c_min
+        c_min = int(rng.integers(1, 100))
+        c_max = c_min + int(rng.integers(0, 3 * r if trial % 2 else 10 ** 5))
+        c0 = int(rng.integers(c_min, c_max + 1))
+        low, high = capacity_range(c0, tau, r, warmup, total, c_min, c_max)
+        sched = build_schedule(c0, tau, r, warmup, total, c_min, c_max, seed=trial)
+        caps = sched.capacities()
+        assert c_min <= low <= caps.min() and caps.max() <= high <= c_max
+        # the window is c0 moved by r per change, clamped: no wider
+        assert low == max(c_min, c0 - r * sched.change_count)
+        assert high == min(c_max, c0 + r * sched.change_count)
+        clamps += sched.clamp_count
+    assert clamps > 0
 
 
 def test_pinned_clamp_gives_static_capacity():

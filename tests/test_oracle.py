@@ -93,6 +93,39 @@ def test_dp_matches_reference_n1000(kind):
     assert_matches_reference(inst, inst.total_expected_weight())
 
 
+def test_dp_window_matches_the_full_table():
+    rng = np.random.default_rng(23)
+    for trial in range(120):
+        kind = ("uncorrelated", "bsc")[trial % 2]
+        inst = generate_instance(kind, int(rng.integers(1, 41)), 25, seed=trial)
+        total = inst.total_expected_weight()
+        c_max = int(rng.integers(0, total + 200))  # at times above the total
+        full = dp_optimal_profits(inst, c_max)
+        np.testing.assert_array_equal(dp_optimal_profits(inst, c_max, 0), full)
+        for c_min in (int(rng.integers(0, c_max + 1)), c_max):
+            table = dp_optimal_profits(inst, c_max, c_min)
+            assert table.dtype == np.int64 and len(table) == c_max + 1
+            np.testing.assert_array_equal(table[c_min:], full[c_min:])
+            assert (table[:c_min] == -1).all()
+
+
+def test_dp_window_of_a_wide_instance():
+    inst = generate_instance("uncorrelated", 1000, 25, seed=1)
+    c0 = inst.total_expected_weight() // 2
+    low, high = c0 - 5000, c0 + 5000
+    table = dp_optimal_profits(inst, high, low)
+    np.testing.assert_array_equal(table[low:], dp_optimal_profits(inst, high)[low:])
+    assert (table[:low] == -1).all()
+
+
+def test_dp_rejects_a_bad_window():
+    inst = generate_instance("uncorrelated", 3, 25, seed=1)
+    with pytest.raises(ValueError):
+        dp_optimal_profits(inst, 10, -1)
+    with pytest.raises(ValueError):
+        dp_optimal_profits(inst, 10, 11)
+
+
 def test_dp_zero_capacity():
     inst = generate_instance("uncorrelated", 10, 25, seed=1)
     assert dp_optimal_profits(inst, 0)[0] == 0

@@ -1643,6 +1643,30 @@ def test_run_algorithm_rejects_bad_config():
         run_algorithm("ea11", inst, sched, params, dp[:100], 1)
 
 
+def test_run_algorithm_rejects_a_table_that_misses_a_capacity():
+    inst = generate_instance("uncorrelated", 12, 25, seed=4)
+    sched = build_schedule(3000, 100, 400, 0, 1000, 1,
+                           inst.total_expected_weight(), seed=0)
+    low, high = int(sched.change_caps.min()), int(sched.change_caps.max())
+    assert low < 3000 < high  # the changes reach on both sides of c0
+    params = ChanceParams(0.01, 25, CHEBYSHEV)
+    run_algorithm("ea11", inst, sched, params, dp_optimal_profits(inst, high, low), 1)
+    with pytest.raises(ValueError):  # the lowest change sits on a -1 entry
+        run_algorithm("ea11", inst, sched, params,
+                      dp_optimal_profits(inst, high, low + 1), 1)
+    with pytest.raises(ValueError):  # c0 sits on a -1 entry
+        run_algorithm("ea11", inst, sched, params,
+                      dp_optimal_profits(inst, high, 3001), 1)
+    with pytest.raises(ValueError):  # the table ends below the highest change
+        run_algorithm("ea11", inst, sched, params,
+                      dp_optimal_profits(inst, high - 1, low), 1)
+    # the same steps from c0 = 5 reach below 0, where no table has an entry
+    sched = build_schedule(5, 100, 400, 0, 1000, -10**4, 10**4, seed=0)
+    assert sched.change_caps.min() < 0
+    with pytest.raises(ValueError):
+        run_algorithm("ea11", inst, sched, params, dp_optimal_profits(inst, 10**4), 1)
+
+
 def test_run_record_phi_consistent_with_trace():
     inst = generate_instance("uncorrelated", 12, 25, seed=4)
     dp = dp_optimal_profits(inst, inst.total_expected_weight())
