@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, oracle, solvers, stats
 from .chance import BOUND_KINDS, ChanceParams
-from .model import WEIGHT_OFFSET, generate_instance, normalize_kind
+from .model import generate_instance, normalize_kind
 from .solvers import ALGORITHMS
 
 RUNS_CSV_HEADER = ("cell_id,algo,bound,r,tau,delta,alpha,run_seed,"
@@ -57,20 +57,11 @@ class CampaignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", normalize_kind(self.kind))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.total_iters < 1:
-            raise ValueError("total_iters must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for name in ("runs", "total_iters", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.c0_fraction <= 1.0:
             raise ValueError(f"c0_fraction must be in (0, 1], got {self.c0_fraction}")
-        if self.c_constant < 1:
-            raise ValueError(f"c_constant must be >= 1, got {self.c_constant}")
         for name in ("base_seed", "instance_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -80,29 +71,18 @@ class CampaignConfig:
         for a in self.algos:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
-        for b in self.bounds:
-            if b not in BOUND_KINDS:
-                raise ValueError(f"unknown bound kind {b!r}")
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha must be in (0, 1), got {a}")
-        for d in self.deltas:
-            if not 1 <= d <= WEIGHT_OFFSET:
-                raise ValueError(f"delta must be in [1, {WEIGHT_OFFSET}], got {d}")
+        # every other value is checked by the call that uses it; make each
+        # call once here, so a bad grid fails before any run starts
+        instances = [generate_instance(self.kind, self.n, d, self.c_constant,
+                                       self.instance_seed) for d in self.deltas]
+        for alpha, delta, bound in product(self.alphas, self.deltas, self.bounds):
+            ChanceParams(alpha, delta, bound)
         # item weights do not depend on delta, so one instance settles c0
-        inst = generate_instance(self.kind, self.n, self.deltas[0],
-                                 self.c_constant, self.instance_seed)
-        c0 = dynamics.default_initial_capacity(inst, self.c0_fraction)
-        c_min, c_max = dynamics.default_clamp_bounds(inst)
-        if not c_min <= c0 <= c_max:
-            raise ValueError(f"c0_fraction={self.c0_fraction} gives an initial "
-                             f"capacity of {c0}, outside [{c_min}, {c_max}]")
-        for r in self.rs:
-            if r < 1:
-                raise ValueError(f"r must be >= 1, got {r}")
-        for t in self.taus:
-            if t < 1:
-                raise ValueError(f"tau must be >= 1, got {t}")
+        c0 = dynamics.default_initial_capacity(instances[0], self.c0_fraction)
+        c_min, c_max = dynamics.default_clamp_bounds(instances[0])
+        for r, tau in product(self.rs, self.taus):
+            dynamics.build_schedule(c0, tau, r, self.warmup,
+                                    self.warmup + self.total_iters, c_min, c_max)
         # runs.csv, and the summary computed from it, key cells by their id
         ids = [cell.cell_id for cell in enumerate_cells(self)]
         if len(set(ids)) != len(ids):
@@ -264,6 +244,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     Output text is independent of ``jobs`` and of task completion order.
     """
     cells = enumerate_cells(config)
+    if config.out_dir is not None:  # a bad path fails before the first run
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(config, cell, j) for cell in cells for j in range(config.runs)]
     records = {}
     if config.jobs > 1:
@@ -286,7 +268,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                             summary_csv=summary_csv)
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "runs.csv").write_text(runs_csv)
         (out / "summary.csv").write_text(summary_csv)
         if config.trace:

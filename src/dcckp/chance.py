@@ -55,19 +55,19 @@ class TailBound:
 
     * ``cstar``: w + margin[k], the capacity the family certifies at alpha
       (the POSDC windows, NSGA-II's second objective and its feasibility);
-    * ``tail``: the closed-form upper bound on Pr[W(x) >= C] (the (1+1)-EA's
-      lexicographic fitness, the exhaustive oracle and the demos; NSGA-II
-      no longer uses it);
+    * ``tail``: the closed-form upper bound on Pr[W(x) >= C], scalar only,
+      so the (1+1)-EA's lexicographic fitness and the exhaustive oracle
+      that grades it decide by the same floats (also the demos; NSGA-II no
+      longer uses it);
     * ``certified``: the alpha level at which C* equals C, so that
       ``certified(w, k, C) <= alpha`` exactly when ``cstar(w, k) <= C``
       (scoring). For Chebyshev it is ``tail`` itself.
 
-    Scalar forms take Python numbers and run on the per-iteration path; the
-    ``_array`` forms take numpy arrays. A family is one subclass: it writes
-    ``_margin(k)`` for a float array of counts and ``_tail(gap, k, exp)`` for
-    gap > 0 and k >= 1 once, with ``exp`` either ``math.exp`` or ``np.exp``,
-    and the base class adds the conventions for empty solutions and
-    capacities at or below the mean.
+    ``cstar_array`` is the numpy form of ``cstar`` for NSGA-II's
+    populations. A family is one subclass: it writes ``_margin(k)`` for a
+    float array of counts and ``_tail(gap, k)`` for gap > 0 and k >= 1, and
+    the base class adds the conventions for empty solutions and capacities
+    at or below the mean.
     """
 
     def __init__(self, params: ChanceParams, n: int):
@@ -89,18 +89,7 @@ class TailBound:
             return 0.0 if capacity > 0 else 1.0
         if capacity <= w:
             return 1.0
-        return self._tail(capacity - w, k, math.exp)
-
-    def tail_array(self, w, k, capacity) -> np.ndarray:
-        w = np.asarray(w, np.float64)
-        k = np.asarray(k, np.float64)
-        capacity = np.asarray(capacity, np.float64)
-        gap = capacity - w
-        above = gap > 0.0
-        # k == 0 rows are overwritten below
-        safe_gap = np.where(above & (k > 0), gap, 1.0)
-        out = np.where(above, self._tail(safe_gap, k, np.exp), 1.0)
-        return np.where(k == 0, np.where(capacity > 0, 0.0, 1.0), out)
+        return self._tail(capacity - w, k)
 
     certified = tail
 
@@ -114,7 +103,7 @@ class ChebyshevBound(TailBound):
         alpha = self.alpha
         return self.delta * np.sqrt(3.0 * alpha * (1.0 - alpha) * k) / (3.0 * alpha)
 
-    def _tail(self, gap, k, exp):
+    def _tail(self, gap, k):
         v = self.delta * self.delta * k
         return v / (v + 3.0 * gap * gap)
 
@@ -143,9 +132,9 @@ class ChernoffBound(TailBound):
         return -self.constant * self.delta * (
             log_a - np.sqrt(log_a * log_a - 9.0 * log_a * k))
 
-    def _tail(self, gap, k, exp):
+    def _tail(self, gap, k):
         delta = self.delta
-        return exp(-3.0 * gap * gap / (4.0 * delta * (3.0 * delta * k + gap)))
+        return math.exp(-3.0 * gap * gap / (4.0 * delta * (3.0 * delta * k + gap)))
 
     def certified(self, w, k, capacity) -> float:
         if k == 0 or capacity <= w:

@@ -114,9 +114,9 @@ def brute_force_optimum(instance, capacity: float):
 
 def brute_force_chance_optimum(instance, capacity: float, params: ChanceParams):
     """Exact optimum subject to the surrogate chance constraint
-    tail(x, capacity) <= alpha for the configured bound family (the
-    closed form the solvers select by)."""
+    tail(x, capacity) <= alpha of the configured bound family: the scalar
+    predicate under which the (1+1)-EA's violation term is 0."""
     _check_brute_force_n(instance)
-    bound = chance.tail_bound(params, instance.n)
-    return _best_subset(
-        instance, lambda p, w, k: bound.tail_array(w, k, capacity) <= params.alpha)
+    tail, alpha = chance.tail_bound(params, instance.n).tail, params.alpha
+    return _best_subset(instance, lambda p, w, k: np.array(
+        [tail(wi, ki, capacity) <= alpha for wi, ki in zip(w.tolist(), k.tolist())]))

@@ -63,6 +63,11 @@ def test_config_validation():
                        ("base_seed", -1), ("instance_seed", -1)):
         with pytest.raises(ValueError, match=field if field.endswith("_seed") else None):
             CampaignConfig(**{**TINY, field: bad})
+    # each is rejected by the library call that uses it, made before any run
+    for field, bad in (("bounds", ("gauss",)), ("n", 0), ("warmup", -1),
+                       ("total_iters", 0), ("alphas", (0.0,)), ("alphas", (1.0,))):
+        with pytest.raises(ValueError):
+            CampaignConfig(**{**TINY, field: bad})
     CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,),
                       "c0_fraction": 1.0, "c_constant": 1})
 
@@ -144,6 +149,20 @@ def test_campaign_writes_files(tmp_path):
                  (rec.violation_trace, float), (rec.per_iteration_phi, float)), 1):
             dense = np.repeat([parse(row[col]) for row in rows], spans)
             assert np.array_equal(dense, series)
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under_file"])
+def test_bad_out_dir_fails_before_any_run(tmp_path, monkeypatch, out):
+    """An out_dir that cannot be made a directory fails before the first
+    run starts, not after the whole grid has run."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    started = []
+    monkeypatch.setattr(campaign, "execute_run", lambda *args: started.append(args))
+    with pytest.raises(OSError):
+        run_campaign(CampaignConfig(**TINY, out_dir=str(tmp_path / out)))
+    assert not started
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
 
 
 def test_trace_leaves_runs_csv_unchanged(tmp_path):

@@ -132,31 +132,17 @@ def test_violation_non_increasing_in_capacity(k, delta, gap_a, gap_b):
 
 
 def test_array_versions_match_scalars():
-    """The array forms give the scalar forms' values exactly, over every
-    item count and capacities below, at and above the mean. The one
-    exception is the Chernoff tail's last bit: numpy's vectorised exp and
-    the C library's exp (``math.exp``) differ by one ulp on a few percent of
-    inputs, so that case is checked to one ulp."""
+    """``cstar_array`` gives the scalar ``cstar``'s values exactly, over
+    every item count."""
     rng = np.random.default_rng(5)
     n = 60
     k = np.arange(n + 1).repeat(20)
     w = np.where(k > 0, rng.integers(100, 60_000, k.size), rng.integers(0, 3, k.size))
-    cap = w + rng.integers(-500, 4000, k.size)
-    cap[::7] = w[::7]  # at the mean
-    cap[k == 0] = rng.integers(-1, 2, int((k == 0).sum()))
     for kind in (CHEBYSHEV, CHERNOFF):
         for delta, alpha in ((1, 0.5), (25, 0.01), (100, 1e-6)):
             b = bound(kind, delta, alpha, n)
             scalar_cstar = [b.cstar(wi, ki) for wi, ki in zip(w.tolist(), k.tolist())]
             assert np.array_equal(b.cstar_array(w, k), scalar_cstar)
-            scalar_tail = np.array([b.tail(wi, ki, ci) for wi, ki, ci
-                                    in zip(w.tolist(), k.tolist(), cap.tolist())])
-            array_tail = b.tail_array(w, k, cap)
-            if kind == CHEBYSHEV:
-                assert np.array_equal(array_tail, scalar_tail)
-            else:
-                assert (np.abs(array_tail - scalar_tail)
-                        <= np.spacing(scalar_tail)).all()
 
 
 def test_chance_params_validation():

@@ -229,10 +229,12 @@ def test_run_missing_out_flag_is_config_error(capsys):
                                   ["--c0-fraction", "1.5", "--jobs", "2"],
                                   ["--c0-fraction", "0"], ["--c", "0"],
                                   ["--c0-fraction", "1e-6"], ["--seed", "-1"],
-                                  ["--instance-seed", "-1"]],
+                                  ["--instance-seed", "-1"], ["--bounds", "gauss"],
+                                  ["--warmup", "-1"], ["--alpha", "1"]],
                          ids=["jobs", "delta_high", "delta_zero",
                               "r", "tau", "c0_fraction_high", "c0_fraction_zero",
-                              "c_constant", "c0_fraction_tiny", "seed", "instance_seed"])
+                              "c_constant", "c0_fraction_tiny", "seed", "instance_seed",
+                              "bounds", "warmup", "alpha"])
 def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):
     started = []
     real_run_campaign = cli.run_campaign

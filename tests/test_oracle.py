@@ -10,6 +10,7 @@ from dcckp.oracle import (
     brute_force_optimum,
     dp_optimal_profits,
 )
+from dcckp.solvers import _RunContext
 
 
 def stub_instance(pairs, delta=25):
@@ -209,8 +210,28 @@ def test_chance_optimum_below_deterministic():
             k = int(bits.sum())
             ew = int(inst.weight_array()[bits.astype(bool)].sum())
             bound = tail_bound(ChanceParams(0.01, 25, kind), inst.n)
-            v = bound.tail_array([ew], [k], cap)[0]
-            assert v <= 0.01
+            assert bound.tail(ew, k, cap) <= 0.01
+
+
+def test_chance_optimum_is_best_where_ea_violation_is_zero():
+    """The oracle and the (1+1)-EA it grades agree on feasibility: its
+    profit is the best over the subsets whose lexicographic violation term
+    is 0, at and near every boundary the enumeration meets."""
+    for n, seed in ((6, 1), (10, 2), (12, 3)):
+        inst = generate_instance("uncorrelated", n, 25, seed=seed)
+        masks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        subsets = list(zip((masks @ inst.profit_array()).tolist(),
+                           (masks @ inst.weight_array()).tolist(),
+                           masks.sum(axis=1).tolist()))
+        total = inst.total_expected_weight()
+        for kind in (CHEBYSHEV, CHERNOFF):
+            for alpha in (0.5, 0.01, 1e-4):
+                params = ChanceParams(alpha, 25, kind)
+                ctx = _RunContext(inst, params)
+                for cap in (total // 4, total // 2, 3 * total // 4):
+                    best = max(p for p, w, k in subsets
+                               if ctx.lex_violation(w, k, cap) == 0)
+                    assert brute_force_chance_optimum(inst, cap, params)[0] == best
 
 
 def test_chance_optimum_relaxes_toward_deterministic():
