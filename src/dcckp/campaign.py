@@ -141,40 +141,46 @@ def schedule_seed_for(config: CampaignConfig, cell: Cell, run_idx: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# per-process caches; tasks with the same instance coordinates reuse the work
+# per-process caches; tasks with the same instance coordinates reuse the work,
+# and the one schedule memo serves the runs ``run_campaign`` puts next to it
 _INSTANCE_CACHE: dict = {}
 _DP_CACHE: dict = {}
+_SCHEDULE_MEMO: dict = {}  # build_schedule arguments -> schedule, one entry
 
 
 def _instance_and_dp(config: CampaignConfig, delta: int):
+    """(instance, DP table, c0, c_min, c_max) for one delta of the grid."""
     key = (config.kind, config.n, delta, config.c_constant, config.instance_seed)
-    inst = _INSTANCE_CACHE.get(key)
-    if inst is None:
-        inst = _INSTANCE_CACHE[key] = generate_instance(*key)
+    entry = _INSTANCE_CACHE.get((key, config.c0_fraction))
+    if entry is None:
+        inst = generate_instance(*key)
+        entry = _INSTANCE_CACHE[key, config.c0_fraction] = (
+            inst, dynamics.default_initial_capacity(inst, config.c0_fraction),
+            *dynamics.default_clamp_bounds(inst))
+    inst, c0, c_min, c_max = entry
     # items (profits, expected weights) are drawn independently of delta, so
     # every delta of an instance shares one DP table; it covers the
     # capacities the grid's widest schedules (largest r, smallest tau) reach
-    c_min, c_max = dynamics.default_clamp_bounds(inst)
     low, high = dynamics.capacity_range(
-        dynamics.default_initial_capacity(inst, config.c0_fraction),
-        min(config.taus), max(config.rs), config.warmup,
+        c0, min(config.taus), max(config.rs), config.warmup,
         config.warmup + config.total_iters, c_min, c_max)
     dp_key = (config.kind, config.n, config.c_constant, config.instance_seed,
               low, high)
     dp = _DP_CACHE.get(dp_key)
     if dp is None:
         dp = _DP_CACHE[dp_key] = oracle.dp_optimal_profits(inst, high, low)
-    return inst, dp
+    return inst, dp, c0, c_min, c_max
 
 
 def execute_run(config: CampaignConfig, cell: Cell, run_idx: int):
     """Run one grid point; returns (cell, run_idx, RunRecord)."""
-    inst, dp = _instance_and_dp(config, cell.delta)
-    c_min, c_max = dynamics.default_clamp_bounds(inst)
-    c0 = dynamics.default_initial_capacity(inst, config.c0_fraction)
-    schedule = dynamics.build_schedule(
-        c0, cell.tau, cell.r, config.warmup, config.warmup + config.total_iters,
-        c_min, c_max, schedule_seed_for(config, cell, run_idx))
+    inst, dp, c0, c_min, c_max = _instance_and_dp(config, cell.delta)
+    args = (c0, cell.tau, cell.r, config.warmup, config.warmup + config.total_iters,
+            c_min, c_max, schedule_seed_for(config, cell, run_idx))
+    schedule = _SCHEDULE_MEMO.get(args)
+    if schedule is None:
+        _SCHEDULE_MEMO.clear()
+        schedule = _SCHEDULE_MEMO[args] = dynamics.build_schedule(*args)
     params = ChanceParams(alpha=cell.alpha, delta=cell.delta, bound_kind=cell.bound)
     rec = solvers.run_algorithm(cell.algo, inst, schedule, params, dp,
                                 run_seed_for(config, cell, run_idx))
@@ -246,7 +252,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     cells = enumerate_cells(config)
     if config.out_dir is not None:  # a bad path fails before the first run
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(config, cell, j) for cell in cells for j in range(config.runs)]
+    # the runs that share a schedule (delta, r, tau, run index) are adjacent,
+    # so each process builds it at most once; output stays in cell order
+    tasks = sorted(((config, cell, j) for cell in cells for j in range(config.runs)),
+                   key=lambda task: (task[1].delta, task[1].r, task[1].tau, task[2]))
     records = {}
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

@@ -65,18 +65,21 @@ def build_schedule(c0: int, tau: int, r: int, warmup: int, total_iters: int,
     idx = np.arange(warmup, total_iters, tau, dtype=np.int64)
     rng = np.random.default_rng(seed)
     steps = rng.integers(-r, r + 1, size=len(idx))
-    caps = np.empty(len(idx), np.int64)
-    cap = c0
+    caps = []
+    cap, c_min, c_max = int(c0), int(c_min), int(c_max)
     clamps = 0
-    for j, step in enumerate(steps):
-        cap += int(step)
+    for step in steps.tolist():  # Python ints: far cheaper than numpy scalars
+        cap += step
         if cap < c_min:
             cap = c_min
             clamps += 1
         elif cap > c_max:
             cap = c_max
             clamps += 1
-        caps[j] = cap
+        caps.append(cap)
+    caps = np.array(caps, np.int64)
+    # a campaign shares one schedule between runs: nothing may write into it
+    idx.flags.writeable = caps.flags.writeable = False
     return CapacitySchedule(c0=int(c0), tau=int(tau), r=int(r), warmup=int(warmup),
                             total_iters=int(total_iters), c_min=int(c_min),
                             c_max=int(c_max), seed=int(seed),

@@ -1,5 +1,6 @@
 import csv
 import io
+import random
 
 import numpy as np
 import pytest
@@ -203,3 +204,42 @@ def test_dp_table_computed_once_for_every_delta(monkeypatch):
     result = run_campaign(CampaignConfig(**{**TINY, "deltas": (25, 50)}))
     assert {c.delta for c in result.cells} == {25, 50}
     assert len(calls) == 1
+
+
+def test_schedule_built_once_per_delta_r_tau_and_run(monkeypatch):
+    """The runs of every algo, bound and alpha at one (delta, r, tau, run
+    index) share a schedule; a serial campaign builds each of them once,
+    through the module attribute that wrappers of ``build_schedule`` see."""
+    cfg = CampaignConfig(**{**TINY, "deltas": (25, 50), "taus": (200, 100),
+                            "bounds": ("chebyshev", "chernoff")})
+    built = []
+    build = campaign.dynamics.build_schedule
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(campaign, "_SCHEDULE_MEMO", {})
+    monkeypatch.setattr(campaign.dynamics, "build_schedule", counted)
+    result = run_campaign(cfg)
+    assert len(result.records) == 2 * 2 * 2 * 2 * cfg.runs
+    assert len(built) == len(cfg.deltas) * len(cfg.rs) * len(cfg.taus) * cfg.runs
+    assert len(set(built)) == len(built)
+
+
+def test_execute_run_in_any_order_matches_a_cold_campaign(monkeypatch):
+    """The schedule memo and the instance and DP caches hold no state that
+    changes a run: runs executed in a shuffled order, on caches left warm by
+    a campaign, give that campaign's runs.csv and capacity traces."""
+    for name in ("_INSTANCE_CACHE", "_DP_CACHE", "_SCHEDULE_MEMO"):
+        monkeypatch.setattr(campaign, name, {})
+    cfg = CampaignConfig(**{**TINY, "deltas": (25, 50), "runs": 3})
+    cold = run_campaign(cfg)
+    tasks = list(cold.records)
+    random.Random(5).shuffle(tasks)
+    records = {}
+    for cell, j in tasks:
+        _, _, records[(cell, j)] = campaign.execute_run(cfg, cell, j)
+    assert campaign._runs_csv(cfg, cold.cells, records) == cold.runs_csv
+    for key, rec in records.items():
+        assert campaign._trace_csv(rec) == campaign._trace_csv(cold.records[key])

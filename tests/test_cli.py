@@ -253,6 +253,21 @@ def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, f
     assert not (out_dir / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under_file"])
+def test_run_out_that_cannot_be_a_directory_is_config_error(capsys, tmp_path, out):
+    """--out naming a file, or a path under one, is a configuration error
+    (exit 1), not a runtime failure, and no run writes anything."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    code, _, err = run_cli(capsys, "run", "--n", "10", "--iters", "200",
+                           "--warmup", "20", "--runs", "2", "--out",
+                           str(tmp_path / out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not list(tmp_path.rglob("runs.csv"))
+    assert blocker.read_text() == "kept"
+
+
 def test_summarize_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "summarize", str(tmp_path / "nope.csv"))
     assert code == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dcckp.dynamics import (
     build_schedule,
@@ -155,3 +156,53 @@ def test_csv_rows_cover_every_iteration():
     assert len(rows) == 40
     assert rows[0] == (0, 100)
     assert all(rows[i][1] == sched.capacity_at(i) for i in range(40))
+
+
+def test_schedule_arrays_are_read_only():
+    """A campaign shares one schedule between the runs it pairs, so no run
+    may write into it."""
+    sched = build_schedule(100, 10, 5, 0, 50, 1, 1000, seed=1)
+    with pytest.raises(ValueError):
+        sched.change_caps[0] = 7
+    with pytest.raises(ValueError):
+        sched.change_iters[0] = 7
+
+
+def _reference_schedule(c0, tau, r, warmup, total_iters, c_min, c_max, seed):
+    """The clamp walk over numpy scalars, one array store per change, that
+    ``build_schedule`` ran before it looped over Python ints."""
+    idx = np.arange(warmup, total_iters, tau, dtype=np.int64)
+    steps = np.random.default_rng(seed).integers(-r, r + 1, size=len(idx))
+    caps = np.empty(len(idx), np.int64)
+    cap = c0
+    clamps = 0
+    for j, step in enumerate(steps):
+        cap += int(step)
+        if cap < c_min:
+            cap = c_min
+            clamps += 1
+        elif cap > c_max:
+            cap = c_max
+            clamps += 1
+        caps[j] = cap
+    return idx, caps, clamps
+
+
+@given(st.data(), st.integers(1, 40), st.integers(1, 600), st.integers(0, 400),
+       st.integers(1, 500), st.integers(-100, 5000),
+       st.sampled_from([0, 1, 3, 50, 10 ** 4]), st.integers(0, 2 ** 32))
+@example(None, 1, 30, 0, 200, 5, 35, 0)       # range narrower than r
+@example(None, 10, 500, 100, 3000, 777, 0, 4)  # pinned: c_min == c_max
+@example(None, 1, 50, 400, 300, 1, 1999, 5)    # warm-up longer than the run
+def test_clamp_walk_matches_the_scalar_reference(data, tau, r, warmup, total,
+                                                 c_min, width, seed):
+    c_max = c_min + width
+    c0 = (c_min + c_max) // 2 if data is None else data.draw(
+        st.integers(c_min, c_max), label="c0")
+    sched = build_schedule(c0, tau, r, warmup, total, c_min, c_max, seed=seed)
+    idx, caps, clamps = _reference_schedule(c0, tau, r, warmup, total,
+                                            c_min, c_max, seed)
+    assert sched.change_iters.dtype == sched.change_caps.dtype == np.int64
+    assert np.array_equal(sched.change_iters, idx)
+    assert np.array_equal(sched.change_caps, caps)
+    assert sched.clamp_count == clamps
