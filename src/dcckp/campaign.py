@@ -72,7 +72,8 @@ class CampaignConfig:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
         # every other value is checked by the call that uses it; make each
-        # call once here, so a bad grid fails before any run starts
+        # call once here, so a bad grid fails before any run starts (a
+        # schedule of one iteration checks every argument without the walk)
         instances = [generate_instance(self.kind, self.n, d, self.c_constant,
                                        self.instance_seed) for d in self.deltas]
         for alpha, delta, bound in product(self.alphas, self.deltas, self.bounds):
@@ -81,8 +82,8 @@ class CampaignConfig:
         c0 = dynamics.default_initial_capacity(instances[0], self.c0_fraction)
         c_min, c_max = dynamics.default_clamp_bounds(instances[0])
         for r, tau in product(self.rs, self.taus):
-            dynamics.build_schedule(c0, tau, r, self.warmup,
-                                    self.warmup + self.total_iters, c_min, c_max)
+            dynamics.build_schedule(c0, tau, r, self.warmup, self.warmup + 1,
+                                    c_min, c_max)
         # runs.csv, and the summary computed from it, key cells by their id
         ids = [cell.cell_id for cell in enumerate_cells(self)]
         if len(set(ids)) != len(ids):
@@ -285,20 +286,22 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     return result
 
 
-def setting_of_cell_id(cell_id: str) -> str:
-    """Strip the algo/bound suffix: cells sharing the prefix are compared."""
-    return cell_id.rsplit("-", 2)[0]
-
-
-def group_runs_csv(text: str) -> dict[str, dict[str, list[dict]]]:
-    """The rows of a runs.csv payload by setting, then by cell, in file
-    order; the cells of one setting are the variants compared with each
-    other."""
+def group_runs_csv(text: str, family_alpha: float = 0.05):
+    """The runs of a runs.csv payload by setting, in file order: yields
+    (setting, rows by cell, ``total_offline_error`` values by cell, labels).
+    The cells of a setting share its cell id up to the algo/bound suffix and
+    are the variants compared with each other; ``labels`` is
+    ``stats.pairwise_labels`` at ``family_alpha``, or None for a setting
+    that is not ``stats.testable``."""
     groups: dict[str, dict[str, list[dict]]] = {}
     for row in csv.DictReader(io.StringIO(text)):
         cid = row["cell_id"]
-        groups.setdefault(setting_of_cell_id(cid), {}).setdefault(cid, []).append(row)
-    return groups
+        groups.setdefault(cid.rsplit("-", 2)[0], {}).setdefault(cid, []).append(row)
+    for setting, family in groups.items():
+        named = {cid: [float(r["total_offline_error"]) for r in rows]
+                 for cid, rows in family.items()}
+        labels = stats.pairwise_labels(named, family_alpha) if stats.testable(named) else None
+        yield setting, family, named, labels
 
 
 def summarize_runs_csv(text: str) -> list[dict]:
@@ -307,10 +310,7 @@ def summarize_runs_csv(text: str) -> list[dict]:
     the labels stay blank in a setting that is not ``stats.testable``. Each
     row also carries the cell's coordinate columns as written."""
     out_rows = []
-    for family in group_runs_csv(text).values():
-        named = {cid: [float(r["total_offline_error"]) for r in rows]
-                 for cid, rows in family.items()}
-        labels = stats.pairwise_labels(named) if stats.testable(named) else None
+    for _, family, named, labels in group_runs_csv(text):
         for cid, rows in family.items():
             vals = np.asarray(named[cid])
             stat = stats.format_stat_column(labels, list(named), cid) if labels else ""

@@ -142,16 +142,14 @@ def _cmd_stats(args) -> int:
     if not 0.0 < args.family_alpha < 1.0:
         raise ValueError(f"family_alpha must lie in (0, 1), got {args.family_alpha}")
     out = []
-    for setting, family in group_runs_csv(args.runs_csv.read_text()).items():
-        named = {cid: [float(r["total_offline_error"]) for r in rows]
-                 for cid, rows in family.items()}
-        if not stats.testable(named):
+    for setting, _, named, labels in group_runs_csv(args.runs_csv.read_text(),
+                                                    args.family_alpha):
+        if labels is None:
             sys.stderr.write(f"setting {setting}: skipped, {len(named)} cell(s) of "
                              f"{min(map(len, named.values()))} run(s) at fewest; "
                              "a test needs 2 cells of 2 runs each\n")
             continue
         h, p = stats.kruskal_wallis(list(named.values()))
-        labels = stats.pairwise_labels(named, args.family_alpha)
         out.append(f"setting {setting}: H={h:.4f} p={p:.6g}")
         for i, cid in enumerate(named, start=1):
             col = stats.format_stat_column(labels, list(named), cid)

@@ -54,10 +54,10 @@ def build_schedule(c0: int, tau: int, r: int, warmup: int, total_iters: int,
         raise ValueError("tau must be >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if total_iters < 1:
-        raise ValueError("total_iters must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
+    if total_iters < 1:
+        raise ValueError("total_iters must be >= 1")
     if not c_min <= c0 <= c_max:
         raise ValueError(f"c0={c0} outside clamp range [{c_min}, {c_max}]")
     if seed < 0:

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 
+def feasible(violation, alpha):
+    """The chance constraint met, for a scalar or an array of violations."""
+    return violation <= alpha
+
+
 def offline_error(p_star: float, p_x: float, violation_prob: float,
                   alpha: float) -> float:
     """Distance to the optimum for one iteration.
@@ -21,7 +26,7 @@ def offline_error(p_star: float, p_x: float, violation_prob: float,
     infeasible ones score (1 + violation) * p_star, which always dominates any
     feasible score.
     """
-    if violation_prob <= alpha:
+    if feasible(violation_prob, alpha):
         return float(p_star - p_x)
     return (1.0 + violation_prob) * p_star
 
@@ -58,8 +63,10 @@ class IntervalLog:
 
 
 class OfflineErrorRecorder:
-    """Builds a run's interval log from the iterations at which the
-    capacity or the designated solution may have changed.
+    """Scores a run, the only code that does: builds its interval log from
+    the iterations at which the capacity or the designated solution may have
+    changed, then its ``RunRecord``. The run's ``TailBound`` gives each
+    designation's violation (``certified``) and the level alpha.
 
     ``record`` must be called at the first iteration of the run, at every
     capacity change and after every change of the designated solution, in
@@ -67,20 +74,21 @@ class OfflineErrorRecorder:
     before the end of warm-up opens the log.
     """
 
-    def __init__(self, warmup: int, measured: int, alpha: float):
+    def __init__(self, bound, warmup: int, measured: int):
+        if measured <= 0:
+            raise ValueError("schedule has no post-warmup iterations; "
+                             "total offline error is undefined")
+        self.bound = bound
         self.warmup = warmup
         self.measured = measured
-        self.alpha = alpha
-        self.starts: list[int] = []
-        self.rows: list[tuple] = []
+        self.starts, self.rows = [], []  # per log entry: first iteration, values
 
-    def record(self, i: int, p_star: int, p_x: int, violation: float,
-               capacity: int):
-        row = (offline_error(p_star, p_x, violation, self.alpha), capacity, p_x,
+    def record(self, i: int, p_star: int, p: int, w: int, k: int, capacity: int):
+        """Score the designation (p, w, k) from iteration ``i`` on."""
+        violation = self.bound.certified(w, k, capacity)
+        row = (offline_error(p_star, p, violation, self.bound.alpha), capacity, p,
                violation)
-        j = i - self.warmup
-        if j < 0:
-            j = 0
+        j = max(i - self.warmup, 0)
         starts, rows = self.starts, self.rows
         if starts and starts[-1] == j:  # superseded before it was scored
             starts.pop()
@@ -90,14 +98,21 @@ class OfflineErrorRecorder:
         starts.append(j)
         rows.append(row)
 
-    def log(self) -> IntervalLog:
+    def run_record(self, run_seed: int, change_count: int,
+                   evaluations: int) -> RunRecord:
+        """The run's record: its interval log, the mean phi
+        (``total_offline_error``) and the share of feasible iterations."""
         if not self.starts or self.starts[0] != 0:
             raise ValueError("the first scored iteration was never recorded")
-        values = list(zip(*self.rows))
         columns = {name: np.array(v, dtype)
-                   for (name, dtype), v in zip(COLUMNS, values)}
-        return IntervalLog(self.measured, np.array(self.starts, np.int64),
-                           columns)
+                   for (name, dtype), v in zip(COLUMNS, zip(*self.rows))}
+        log = IntervalLog(self.measured, np.array(self.starts, np.int64), columns)
+        spans = np.diff(log.starts, append=log.length)  # iterations per entry
+        ok = feasible(columns["violation"], self.bound.alpha)
+        return RunRecord(
+            run_seed=run_seed, intervals=log, change_count=change_count,
+            evaluations=evaluations, feasible_fraction=int(spans[ok].sum()) / log.length,
+            total_offline_error=total_offline_error(log.series("phi")))
 
 
 class _Series:

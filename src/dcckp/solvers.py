@@ -16,11 +16,12 @@ per iteration):
   charged 20 iterations.
 
 ``run_algorithm`` drives any of them, in one loop, through a capacity
-schedule and scores the offline error against a precomputed DP optimum
-table; a solver's ``stride`` is the iterations one step is charged. One call
-``step(capacity, first, end, record)`` takes every step that starts in
-``[first, end)``, a stretch of constant capacity. The designated solution is
-re-evaluated only at records, and one rule places them: the driver records
+schedule; a solver's ``stride`` is the iterations one step is charged. One
+call ``step(capacity, first, end, record)`` takes every step that starts in
+``[first, end)``, a stretch of constant capacity. A solver names its
+designated solution, ``designated_eval()`` -> (p, w, k), and
+``metrics.OfflineErrorRecorder`` alone scores it, against a precomputed DP
+optimum table, only at records. One rule places them: the driver records
 the start of every stretch, before its first step, and a solver calls
 ``record(i)`` after each step ``i`` that may have changed its designated
 solution (a record supersedes an earlier one at the same iteration). POSDC
@@ -250,8 +251,8 @@ class OnePlusOneEA:
         for i, (self.bits, self.p, self.w, self.k) in run:
             record(i)
 
-    def designated_eval(self, capacity: int):
-        return self.p, self.ctx.bound.certified(self.w, self.k, capacity)
+    def designated_eval(self):
+        return self.p, self.w, self.k
 
 
 class _Archive:
@@ -446,11 +447,10 @@ class Posdc:
         if not arc.members:
             arc.insert(*designated, capacity)
 
-    def designated_eval(self, capacity: int):
+    def designated_eval(self):
         # the repair incumbent (bits, p, w, k), else the archive's designated
         # member (bits, p, w, k, cstar)
-        _, p, w, k, *_ = self.repair or self.best()
-        return p, self.ctx.bound.certified(w, k, capacity)
+        return (self.repair or self.best())[1:4]
 
 
 def _fronts(ps, cs, order):
@@ -666,13 +666,11 @@ class Nsga2:
         self.best_feasible = None
         self._consider(self.bits, self.pwk, self.p.tolist(), self.cstar.tolist(), capacity)
 
-    def designated_eval(self, capacity: int):
-        bound = self.ctx.bound
+    def designated_eval(self):
         if self.best_feasible is not None:
-            p, w, k, _ = self.best_feasible
-            return p, bound.certified(w, k, capacity)
+            return self.best_feasible[:3]
         j = np.lexsort((-self.p, self.cstar))[0]  # smallest C*, then most profit
-        return int(self.p[j]), bound.certified(int(self.w[j]), int(self.k[j]), capacity)
+        return tuple(self.pwk[j].tolist())
 
 
 ALGORITHMS = ("ea11", "posdc", "nsga2")
@@ -696,13 +694,13 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     multiple of it; one ``step`` call takes the steps of one capacity.
     Scheduled capacity changes apply at the start of their iteration; one
     that falls inside a step is scored at once, and the solver sees it just
-    before its next step. The designated best solution's offline error is
-    scored on every post-warmup iteration, but re-evaluated only at records:
-    this loop records the start of each stretch (after ``on_change``,
-    before the first step), and the solver records after each step that may
-    have changed its designated solution, which supersedes the record at
-    that iteration. The log keeps one interval per run of equal values.
-    Fully deterministic for fixed inputs.
+    before its next step. The designated solution's offline error counts on
+    every post-warmup iteration, but the ``metrics.OfflineErrorRecorder``
+    scores it only at records: this loop records the start of each stretch
+    (after ``on_change``, before the first step), and the solver records
+    after each step that may have changed its designated solution, which
+    supersedes the record at that iteration. Fully deterministic for fixed
+    inputs.
     """
     if params.delta != instance.delta:
         raise ValueError(
@@ -711,21 +709,16 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
     if caps.min() < 0 or caps.max() >= len(dp_table) or (dp_table[caps] < 0).any():
         raise ValueError("DP table does not cover the schedule's capacities")
     total = schedule.total_iters
-    warmup = schedule.warmup
-    measured = total - warmup
-    if measured <= 0:
-        raise ValueError("schedule has no post-warmup iterations; "
-                         "total offline error is undefined")
-
-    rng = np.random.default_rng(seed)
     ctx = _RunContext(instance, params)
+    recorder = metrics.OfflineErrorRecorder(ctx.bound, schedule.warmup,
+                                            total - schedule.warmup)
+    rng = np.random.default_rng(seed)
     capacity = schedule.c0
     solver = _make_solver(algo, ctx, rng, capacity, schedule.r)
-    recorder = metrics.OfflineErrorRecorder(warmup, measured, params.alpha)
     p_star = int(dp_table[capacity])
 
     def record(i):
-        recorder.record(i, p_star, *solver.designated_eval(capacity), capacity)
+        recorder.record(i, p_star, *solver.designated_eval(), capacity)
 
     # one segment per capacity, from (iteration, capacity in force from it
     # on); None keeps the initial capacity
@@ -748,14 +741,5 @@ def run_algorithm(algo: str, instance, schedule, params: ChanceParams, dp_table,
         record(first)
         step(capacity, first, end, record)
 
-    log = recorder.log()
-    spans = np.diff(log.starts, append=log.length)  # iterations per entry, counted exactly
-    feasible = log.columns["violation"] <= params.alpha  # as ``offline_error`` decides
-    return metrics.RunRecord(
-        run_seed=seed,
-        intervals=log,
-        total_offline_error=metrics.total_offline_error(log.series("phi")),
-        feasible_fraction=int(spans[feasible].sum()) / log.length,
-        change_count=schedule.change_count,
-        evaluations=-(-total // stride) * stride,  # a truncated last step in full
-    )
+    # a truncated last step is charged in full
+    return recorder.run_record(seed, schedule.change_count, -(-total // stride) * stride)

@@ -69,8 +69,27 @@ def test_config_validation():
                        ("total_iters", 0), ("alphas", (0.0,)), ("alphas", (1.0,))):
         with pytest.raises(ValueError):
             CampaignConfig(**{**TINY, field: bad})
+    # a negative warmup is named, even when it leaves no run length either
+    with pytest.raises(ValueError, match="warmup"):
+        CampaignConfig(**{**TINY, "warmup": -1, "total_iters": 1})
     CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,),
                       "c0_fraction": 1.0, "c_constant": 1})
+
+
+def test_config_checks_schedules_without_walking_them(monkeypatch):
+    """A config checks each (r, tau)'s schedule arguments on a one-iteration
+    run, so tau = 1 over 100,000 iterations costs no walk of the changes."""
+    built = []
+    build = campaign.dynamics.build_schedule
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(campaign.dynamics, "build_schedule", counted)
+    cfg = CampaignConfig(taus=(1,))
+    assert len(built) == len(cfg.rs) * len(cfg.taus)
+    assert all(args[4] <= cfg.warmup + 1 for args in built)  # total_iters
 
 
 def test_single_run_summary_mean_is_run_value():

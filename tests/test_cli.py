@@ -230,11 +230,12 @@ def test_run_missing_out_flag_is_config_error(capsys):
                                   ["--c0-fraction", "0"], ["--c", "0"],
                                   ["--c0-fraction", "1e-6"], ["--seed", "-1"],
                                   ["--instance-seed", "-1"], ["--bounds", "gauss"],
-                                  ["--warmup", "-1"], ["--alpha", "1"]],
+                                  ["--warmup", "-1"], ["--warmup", "-1", "--iters", "1"],
+                                  ["--alpha", "1"]],
                          ids=["jobs", "delta_high", "delta_zero",
                               "r", "tau", "c0_fraction_high", "c0_fraction_zero",
                               "c_constant", "c0_fraction_tiny", "seed", "instance_seed",
-                              "bounds", "warmup", "alpha"])
+                              "bounds", "warmup", "warmup_iters_1", "alpha"])
 def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, flag):
     started = []
     real_run_campaign = cli.run_campaign
@@ -249,6 +250,8 @@ def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, f
                            "--warmup", "20", "--runs", "2", "--out", str(out_dir),
                            *flag)
     assert code == 1 and "error" in err
+    if "--warmup" in flag:  # named, whatever the run length
+        assert "warmup" in err
     assert not started  # rejected before the campaign (and any worker) starts
     assert not (out_dir / "runs.csv").exists()
 

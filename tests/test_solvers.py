@@ -1212,7 +1212,7 @@ def test_nsga2_fallback_designates_smallest_cstar(kind):
                                 (6, 75, 1, 110.0), (9, 90, 3, 130.0)])
     alg.on_change(100)
     assert alg.best_feasible is None
-    assert alg.designated_eval(100) == (6, ctx.bound.certified(75, 1, 100))
+    assert alg.designated_eval() == (6, 75, 1)
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
@@ -1718,7 +1718,8 @@ def reference_series(algo, inst, sched, params, dp, seed):
             capacity = int(caps[i])
             pending = True
         if i >= sched.warmup:
-            p_x, viol = solver.designated_eval(capacity)
+            p_x, w, k = solver.designated_eval()
+            viol = ctx.bound.certified(w, k, capacity)
             p_star = int(dp[capacity])
             rows.append((metrics.offline_error(p_star, p_x, viol, params.alpha),
                          capacity, p_x, viol))
@@ -1808,13 +1809,13 @@ def take_segment(solver, capacity, first, end, per_step):
     rows, dense = [], []
 
     def record(i):
-        rows.append((i, solver.designated_eval(capacity)))
+        rows.append((i, solver.designated_eval()))
 
     try:
         if per_step:
             for i in range(first, end, solver.stride):
                 solver.step(capacity, i, i + 1, record)
-                dense.append((i, solver.designated_eval(capacity)))
+                dense.append((i, solver.designated_eval()))
         else:
             solver.step(capacity, first, end, record)
     except RuntimeError as exc:
@@ -1859,8 +1860,8 @@ def test_segment_step_equals_single_steps(case, algo, kind, monkeypatch):
         if n_seg:
             whole.on_change(capacity)
             single.on_change(capacity)
-        before = whole.designated_eval(capacity)
-        assert single.designated_eval(capacity) == before
+        before = whole.designated_eval()
+        assert single.designated_eval() == before
         rows, _, error = take_segment(whole, capacity, first, end, per_step=False)
         single_rows, dense, single_error = take_segment(
             single, capacity, first, end, per_step=True)
