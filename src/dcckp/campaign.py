@@ -142,34 +142,38 @@ def schedule_seed_for(config: CampaignConfig, cell: Cell, run_idx: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# per-process caches; tasks with the same instance coordinates reuse the work,
-# and the one schedule memo serves the runs ``run_campaign`` puts next to it
-_INSTANCE_CACHE: dict = {}
-_DP_CACHE: dict = {}
-_SCHEDULE_MEMO: dict = {}  # build_schedule arguments -> schedule, one entry
+# per-process inputs, one entry per name; ``run_campaign`` puts the runs that
+# share an instance, a DP table or a schedule next to each other
+_MEMO: dict = {}  # name -> (key, value)
+
+
+def _memo(name: str, key, build):
+    """``build()``, reused while ``name`` is asked for the same ``key``."""
+    if _MEMO.get(name, (None,))[0] != key:
+        _MEMO.pop(name, None)  # the old value goes before the new one is built
+        _MEMO[name] = (key, build())
+    return _MEMO[name][1]
 
 
 def _instance_and_dp(config: CampaignConfig, delta: int):
     """(instance, DP table, c0, c_min, c_max) for one delta of the grid."""
     key = (config.kind, config.n, delta, config.c_constant, config.instance_seed)
-    entry = _INSTANCE_CACHE.get((key, config.c0_fraction))
-    if entry is None:
+    def build_instance():
         inst = generate_instance(*key)
-        entry = _INSTANCE_CACHE[key, config.c0_fraction] = (
-            inst, dynamics.default_initial_capacity(inst, config.c0_fraction),
-            *dynamics.default_clamp_bounds(inst))
-    inst, c0, c_min, c_max = entry
+        return (inst, dynamics.default_initial_capacity(inst, config.c0_fraction),
+                *dynamics.default_clamp_bounds(inst))
+
+    inst, c0, c_min, c_max = _memo("instance", (key, config.c0_fraction),
+                                   build_instance)
     # items (profits, expected weights) are drawn independently of delta, so
     # every delta of an instance shares one DP table; it covers the
     # capacities the grid's widest schedules (largest r, smallest tau) reach
     low, high = dynamics.capacity_range(
         c0, min(config.taus), max(config.rs), config.warmup,
         config.warmup + config.total_iters, c_min, c_max)
-    dp_key = (config.kind, config.n, config.c_constant, config.instance_seed,
-              low, high)
-    dp = _DP_CACHE.get(dp_key)
-    if dp is None:
-        dp = _DP_CACHE[dp_key] = oracle.dp_optimal_profits(inst, high, low)
+    dp = _memo("dp", (config.kind, config.n, config.c_constant,
+                      config.instance_seed, low, high),
+               lambda: oracle.dp_optimal_profits(inst, high, low))
     return inst, dp, c0, c_min, c_max
 
 
@@ -178,10 +182,7 @@ def execute_run(config: CampaignConfig, cell: Cell, run_idx: int):
     inst, dp, c0, c_min, c_max = _instance_and_dp(config, cell.delta)
     args = (c0, cell.tau, cell.r, config.warmup, config.warmup + config.total_iters,
             c_min, c_max, schedule_seed_for(config, cell, run_idx))
-    schedule = _SCHEDULE_MEMO.get(args)
-    if schedule is None:
-        _SCHEDULE_MEMO.clear()
-        schedule = _SCHEDULE_MEMO[args] = dynamics.build_schedule(*args)
+    schedule = _memo("schedule", args, lambda: dynamics.build_schedule(*args))
     params = ChanceParams(alpha=cell.alpha, delta=cell.delta, bound_kind=cell.bound)
     rec = solvers.run_algorithm(cell.algo, inst, schedule, params, dp,
                                 run_seed_for(config, cell, run_idx))
@@ -293,6 +294,8 @@ def group_runs_csv(text: str, family_alpha: float = 0.05):
     are the variants compared with each other; ``labels`` is
     ``stats.pairwise_labels`` at ``family_alpha``, or None for a setting
     that is not ``stats.testable``."""
+    if (text.splitlines() or [""])[0] != RUNS_CSV_HEADER:
+        raise ValueError(f"not a runs.csv: its first line must be {RUNS_CSV_HEADER}")
     groups: dict[str, dict[str, list[dict]]] = {}
     for row in csv.DictReader(io.StringIO(text)):
         cid = row["cell_id"]

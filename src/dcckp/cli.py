@@ -28,50 +28,55 @@ from .campaign import (
 from .model import generate_instance, parse_instance, serialize_instance
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok)
 
 
-def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcckp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # gen-instance writes the instance a default campaign runs on
     g = sub.add_parser("gen-instance", help="generate an instance file")
-    g.add_argument("--kind", default="uncorrelated")
-    g.add_argument("--n", type=int, default=100)
-    g.add_argument("--delta", type=int, default=25)
-    g.add_argument("--c", type=int, default=100, dest="c_constant")
-    g.add_argument("--seed", type=int, default=1)
+    g.add_argument("--kind", default=CampaignConfig.kind)
+    g.add_argument("--n", type=int, default=CampaignConfig.n)
+    g.add_argument("--delta", type=int, default=CampaignConfig.deltas[0])
+    g.add_argument("--c", type=int, default=CampaignConfig.c_constant,
+                   dest="c_constant")
+    g.add_argument("--seed", type=int, default=CampaignConfig.instance_seed)
     g.add_argument("--out", type=Path, default=None,
                    help="output file (default: stdout)")
 
-    r = sub.add_parser("run", help="run a campaign grid")
-    r.add_argument("--kind", default="uncorrelated")
-    r.add_argument("--n", type=int, default=100)
-    r.add_argument("--delta", type=_int_list, default=[25])
-    r.add_argument("--alpha", type=_float_list, default=[0.01])
-    r.add_argument("--r", type=_int_list, default=[500])
-    r.add_argument("--tau", type=_int_list, default=[1000])
-    r.add_argument("--iters", type=int, default=100_000,
+    # each flag's dest is a CampaignConfig field, which a flag left out
+    # keeps at its default
+    r = sub.add_parser("run", help="run a campaign grid",
+                       argument_default=argparse.SUPPRESS)
+    r.add_argument("--kind")
+    r.add_argument("--n", type=int)
+    r.add_argument("--delta", type=_int_list, dest="deltas")
+    r.add_argument("--alpha", type=_float_list, dest="alphas")
+    r.add_argument("--r", type=_int_list, dest="rs")
+    r.add_argument("--tau", type=_int_list, dest="taus")
+    r.add_argument("--iters", type=int, dest="total_iters",
                    help="post-warmup iterations per run")
-    r.add_argument("--warmup", type=int, default=1_000)
-    r.add_argument("--runs", type=int, default=10)
-    r.add_argument("--algos", type=_str_list, default=["ea11", "posdc"])
-    r.add_argument("--bounds", type=_str_list, default=["chebyshev", "chernoff"])
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--instance-seed", type=int, default=1)
-    r.add_argument("--c", type=int, default=100, dest="c_constant")
-    r.add_argument("--c0-fraction", type=float, default=0.5)
-    r.add_argument("--out", type=Path, required=True)
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--warmup", type=int)
+    r.add_argument("--runs", type=int)
+    r.add_argument("--algos", type=_str_list)
+    r.add_argument("--bounds", type=_str_list)
+    r.add_argument("--seed", type=int, dest="base_seed")
+    r.add_argument("--instance-seed", type=int)
+    r.add_argument("--c", type=int, dest="c_constant")
+    r.add_argument("--c0-fraction", type=float)
+    r.add_argument("--out", required=True, dest="out_dir")
+    r.add_argument("--jobs", type=int)
     r.add_argument("--trace", action="store_true",
                    help="also write each run's interval log, trace-<cell>-run<i>.csv")
 
@@ -118,15 +123,8 @@ def _cmd_gen_instance(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = CampaignConfig(
-        kind=args.kind, n=args.n, deltas=tuple(args.delta),
-        c_constant=args.c_constant, instance_seed=args.instance_seed,
-        rs=tuple(args.r), taus=tuple(args.tau), alphas=tuple(args.alpha),
-        algos=tuple(args.algos), bounds=tuple(args.bounds), runs=args.runs,
-        total_iters=args.iters, warmup=args.warmup,
-        c0_fraction=args.c0_fraction, base_seed=args.seed,
-        out_dir=str(args.out), jobs=args.jobs, trace=args.trace)
-    result = run_campaign(config)
+    flags = {name: value for name, value in vars(args).items() if name != "command"}
+    result = run_campaign(CampaignConfig(**flags))
     sys.stdout.write(result.summary_csv)
     return 0
 
@@ -197,7 +195,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, FileNotFoundError, FileExistsError,
-            NotADirectoryError) as exc:
+            NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

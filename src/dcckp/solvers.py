@@ -233,7 +233,6 @@ def _flipped(bits: bytearray, positions) -> bytearray:
 class OnePlusOneEA:
     """(1+1)-EA with lexicographic (violation, profit) acceptance."""
 
-    name = "ea11"
     stride = 1  # iterations charged per step
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
@@ -334,7 +333,6 @@ class Posdc:
     counts it as feasible.
     """
 
-    name = "posdc"
     stride = 1
 
     def __init__(self, ctx: _RunContext, rng, capacity: int, eta: int):
@@ -521,7 +519,6 @@ class Nsga2:
     of ``MUTATION_BLOCK // pop_size`` generations, one call of each kind.
     """
 
-    name = "nsga2"
     pop_size = 20
     stride = pop_size  # one step is one generation
     crossover_rate = 0.9

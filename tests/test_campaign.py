@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -217,8 +219,7 @@ def test_dp_table_computed_once_for_every_delta(monkeypatch):
         calls.append(args)
         return dp(*args)
 
-    monkeypatch.setattr(campaign, "_INSTANCE_CACHE", {})
-    monkeypatch.setattr(campaign, "_DP_CACHE", {})
+    monkeypatch.setattr(campaign, "_MEMO", {})
     monkeypatch.setattr(campaign.oracle, "dp_optimal_profits", counted)
     result = run_campaign(CampaignConfig(**{**TINY, "deltas": (25, 50)}))
     assert {c.delta for c in result.cells} == {25, 50}
@@ -238,7 +239,7 @@ def test_schedule_built_once_per_delta_r_tau_and_run(monkeypatch):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(campaign, "_SCHEDULE_MEMO", {})
+    monkeypatch.setattr(campaign, "_MEMO", {})
     monkeypatch.setattr(campaign.dynamics, "build_schedule", counted)
     result = run_campaign(cfg)
     assert len(result.records) == 2 * 2 * 2 * 2 * cfg.runs
@@ -246,12 +247,31 @@ def test_schedule_built_once_per_delta_r_tau_and_run(monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def test_serial_campaigns_leave_one_dp_table_held(monkeypatch):
+    """A process keeps one DP table: campaigns whose schedules reach other
+    capacities (here, by running longer) replace it rather than add one."""
+    held = []
+    dp = campaign.oracle.dp_optimal_profits
+
+    def tracked(*args):
+        table = dp(*args)
+        held.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(campaign, "_MEMO", {})
+    monkeypatch.setattr(campaign.oracle, "dp_optimal_profits", tracked)
+    for total_iters in (600, 6000):
+        run_campaign(CampaignConfig(**{**TINY, "total_iters": total_iters}))
+    gc.collect()
+    assert len(held) == 2
+    assert [ref() is not None for ref in held] == [False, True]
+
+
 def test_execute_run_in_any_order_matches_a_cold_campaign(monkeypatch):
-    """The schedule memo and the instance and DP caches hold no state that
-    changes a run: runs executed in a shuffled order, on caches left warm by
-    a campaign, give that campaign's runs.csv and capacity traces."""
-    for name in ("_INSTANCE_CACHE", "_DP_CACHE", "_SCHEDULE_MEMO"):
-        monkeypatch.setattr(campaign, name, {})
+    """The memo of a run's instance, DP table and schedule holds no state
+    that changes a run: runs executed in a shuffled order, on a memo left
+    warm by a campaign, give that campaign's runs.csv and capacity traces."""
+    monkeypatch.setattr(campaign, "_MEMO", {})
     cfg = CampaignConfig(**{**TINY, "deltas": (25, 50), "runs": 3})
     cold = run_campaign(cfg)
     tasks = list(cold.records)

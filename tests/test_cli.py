@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
 
-from dcckp import cli
+from dcckp import campaign, cli
+from dcckp.campaign import RUNS_CSV_HEADER, CampaignConfig
 from dcckp.cli import main
 from dcckp.dynamics import build_schedule
-from dcckp.model import parse_instance
+from dcckp.model import parse_instance, serialize_instance
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +272,101 @@ def test_run_out_that_cannot_be_a_directory_is_config_error(capsys, tmp_path, ou
     assert err.startswith("error: ")
     assert not list(tmp_path.rglob("runs.csv"))
     assert blocker.read_text() == "kept"
+
+
+def capture_run_config(monkeypatch):
+    """Stand in for the campaign: the configs `dcckp run` builds, in order."""
+    configs = []
+
+    def recording_run_campaign(config):
+        configs.append(config)
+        return types.SimpleNamespace(summary_csv="")
+
+    monkeypatch.setattr(cli, "run_campaign", recording_run_campaign)
+    return configs
+
+
+def test_run_with_only_out_takes_campaign_config_defaults(capsys, monkeypatch):
+    configs = capture_run_config(monkeypatch)
+    code, _, _ = run_cli(capsys, "run", "--out", "D")
+    assert code == 0
+    assert configs == [CampaignConfig(out_dir="D")]
+
+
+# flag, its argument(s), the CampaignConfig field it sets, the value it gives
+RUN_FLAGS = [
+    ("--kind", ["bsc"], "kind", "bounded-strongly-correlated"),
+    ("--n", ["50"], "n", 50),
+    ("--delta", ["25,50"], "deltas", (25, 50)),
+    ("--alpha", ["0.001"], "alphas", (0.001,)),
+    ("--r", ["100"], "rs", (100,)),
+    ("--tau", ["50,200"], "taus", (50, 200)),
+    ("--iters", ["500"], "total_iters", 500),
+    ("--warmup", ["10"], "warmup", 10),
+    ("--runs", ["3"], "runs", 3),
+    ("--algos", ["nsga2, ea11"], "algos", ("nsga2", "ea11")),
+    ("--bounds", ["chernoff"], "bounds", ("chernoff",)),
+    ("--seed", ["7"], "base_seed", 7),
+    ("--instance-seed", ["3"], "instance_seed", 3),
+    ("--c", ["50"], "c_constant", 50),
+    ("--c0-fraction", ["0.25"], "c0_fraction", 0.25),
+    ("--jobs", ["2"], "jobs", 2),
+    ("--trace", [], "trace", True),
+]
+
+
+def test_run_flags_cover_every_campaign_config_field():
+    assert ({field for _, _, field, _ in RUN_FLAGS} | {"out_dir"}
+            == {f.name for f in dataclasses.fields(CampaignConfig)})
+
+
+@pytest.mark.parametrize("flag,argv,field,value", RUN_FLAGS,
+                         ids=[flag for flag, *_ in RUN_FLAGS])
+def test_run_flag_sets_exactly_its_own_field(capsys, monkeypatch, flag, argv,
+                                             field, value):
+    default = CampaignConfig(out_dir="D")
+    assert getattr(default, field) != value
+    configs = capture_run_config(monkeypatch)
+    code, _, _ = run_cli(capsys, "run", "--out", "D", flag, *argv)
+    assert code == 0
+    assert configs == [dataclasses.replace(default, **{field: value})]
+
+
+def test_gen_instance_without_flags_is_the_default_campaign_instance(capsys, monkeypatch):
+    built = []
+    generate = campaign.generate_instance
+
+    def recording_generate_instance(*args):
+        built.append(generate(*args))
+        return built[-1]
+
+    monkeypatch.setattr(campaign, "generate_instance", recording_generate_instance)
+    CampaignConfig()  # checks its grid on the instance of each delta
+    code, out, _ = run_cli(capsys, "gen-instance")
+    assert code == 0
+    assert [out] == [serialize_instance(inst) for inst in built]
+
+
+@pytest.mark.parametrize("text", ["uncorrelated-n10-d25-r300-t150-a0.01-ea11-chernoff,"
+                                  "ea11,chernoff,300,150,25,0.01,0,1.5,1.0,2\n",
+                                  "a,b\n1,2\n", ""],
+                         ids=["row_without_header", "other_columns", "empty"])
+@pytest.mark.parametrize("command", ["summarize", "stats"])
+def test_file_without_the_runs_csv_header_is_config_error(capsys, tmp_path, command, text):
+    path = tmp_path / "runs.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: not a runs.csv: its first line must be {RUNS_CSV_HEADER}\n"
+
+
+@pytest.mark.parametrize("argv", [["summarize", "{dir}"], ["stats", "{dir}"],
+                                  ["gen-instance", "--out", "{dir}"]],
+                         ids=["summarize", "stats", "gen-instance"])
+def test_directory_where_a_file_is_expected_is_config_error(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
 
 
 def test_summarize_missing_file(capsys, tmp_path):
