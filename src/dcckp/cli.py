@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--c0", type=int, required=True)
     d.add_argument("--tau", type=int, required=True)
     d.add_argument("--r", type=int, required=True)
-    d.add_argument("--warmup", type=int, default=10_000)
+    d.add_argument("--warmup", type=int, default=CampaignConfig.warmup)
     d.add_argument("--iters", type=int, required=True,
                    help="total schedule length, warmup included")
     d.add_argument("--c-min", type=int, default=1)

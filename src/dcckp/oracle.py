@@ -3,6 +3,8 @@ brute-force optima for small instances (deterministic and chance-constrained).""
 
 from __future__ import annotations
 
+from functools import cmp_to_key
+
 import numpy as np
 
 from . import chance
@@ -17,37 +19,59 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     achievable with total expected weight <= c, for every c in c_min..c_max.
     Entries below c_min are -1, which no optimum can be. Returns int64.
 
-    The table does not depend on item order, so items are visited in
-    ascending expected weight, which keeps every prefix weight sum as small
-    as possible. After each item, every entry above ``reach`` (the prefix
-    weight sum, capped at c_max) equals the prefix profit sum, because the
-    whole prefix fits there; so an item of weight w only updates entries
-    w..min(c_max, reach + w), and the entries above ``reach`` are written
-    once, just before they enter that range or at the end. No later item
-    reads an entry below c_min - S, S the weight of the items after this
-    one, so the update also starts no lower than that. Items that cannot
-    raise any entry (weight above c_max, profit <= 0) are skipped. The
-    accumulators are int32 when the total profit of the items kept is below
-    2**31, and int64 otherwise."""
+    Items that cannot raise any entry (weight above c_max, profit <= 0) are
+    skipped. Item i, of weight w and profit p, then sets
+    dp[c] = max(dp[c], dp[c - w] + p) for c in lo_i..top_i, where top_i is
+    the prefix weight sum capped at c_max: every entry above it equals the
+    prefix profit sum, because the whole prefix fits there, so those entries
+    are written once, just before they enter the range or at the end. lo_i
+    is at least w, and at least c_min - S, S the weight of the items after
+    i, since no later item reads lower. Entries left below lo_i go stale,
+    but every entry only ever holds an achievable profit. An optimum y* at
+    any c' in [c_min, c_max] is found at c' if its path d_i = c' - (weight
+    of y* after item i) is at least lo_i at every item i it holds (above
+    top_i every entry is exact anyway). d_i >= w and d_i >= c_min - S
+    always hold, so every entry from c_min to c_max is exact.
+
+    In falling efficiency (ties: lighter first), weak LP duality gives a
+    further edge, below which c_i, the weight of y* among the first i
+    items, never falls, and so neither does d_i >= c_i. Let b be the first
+    item that does not fit c_max, lambda = p_b / w_b (p_b = 0, w_b = 1 when
+    all fit), r_j = p_j - lambda w_j and UB = lambda c_max + sum max(0, r_j).
+    Every y of weight w(y) <= c_max has profit
+        UB - lambda (c_max - w(y)) - sum_{r_j > 0} r_j (1 - y_j)
+           - sum_{r_j < 0} |r_j| y_j,
+    and y* has at least LB, the profit of the prefix that fits c_min, so
+    the three loss terms sum to at most gap = UB - LB. Let G = gap w_b, an
+    integer, P_i the weight of the first i items, and floor each quotient.
+    While r_i > 0, item i is the least efficient of the first i, and the
+    second term alone gives c_i >= P_i - G w_i / (p_i w_b - p_b w_i). Once
+    lambda > 0 and r_j < 0 for every j > i, item i + 1 is the most
+    efficient after i, and the first and third terms give
+    s (c_max - c_i) <= gap with s = lambda - p_(i+1) / w_(i+1) <= lambda:
+    c_i >= c_max - G w_(i+1) / (p_b w_(i+1) - p_(i+1) w_b), and
+    c_i >= c_max - G / p_b for the last item.
+    The edges are exact integers (Python ints where int64 could overflow).
+    Of the two orders, ascending weight without this edge and falling
+    efficiency with it, the one whose updates touch fewer cells is used.
+    The accumulators are int32 when the total profit of the items kept is
+    below 2**31, and int64 otherwise."""
     if not 0 <= c_min <= c_max:
         raise ValueError(f"need 0 <= c_min <= c_max, got {c_min}, {c_max}")
     weights = instance.weight_array()
     profits = instance.profit_array()
     keep = (weights <= c_max) & (profits > 0)
-    order = np.argsort(weights[keep])
-    weights = weights[keep][order]
-    after = (weights.sum() - np.cumsum(weights)).tolist()
-    weights = weights.tolist()
+    order, los, tops = _plan(weights[keep], profits[keep], c_max, c_min)
+    weights = weights[keep][order].tolist()
     profits = profits[keep][order].tolist()
     dtype = np.int32 if sum(profits) < 2**31 else np.int64
     dp = np.empty(c_max + 1, dtype)
     dp[0] = 0
-    scratch = np.empty(c_max + 1, dtype)  # dp[c - w] + p for the current item
+    # dp[c - w] + p for the current item, as wide as the widest update
+    scratch = np.empty(int((tops - los).max(initial=-1)) + 1, dtype)
     reach = profit_sum = 0
-    for w, p, s in zip(weights, profits, after):
-        top = min(c_max, reach + w)
+    for w, p, lo, top in zip(weights, profits, los.tolist(), tops.tolist()):
         dp[reach + 1:top + 1] = profit_sum
-        lo = min(max(w, c_min - s), top + 1)
         span = top - lo + 1
         # the sum goes to scratch first, so each item is used at most once
         np.add(dp[lo - w:top - w + 1], p, out=scratch[:span])
@@ -56,6 +80,53 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     dp[reach + 1:] = profit_sum
     dp[:c_min] = -1
     return dp.astype(np.int64, copy=False)
+
+
+def _spans(weights, c_max, c_min, edge=0):
+    """(lo, top, cells) for items visited in this order: the first and last
+    entry each item updates, and how many entries the updates touch."""
+    prefix = np.cumsum(weights)
+    top = np.minimum(prefix, c_max)
+    lo = np.maximum(np.maximum(weights, prefix - (prefix[-1] - c_min)), edge)
+    lo = np.minimum(lo, top + 1)
+    return lo, top, int((top - lo).sum()) + len(top)
+
+
+def _plan(weights, profits, c_max, c_min):
+    """(order, lo, top) of ``dp_optimal_profits``: ascending weight, or
+    falling efficiency with the LP edge where that touches fewer cells."""
+    n = len(weights)
+    order = np.argsort(weights)
+    if not n:
+        return order, order, order
+    *plan, cells = _spans(weights[order], c_max, c_min)
+    big, heavy = int(profits.max()), int(weights.max())
+    if (big * c_max + int(profits.sum()) * heavy) * heavy < 2**52:
+        # every product below fits int64, and distinct p/w stay distinct floats
+        by_efficiency = np.lexsort((weights, -(profits / weights)))
+    else:
+        weights, profits = weights.astype(object), profits.astype(object)
+        by_efficiency = np.array(sorted(range(n), key=cmp_to_key(lambda i, j: (
+            profits[j] * weights[i] - profits[i] * weights[j]
+            or weights[i] - weights[j]))), np.int64)
+    w, p = weights[by_efficiency], profits[by_efficiency]
+    prefix = np.cumsum(w)
+    fit_min, b = np.searchsorted(prefix, (c_min, c_max), "right").tolist()
+    p_b, w_b = (p[b], w[b]) if b < n else (0, 1)
+    d = p * w_b - p_b * w  # r_j * w_b
+    head = np.count_nonzero(d > 0)
+    g = p_b * c_max + d[:head].sum() - p[:fit_min].sum() * w_b
+    edge = np.zeros_like(w)
+    edge[:head] = prefix[:head] - g * w[:head] // d[:head]
+    if p_b:  # item b has r_b = 0, so these items follow the head
+        last = n - 1 - np.count_nonzero(d < 0)
+        # the last item's bound is that of an item of weight 1 and profit 0
+        edge[last:] = c_max - (g * np.append(w[last + 1:], 1)
+                               // -np.append(d[last + 1:], -p_b))
+    *lp_plan, lp_cells = _spans(w, c_max, c_min, edge)
+    if lp_cells < cells:
+        return by_efficiency, *lp_plan
+    return order, *plan
 
 
 def _enumerate_subsets(instance):

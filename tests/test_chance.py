@@ -51,6 +51,7 @@ def test_empty_solution_conventions():
         b = bound(kind)
         for view in (b.tail, b.certified):
             assert view(0, 0, 10) == 0.0
+            assert view(0, 0, 1) == 0.0  # the least capacity above 0
             assert view(0, 0, 0) == 1.0
         assert b.margin[0] == 0.0
         assert b.cstar(0, 0) == 0.0
@@ -213,6 +214,28 @@ def test_monte_carlo_capacity_sequence_matches_scalar_calls():
                                                  seed=seed, _chunk_values=1000)
     empty = np.zeros(30, np.uint8)
     assert monte_carlo_violation(inst, empty, (-1, 0, 1), 100, seed=0) == [1.0, 1.0, 0.0]
+
+
+def test_monte_carlo_chunked_draws_equal_one_block():
+    # blocks of 1000 // 7 = 142 rows: 30,001 samples end on a short block
+    inst = generate_instance("uncorrelated", 30, 25, seed=4)
+    bits = np.zeros(30, np.uint8)
+    bits[:7] = 1
+    ew = int(inst.weight_array()[:7].sum())
+    caps = [ew - 7 * 25, ew, ew + 30]  # every realization reaches the first
+    chunked = monte_carlo_violation(inst, bits, caps, 30_001, seed=3,
+                                    _chunk_values=1000)
+    assert chunked == monte_carlo_violation(inst, bits, caps, 30_001, seed=3)
+    assert chunked[0] == 1.0
+
+
+def test_monte_carlo_one_sample_is_a_hit_or_a_miss():
+    inst = generate_instance("uncorrelated", 3, 25, seed=1)
+    bits = np.ones(3, np.uint8)
+    ew = int(inst.weight_array().sum())
+    assert monte_carlo_violation(inst, bits, ew - 75, 1, seed=0) == 1.0
+    assert monte_carlo_violation(inst, bits, ew + 75, 1, seed=0) == 0.0
+    assert monte_carlo_violation(inst, bits, ew, 1, seed=0) in (0.0, 1.0)
 
 
 def test_monte_carlo_rejects_zero_samples():

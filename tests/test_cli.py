@@ -391,6 +391,14 @@ def test_dump_schedule(capsys, tmp_path):
     assert lines[1:] == [f"{i},{sched.capacity_at(i)}" for i in range(60)]
 
 
+def test_dump_schedule_warmup_defaults_to_the_campaign_warmup(capsys):
+    code, out, _ = run_cli(capsys, "dump-schedule", "--c0", "500", "--tau", "10",
+                           "--r", "50", "--iters", "1200", "--c-max", "1000")
+    assert code == 0
+    sched = build_schedule(500, 10, 50, CampaignConfig.warmup, 1200, 1, 1000, seed=0)
+    assert out.splitlines()[1:] == [f"{i},{sched.capacity_at(i)}" for i in range(1200)]
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-instance"],
     ["dump-schedule", "--c0", "5", "--tau", "2", "--r", "1", "--iters", "5", "--c-max", "10"],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcckp.metrics import offline_error, total_offline_error
+from dcckp.chance import CHEBYSHEV, ChanceParams, tail_bound
+from dcckp.metrics import OfflineErrorRecorder, offline_error, total_offline_error
 
 
 def test_feasible_at_optimum():
@@ -53,3 +54,17 @@ def test_total_linear_in_uniform_shift(phis, shift):
     base = total_offline_error(phis)
     shifted = total_offline_error([p + shift for p in phis])
     assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-6)
+
+
+def test_recorder_scores_a_single_measured_iteration():
+    bound = tail_bound(ChanceParams(0.01, 25, CHEBYSHEV), 5)
+    with pytest.raises(ValueError):
+        OfflineErrorRecorder(bound, warmup=3, measured=0)
+    recorder = OfflineErrorRecorder(bound, warmup=3, measured=1)
+    recorder.record(0, 50, 10, 0, 0, 100)  # warm-up, superseded
+    recorder.record(3, 50, 40, 0, 0, 100)  # the one scored iteration
+    record = recorder.run_record(run_seed=7, change_count=0, evaluations=4)
+    assert record.total_offline_error == 10.0
+    assert record.feasible_fraction == 1.0
+    assert record.intervals.series("phi").tolist() == [10.0]
+

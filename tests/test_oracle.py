@@ -1,8 +1,10 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dcckp import oracle
 from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams, tail_bound
 from dcckp.model import generate_instance
 from dcckp.oracle import (
@@ -98,25 +100,116 @@ def test_dp_window_matches_the_full_table():
     rng = np.random.default_rng(23)
     for trial in range(120):
         kind = ("uncorrelated", "bsc")[trial % 2]
-        inst = generate_instance(kind, int(rng.integers(1, 41)), 25, seed=trial)
+        inst = generate_instance(kind, int(rng.integers(1, 201)), 25, seed=trial)
         total = inst.total_expected_weight()
         c_max = int(rng.integers(0, total + 200))  # at times above the total
-        full = dp_optimal_profits(inst, c_max)
+        full = reference_dp(inst, c_max)
         np.testing.assert_array_equal(dp_optimal_profits(inst, c_max, 0), full)
-        for c_min in (int(rng.integers(0, c_max + 1)), c_max):
+        for c_min in (int(rng.integers(0, c_max + 1)), c_max,
+                      max(0, c_max - int(rng.integers(0, 3000)))):
             table = dp_optimal_profits(inst, c_max, c_min)
             assert table.dtype == np.int64 and len(table) == c_max + 1
             np.testing.assert_array_equal(table[c_min:], full[c_min:])
             assert (table[:c_min] == -1).all()
+            cells, _ = planned_cells(inst, c_max, c_min)
+            assert cells <= ascending_weight_cells(inst, c_max, c_min)
+
+
+def ascending_weight_cells(inst, c_max, c_min):
+    """Entries the updates touch with items in ascending weight, cut at
+    w and at c_min - (weight of the items after), as written item by item."""
+    weights = sorted(w for w, p in zip(inst.weight_array().tolist(),
+                                       inst.profit_array().tolist())
+                     if w <= c_max and p > 0)
+    after, reach, cells = sum(weights), 0, 0
+    for w in weights:
+        after -= w
+        top = min(c_max, reach + w)
+        cells += top - min(max(w, c_min - after), top + 1) + 1
+        reach = top
+    return cells
+
+
+def planned_cells(inst, c_max, c_min):
+    """(cells, order is falling efficiency) of the plan the DP runs."""
+    weights, profits = inst.weight_array(), inst.profit_array()
+    keep = (weights <= c_max) & (profits > 0)
+    order, lo, top = oracle._plan(weights[keep], profits[keep], c_max, c_min)
+    ascending = (np.diff(weights[keep][order]) >= 0).all()
+    return int((top - lo + 1).sum()), not ascending
+
+
+def near_tie_pairs(rng, n):
+    """Items in threes: (p, w), a Farey neighbour (p2, w2) with
+    p2 * w - p * w2 = 1, so p2/w2 - p/w = 1/(w * w2), and (2p, 2w), a tie."""
+    pairs = []
+    while len(pairs) < n:
+        w = int(rng.integers(2, 60))
+        p = int(rng.integers(1, 200))
+        if math.gcd(p, w) != 1:
+            continue
+        w2 = -pow(p, -1, w) % w + w * int(rng.integers(0, 3))
+        pairs += [(p, w), ((1 + p * w2) // w, w2), (2 * p, 2 * w)]
+    return pairs[:n]
+
+
+def random_pairs(rng, trial, n):
+    shape = trial % 5
+    if shape == 0:
+        return near_tie_pairs(rng, n)
+    weights = rng.integers(1, 80, n)
+    if shape == 1:  # totals pass 2**31, the int64 accumulators
+        profits = rng.integers(2**29, 2**30, n)
+    elif shape == 2:  # int64 products could overflow: the edges use Python ints
+        profits = rng.integers(2**49, 2**50, n)
+    elif shape == 3:  # every efficiency ties, or nearly
+        profits = weights + int(rng.integers(0, 3))
+    else:
+        profits = rng.integers(1, 1000, n)
+    return list(zip(profits.tolist(), weights.tolist()))
+
+
+def test_dp_window_matches_reference_on_random_stubs():
+    rng = np.random.default_rng(31)
+    for trial in range(150):
+        inst = stub_instance(random_pairs(rng, trial, int(rng.integers(1, 201))))
+        total = int(inst.weight_array().sum())
+        # inside, at the total and above it (lambda = 0 when all items fit)
+        for c_max in (int(rng.integers(0, total + 1)), total,
+                      total + int(rng.integers(1, 50))):
+            full = reference_dp(inst, c_max)
+            for c_min in (int(rng.integers(0, c_max + 1)), c_max,
+                          max(0, c_max - int(rng.integers(0, 40)))):
+                table = dp_optimal_profits(inst, c_max, c_min)
+                np.testing.assert_array_equal(table[c_min:], full[c_min:])
+                assert (table[:c_min] == -1).all()
+                cells, _ = planned_cells(inst, c_max, c_min)
+                assert cells <= ascending_weight_cells(inst, c_max, c_min)
 
 
 def test_dp_window_of_a_wide_instance():
-    inst = generate_instance("uncorrelated", 1000, 25, seed=1)
+    # the window wide's schedules reach: falling efficiency with the LP edge
+    # touches under a third of the cells ascending weight does
+    for delta in (25, 50):
+        for seed in (1, 2, 3):
+            inst = generate_instance("uncorrelated", 1000, delta, seed=seed)
+            c0 = inst.total_expected_weight() // 2
+            low, high = c0 - 5000, c0 + 5000
+            table = dp_optimal_profits(inst, high, low)
+            np.testing.assert_array_equal(table[low:],
+                                          dp_optimal_profits(inst, high)[low:])
+            assert (table[:low] == -1).all()
+            cells, by_efficiency = planned_cells(inst, high, low)
+            assert by_efficiency
+            assert cells < ascending_weight_cells(inst, high, low) / 3
+
+
+def test_tied_efficiencies_keep_ascending_weight():
+    inst = generate_instance("bsc", 1000, 25, seed=1)  # profit = weight
     c0 = inst.total_expected_weight() // 2
-    low, high = c0 - 5000, c0 + 5000
-    table = dp_optimal_profits(inst, high, low)
-    np.testing.assert_array_equal(table[low:], dp_optimal_profits(inst, high)[low:])
-    assert (table[:low] == -1).all()
+    cells, by_efficiency = planned_cells(inst, c0 + 5000, c0 - 5000)
+    assert not by_efficiency
+    assert cells == ascending_weight_cells(inst, c0 + 5000, c0 - 5000)
 
 
 def test_dp_rejects_a_bad_window():

@@ -14,6 +14,7 @@ from scipy.special import ndtr
 from scipy.stats import chi2, rankdata
 from scipy.stats import kruskal as scipy_kruskal
 
+from dcckp import stats
 from dcckp.stats import (
     BETTER,
     SAME,
@@ -232,3 +233,10 @@ def test_format_stat_column():
     labels = {("alg2", "alg1"): BETTER, ("alg2", "alg3"): SAME,
               ("alg2", "alg2"): SAME}
     assert format_stat_column(labels, names, "alg2") == "1(+) 3(*)"
+
+
+def test_testable_needs_two_groups_of_two_samples():
+    assert stats.testable({"a": [1.0, 2.0], "b": [3.0, 4.0]})
+    assert not stats.testable({"a": [1.0, 2.0], "b": [3.0]})  # one run in a cell
+    assert not stats.testable({"a": [1.0, 2.0]})  # one cell
+    assert not stats.testable({"a": [1.0], "b": [2.0]})
