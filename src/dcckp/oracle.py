@@ -3,8 +3,6 @@ brute-force optima for small instances (deterministic and chance-constrained).""
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 import numpy as np
 
 from . import chance
@@ -51,9 +49,10 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     s (c_max - c_i) <= gap with s = lambda - p_(i+1) / w_(i+1) <= lambda:
     c_i >= c_max - G w_(i+1) / (p_b w_(i+1) - p_(i+1) w_b), and
     c_i >= c_max - G / p_b for the last item.
-    The edges are exact integers (Python ints where int64 could overflow).
-    Of the two orders, ascending weight without this edge and falling
-    efficiency with it, the one whose updates touch fewer cells is used.
+    The edges are exact int64 integers. Where their products could overflow
+    int64, items go in ascending weight without this edge; otherwise, of
+    that order and falling efficiency with the edge, the one whose updates
+    touch fewer cells is used.
     The accumulators are int32 when the total profit of the items kept is
     below 2**31, and int64 otherwise."""
     if not 0 <= c_min <= c_max:
@@ -95,21 +94,27 @@ def _spans(weights, c_max, c_min, edge=0):
 def _plan(weights, profits, c_max, c_min):
     """(order, lo, top) of ``dp_optimal_profits``: ascending weight, or
     falling efficiency with the LP edge where that touches fewer cells."""
-    n = len(weights)
     order = np.argsort(weights)
-    if not n:
+    if not len(weights):
         return order, order, order
     *plan, cells = _spans(weights[order], c_max, c_min)
     big, heavy = int(profits.max()), int(weights.max())
-    if (big * c_max + int(profits.sum()) * heavy) * heavy < 2**52:
-        # every product below fits int64, and distinct p/w stay distinct floats
-        by_efficiency = np.lexsort((weights, -(profits / weights)))
-    else:
-        weights, profits = weights.astype(object), profits.astype(object)
-        by_efficiency = np.array(sorted(range(n), key=cmp_to_key(lambda i, j: (
-            profits[j] * weights[i] - profits[i] * weights[j]
-            or weights[i] - weights[j]))), np.int64)
+    if (big * c_max + int(profits.sum()) * heavy) * heavy >= 2**52:
+        return order, *plan  # the edges' products could overflow int64
+    # distinct p/w stay distinct floats below 2**52
+    by_efficiency = np.lexsort((weights, -(profits / weights)))
     w, p = weights[by_efficiency], profits[by_efficiency]
+    *lp_plan, lp_cells = _spans(w, c_max, c_min, _lp_edges(w, p, c_max, c_min))
+    if lp_cells < cells:
+        return by_efficiency, *lp_plan
+    return order, *plan
+
+
+def _lp_edges(w, p, c_max, c_min):
+    """The LP edge of each item, for items in falling efficiency: over the
+    first i items, no optimum for a capacity in [c_min, c_max] weighs less
+    than edge i."""
+    n = len(w)
     prefix = np.cumsum(w)
     fit_min, b = np.searchsorted(prefix, (c_min, c_max), "right").tolist()
     p_b, w_b = (p[b], w[b]) if b < n else (0, 1)
@@ -123,10 +128,7 @@ def _plan(weights, profits, c_max, c_min):
         # the last item's bound is that of an item of weight 1 and profit 0
         edge[last:] = c_max - (g * np.append(w[last + 1:], 1)
                                // -np.append(d[last + 1:], -p_b))
-    *lp_plan, lp_cells = _spans(w, c_max, c_min, edge)
-    if lp_cells < cells:
-        return by_efficiency, *lp_plan
-    return order, *plan
+    return edge
 
 
 def _enumerate_subsets(instance):

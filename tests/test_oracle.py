@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,9 +135,17 @@ def planned_cells(inst, c_max, c_min):
     """(cells, order is falling efficiency) of the plan the DP runs."""
     weights, profits = inst.weight_array(), inst.profit_array()
     keep = (weights <= c_max) & (profits > 0)
-    order, lo, top = oracle._plan(weights[keep], profits[keep], c_max, c_min)
-    ascending = (np.diff(weights[keep][order]) >= 0).all()
-    return int((top - lo + 1).sum()), not ascending
+    weights, profits = weights[keep], profits[keep]
+    order, lo, top = oracle._plan(weights, profits, c_max, c_min)
+    by_efficiency = (np.array_equal(order, efficiency_order(weights, profits))
+                     and not (np.diff(weights[order]) >= 0).all())
+    return int((top - lo + 1).sum()), by_efficiency
+
+
+def efficiency_order(weights, profits):
+    """Falling p/w, ties lighter first, compared as exact fractions."""
+    return np.array(sorted(range(len(weights)), key=lambda i: (
+        -Fraction(int(profits[i]), int(weights[i])), int(weights[i]))), np.int64)
 
 
 def near_tie_pairs(rng, n):
@@ -160,7 +169,7 @@ def random_pairs(rng, trial, n):
     weights = rng.integers(1, 80, n)
     if shape == 1:  # totals pass 2**31, the int64 accumulators
         profits = rng.integers(2**29, 2**30, n)
-    elif shape == 2:  # int64 products could overflow: the edges use Python ints
+    elif shape == 2:  # the edges' int64 products could overflow: ascending weight
         profits = rng.integers(2**49, 2**50, n)
     elif shape == 3:  # every efficiency ties, or nearly
         profits = weights + int(rng.integers(0, 3))
@@ -207,9 +216,59 @@ def test_dp_window_of_a_wide_instance():
 def test_tied_efficiencies_keep_ascending_weight():
     inst = generate_instance("bsc", 1000, 25, seed=1)  # profit = weight
     c0 = inst.total_expected_weight() // 2
-    cells, by_efficiency = planned_cells(inst, c0 + 5000, c0 - 5000)
-    assert not by_efficiency
+    # both orders visit items of the same weights in the same sequence, so
+    # the plan cannot be told apart by its order: only by its cells
+    cells, _ = planned_cells(inst, c0 + 5000, c0 - 5000)
     assert cells == ascending_weight_cells(inst, c0 + 5000, c0 - 5000)
+
+
+def optimal_subsets(weights, profits, c_max, c_min):
+    """Bit rows of every subset that is optimal at some capacity in
+    [c_min, c_max]: it fits c_max, and no subset beats it at
+    max(its weight, c_min)."""
+    n = len(weights)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    weight, profit = bits @ weights, bits @ profits
+    best = reference_dp(stub_instance(list(zip(profits, weights))), c_max)
+    fits = weight <= c_max
+    at = np.maximum(weight[fits], c_min)
+    return bits[fits][profit[fits] == best[at]]
+
+
+def test_lp_edges_hold_for_every_optimum_and_are_reached():
+    # the edges, checked directly: every optimum's weight over the first i
+    # items in falling efficiency is at least edge i, and across the cases
+    # each kind of edge is met exactly, so an edge one too high fails here
+    rng = np.random.default_rng(5)
+    met = {"head": 0, "tail": 0, "last": 0}
+    for trial in range(1500):
+        n = int(rng.integers(2, 11))
+        w = rng.integers(1, 16, n)
+        p = rng.integers(1, 40, n)
+        c_max = int(rng.integers(1, w.sum() + 3))
+        c_min = int(rng.integers(0, c_max + 1))
+        keep = w <= c_max
+        w, p = w[keep], p[keep]
+        order = efficiency_order(w, p)
+        w, p = w[order], p[order]
+        edge = oracle._lp_edges(w, p, c_max, c_min)
+        # the kind of each edge, from lambda = p_b / w_b as a fraction
+        b = int(np.searchsorted(np.cumsum(w), c_max, "right"))
+        lam = Fraction(int(p[b]), int(w[b])) if b < len(w) else 0
+        r = [Fraction(int(pj)) - lam * int(wj) for pj, wj in zip(p, w)]
+        kind = ["head" if rj > 0 else None for rj in r]
+        if lam:
+            kind[-1] = "last"
+            for i in range(len(w) - 2, -1, -1):
+                if r[i + 1] >= 0:
+                    break
+                kind[i] = "tail"
+        prefix = np.cumsum(optimal_subsets(w, p, c_max, c_min) * w, axis=1)
+        assert (prefix >= edge).all()
+        for i, k in enumerate(kind):
+            if k is not None:
+                met[k] += int((prefix[:, i] == edge[i]).any())
+    assert all(met.values()), met
 
 
 def test_dp_rejects_a_bad_window():
