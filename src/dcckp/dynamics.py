@@ -26,7 +26,7 @@ class CapacitySchedule:
     seed: int
     change_iters: np.ndarray = field(repr=False)  # ascending iteration indices
     change_caps: np.ndarray = field(repr=False)   # capacity in force from that index on
-    clamp_count: int = 0
+    clamp_count: int
 
     @property
     def change_count(self) -> int:

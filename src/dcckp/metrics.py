@@ -143,10 +143,10 @@ class RunRecord:
 
     run_seed: int
     intervals: IntervalLog = field(repr=False)
-    total_offline_error: float = 0.0
-    feasible_fraction: float = 0.0
-    change_count: int = 0
-    evaluations: int = 0
+    total_offline_error: float
+    feasible_fraction: float
+    change_count: int
+    evaluations: int
     # dense views of the interval log
     per_iteration_phi: np.ndarray = _Series("phi")
     capacity_trace: np.ndarray = _Series("capacity")

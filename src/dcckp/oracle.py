@@ -33,22 +33,32 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
 
     In falling efficiency (ties: lighter first), weak LP duality gives a
     further edge, below which c_i, the weight of y* among the first i
-    items, never falls, and so neither does d_i >= c_i. Let b be the first
-    item that does not fit c_max, lambda = p_b / w_b (p_b = 0, w_b = 1 when
-    all fit), r_j = p_j - lambda w_j and UB = lambda c_max + sum max(0, r_j).
-    Every y of weight w(y) <= c_max has profit
-        UB - lambda (c_max - w(y)) - sum_{r_j > 0} r_j (1 - y_j)
+    items, never falls, and so neither does d_i >= c_i. Let P_i be the
+    weight of the first i items, b the first item that does not fit c',
+    lambda = p_b / w_b (p_b = 0, w_b = 1 when all fit), r_j = p_j - lambda w_j
+    and UB = lambda c' + sum max(0, r_j). Every y of weight w(y) <= c' has
+    profit
+        UB - lambda (c' - w(y)) - sum_{r_j > 0} r_j (1 - y_j)
            - sum_{r_j < 0} |r_j| y_j,
-    and y* has at least LB, the profit of the prefix that fits c_min, so
-    the three loss terms sum to at most gap = UB - LB. Let G = gap w_b, an
-    integer, P_i the weight of the first i items, and floor each quotient.
-    While r_i > 0, item i is the least efficient of the first i, and the
-    second term alone gives c_i >= P_i - G w_i / (p_i w_b - p_b w_i). Once
-    lambda > 0 and r_j < 0 for every j > i, item i + 1 is the most
-    efficient after i, and the first and third terms give
-    s (c_max - c_i) <= gap with s = lambda - p_(i+1) / w_(i+1) <= lambda:
-    c_i >= c_max - G w_(i+1) / (p_b w_(i+1) - p_(i+1) w_b), and
-    c_i >= c_max - G / p_b for the last item.
+    and y* has at least LB, the profit of the first b - 1 items, so the
+    three loss terms sum to at most UB - LB = lambda (c' - P_(b-1)). The
+    break items of the window run from b_lo to b_hi, those of c_min and
+    c_max, and b breaks every c' up to top_b = min(c_max, P_b - 1), so the
+    loss is at most gap, the largest ceil(p_b (top_b - P_(b-1)) / w_b).
+    Floor each quotient below. While r_i > 0 at b_lo's lambda, the largest,
+    item i is the least efficient of the first i at every c', and the
+    second term alone gives c_i >= P_i - G w_i / (p_i w_b - p_b w_i), with
+    b = b_lo and G = gap w_b; a smaller lambda only raises this bound. Once
+    b_hi < n and r_j < 0 for every j > i at b_hi's lambda, the smallest,
+    item i + 1 is the most efficient after i at every c', and the first and
+    third terms give s (c' - c_i) <= lambda (c' - P_(b-1)) with
+    s = lambda - p_(i+1) / w_(i+1) <= lambda. So c_i is at least
+    c' - lambda (c' - P_(b-1)) / s, which falls as c' rises in b's piece
+    (lambda / s >= 1), so is least at top_b, at least t - gap / s, where
+    t = min(c_max, P_(b_lo) - 1) is the lowest piece top and s is least at
+    b_hi's lambda: c_i >= t - G w_(i+1) / (p_b w_(i+1) - p_(i+1) w_b), with
+    b = b_hi, and c_i >= t - G / p_b for the last item. Since c_i never
+    falls as i grows, each edge is the largest of those up to item i.
     The edges are exact int64 integers. Where their products could overflow
     int64, items go in ascending weight without this edge; otherwise, of
     that order and falling efficiency with the edge, the one whose updates
@@ -116,19 +126,25 @@ def _lp_edges(w, p, c_max, c_min):
     than edge i."""
     n = len(w)
     prefix = np.cumsum(w)
-    fit_min, b = np.searchsorted(prefix, (c_min, c_max), "right").tolist()
-    p_b, w_b = (p[b], w[b]) if b < n else (0, 1)
-    d = p * w_b - p_b * w  # r_j * w_b
-    head = np.count_nonzero(d > 0)
-    g = p_b * c_max + d[:head].sum() - p[:fit_min].sum() * w_b
+    b_lo, b_hi = np.searchsorted(prefix, (c_min, c_max), "right").tolist()
+    # each break piece's gap at its top, ceil(p_b (top_b - P_(b-1)) / w_b)
+    piece = slice(b_lo, b_hi + 1)
+    below = (prefix - w)[piece] - np.minimum(c_max, prefix[piece] - 1)
+    gap = int((-(p[piece] * below // w[piece])).max(initial=0))
     edge = np.zeros_like(w)
-    edge[:head] = prefix[:head] - g * w[:head] // d[:head]
-    if p_b:  # item b has r_b = 0, so these items follow the head
+    p_b, w_b = (p[b_lo], w[b_lo]) if b_lo < n else (0, 1)
+    d = p * w_b - p_b * w  # r_j * w_b at b_lo's lambda
+    head = np.count_nonzero(d > 0)
+    edge[:head] = prefix[:head] - gap * w_b * w[:head] // d[:head]
+    if b_hi < n:  # item b_hi has r = 0, so these items follow the head
+        p_b, w_b = p[b_hi], w[b_hi]
+        d = p * w_b - p_b * w  # r_j * w_b at b_hi's lambda
         last = n - 1 - np.count_nonzero(d < 0)
         # the last item's bound is that of an item of weight 1 and profit 0
-        edge[last:] = c_max - (g * np.append(w[last + 1:], 1)
-                               // -np.append(d[last + 1:], -p_b))
-    return edge
+        edge[last:] = min(c_max, prefix[b_lo] - 1) - (
+            gap * w_b * np.append(w[last + 1:], 1)
+            // -np.append(d[last + 1:], -p_b))
+    return np.maximum.accumulate(edge)
 
 
 def _enumerate_subsets(instance):

@@ -198,7 +198,7 @@ def test_dp_window_matches_reference_on_random_stubs():
 
 def test_dp_window_of_a_wide_instance():
     # the window wide's schedules reach: falling efficiency with the LP edge
-    # touches under a third of the cells ascending weight does
+    # touches under a tenth of the cells ascending weight does
     for delta in (25, 50):
         for seed in (1, 2, 3):
             inst = generate_instance("uncorrelated", 1000, delta, seed=seed)
@@ -210,7 +210,22 @@ def test_dp_window_of_a_wide_instance():
             assert (table[:low] == -1).all()
             cells, by_efficiency = planned_cells(inst, high, low)
             assert by_efficiency
-            assert cells < ascending_weight_cells(inst, high, low) / 3
+            assert cells < ascending_weight_cells(inst, high, low) / 10
+
+
+def test_dp_window_of_a_desk_instance():
+    # n = 100 at W/2 +- 5,000: the window spans several break pieces
+    for delta in (25, 50):
+        for seed in (1, 2, 3):
+            inst = generate_instance("uncorrelated", 100, delta, seed=seed)
+            c0 = inst.total_expected_weight() // 2
+            low, high = c0 - 5000, c0 + 5000
+            table = dp_optimal_profits(inst, high, low)
+            np.testing.assert_array_equal(table[low:],
+                                          reference_dp(inst, high)[low:])
+            assert (table[:low] == -1).all()
+            cells, _ = planned_cells(inst, high, low)
+            assert cells <= ascending_weight_cells(inst, high, low)
 
 
 def test_tied_efficiencies_keep_ascending_weight():
@@ -237,37 +252,44 @@ def optimal_subsets(weights, profits, c_max, c_min):
 
 def test_lp_edges_hold_for_every_optimum_and_are_reached():
     # the edges, checked directly: every optimum's weight over the first i
-    # items in falling efficiency is at least edge i, and across the cases
-    # each kind of edge is met exactly, so an edge one too high fails here
+    # items in falling efficiency is at least edge i. Each kind of edge is
+    # met exactly where it is the item's own (above the edge before it), in
+    # windows of one break piece and of several, so an edge one too high, a
+    # head edge at b_hi's lambda or a tail edge from c_max fails here
     rng = np.random.default_rng(5)
-    met = {"head": 0, "tail": 0, "last": 0}
-    for trial in range(1500):
+    met = {(k, several): 0 for k in ("head", "tail", "last")
+           for several in (False, True)}
+    for trial in range(3000):
         n = int(rng.integers(2, 11))
         w = rng.integers(1, 16, n)
         p = rng.integers(1, 40, n)
         c_max = int(rng.integers(1, w.sum() + 3))
+        # about two windows in three span several break pieces
         c_min = int(rng.integers(0, c_max + 1))
         keep = w <= c_max
         w, p = w[keep], p[keep]
         order = efficiency_order(w, p)
         w, p = w[order], p[order]
         edge = oracle._lp_edges(w, p, c_max, c_min)
-        # the kind of each edge, from lambda = p_b / w_b as a fraction
-        b = int(np.searchsorted(np.cumsum(w), c_max, "right"))
-        lam = Fraction(int(p[b]), int(w[b])) if b < len(w) else 0
-        r = [Fraction(int(pj)) - lam * int(wj) for pj, wj in zip(p, w)]
-        kind = ["head" if rj > 0 else None for rj in r]
-        if lam:
+        # the kind of each edge, from lambda = p_b / w_b as a fraction at
+        # b_lo and b_hi, the first items that do not fit c_min and c_max
+        b_lo, b_hi = np.searchsorted(np.cumsum(w), (c_min, c_max), "right")
+        lam_lo, lam_hi = (Fraction(int(p[b]), int(w[b])) if b < len(w) else 0
+                          for b in (b_lo, b_hi))
+        r_lo = [pj - lam_lo * wj for pj, wj in zip(p.tolist(), w.tolist())]
+        r_hi = [pj - lam_hi * wj for pj, wj in zip(p.tolist(), w.tolist())]
+        kind = ["head" if rj > 0 else None for rj in r_lo]
+        if lam_hi:
             kind[-1] = "last"
             for i in range(len(w) - 2, -1, -1):
-                if r[i + 1] >= 0:
+                if r_hi[i + 1] >= 0:
                     break
                 kind[i] = "tail"
         prefix = np.cumsum(optimal_subsets(w, p, c_max, c_min) * w, axis=1)
         assert (prefix >= edge).all()
         for i, k in enumerate(kind):
-            if k is not None:
-                met[k] += int((prefix[:, i] == edge[i]).any())
+            if k is not None and (i == 0 or edge[i] > edge[i - 1]):
+                met[k, b_lo < b_hi] += int((prefix[:, i] == edge[i]).any())
     assert all(met.values()), met
 
 
