@@ -10,7 +10,7 @@ import numpy as np
 from dcckp import ChanceParams, generate_instance, monte_carlo_violation, tail_bound
 
 inst = generate_instance("uncorrelated", 100, delta=25, seed=7)
-weights = inst.weight_array()
+weights = inst.weights
 rng = np.random.default_rng(0)
 
 print(f"instance: n={inst.n}, delta={inst.delta}, "

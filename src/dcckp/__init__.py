@@ -16,7 +16,6 @@ from .model import (
     UNCORRELATED,
     Instance,
     InstanceFormatError,
-    Item,
     generate_instance,
     parse_instance,
     serialize_instance,

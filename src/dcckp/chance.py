@@ -167,7 +167,7 @@ def monte_carlo_violation(instance, bits, capacity, samples: int,
     mask = np.asarray(bits, bool)
     k = int(mask.sum())  # k = 0 draws nothing: every realization is W = 0
     delta = instance.delta
-    ew_sum = int(instance.weight_array()[mask].sum())
+    ew_sum = int(instance.weights[mask].sum())
     # sum of k uniforms on [0,1), rescaled: W = (ew_sum - k*delta) + 2*delta*U
     low_corner = ew_sum - k * delta
     rng = np.random.default_rng(seed)

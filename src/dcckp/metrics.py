@@ -8,7 +8,7 @@ per run of equal values), and the dense series are rebuilt from it on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,12 +137,12 @@ class _Series:
         rec.intervals = IntervalLog(log.length, np.arange(log.length), dense)
 
 
-@dataclass
+@dataclass(repr=False)  # a field-by-field repr would rebuild the dense series
 class RunRecord:
     """Result of one (algorithm, instance, schedule, seed) run."""
 
     run_seed: int
-    intervals: IntervalLog = field(repr=False)
+    intervals: IntervalLog
     total_offline_error: float
     feasible_fraction: float
     change_count: int
@@ -152,9 +152,3 @@ class RunRecord:
     capacity_trace: np.ndarray = _Series("capacity")
     best_profit_trace: np.ndarray = _Series("best_profit")
     violation_trace: np.ndarray = _Series("violation")
-
-    def __repr__(self):
-        shown = (f for f in fields(self)
-                 if f.repr and not isinstance(vars(RunRecord).get(f.name), _Series))
-        return "RunRecord(" + ", ".join(
-            f"{f.name}={getattr(self, f.name)!r}" for f in shown) + ")"

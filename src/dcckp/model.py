@@ -50,63 +50,89 @@ def normalize_kind(kind: str) -> str:
                          f"{sorted(set(_TOKEN_TO_KIND))}") from None
 
 
-@dataclass(frozen=True)
-class Item:
-    profit: int
-    expected_weight: int  # includes the +100 offset
+class _ItemError(ValueError):
+    """An item breaks a per-item rule; ``index`` is its 0-based position."""
 
-    def __post_init__(self):
-        if self.profit < 1:
-            raise ValueError(f"item profit must be >= 1, got {self.profit}")
-        if self.expected_weight < WEIGHT_OFFSET + 1:
-            raise ValueError(
-                f"expected weight must be >= {WEIGHT_OFFSET + 1}, got {self.expected_weight}")
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
 
 
-@dataclass(frozen=True)
+def _column(values, what: str) -> np.ndarray:
+    """A fresh int64 copy of the ints ``values``, after checking their total
+    as Python ints, which no int64 conversion has wrapped yet."""
+    total = sum(values.tolist() if isinstance(values, np.ndarray) else values)
+    if total >= EXACT_FLOAT_TOTAL:
+        raise ValueError(f"{what} total {total} reaches 2**53, beyond "
+                         "which float64 does not hold every integer")
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        # a total below 2**53 bounds every value >= 0, so a value that
+        # overflows is negative; keep it exact for the item rule to name
+        return np.array(values, object)
+
+
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable knapsack instance; safe to share across concurrent runs."""
+    """Immutable knapsack instance; safe to share across concurrent runs.
 
-    items: tuple[Item, ...]
+    ``profits`` and ``weights`` (expected weights, the +100 offset included)
+    are read-only int64 arrays of one length, copied from what is passed in.
+    """
+
+    profits: np.ndarray
+    weights: np.ndarray
     delta: int
     kind: str
     c_constant: int
     seed: int
 
     def __post_init__(self):
-        if len(self.items) == 0:
+        profits = _column(self.profits, "profit")
+        weights = _column(self.weights, "expected weight")
+        if profits.shape != weights.shape:
+            raise ValueError("profits and weights must be of one length")
+        if profits.size == 0:
             raise ValueError("instance needs at least one item")
+        bad = np.flatnonzero((profits < 1) | (weights < WEIGHT_OFFSET + 1))
+        if bad.size:
+            i = int(bad[0])
+            if profits[i] < 1:
+                raise _ItemError(i, f"item profit must be >= 1, got {profits[i]}")
+            raise _ItemError(i, f"expected weight must be >= {WEIGHT_OFFSET + 1}, "
+                                f"got {weights[i]}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.delta < 1:
             raise ValueError("delta must be a positive integer")
-        min_w = min(it.expected_weight for it in self.items)
+        min_w = int(weights.min())
         if self.delta >= min_w:
             raise ValueError(
                 f"delta={self.delta} must stay below the smallest expected weight {min_w}")
-        for what, total in (("profit", sum(it.profit for it in self.items)),
-                            ("expected weight", self.total_expected_weight())):
-            if total >= EXACT_FLOAT_TOTAL:
-                raise ValueError(f"{what} total {total} reaches 2**53, beyond "
-                                 "which float64 does not hold every integer")
         if self.kind == BOUNDED_STRONGLY_CORRELATED:
-            for i, it in enumerate(self.items):
-                if it.profit != it.expected_weight - WEIGHT_OFFSET + self.c_constant:
-                    raise ValueError(
-                        f"item {i} breaks the profit = base_weight + c correlation")
+            broken = np.flatnonzero(profits - weights != self.c_constant - WEIGHT_OFFSET)
+            if broken.size:
+                raise ValueError(
+                    f"item {broken[0]} breaks the profit = base_weight + c correlation")
+        for name, column in (("profits", profits), ("weights", weights)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return ((self.delta, self.kind, self.c_constant, self.seed)
+                == (other.delta, other.kind, other.c_constant, other.seed)
+                and np.array_equal(self.profits, other.profits)
+                and np.array_equal(self.weights, other.weights))
 
     @property
     def n(self) -> int:
-        return len(self.items)
-
-    def profit_array(self) -> np.ndarray:
-        return np.fromiter((it.profit for it in self.items), np.int64, self.n)
-
-    def weight_array(self) -> np.ndarray:
-        return np.fromiter((it.expected_weight for it in self.items), np.int64, self.n)
+        return len(self.profits)
 
     def total_expected_weight(self) -> int:
-        return sum(it.expected_weight for it in self.items)
+        return int(self.weights.sum())
 
 
 def generate_instance(kind: str, n: int, delta: int, c_constant: int = 100,
@@ -132,9 +158,8 @@ def generate_instance(kind: str, n: int, delta: int, c_constant: int = 100,
         profits = rng.integers(PROFIT_LOW, PROFIT_HIGH + 1, size=n)
     else:
         profits = base + c_constant
-    items = tuple(Item(int(p), int(b) + WEIGHT_OFFSET) for p, b in zip(profits, base))
-    return Instance(items=items, delta=int(delta), kind=kind,
-                    c_constant=int(c_constant), seed=int(seed))
+    return Instance(profits=profits, weights=base + WEIGHT_OFFSET, delta=int(delta),
+                    kind=kind, c_constant=int(c_constant), seed=int(seed))
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -142,7 +167,8 @@ def serialize_instance(instance: Instance) -> str:
     lines = [f"n {instance.n} delta {instance.delta} "
              f"kind {_KIND_TO_TOKEN[instance.kind]} c {instance.c_constant} "
              f"seed {instance.seed}"]
-    lines.extend(f"{it.profit} {it.expected_weight}" for it in instance.items)
+    lines.extend(f"{p} {w}" for p, w in zip(instance.profits.tolist(),
+                                             instance.weights.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -176,21 +202,20 @@ def parse_instance(text: str) -> Instance:
         where = body[-1][0] if body else 1
         raise InstanceFormatError(
             where, f"header declares {n} items but file lists {len(body)}")
-    items = []
+    profits, weights = [], []
     for no, ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise InstanceFormatError(no, "expected 'profit expected_weight'")
         try:
-            profit, ew = int(parts[0]), int(parts[1])
+            profits.append(int(parts[0]))
+            weights.append(int(parts[1]))
         except ValueError:
             raise InstanceFormatError(no, f"non-integer item fields {parts}") from None
-        try:
-            items.append(Item(profit, ew))
-        except ValueError as exc:
-            raise InstanceFormatError(no, str(exc)) from None
     try:
-        return Instance(items=tuple(items), delta=delta, kind=kind,
+        return Instance(profits=profits, weights=weights, delta=delta, kind=kind,
                         c_constant=c_constant, seed=seed)
+    except _ItemError as exc:
+        raise InstanceFormatError(body[exc.index][0], str(exc)) from None
     except ValueError as exc:
         raise InstanceFormatError(1, str(exc)) from None

@@ -67,8 +67,7 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     below 2**31, and int64 otherwise."""
     if not 0 <= c_min <= c_max:
         raise ValueError(f"need 0 <= c_min <= c_max, got {c_min}, {c_max}")
-    weights = instance.weight_array()
-    profits = instance.profit_array()
+    weights, profits = instance.weights, instance.profits
     keep = (weights <= c_max) & (profits > 0)
     order, los, tops = _plan(weights[keep], profits[keep], c_max, c_min)
     weights = weights[keep][order].tolist()
@@ -152,8 +151,7 @@ def _enumerate_subsets(instance):
     all 2^n subsets. lex_keys order bit-vectors lexicographically (bit 0 most
     significant)."""
     n = instance.n
-    profits = instance.profit_array()
-    weights = instance.weight_array()
+    profits, weights = instance.profits, instance.weights
     shifts = np.arange(n, dtype=np.uint32)
     lex_weights = 1 << (n - 1 - shifts).astype(np.int64)
     total = 1 << n

@@ -148,8 +148,8 @@ class _RunContext:
     def __init__(self, instance, params: ChanceParams):
         self.n = instance.n
         self.inv_n = 1.0 / instance.n
-        self.profits = instance.profit_array()
-        self.weights = instance.weight_array()
+        self.profits = instance.profits
+        self.weights = instance.weights
         self.profit_list = self.profits.tolist()
         self.weight_list = self.weights.tolist()
         self.bound = chance.tail_bound(params, instance.n)
@@ -277,10 +277,10 @@ class _Archive:
         i = bisect_right(self._c, cstar, lo)
         return i > lo and self._p[i - 1] >= p
 
-    def insert(self, bits, p, w, k, cstar, capacity: int):
+    def insert(self, bits, p, w, k, cstar, capacity: int) -> int:
         """Insert a member in C* order in place of the run of its side's
-        members it weakly dominates. The caller must have checked
-        ``has_weak_dominator`` first."""
+        members it weakly dominates, and return its index. The caller must
+        have checked ``has_weak_dominator`` first."""
         lo, hi = (0, self.m) if cstar < capacity else (self.m, len(self._p))
         lo = bisect_left(self._c, cstar, lo, hi)
         hi = bisect_right(self._p, p, lo, hi)  # [lo, hi): C* >= cstar, profit <= p
@@ -289,26 +289,30 @@ class _Archive:
         self._p[lo:hi] = [p]
         if cstar < capacity:
             self.m += lo + 1 - hi
+        return lo
 
-    def extend(self, members, capacity: int):
-        """Append members whose C* rises from above the last member's, and
-        whose profit rises within each side; ``m`` becomes the count of
-        members below the capacity."""
-        self.members += members
-        self._c += [m[4] for m in members]
-        self._p += [m[1] for m in members]
+    def extend(self, old, lo: int, hi: int, capacity: int):
+        """Append the members of ``old[lo:hi]`` that no other of them weakly
+        dominates (``_pareto_keep_mask``), whose C* must rise from above the
+        last member's; ``m`` becomes the count of members below the
+        capacity."""
+        cut, keep = _pareto_keep_mask(old, lo, hi)
+        for mine, theirs in ((self.members, old.members), (self._c, old._c),
+                             (self._p, old._p)):
+            mine += theirs[lo:cut]
+            mine += theirs[keep:hi]
         self.m = bisect_left(self._c, capacity)
 
 
-def _pareto_keep_mask(p) -> list:
-    """Mask of the members that no other weakly dominates, for profits
-    listed in ascending, distinct C*: a running profit maximum."""
-    keep = []
-    best = -math.inf
-    for q in p:
-        keep.append(q > best)
-        best = max(best, q)
-    return keep
+def _pareto_keep_mask(arc: _Archive, lo: int, hi: int):
+    """(cut, keep): of the members ``arc[lo:hi]``, those that no other of
+    them weakly dominates are ``[lo, cut)`` and ``[keep, hi)``. C* rises
+    along the run, which is a run of S- (up to ``cut``) and then one of S+,
+    with profit rising within each; so every S- member is kept, and of the
+    S+ members those above the S- run's last profit, a suffix."""
+    cut = min(max(arc.m, lo), hi)
+    keep = bisect_right(arc._p, arc._p[cut - 1], cut, hi) if cut > lo else lo
+    return cut, keep
 
 
 class Posdc:
@@ -396,9 +400,9 @@ class Posdc:
             p, w, k = mutate(parent, p, w, k, positions)
             c = cstar(w, k)
             if low <= c <= high and not dominated(p, c, capacity):
-                insert(_flipped(parent, positions), p, w, k, c, capacity)
-                # an S+ insert changes the designation only when S- is empty
-                if c < capacity or not arc.m:
+                at = insert(_flipped(parent, positions), p, w, k, c, capacity)
+                # the designated member is S-'s last, else S+'s first
+                if at == max(arc.m - 1, 0):
                     record(i)
 
     def _repair(self, capacity: int, first: int, end: int, record) -> int:
@@ -434,14 +438,13 @@ class Posdc:
         designated = self.best()
         # the members are in ascending C*, so the new window and its sides
         # are runs of them
-        members, cs = self.archive.members, self.archive._c
-        lo = bisect_left(cs, capacity - self.eta)
-        mid = bisect_left(cs, capacity, lo)
-        hi = bisect_right(cs, capacity + self.eta, mid)
+        old = self.archive
+        lo = bisect_left(old._c, capacity - self.eta)
+        mid = bisect_left(old._c, capacity, lo)
+        hi = bisect_right(old._c, capacity + self.eta, mid)
         self.archive = arc = _Archive()
-        for run in (members[lo:mid], members[mid:hi]):
-            keep = _pareto_keep_mask([row[1] for row in run])
-            arc.extend([row for row, kept in zip(run, keep) if kept], capacity)
+        arc.extend(old, lo, mid, capacity)
+        arc.extend(old, mid, hi, capacity)
         if not arc.members:
             arc.insert(*designated, capacity)
 

@@ -80,7 +80,7 @@ def test_criterion_2_chance_constraint_safety():
         idx = rng.choice(100, size=k, replace=False)
         bits = np.zeros(100, np.uint8)
         bits[idx] = 1
-        ew = int(inst.weight_array()[idx].sum())
+        ew = int(inst.weights[idx].sum())
         threshold = alpha + 3 * math.sqrt(alpha / samples)
         # both families read one set of draws (seed 7000 + case)
         caps = [tail_bound(ChanceParams(alpha, delta, kind), k).cstar(ew, k)
@@ -120,9 +120,9 @@ def cstar_side_optimum(inst, capacity, params):
     n = inst.n
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.int64)
-    w = bits @ inst.weight_array()
+    w = bits @ inst.weights
     k = bits.sum(axis=1)
-    p = bits @ inst.profit_array()
+    p = bits @ inst.profits
     cstar = tail_bound(params, n).cstar_array(w, k)
     feas = cstar < capacity
     return int(p[feas].max()) if feas.any() else 0

@@ -164,7 +164,7 @@ def test_monte_carlo_empty_and_support_edge():
     assert monte_carlo_violation(inst, bits, 0, 1000, seed=0) == 1.0
     one = np.zeros(5, np.uint8)
     one[2] = 1
-    ew = inst.items[2].expected_weight
+    ew = int(inst.weights[2])
     # upper support boundary: continuous uniform never reaches E + delta
     assert monte_carlo_violation(inst, one, ew + 25, 20_000, seed=0) == 0.0
     assert monte_carlo_violation(inst, one, ew - 25, 20_000, seed=0) == 1.0
@@ -175,7 +175,7 @@ def test_monte_carlo_matches_uniform_cdf():
     inst = generate_instance("uncorrelated", 5, 25, seed=3)
     one = np.zeros(5, np.uint8)
     one[0] = 1
-    ew = inst.items[0].expected_weight
+    ew = int(inst.weights[0])
     samples = 200_000
     for frac, expected in ((0.0, 0.5), (0.5, 0.25), (-0.6, 0.8)):
         cap = ew + frac * 25
@@ -188,7 +188,7 @@ def test_monte_carlo_deterministic():
     inst = generate_instance("uncorrelated", 20, 25, seed=5)
     bits = np.zeros(20, np.uint8)
     bits[:7] = 1
-    cap = float(inst.weight_array()[:7].sum())
+    cap = float(inst.weights[:7].sum())
     a = monte_carlo_violation(inst, bits, cap, 50_000, seed=9)
     b = monte_carlo_violation(inst, bits, cap, 50_000, seed=9)
     assert a == b
@@ -201,7 +201,7 @@ def test_monte_carlo_capacity_sequence_matches_scalar_calls():
     for k, seed in ((1, 2), (7, 3), (30, 4)):
         bits = np.zeros(30, np.uint8)
         bits[:k] = 1
-        ew = int(inst.weight_array()[:k].sum())
+        ew = int(inst.weights[:k].sum())
         caps = [ew - 40, ew, ew + 10.5, float(ew + 30), ew + 25 * k]
         # a small chunk forces several draw blocks
         together = monte_carlo_violation(inst, bits, caps, 30_001, seed=seed,
@@ -221,7 +221,7 @@ def test_monte_carlo_chunked_draws_equal_one_block():
     inst = generate_instance("uncorrelated", 30, 25, seed=4)
     bits = np.zeros(30, np.uint8)
     bits[:7] = 1
-    ew = int(inst.weight_array()[:7].sum())
+    ew = int(inst.weights[:7].sum())
     caps = [ew - 7 * 25, ew, ew + 30]  # every realization reaches the first
     chunked = monte_carlo_violation(inst, bits, caps, 30_001, seed=3,
                                     _chunk_values=1000)
@@ -232,7 +232,7 @@ def test_monte_carlo_chunked_draws_equal_one_block():
 def test_monte_carlo_one_sample_is_a_hit_or_a_miss():
     inst = generate_instance("uncorrelated", 3, 25, seed=1)
     bits = np.ones(3, np.uint8)
-    ew = int(inst.weight_array().sum())
+    ew = int(inst.weights.sum())
     assert monte_carlo_violation(inst, bits, ew - 75, 1, seed=0) == 1.0
     assert monte_carlo_violation(inst, bits, ew + 75, 1, seed=0) == 0.0
     assert monte_carlo_violation(inst, bits, ew, 1, seed=0) in (0.0, 1.0)
@@ -248,7 +248,7 @@ def test_bounds_upper_bound_monte_carlo():
     # analytic bounds must sit above the empirical truth (minus noise)
     rng = np.random.default_rng(21)
     inst = generate_instance("uncorrelated", 40, 50, seed=8)
-    weights = inst.weight_array()
+    weights = inst.weights
     cheby, chern = bound(CHEBYSHEV, 50, n=40), bound(CHERNOFF, 50, n=40)
     for trial in range(5):
         k = int(rng.integers(3, 20))
@@ -285,7 +285,7 @@ def test_exact_survival_helper():
     inst = generate_instance("uncorrelated", 20, 25, seed=5)
     bits = np.zeros(20, np.uint8)
     bits[:6] = 1
-    ew = int(inst.weight_array()[:6].sum())
+    ew = int(inst.weights[:6].sum())
     samples = 200_000
     exact = float(exact_survival(6, 25, 40))
     assert 0.01 < exact < 0.2

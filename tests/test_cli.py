@@ -426,3 +426,11 @@ def test_dump_dp(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
+
+
+def test_dump_dp_rejects_a_profit_beyond_int64_as_a_config_error(capsys, tmp_path):
+    inst_path = tmp_path / "inst.txt"
+    inst_path.write_text(f"n 2 delta 25 kind uncorrelated c 100 seed 1\n{2 ** 63} 200\n3 300\n")
+    code, _, err = run_cli(capsys, "dump-dp", str(inst_path))
+    assert code == 1
+    assert "line 1:" in err and "reaches 2**53" in err

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dcckp.model import (
@@ -5,7 +6,6 @@ from dcckp.model import (
     UNCORRELATED,
     Instance,
     InstanceFormatError,
-    Item,
     generate_instance,
     parse_instance,
     serialize_instance,
@@ -16,16 +16,14 @@ def test_generated_ranges_many_seeds():
     # Table-style ranges must hold for every item across many seeds
     for seed in range(1000):
         inst = generate_instance(UNCORRELATED, 8, 25, seed=seed)
-        for it in inst.items:
-            assert 101 <= it.expected_weight <= 1100
-            assert 1 <= it.profit <= 1000
+        assert ((101 <= inst.weights) & (inst.weights <= 1100)).all()
+        assert ((1 <= inst.profits) & (inst.profits <= 1000)).all()
 
 
 def test_bounded_strongly_correlated_identity():
     inst = generate_instance("bsc", 5, 25, c_constant=100, seed=42)
     assert inst.kind == BOUNDED_STRONGLY_CORRELATED
-    for it in inst.items:
-        assert it.profit == (it.expected_weight - 100) + 100
+    assert (inst.profits == (inst.weights - 100) + 100).all()
 
 
 def test_generation_deterministic():
@@ -40,8 +38,8 @@ def test_generation_deterministic():
 def test_single_item_instance_ranges():
     inst = generate_instance(UNCORRELATED, 1, 25, seed=3)
     assert inst.n == 1
-    assert 101 <= inst.items[0].expected_weight <= 1100
-    assert 1 <= inst.items[0].profit <= 1000
+    assert 101 <= inst.weights[0] <= 1100
+    assert 1 <= inst.profits[0] <= 1000
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -56,18 +54,68 @@ def test_generate_rejects_bad_arguments(kwargs):
         generate_instance(seed=1, **kwargs)
 
 
+def make_instance(profits, weights, kind=UNCORRELATED):
+    return Instance(profits=profits, weights=weights, delta=25, kind=kind,
+                    c_constant=100, seed=0)
+
+
 def test_item_invariants():
     with pytest.raises(ValueError):
-        Item(profit=0, expected_weight=200)
+        make_instance([0], [200])
     with pytest.raises(ValueError):
-        Item(profit=5, expected_weight=100)
+        make_instance([5], [100])
 
 
 def test_instance_rejects_broken_correlation():
-    items = (Item(5, 200), Item(7, 300))
     with pytest.raises(ValueError):
-        Instance(items=items, delta=25, kind=BOUNDED_STRONGLY_CORRELATED,
-                 c_constant=100, seed=0)
+        make_instance([5, 7], [200, 300], kind=BOUNDED_STRONGLY_CORRELATED)
+
+
+def test_instance_arrays_are_read_only_int64_copies():
+    profits, weights = np.array([5, 7]), [200, 300]
+    inst = make_instance(profits, weights)
+    profits[0], weights[0] = 99, 999
+    assert inst.profits.tolist() == [5, 7] and inst.weights.tolist() == [200, 300]
+    for column in (inst.profits, inst.weights):
+        assert column.dtype == np.int64
+        with pytest.raises(ValueError):
+            column[0] = 1
+    gen = generate_instance(UNCORRELATED, 5, 25, seed=1)
+    with pytest.raises(ValueError):
+        gen.profits[0] = 1
+    with pytest.raises(ValueError):
+        gen.weights += 1
+
+
+def test_instance_equality_compares_arrays_and_scalar_fields():
+    a = make_instance([5, 7], [200, 300])
+    assert a == make_instance(np.array([5, 7]), np.array([200, 300]))
+    assert a != make_instance([5, 8], [200, 300])
+    assert a != make_instance([5, 7], [200, 301])
+    assert a != make_instance([5, 7, 1], [200, 300, 200])
+    assert a != Instance(profits=[5, 7], weights=[200, 300], delta=25,
+                         kind=UNCORRELATED, c_constant=100, seed=1)
+    assert a != "not an instance"
+
+
+@pytest.mark.parametrize("profits, weights", [([1], [200, 300]), ([], [])])
+def test_instance_rejects_columns_of_unequal_or_zero_length(profits, weights):
+    with pytest.raises(ValueError):
+        make_instance(profits, weights)
+
+
+@pytest.mark.parametrize("row, line, message", [
+    ("0 200", 2, "item profit must be >= 1, got 0"),
+    ("5 100", 2, "expected weight must be >= 101, got 100"),
+    (f"{-2 ** 64} 200", 2, f"item profit must be >= 1, got {-2 ** 64}"),
+    (f"{2 ** 63} 200", 1, f"profit total {2 ** 63 + 3} reaches 2**53"),
+])
+def test_parse_reports_the_line_of_a_bad_item(row, line, message):
+    text = f"n 2 delta 25 kind uncorrelated c 100 seed 1\n{row}\n3 300\n"
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    assert err.value.line_no == line
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("rows, ok", [

@@ -19,12 +19,9 @@ from dcckp.solvers import _RunContext
 def stub_instance(pairs, delta=25):
     """Instance-shaped stub for arithmetic examples with weights below the
     generator's Table-style floor."""
-    items = tuple(SimpleNamespace(profit=p, expected_weight=w) for p, w in pairs)
     profits = np.array([p for p, _ in pairs], np.int64)
     weights = np.array([w for _, w in pairs], np.int64)
-    return SimpleNamespace(items=items, n=len(items), delta=delta,
-                           profit_array=lambda: profits,
-                           weight_array=lambda: weights)
+    return SimpleNamespace(n=len(pairs), delta=delta, profits=profits, weights=weights)
 
 
 def test_dp_two_items_only_singles_fit():
@@ -47,8 +44,8 @@ def test_dp_three_items_derived_by_enumeration():
 def reference_dp(instance, c_max):
     """The full-range int64 loop over items in instance order."""
     dp = np.zeros(c_max + 1, np.int64)
-    for w, p in zip(instance.weight_array().tolist(),
-                    instance.profit_array().tolist()):
+    for w, p in zip(instance.weights.tolist(),
+                    instance.profits.tolist()):
         if w <= c_max:
             np.maximum(dp[w:], dp[:-w] + p, out=dp[w:])
     return dp
@@ -119,8 +116,8 @@ def test_dp_window_matches_the_full_table():
 def ascending_weight_cells(inst, c_max, c_min):
     """Entries the updates touch with items in ascending weight, cut at
     w and at c_min - (weight of the items after), as written item by item."""
-    weights = sorted(w for w, p in zip(inst.weight_array().tolist(),
-                                       inst.profit_array().tolist())
+    weights = sorted(w for w, p in zip(inst.weights.tolist(),
+                                       inst.profits.tolist())
                      if w <= c_max and p > 0)
     after, reach, cells = sum(weights), 0, 0
     for w in weights:
@@ -133,7 +130,7 @@ def ascending_weight_cells(inst, c_max, c_min):
 
 def planned_cells(inst, c_max, c_min):
     """(cells, order is falling efficiency) of the plan the DP runs."""
-    weights, profits = inst.weight_array(), inst.profit_array()
+    weights, profits = inst.weights, inst.profits
     keep = (weights <= c_max) & (profits > 0)
     weights, profits = weights[keep], profits[keep]
     order, lo, top = oracle._plan(weights, profits, c_max, c_min)
@@ -182,7 +179,7 @@ def test_dp_window_matches_reference_on_random_stubs():
     rng = np.random.default_rng(31)
     for trial in range(150):
         inst = stub_instance(random_pairs(rng, trial, int(rng.integers(1, 201))))
-        total = int(inst.weight_array().sum())
+        total = int(inst.weights.sum())
         # inside, at the total and above it (lambda = 0 when all items fit)
         for c_max in (int(rng.integers(0, total + 1)), total,
                       total + int(rng.integers(1, 50))):
@@ -382,7 +379,7 @@ def test_chance_optimum_below_deterministic():
             assert chance_p <= det
             # the winning subset actually satisfies the surrogate constraint
             k = int(bits.sum())
-            ew = int(inst.weight_array()[bits.astype(bool)].sum())
+            ew = int(inst.weights[bits.astype(bool)].sum())
             bound = tail_bound(ChanceParams(0.01, 25, kind), inst.n)
             assert bound.tail(ew, k, cap) <= 0.01
 
@@ -394,8 +391,8 @@ def test_chance_optimum_is_best_where_ea_violation_is_zero():
     for n, seed in ((6, 1), (10, 2), (12, 3)):
         inst = generate_instance("uncorrelated", n, 25, seed=seed)
         masks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        subsets = list(zip((masks @ inst.profit_array()).tolist(),
-                           (masks @ inst.weight_array()).tolist(),
+        subsets = list(zip((masks @ inst.profits).tolist(),
+                           (masks @ inst.weights).tolist(),
                            masks.sum(axis=1).tolist()))
         total = inst.total_expected_weight()
         for kind in (CHEBYSHEV, CHERNOFF):

@@ -11,7 +11,7 @@ from scipy import stats
 from dcckp import metrics, solvers
 from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams, tail_bound
 from dcckp.dynamics import build_schedule
-from dcckp.model import UNCORRELATED, Instance, Item, generate_instance
+from dcckp.model import UNCORRELATED, Instance, generate_instance
 from dcckp.oracle import brute_force_chance_optimum, dp_optimal_profits
 from dcckp.solvers import (
     MUTATION_BLOCK,
@@ -56,15 +56,15 @@ def test_lex_better_or_equal_cases():
     """The acceptance rule of ``_RunContext.lex_run``, shared by the
     (1+1)-EA and POSDC's repair: smaller violation first, then higher
     profit; equality accepted."""
-    items = (Item(40, 300), Item(50, 300), Item(10, 300), Item(40, 300))
-    inst = Instance(items=items, delta=25, kind=UNCORRELATED, c_constant=100, seed=0)
+    inst = Instance(profits=[40, 50, 10, 40], weights=[300] * 4, delta=25,
+                    kind=UNCORRELATED, c_constant=100, seed=0)
     ctx = _RunContext(inst, ChanceParams(0.01, 25, CHEBYSHEV))
 
     def solution(*chosen):
         x = np.zeros(4, np.uint8)
         x[list(chosen)] = 1
-        return (bytearray(x), int(x @ inst.profit_array()),
-                int(x @ inst.weight_array()), len(chosen))
+        return (bytearray(x), int(x @ inst.profits),
+                int(x @ inst.weights), len(chosen))
 
     def step(incumbent, flips, capacity=2000):
         """The incumbent after one step, and whether the offspring won; a
@@ -82,8 +82,8 @@ def test_lex_better_or_equal_cases():
         assert i == 7 and bits is not incumbent[0]
         assert bytes(bits) == bytes(_flipped(incumbent[0], flips))
         x = np.frombuffer(bits, np.uint8)
-        assert (p, w, k) == (int(x @ inst.profit_array()),
-                             int(x @ inst.weight_array()), int(x.sum()))
+        assert (p, w, k) == (int(x @ inst.profits),
+                             int(x @ inst.weights), int(x.sum()))
         return got, True
 
     one = solution(0)  # (40, 300, 1), feasible at 2000
@@ -117,8 +117,8 @@ def test_lex_run_rejects_lower_profit_against_a_feasible_incumbent_unevaluated(
     """A feasible incumbent has violation 0, which no offspring undercuts,
     so a lower-profit offspring loses without a bound evaluation; an
     offspring with at least its profit is evaluated."""
-    items = (Item(40, 300), Item(50, 300), Item(10, 300))
-    inst = Instance(items=items, delta=25, kind=UNCORRELATED, c_constant=100, seed=0)
+    inst = Instance(profits=[40, 50, 10], weights=[300] * 3, delta=25,
+                    kind=UNCORRELATED, c_constant=100, seed=0)
     ctx = _RunContext(inst, ChanceParams(0.01, 25, CHEBYSHEV))
     calls = []
     lex_violation = _RunContext.lex_violation
@@ -380,8 +380,8 @@ def test_mutate_applies_the_drawn_flips():
         expect = np.frombuffer(before, np.uint8).copy()
         expect[drawn] ^= 1
         assert isinstance(nb, bytearray) and bytes(nb) == expect.tobytes()
-        assert (np_, nw, nk) == (int(expect @ inst.profit_array()),
-                                 int(expect @ inst.weight_array()), int(expect.sum()))
+        assert (np_, nw, nk) == (int(expect @ inst.profits),
+                                 int(expect @ inst.weights), int(expect.sum()))
         bits, p, w, k = nb, np_, nw, nk
 
 
@@ -700,9 +700,10 @@ def check_sorted_view(arc, capacity):
 
 
 def test_archive_sorted_view_strictly_ascending():
-    """After every ``insert`` and ``extend`` of a seeded random stream, with
-    many equal profits and equal C* values among the candidates, for a
-    capacity below, inside and above the candidates' C*."""
+    """After every ``insert`` of a seeded random stream, with many equal
+    profits and equal C* values among the candidates, for a capacity below,
+    inside and above the candidates' C*; ``insert`` returns the new member's
+    index."""
     rng = np.random.default_rng(12)
     for trial in range(30):
         capacity = (0, 20, 61)[trial % 3]
@@ -717,7 +718,10 @@ def test_archive_sorted_view_strictly_ascending():
                        if not any(o != (p, c) and dominates(o, p, c) for o in points))
         half = len(front) // 2
         for batch in (front[:half], front[half:]):  # a bulk build in two parts
-            arc.extend([(dummy_bits(), p, 0, 0, c) for c, p in batch], capacity)
+            for c, p in batch:
+                assert not arc.has_weak_dominator(p, c, capacity)
+                at = arc.insert(dummy_bits(), p, 0, 0, c, capacity)
+                assert keys([arc.members[at]]) == [(p, c)]
             check_sorted_view(arc, capacity)
         assert keys(arc.members) == [(p, c) for c, p in front]
         for p, c in zip(rng.integers(0, 60, 300), rng.integers(0, 60, 300)):
@@ -725,7 +729,8 @@ def test_archive_sorted_view_strictly_ascending():
             dominated = any(dominates(o, p, c) for o in keys(arc.members))
             assert arc.has_weak_dominator(p, c, capacity) == dominated
             if not dominated:
-                arc.insert(dummy_bits(), p, 0, 0, c, capacity)
+                at = arc.insert(dummy_bits(), p, 0, 0, c, capacity)
+                assert keys([arc.members[at]]) == [(p, c)]
                 check_sorted_view(arc, capacity)
 
 
@@ -774,8 +779,8 @@ def test_posdc_archive_invariants_static():
     # every member's aggregates match its bits
     for bits, p, w, k, c in pos.archive.members:
         x = np.frombuffer(bits, np.uint8)
-        assert (p, w, k) == (int(x @ inst.profit_array()),
-                             int(x @ inst.weight_array()), int(x.sum()))
+        assert (p, w, k) == (int(x @ inst.profits),
+                             int(x @ inst.weights), int(x.sum()))
         assert c == ctx.bound.cstar(w, k)
 
 
@@ -974,6 +979,26 @@ def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
     assert archive_rows(whole) == archive_rows(single)
 
 
+@pytest.mark.parametrize("share", [0.0, 0.3, 0.5, 1.0])
+def test_posdc_step_records_exactly_when_the_designated_member_changes(share):
+    """An archive step records iff its insert replaced the designated member
+    (S-'s last, else S+'s first); share 0 keeps S- empty throughout and
+    share 1 keeps S+ nearly empty."""
+    inst = generate_instance("uncorrelated", 12, 25, seed=6)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, CHERNOFF))
+    total = inst.total_expected_weight()
+    capacity = max(1, int(share * total))
+    pos = Posdc(ctx, np.random.default_rng(3), capacity, eta=2 * total + 5000)
+    assert pos.repair is None
+    records, changed = [], 0
+    for i in range(2000):
+        before = pos.best()
+        pos.step(capacity, i, i + 1, records.append)
+        assert (records[-1:] == [i]) == (pos.best() is not before)
+        changed += pos.best() is not before
+    assert 0 < changed < 2000 and pos.archive_size() > 1
+
+
 def test_posdc_repair_cap_raises(monkeypatch):
     monkeypatch.setattr(solvers, "REPAIR_STEP_CAP", 3)
     inst, ctx = make_ctx(n=12, seed=8)
@@ -1146,8 +1171,8 @@ def test_nsga2_best_feasible_tracks_highest_profit(kind):
     assert alg.best_feasible is not None
     p, w, k, bits = alg.best_feasible
     assert ctx.bound.cstar(w, k) <= capacity
-    assert (p, w, k) == (int(bits @ inst.profit_array()),
-                         int(bits @ inst.weight_array()), int(bits.sum()))
+    assert (p, w, k) == (int(bits @ inst.profits),
+                         int(bits @ inst.weights), int(bits.sum()))
     # the tracked solution has at least the profit of every feasible member
     feas = alg.cstar <= capacity
     if feas.any():
@@ -1233,7 +1258,7 @@ def test_nsga2_records_only_when_the_best_feasible_changes(kind):
     alg.step(capacity, 100, 4100, lambda i: profits.append(alg.best_feasible[0]))
     # one record per replacement, each by a higher profit, up to all items
     assert len(profits) > 1 and profits == sorted(set(profits))
-    assert profits[-1] == int(inst.profit_array().sum())
+    assert profits[-1] == int(inst.profits.sum())
     best = alg.best_feasible
     rows.clear()
     alg.step(capacity, 4100, 4300, rows.append)
@@ -1899,9 +1924,9 @@ def cstar_side_optimum(inst, capacity, params):
     n = inst.n
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.int64)
-    w = bits @ inst.weight_array()
+    w = bits @ inst.weights
     k = bits.sum(axis=1)
-    p = bits @ inst.profit_array()
+    p = bits @ inst.profits
     cstar = tail_bound(params, n).cstar_array(w, k)
     feas = cstar < capacity
     return int(p[feas].max()) if feas.any() else 0
