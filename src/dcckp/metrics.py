@@ -8,7 +8,7 @@ per run of equal values), and the dense series are rebuilt from it on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,16 @@ class IntervalLog:
     length: int
     starts: np.ndarray
     columns: dict
+
+    def __eq__(self, other):
+        """The same length, entry starts and per-entry values."""
+        if not isinstance(other, IntervalLog):
+            return NotImplemented
+        return (self.length == other.length
+                and np.array_equal(self.starts, other.starts)
+                and self.columns.keys() == other.columns.keys()
+                and all(np.array_equal(v, other.columns[name])
+                        for name, v in self.columns.items()))
 
     def series(self, name: str) -> np.ndarray:
         """The dense per-iteration series of one column."""
@@ -125,11 +135,11 @@ class _Series:
 
     def __get__(self, rec, owner=None):
         if rec is None:
-            return None  # the field's default
+            return self
         return rec.intervals.series(self.column)
 
     def __set__(self, rec, value):
-        if value is None:
+        if value is self:  # the field's default: nothing was given
             return
         log = rec.intervals
         dense = {name: log.series(name) for name in log.columns}
@@ -147,8 +157,9 @@ class RunRecord:
     feasible_fraction: float
     change_count: int
     evaluations: int
-    # dense views of the interval log
-    per_iteration_phi: np.ndarray = _Series("phi")
-    capacity_trace: np.ndarray = _Series("capacity")
-    best_profit_trace: np.ndarray = _Series("best_profit")
-    violation_trace: np.ndarray = _Series("violation")
+    # dense views of the interval log, functions of it, so not compared
+    per_iteration_phi: np.ndarray = field(default=_Series("phi"), compare=False)
+    capacity_trace: np.ndarray = field(default=_Series("capacity"), compare=False)
+    best_profit_trace: np.ndarray = field(default=_Series("best_profit"),
+                                          compare=False)
+    violation_trace: np.ndarray = field(default=_Series("violation"), compare=False)

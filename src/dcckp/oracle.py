@@ -64,14 +64,24 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     that order and falling efficiency with the edge, the one whose updates
     touch fewer cells is used.
     The accumulators are int32 when the total profit of the items kept is
-    below 2**31, and int64 otherwise."""
+    below 2**31, and int64 otherwise.
+
+    Where every item kept has profit equal to weight (bsc instances at
+    c = 100), a subset's profit is its weight, so the best profit at c is
+    the heaviest subset that fits: the largest subset sum <= c. Those sums
+    are the set bits of one Python int, shifted and or-ed once per item;
+    entry c is c itself where c is reachable, and the largest reachable sum
+    below c elsewhere."""
     if not 0 <= c_min <= c_max:
         raise ValueError(f"need 0 <= c_min <= c_max, got {c_min}, {c_max}")
     weights, profits = instance.weights, instance.profits
     keep = (weights <= c_max) & (profits > 0)
-    order, los, tops = _plan(weights[keep], profits[keep], c_max, c_min)
-    weights = weights[keep][order].tolist()
-    profits = profits[keep][order].tolist()
+    weights, profits = weights[keep], profits[keep]
+    if np.array_equal(profits, weights):
+        return _subset_sums(weights.tolist(), c_max, c_min)
+    order, los, tops = _plan(weights, profits, c_max, c_min)
+    weights = weights[order].tolist()
+    profits = profits[order].tolist()
     dtype = np.int32 if sum(profits) < 2**31 else np.int64
     dp = np.empty(c_max + 1, dtype)
     dp[0] = 0
@@ -88,6 +98,25 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     dp[reach + 1:] = profit_sum
     dp[:c_min] = -1
     return dp.astype(np.int64, copy=False)
+
+
+def _subset_sums(weights, c_max, c_min):
+    """``dp_optimal_profits`` where profit equals weight: entry c is the
+    largest sum <= c of a subset of ``weights``."""
+    mask = (1 << (c_max + 1)) - 1
+    reach = 1  # bit s set: some subset weighs exactly s
+    for w in weights:
+        reach |= (reach << w) & mask
+    bits = np.unpackbits(np.frombuffer(reach.to_bytes(c_max // 8 + 1, "little"),
+                                       np.uint8), count=c_max + 1, bitorder="little")
+    table = np.arange(c_max + 1, dtype=np.int64)
+    # an unreachable c takes the sum just below its run of unreachable ones
+    # (0 is always reachable)
+    gaps = np.flatnonzero(bits == 0)
+    first = np.flatnonzero(np.diff(gaps, prepend=-1) > 1)
+    table[gaps] = np.repeat(gaps[first] - 1, np.diff(first, append=len(gaps)))
+    table[:c_min] = -1
+    return table
 
 
 def _spans(weights, c_max, c_min, edge=0):

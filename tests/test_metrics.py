@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcckp.chance import CHEBYSHEV, ChanceParams, tail_bound
-from dcckp.metrics import OfflineErrorRecorder, offline_error, total_offline_error
+from dcckp.dynamics import build_schedule
+from dcckp.metrics import (
+    IntervalLog,
+    OfflineErrorRecorder,
+    offline_error,
+    total_offline_error,
+)
+from dcckp.model import generate_instance
+from dcckp.oracle import dp_optimal_profits
+from dcckp.solvers import run_algorithm
 
 
 def test_feasible_at_optimum():
@@ -68,3 +77,25 @@ def test_recorder_scores_a_single_measured_iteration():
     assert record.feasible_fraction == 1.0
     assert record.intervals.series("phi").tolist() == [10.0]
 
+
+
+def test_records_of_the_same_run_compare_equal():
+    inst = generate_instance("uncorrelated", 12, 25, seed=4)
+    dp = dp_optimal_profits(inst, inst.total_expected_weight())
+    sched = build_schedule(3000, 200, 300, 500, 4000, 1,
+                           inst.total_expected_weight(), seed=2)
+    params = ChanceParams(0.01, 25, CHEBYSHEV)
+    a = run_algorithm("ea11", inst, sched, params, dp, seed=1)
+    assert a == run_algorithm("ea11", inst, sched, params, dp, seed=1)
+    assert a != run_algorithm("ea11", inst, sched, params, dp, seed=2)
+
+
+def test_interval_logs_compare_by_value():
+    def log(length=4, starts=(0, 2), phi=(1.0, 0.5)):
+        return IntervalLog(length, np.array(starts, np.int64),
+                           {"phi": np.array(phi)})
+    assert log() == log()
+    assert log() != log(length=5)
+    assert log() != log(starts=(0, 3))
+    assert log() != log(phi=(1.0, 0.25))
+    assert log() != IntervalLog(4, np.array([0, 2]), {"capacity": np.array([1, 2])})

@@ -226,12 +226,77 @@ def test_dp_window_of_a_desk_instance():
 
 
 def test_tied_efficiencies_keep_ascending_weight():
-    inst = generate_instance("bsc", 1000, 25, seed=1)  # profit = weight
+    # profit = weight, so dp_optimal_profits takes subset sums and never asks
+    # _plan for this instance: the test pins _plan alone, on ties
+    inst = generate_instance("bsc", 1000, 25, seed=1)
     c0 = inst.total_expected_weight() // 2
     # both orders visit items of the same weights in the same sequence, so
     # the plan cannot be told apart by its order: only by its cells
     cells, _ = planned_cells(inst, c0 + 5000, c0 - 5000)
     assert cells == ascending_weight_cells(inst, c0 + 5000, c0 - 5000)
+
+
+def assert_window_matches_reference(inst, c_max, c_min):
+    table = dp_optimal_profits(inst, c_max, c_min)
+    assert table.dtype == np.int64 and len(table) == c_max + 1
+    np.testing.assert_array_equal(table[c_min:], reference_dp(inst, c_max)[c_min:])
+    assert (table[:c_min] == -1).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 100])
+def test_subset_sums_of_bsc_instances_match_the_reference(n):
+    for seed in range(5):
+        inst = generate_instance("bsc", n, 25, seed=seed)
+        assert np.array_equal(inst.profits, inst.weights)  # c = 100
+        total = inst.total_expected_weight()
+        for c_max, c_min in ((total, 0), (total, 1), (total // 2, total // 3),
+                             (total // 2, total // 2), (total + 30, total - 5),
+                             (int(inst.weights.min()) - 1, 0)):
+            assert_window_matches_reference(inst, c_max, c_min)
+
+
+def test_subset_sums_of_profit_equal_weight_stubs_match_the_reference():
+    inst = stub_instance([(w, w) for w in (7, 3, 12, 5, 5, 40)])
+    for c_max, c_min in ((30, 0),    # 40 is heavier than c_max
+                         (21, 21),   # c_min = c_max
+                         (25, 25),
+                         (80, 10),   # above the total, 72
+                         (2, 0),     # below the lightest item
+                         (2, 2), (0, 0)):
+        assert_window_matches_reference(inst, c_max, c_min)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        weights = rng.integers(1, 60, int(rng.integers(1, 20))).tolist()
+        inst = stub_instance([(w, w) for w in weights])
+        c_max = int(rng.integers(0, sum(weights) + 20))
+        assert_window_matches_reference(inst, c_max, int(rng.integers(0, c_max + 1)))
+
+
+def test_one_profit_above_its_weight_takes_the_general_path(monkeypatch):
+    pairs = [(w, w) for w in (7, 3, 12, 5, 5, 40)]
+    pairs[2] = (13, 12)
+    inst = stub_instance(pairs)
+    planned, plan = [], oracle._plan
+    monkeypatch.setattr(oracle, "_plan",
+                        lambda *args: planned.append(args) or plan(*args))
+    # every window keeps the item of profit 13 and weight 12
+    for c_max, c_min in ((30, 0), (21, 21), (80, 10), (12, 0)):
+        assert_window_matches_reference(inst, c_max, c_min)
+    assert len(planned) == 4
+
+
+def test_profit_equal_weight_is_what_skips_the_profit_dp(monkeypatch):
+    def plan(*args):
+        raise AssertionError("the general profit DP ran")
+    monkeypatch.setattr(oracle, "_plan", plan)
+    inst = generate_instance("bsc", 100, 25, seed=1)  # c = 100
+    total = inst.total_expected_weight()
+    np.testing.assert_array_equal(dp_optimal_profits(inst, total, 1)[1:],
+                                  reference_dp(inst, total)[1:])
+    for other in (generate_instance("uncorrelated", 100, 25, seed=1),
+                  generate_instance("bsc", 100, 25, c_constant=50, seed=1)):
+        with pytest.raises(AssertionError):
+            dp_optimal_profits(other, other.total_expected_weight(), 1)
 
 
 def optimal_subsets(weights, profits, c_max, c_min):
