@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, FileNotFoundError, FileExistsError,
+    except (ValueError, FileNotFoundError, FileExistsError,
             NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

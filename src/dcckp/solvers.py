@@ -36,15 +36,31 @@ incumbent rejects a lower-profit offspring without evaluating the bound
 
 Both read standard bit mutation from a flip stream, ``next_flips()``, which
 returns one iteration's ascending flip positions (``[]`` when nothing flips)
-and draws ``MUTATION_BLOCK`` iterations at a time (``_stream``). POSDC's
-stream comes from geometric gaps (``_gap_flips``), about one draw per flip.
-The (1+1)-EA's replays one ``rng.random(n)`` per iteration (``_replay_flips``),
-which costs n uniforms an iteration but keeps its trajectories: acceptance
-criterion 4's 95/100 threshold sits at the EA's measured success rate, so a
-new EA stream fails it about half the time. Both skip an iteration that
-flips nothing: its offspring would be an exact copy. NSGA-II reads a stream
-of the same kind, one item per generation with all of its draws, drawn
+and draws ``MUTATION_BLOCK`` iterations at a time, a block only when its
+first iteration is due. POSDC's stream comes from geometric gaps
+(``_gap_flips``), about one draw per flip. The (1+1)-EA's replays one
+``rng.random(n)`` per iteration (``_replay_flips``), which costs n uniforms an
+iteration but keeps its trajectories: acceptance criterion 4's 95/100
+threshold sits at the EA's measured success rate, so a new EA stream fails
+it about half the time. Both skip an iteration that flips nothing: its
+offspring would be an exact copy. NSGA-II reads a stream of the same kind,
+one item per generation with all of its draws, drawn
 ``MUTATION_BLOCK // pop_size`` generations at a time (``Nsga2._draw_block``).
+
+The (1+1)-EA screens its flip blocks while its incumbent is feasible, in a
+stretch of at least ``SCREEN_MIN`` iterations and while kept offspring are
+sparse (``OnePlusOneEA._screen``): numpy gives every offspring's change in
+(p, w, k) from the incumbent, and only an offspring with at least its profit
+that passes ``_RunContext.passes_screen`` reaches the scalar
+``lex_violation``, in iteration order, up to the first one kept. The
+screen's margin lies strictly below the family's C* margin, below which the
+tail exceeds alpha, so it rejects only offspring that violate. Against a
+feasible incumbent an offspring is kept exactly when it has at least the
+profit and violation 0, so screened steps keep what scalar steps keep,
+decided by the same floats. Every other piece of a stretch takes scalar
+steps. POSDC's archive step draws its parent, mutates it and takes its C*
+in its own loop, by the rules of ``_words``, ``_RunContext.mutate`` and
+``TailBound.cstar``, and it passes over the iterations that flip nothing.
 """
 
 from __future__ import annotations
@@ -61,6 +77,9 @@ from .chance import ChanceParams
 
 REPAIR_STEP_CAP = 10 ** 6
 MUTATION_BLOCK = 256  # iterations of standard bit mutation drawn at once
+# the iterations a numpy pass over a flip block must save to pay off: the
+# (1+1)-EA screens only stretches that long, while kept offspring are that sparse
+SCREEN_MIN = 64
 
 
 def _stream(draw_block):
@@ -71,35 +90,82 @@ def _stream(draw_block):
     return chain.from_iterable(iter(draw_block, None)).__next__
 
 
-def _flip_stream(n: int, draw_hits):
-    """``next_flips()`` of standard bit mutation on n bits: one iteration's
-    ascending flip positions per call, ``[]`` when nothing flips. A block is
-    ``draw_hits()``, the ascending flips of ``MUTATION_BLOCK`` iterations as
-    positions in their n * MUTATION_BLOCK cells (iteration-major)."""
+class _FlipBlocks:
+    """Standard bit mutation on n bits, drawn ``MUTATION_BLOCK`` iterations
+    at a time: ``draw_hits()`` gives a block's ascending flips as positions
+    in its n * MUTATION_BLOCK cells (iteration-major).
 
-    def block():
-        hits = draw_hits()
-        iteration = hits // n
-        positions = (hits - iteration * n).tolist()
-        starts = np.searchsorted(iteration, np.arange(MUTATION_BLOCK + 1)).tolist()
-        return [positions[a:b] for a, b in zip(starts, starts[1:])]
+    The block that holds the next iteration is ``positions`` and ``starts``
+    (iteration j of it flips ``positions[starts[j]:starts[j + 1]]``), and
+    ``at`` is that iteration's index in it; ``lists()`` gives both as Python
+    lists. ``next_flips()`` reads one iteration, ``take(count)`` the next
+    ``count`` of one block, and a solver that walks the arrays moves ``at``
+    itself. ``room()`` draws the next block once ``at`` has reached the last
+    one's end, and a reader calls it first, so a block is drawn when its
+    first iteration is due and never ahead."""
 
-    return _stream(block)
+    __slots__ = ("n", "draw_hits", "positions", "starts", "at", "_lists", "_split",
+                 "_steps")
+
+    def __init__(self, n: int, draw_hits):
+        self.n, self.draw_hits = n, draw_hits
+        self.at = MUTATION_BLOCK  # no block yet: the first read draws one
+
+    def room(self) -> int:
+        """The iterations left in the block at hand, after drawing the next
+        block if none are."""
+        if self.at == MUTATION_BLOCK:
+            hits = self.draw_hits()
+            iteration = hits // self.n
+            self.positions = hits - iteration * self.n
+            self.starts = iteration.searchsorted(np.arange(MUTATION_BLOCK + 1))
+            self.at, self._lists, self._split, self._steps = 0, None, None, None
+        return MUTATION_BLOCK - self.at
+
+    def lists(self):
+        if self._lists is None:
+            self._lists = self.positions.tolist(), self.starts.tolist()
+        return self._lists
+
+    def steps(self):
+        """(indices, heads): the block's iterations that flip something, a
+        list, and where their flips start in ``positions``, an array."""
+        if self._steps is None:
+            starts = self.starts
+            flipping = (starts[:-1] != starts[1:]).nonzero()[0]
+            self._steps = flipping.tolist(), starts[flipping]
+        return self._steps
+
+    def take(self, count: int):
+        """``next_flips`` of the next ``count`` iterations, which must lie in
+        the block at hand (``room()`` has drawn it)."""
+        if self._split is None:
+            positions, starts = self.lists()
+            self._split = [positions[a:b] for a, b in zip(starts, starts[1:])]
+        at = self.at
+        self.at = at + count
+        return iter(self._split[at:at + count]).__next__
+
+    def next_flips(self) -> list:
+        """One iteration's ascending flip positions, ``[]`` when nothing
+        flips."""
+        self.room()
+        return self.take(1)()
 
 
-def _replay_flips(rng, n: int):
+def _replay_flips(rng, n: int) -> _FlipBlocks:
     """Flips of one ``rng.random(n)`` per iteration, bit i flipping when its
     uniform is below 1/n. A block is n * MUTATION_BLOCK uniforms in one
     vectorised call, the same stream as a per-iteration draw, so a solver
     that draws nothing else between mutations keeps its trajectory."""
-    return _flip_stream(n, lambda: np.flatnonzero(rng.random(n * MUTATION_BLOCK) < 1.0 / n))
+    return _FlipBlocks(n, lambda: np.flatnonzero(rng.random(n * MUTATION_BLOCK) < 1.0 / n))
 
 
-def _gap_flips(rng, n: int):
+def _gap_flips(rng, n: int) -> _FlipBlocks:
     """Flips from geometric gaps (``_flip_positions``), whose cost does not
     grow with n: about one draw per flip, not one uniform per bit. Exact in
     distribution, but a different stream from ``_replay_flips``."""
-    return _flip_stream(n, lambda: _flip_positions(rng, n * MUTATION_BLOCK, 1.0 / n))
+    return _FlipBlocks(n, lambda: _flip_positions(rng, n * MUTATION_BLOCK, 1.0 / n))
 
 
 def _flip_positions(rng, cells: int, p: float):
@@ -115,27 +181,10 @@ def _flip_positions(rng, cells: int, p: float):
 _WORD_MASK = (1 << 64) - 1
 
 
-class _IndexBlocks:
-    """Uniform indices below a bound that may change on every draw, taken
-    from blocks of ``MUTATION_BLOCK`` 64-bit words of one solver's Generator
-    by Lemire's multiply-and-reject method, which is exact."""
-
-    __slots__ = ("next_word",)
-
-    def __init__(self, rng):
-        self.next_word = _stream(
-            lambda: rng.integers(0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist())
-
-    def below(self, m: int) -> int:
-        """Uniform integer in [0, m)."""
-        next_word = self.next_word
-        while True:
-            prod = next_word() * m
-            low = prod & _WORD_MASK
-            # the threshold ((2^64 - m) mod m) is below m, so it is needed
-            # only when low is
-            if low >= m or low >= ((1 << 64) - m) % m:
-                return prod >> 64
+def _words(rng):
+    """``next_word()``: uniform 64-bit words of ``rng`` as Python ints, drawn
+    ``MUTATION_BLOCK`` at a time."""
+    return _stream(lambda: rng.integers(0, 1 << 64, MUTATION_BLOCK, np.uint64).tolist())
 
 
 class _RunContext:
@@ -143,7 +192,7 @@ class _RunContext:
     (violation, profit) fitness on the hot path."""
 
     __slots__ = ("n", "inv_n", "profits", "weights", "profit_list",
-                 "weight_list", "bound")
+                 "weight_list", "bound", "gains", "losses", "screen_margin")
 
     def __init__(self, instance, params: ChanceParams):
         self.n = instance.n
@@ -153,6 +202,20 @@ class _RunContext:
         self.profit_list = self.profits.tolist()
         self.weight_list = self.weights.tolist()
         self.bound = chance.tail_bound(params, instance.n)
+        # the (p, w, k) change of flipping each item in, and out
+        self.gains = np.column_stack([self.profits, self.weights, np.ones(self.n, np.int64)])
+        self.losses = -self.gains
+        self.screen_margin = 0.99 * self.bound.margins - 1.0
+
+    def passes_screen(self, w, k, capacity):
+        """False only where ``lex_violation(w, k, capacity) > 0``, for arrays
+        of w and k: the screen's margin is strictly below ``margin[k]``, and
+        a capacity below w + margin[k] has a tail above alpha in both
+        families (Chebyshev's margin is the exact inverse of its tail,
+        Chernoff's 0.99 of it), so the slack of 1% and 1 covers the floats.
+        ``tests/test_solvers.py::test_screen_rejects_only_violations``
+        checks this at every integer gap near both margins."""
+        return w + self.screen_margin.take(k) <= capacity
 
     def lex_violation(self, w: int, k: int, capacity: int) -> float:
         """Violation term of the lexicographic fitness.
@@ -231,24 +294,98 @@ def _flipped(bits: bytearray, positions) -> bytearray:
 
 
 class OnePlusOneEA:
-    """(1+1)-EA with lexicographic (violation, profit) acceptance."""
+    """(1+1)-EA with lexicographic (violation, profit) acceptance.
+
+    A step call walks its stretch a flip block at a time. A piece of a
+    stretch of at least ``SCREEN_MIN`` iterations is screened (``_screen``)
+    when the incumbent is feasible and kept offspring are sparse: the last
+    lies ``SCREEN_MIN`` iterations back, or their mean spacing is at least
+    that. One numpy pass costs about as much as that many scalar steps, so
+    dense acceptance, as early in a run at n = 1000, takes scalar steps.
+    Every other piece takes the scalar ``lex_run``; both keep the same
+    offspring."""
 
     stride = 1  # iterations charged per step
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
-        self.next_flips = _replay_flips(rng, ctx.n)
+        self.flips = _replay_flips(rng, ctx.n)
+        self.next_flips = self.flips.next_flips
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
+        self._deltas_of = None  # the bits ``_deltas`` was built from
+        # the last kept offspring's iteration and a running mean of the
+        # iterations between kept offspring
+        self._kept_at, self._spacing = 0, 0.0
 
     def on_change(self, capacity: int):
         # each step call measures the incumbent against its own capacity
         pass
 
+    def _kept(self, i: int):
+        """Note an offspring kept at step ``i`` of a screened stretch."""
+        self._spacing += (i - self._kept_at - self._spacing) / 4
+        self._kept_at = i
+
     def step(self, capacity: int, first: int, end: int, record):
-        run = self.ctx.lex_run(self.next_flips, (self.bits, self.p, self.w, self.k),
-                               capacity, first, end)
-        for i, (self.bits, self.p, self.w, self.k) in run:
-            record(i)
+        ctx, flips = self.ctx, self.flips
+        screened = end - first >= SCREEN_MIN
+        while first < end:
+            stop = first + flips.room()  # the end of the block at hand
+            if stop > end:
+                stop = end
+            if (screened and (first - self._kept_at >= SCREEN_MIN or self._spacing >= SCREEN_MIN)
+                    and not ctx.lex_violation(self.w, self.k, capacity)):
+                first = self._screen(capacity, first, stop, record)
+                continue
+            run = ctx.lex_run(flips.take(stop - first), (self.bits, self.p, self.w, self.k),
+                              capacity, first, stop)
+            for i, (self.bits, self.p, self.w, self.k) in run:
+                record(i)
+                if screened:
+                    self._kept(i)
+            first = stop
+
+    def _screen(self, capacity: int, i: int, stop: int, record) -> int:
+        """Steps ``i`` .. ``stop - 1``, which lie in the flip block at hand,
+        from a feasible incumbent, up to the first that keeps its offspring;
+        returns the iteration after the last step taken.
+
+        One ``reduceat`` over the block's flips gives each offspring's
+        change in (p, w, k). An offspring with at least the incumbent's
+        profit that passes ``passes_screen`` goes to ``lex_violation``, in
+        iteration order, and the first with violation 0 is kept: the rule
+        of ``lex_run`` against violation 0."""
+        ctx, flips = self.ctx, self.flips
+        at = flips.at
+        end = flips.at = at + stop - i
+        steps, heads = flips.steps()
+        lo, hi = bisect_left(steps, at), bisect_left(steps, end)
+        if lo == hi:
+            return stop  # no step has an offspring
+        if self._deltas_of is not self.bits:
+            self._deltas_of = self.bits
+            chosen = np.frombuffer(self.bits, bool)[:, None]
+            self._deltas = np.where(chosen, ctx.losses, ctx.gains)
+        deltas, heads = self._deltas, heads[lo:hi]
+        head, positions = heads[0], flips.positions
+        change = np.add.reduceat(deltas.take(positions[head:flips.starts[end]], axis=0),
+                                 heads - head)
+        dp, dw, dk = change.T
+        p, w, k = self.p, self.w, self.k
+        maybe = (dp >= 0) & ctx.passes_screen(w + dw, k + dk, capacity)
+        for s in maybe.nonzero()[0].tolist():
+            cw, ck = w + int(dw[s]), k + int(dk[s])
+            if not ctx.lex_violation(cw, ck, capacity):
+                j = steps[lo + s]
+                flipped = positions[heads[s]:flips.starts[j + 1]]
+                self.bits = self._deltas_of = _flipped(self.bits, flipped.tolist())
+                deltas[flipped] *= -1
+                self.p, self.w, self.k = p + int(dp[s]), cw, ck
+                flips.at = j + 1
+                record(i + j - at)
+                self._kept(i + j - at)
+                return i + j + 1 - at
+        return stop
 
     def designated_eval(self):
         return self.p, self.w, self.k
@@ -329,7 +466,9 @@ class Posdc:
     An archive step whose iteration flips nothing is skipped before its
     parent draw: its offspring would duplicate an archived member, which
     weakly dominates it, so the step could change nothing. Skipping it is
-    exact in distribution.
+    exact in distribution. The archive steps walk a flip block's arrays and
+    visit only the iterations that flip; each draws its parent from
+    ``next_word`` by Lemire's method, in the order of the steps.
 
     The sides follow the paper's windows: S- is [C - eta, C) and S+ is
     [C, C + eta], so a member with C* exactly C stays in S+. It is designated
@@ -343,8 +482,9 @@ class Posdc:
         if eta < 1:
             raise ValueError("eta must be >= 1")
         self.ctx = ctx
-        self.next_flips = _gap_flips(rng, ctx.n)
-        self.parents = _IndexBlocks(rng)
+        self.flips = _gap_flips(rng, ctx.n)
+        self.next_flips = self.flips.next_flips
+        self.next_word = _words(rng)  # parent draws
         self.eta = eta
         self.repair_steps = 0
         self.archive = _Archive()
@@ -383,27 +523,51 @@ class Posdc:
     def step(self, capacity: int, first: int, end: int, record):
         if self.repair is not None:
             first = self._repair(capacity, first, end, record)
-        ctx, next_flips = self.ctx, self.next_flips
-        mutate, cstar, below = ctx.mutate, ctx.bound.cstar, self.parents.below
+        ctx, flips, next_word = self.ctx, self.flips, self.next_word
+        profits, weights, margin = ctx.profit_list, ctx.weight_list, ctx.bound.margin
         arc = self.archive
         dominated, insert = arc.has_weak_dominator, arc.insert
         members = arc.members  # changes in place until the next ``on_change``
         low, high = capacity - self.eta, capacity + self.eta
-        for i in range(first, end):
-            positions = next_flips()
-            # no flip leaves a duplicate of an archived member, which is
-            # always weakly dominated: the step changes nothing, so it draws
-            # no parent
-            if not positions:
-                continue
-            parent, p, w, k, _ = members[below(len(members))]
-            p, w, k = mutate(parent, p, w, k, positions)
-            c = cstar(w, k)
-            if low <= c <= high and not dominated(p, c, capacity):
-                at = insert(_flipped(parent, positions), p, w, k, c, capacity)
-                # the designated member is S-'s last, else S+'s first
-                if at == max(arc.m - 1, 0):
-                    record(i)
+        while first < end:  # a flip block at a time
+            stop = first + flips.room()
+            if stop > end:
+                stop = end
+            at = flips.at
+            flips.at = end_at = at + stop - first
+            flat, starts = flips.lists()
+            indices = flips.steps()[0]
+            # an iteration that flips nothing is skipped: no flip leaves a
+            # duplicate of an archived member, which is always weakly
+            # dominated, so the step changes nothing and draws no parent
+            for j in indices[bisect_left(indices, at):bisect_left(indices, end_at)]:
+                # a uniform parent by Lemire's multiply-and-reject, which is
+                # exact; the threshold ((2^64 - size) mod size) is below
+                # size, so it is needed only when the low word is
+                size = len(members)
+                prod = next_word() * size
+                if prod & _WORD_MASK < size:
+                    reject = ((1 << 64) - size) % size
+                    while prod & _WORD_MASK < reject:
+                        prod = next_word() * size
+                parent, p, w, k, _ = members[prod >> 64]
+                positions = flat[starts[j]:starts[j + 1]]
+                for x in positions:  # ``ctx.mutate``
+                    if parent[x]:
+                        p -= profits[x]
+                        w -= weights[x]
+                        k -= 1
+                    else:
+                        p += profits[x]
+                        w += weights[x]
+                        k += 1
+                c = w + margin[k]  # ``bound.cstar``
+                if low <= c <= high and not dominated(p, c, capacity):
+                    placed = insert(_flipped(parent, positions), p, w, k, c, capacity)
+                    # the designated member is S-'s last, else S+'s first
+                    if placed == max(arc.m - 1, 0):
+                        record(first + j - at)
+            first = stop
 
     def _repair(self, capacity: int, first: int, end: int, record) -> int:
         """Lexicographic repair steps from ``first`` until ``_end_repair``

@@ -259,6 +259,19 @@ def test_run_bad_config_fails_before_any_output(capsys, tmp_path, monkeypatch, f
     assert not (out_dir / "runs.csv").exists()
 
 
+def test_key_error_inside_a_campaign_is_a_runtime_failure(capsys, tmp_path, monkeypatch):
+    """No configuration path raises KeyError, so one from inside a campaign
+    is a bug at run time: exit 2, not the configuration error's 1."""
+
+    def broken_run_campaign(config):
+        raise KeyError("cell")
+
+    monkeypatch.setattr(cli, "run_campaign", broken_run_campaign)
+    code, out, err = run_cli(capsys, "run", "--n", "10", "--out", str(tmp_path / "camp"))
+    assert code == 2 and out == ""
+    assert err.startswith("runtime failure: ")
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under_file"])
 def test_run_out_that_cannot_be_a_directory_is_config_error(capsys, tmp_path, out):
     """--out naming a file, or a path under one, is a configuration error

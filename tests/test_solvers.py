@@ -20,7 +20,6 @@ from dcckp.solvers import (
     OnePlusOneEA,
     Posdc,
     _Archive,
-    _IndexBlocks,
     _flip_positions,
     _gap_flips,
     _make_solver,
@@ -28,6 +27,7 @@ from dcckp.solvers import (
     _replay_flips,
     _RunContext,
     _stream,
+    _words,
     crowding_distances,
     fast_nondominated_sort,
     run_algorithm,
@@ -185,7 +185,7 @@ def test_flip_blocks_match_independent_bit_flips(n):
     flip counts follow Bin(n, 1/n), also in the last eighth of each block,
     positions are uniform, and about (1 - 1/n)^n of the iterations flip
     nothing."""
-    next_flips = _replay_flips(np.random.default_rng(2024), n)
+    next_flips = _replay_flips(np.random.default_rng(2024), n).next_flips
     blocks = 80
     iters = blocks * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 80 block ends
     counts = np.empty(iters, np.int64)
@@ -209,7 +209,7 @@ def test_flip_blocks_match_independent_bit_flips(n):
 def test_flip_blocks_replay_a_per_iteration_draw(n):
     """A block reads the same uniforms as one rng.random(n) per iteration,
     so solver trajectories do not depend on the block size."""
-    next_flips = _replay_flips(np.random.default_rng(31), n)
+    next_flips = _replay_flips(np.random.default_rng(31), n).next_flips
     twin = np.random.default_rng(31)
     for _ in range(3 * MUTATION_BLOCK + 7):
         assert next_flips() == np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
@@ -242,10 +242,9 @@ def test_streams_draw_a_block_only_when_the_last_runs_out(stream):
     Generator calls keep the order of the iterations they serve."""
     rng = CountingGenerator(np.random.default_rng(9))
     draw = {"items": lambda: _stream(lambda: rng.integers(0, 9, MUTATION_BLOCK).tolist()),
-            "replay": lambda: _replay_flips(rng, 12),
-            "gaps": lambda: _gap_flips(rng, 12),
-            # a bound of 1 accepts every word: one word per draw
-            "words": lambda: functools.partial(_IndexBlocks(rng).below, 1)}[stream]()
+            "replay": lambda: _replay_flips(rng, 12).next_flips,
+            "gaps": lambda: _gap_flips(rng, 12).next_flips,
+            "words": lambda: _words(rng)}[stream]()
     assert rng.calls == 0
     for block in range(1, 4):
         draw()
@@ -299,7 +298,7 @@ def test_gap_flip_blocks_match_independent_bit_flips(n):
     at p > 0.001, fixed seed, thresholds fixed up front): each iteration's
     flip count follows Bin(n, 1/n), also in the last eighth of each block,
     and positions are uniform and ascending within an iteration."""
-    next_flips = _gap_flips(np.random.default_rng(2026), n)
+    next_flips = _gap_flips(np.random.default_rng(2026), n).next_flips
     blocks = 80
     counts, positions = [], []
     for _ in range(blocks * MUTATION_BLOCK):
@@ -335,7 +334,7 @@ def test_gap_flip_blocks_place_the_edge_cells(n):
     cells = n * MUTATION_BLOCK
 
     def first_block(gaps):
-        next_flips = _gap_flips(ScriptedGaps(gaps), n)
+        next_flips = _gap_flips(ScriptedGaps(gaps), n).next_flips
         return [next_flips() for _ in range(MUTATION_BLOCK)]
 
     assert first_block([1, cells - 1]) == [[0]] + [[]] * (MUTATION_BLOCK - 2) + [[n - 1]]
@@ -353,7 +352,7 @@ def test_posdc_draws_gap_blocks_and_the_ea_replays():
     def drawn(solver, stream):
         twin = np.random.default_rng(0)
         ctx.random_solution(twin)
-        next_flips = stream(twin, 12)
+        next_flips = stream(twin, 12).next_flips
         got = [solver.next_flips() for _ in range(iters)]
         return got, [next_flips() for _ in range(iters)]
 
@@ -368,7 +367,7 @@ def test_mutate_applies_the_drawn_flips():
     inst, ctx = make_ctx(n=12)
     rng = np.random.default_rng(3)
     bits, p, w, k = ctx.random_solution(rng)
-    next_flips = _replay_flips(np.random.default_rng(8), 12)
+    next_flips = _replay_flips(np.random.default_rng(8), 12).next_flips
     assert isinstance(bits, bytearray) and len(bits) == 12
     for _ in range(600):
         before = bytes(bits)
@@ -385,22 +384,37 @@ def test_mutate_applies_the_drawn_flips():
         bits, p, w, k = nb, np_, nw, nk
 
 
+def lemire_below(next_word, m):
+    """Uniform integer in [0, m) from the words of ``next_word()`` by
+    Lemire's multiply-and-reject method: the parent draw that
+    ``Posdc.step`` makes inline, which
+    ``test_posdc_archive_steps_match_the_reference_steps`` checks against
+    this one."""
+    while True:
+        prod = next_word() * m
+        low = prod & ((1 << 64) - 1)
+        # the threshold ((2^64 - m) mod m) is below m, so it is needed
+        # only when low is
+        if low >= m or low >= ((1 << 64) - m) % m:
+            return prod >> 64
+
+
 def test_index_blocks_uniform_below_changing_bounds():
-    draws = _IndexBlocks(np.random.default_rng(77))
+    next_word = _words(np.random.default_rng(77))
     for m in (1, 3, 40):
-        got = np.array([draws.below(m) for _ in range(2000 * m)])
+        got = np.array([lemire_below(next_word, m) for _ in range(2000 * m)])
         assert got.min() >= 0 and got.max() < m
         if m > 1:
             assert stats.chisquare(np.bincount(got, minlength=m)).pvalue > 1e-3
     # a bound just above 2^63 rejects almost half of the words and must
     # still stay in range
     big = (1 << 63) + 1
-    assert all(0 <= draws.below(big) < big for _ in range(100))
+    assert all(0 <= lemire_below(next_word, big) < big for _ in range(100))
 
 
 class WordIndexBlocks:
-    """``_IndexBlocks`` as it was written with a separate word fetch: the
-    reference ``below`` must replay."""
+    """Lemire's method written with a separate word fetch and an explicit
+    rejection loop: ``lemire_below`` on ``_words`` must replay it."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -433,15 +447,15 @@ def test_index_blocks_replay_a_word_by_word_reference():
     """Same draws and the same words consumed as the word-by-word Lemire
     reference, across block ends and through the rejection path."""
     rng = np.random.default_rng(5)
-    draws = _IndexBlocks(rng)
+    next_word = _words(rng)
     ref = WordIndexBlocks(np.random.default_rng(5))
     bounds = (1, 2, 3, 20, 1000, (1 << 63) + 1, (1 << 64) - 1, 1 << 63)
     for t in range(5 * MUTATION_BLOCK):
         m = bounds[t % len(bounds)]
-        assert draws.below(m) == ref.below(m)
+        assert lemire_below(next_word, m) == ref.below(m)
     assert ref.rejections > 100
     assert rng.integers(0, 1 << 62) == ref.rng.integers(0, 1 << 62)
-    assert draws.below(7) == ref.below(7)  # mid-block position kept
+    assert lemire_below(next_word, 7) == ref.below(7)  # mid-block position kept
 
 
 # -- archive ------------------------------------------------------------------
@@ -892,7 +906,7 @@ def test_posdc_repair_reaches_window_and_seeds():
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
-def test_posdc_seeds_when_the_window_reaches_the_repair_incumbent(kind, monkeypatch):
+def test_posdc_seeds_when_the_window_reaches_the_repair_incumbent(kind):
     """A capacity change whose window holds the repair incumbent's C* seeds
     the archive at the change, without a further repair step, and the next
     step mutates an archive member."""
@@ -909,16 +923,29 @@ def test_posdc_seeds_when_the_window_reaches_the_repair_incumbent(kind, monkeypa
     member = pos.best()
     assert (bytes(member[0]), *member[1:]) == incumbent
     assert pos.repair_steps == 3
-    draws = []
-    below = _IndexBlocks.below
-
-    def counted(self, m):
-        draws.append(m)
-        return below(self, m)
-
-    monkeypatch.setattr(_IndexBlocks, "below", counted)
+    draws = count_parent_draws(pos)
     pos.step(capacity, 3, 4, ignore)
     assert draws == [1] and pos.repair_steps == 3
+
+
+def count_parent_draws(pos, draws=None):
+    """The archive size at each parent draw of ``pos`` from now on: each
+    word it reads, as a bound below 2^64 minus a few thousand rejects a
+    word with a chance below 2^-50."""
+    draws = [] if draws is None else draws
+    next_word = pos.next_word
+
+    def counted():
+        draws.append(pos.archive_size())
+        return next_word()
+
+    pos.next_word = counted
+    return draws
+
+
+def last_flips(flips):
+    """The flip positions of the iteration a flip stream read last."""
+    return flips.positions[flips.starts[flips.at - 1]:flips.starts[flips.at]].tolist()
 
 
 def archive_rows(pos):
@@ -926,7 +953,7 @@ def archive_rows(pos):
 
 
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
-def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
+def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind):
     """An archive step whose iteration flips nothing draws no parent and
     leaves the archive and the records as they were; every other step
     draws one parent from the whole archive. A stretch taken in one call
@@ -941,30 +968,15 @@ def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
         assert pos.repair is None
         return pos
 
-    draws = []
-    below = _IndexBlocks.below
-
-    def counted(self, m):
-        draws.append(m)
-        return below(self, m)
-
-    monkeypatch.setattr(_IndexBlocks, "below", counted)
     single, records, flipping = make(), [], 0
-    drawn_flips = []
-    next_flips = single.next_flips
-
-    def watched():
-        drawn_flips.append(next_flips())
-        return drawn_flips[-1]
-
-    single.next_flips = watched
+    draws = count_parent_draws(single)
     iters = 3 * MUTATION_BLOCK + 7
     for i in range(iters):
         before, size = archive_rows(single), single.archive_size()
         drawn = len(draws)
         single.step(capacity, i, i + 1, records.append)
-        assert len(drawn_flips) == i + 1  # one mutation per step
-        if not drawn_flips[-1]:
+        assert single.flips.at == i % MUTATION_BLOCK + 1  # one mutation per step
+        if not last_flips(single.flips):
             assert len(draws) == drawn and archive_rows(single) == before
             assert i not in records
         else:
@@ -974,6 +986,7 @@ def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind, monkeypatch):
 
     draws.clear()
     whole = make()
+    count_parent_draws(whole, draws)
     whole.step(capacity, 0, iters, ignore)
     assert len(draws) == flipping
     assert archive_rows(whole) == archive_rows(single)
@@ -1010,6 +1023,88 @@ def test_posdc_repair_cap_raises(monkeypatch):
     assert pos.repair_steps == 4
 
 
+def stretch_plan(inst, tau, total, eta, seed):
+    """(capacity, first, end) of each stretch of ``tau`` iterations of a
+    schedule whose capacity starts at W / 2 and moves by up to 4 eta at each
+    change, kept in [1, W] (W the total expected weight)."""
+    rng = np.random.default_rng(seed)
+    top = inst.total_expected_weight()
+    capacity, plan = top // 2, []
+    for first in range(0, total, tau):
+        plan.append((capacity, first, min(first + tau, total)))
+        capacity = int(np.clip(capacity + rng.integers(-4 * eta, 4 * eta + 1), 1, top))
+    return plan
+
+
+def reference_archive_steps(pos, capacity, first, end, record):
+    """POSDC's archive steps from ``first`` to ``end`` as calls of
+    ``_RunContext.mutate``, ``TailBound.cstar`` and ``lemire_below``, the
+    helpers that ``Posdc.step`` writes inline; the same windows, dominance
+    query, insert and record rule."""
+    ctx, arc = pos.ctx, pos.archive
+    low, high = capacity - pos.eta, capacity + pos.eta
+    for i in range(first, end):
+        positions = pos.next_flips()
+        if not positions:
+            continue
+        members = arc.members
+        parent, p, w, k, _ = members[lemire_below(pos.next_word, len(members))]
+        p, w, k = ctx.mutate(parent, p, w, k, positions)
+        c = ctx.bound.cstar(w, k)
+        if low <= c <= high and not arc.has_weak_dominator(p, c, capacity):
+            if arc.insert(_flipped(parent, positions), p, w, k, c, capacity) == max(arc.m - 1, 0):
+                record(i)
+
+
+@pytest.mark.parametrize("words", ["generator", "scripted"])
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+@pytest.mark.parametrize("n", [12, 100, 1000])
+def test_posdc_archive_steps_match_the_reference_steps(n, kind, words):
+    """``Posdc.step`` draws each parent, mutates it and takes its C* as
+    ``reference_archive_steps`` does with the helpers: after every stretch
+    of a shifting schedule the archive, the repair state, the records and
+    the Generator's state agree. The scripted words are zero a quarter of
+    the time, which a bound that is not a power of two rejects, so the
+    inline draw's rejection loop runs as well."""
+    inst = generate_instance("uncorrelated", n, 25, seed=n)
+    ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
+    eta = max(1, inst.total_expected_weight() // 20)
+    plan = stretch_plan(inst, 250, 4000, eta, seed=n)
+    live_rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    live = Posdc(ctx, live_rng, plan[0][0], eta)
+    ref = Posdc(ctx, ref_rng, plan[0][0], eta)
+    zeros, peak = [], 0
+    if words == "scripted":
+        script = np.random.default_rng(99).integers(0, 1 << 64, 20_000, np.uint64)
+        script[np.random.default_rng(98).random(script.size) < 0.25] = 0
+        live.next_word = iter(script.tolist()).__next__
+        ref_words = iter(script.tolist()).__next__
+
+        def counted():
+            word = ref_words()
+            zeros.append(word == 0)
+            return word
+
+        ref.next_word = counted
+    for n_seg, (capacity, first, end) in enumerate(plan):
+        if n_seg:
+            live.on_change(capacity)
+            ref.on_change(capacity)
+        got, want = [], []
+        live.step(capacity, first, end, got.append)
+        if ref.repair is not None:
+            first = ref._repair(capacity, first, end, want.append)
+        reference_archive_steps(ref, capacity, first, end, want.append)
+        assert got == want
+        assert archive_rows(live) == archive_rows(ref)
+        assert (live.repair and bytes(live.repair[0]), live.repair_steps) == (
+            ref.repair and bytes(ref.repair[0]), ref.repair_steps)
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+        peak = max(peak, live.archive_size())
+    assert peak > 1
+    assert words == "generator" or sum(zeros) > 100
+
+
 def test_posdc_eta_validation():
     inst, ctx = make_ctx()
     with pytest.raises(ValueError):
@@ -1044,6 +1139,116 @@ def test_ea_recovers_feasibility_after_capacity_drop():
     ea.on_change(low)
     ea.step(low, 4000, 10_000, ignore)
     assert ctx.bound.tail(ea.w, ea.k, low) <= 0.01
+
+
+class ReferenceEA:
+    """The (1+1)-EA as the paper states it (Assimi et al., 2020): a step
+    that flips something builds its offspring's bits, scores offspring and
+    incumbent with the full lexicographic fitness (violation, then profit)
+    and keeps the offspring when it is at least as good. No feasible-
+    incumbent shortcut and no screen. It reads the flip stream of a live
+    ``OnePlusOneEA`` built on its Generator, which also gives its initial
+    solution."""
+
+    def __init__(self, ctx, rng, capacity):
+        live = OnePlusOneEA(ctx, rng, capacity)
+        self.ctx, self.next_flips = ctx, live.next_flips
+        self.bits, self.p, self.w, self.k = bytes(live.bits), live.p, live.w, live.k
+
+    def fitness(self, p, w, k, capacity):
+        return self.ctx.lex_violation(w, k, capacity), -p
+
+    def step(self, capacity, first, end, record):
+        for i in range(first, end):
+            positions = self.next_flips()
+            if not positions:
+                continue
+            child = np.frombuffer(self.bits, np.uint8).copy()
+            child[positions] ^= 1
+            p, w, k = (int(child @ self.ctx.profits), int(child @ self.ctx.weights),
+                       int(child.sum()))
+            if self.fitness(p, w, k, capacity) <= self.fitness(self.p, self.w, self.k, capacity):
+                self.bits, self.p, self.w, self.k = child.tobytes(), p, w, k
+                record(i)
+
+
+def ea_schedule_case(n, kind, tau):
+    """A ``_RunContext`` and a stretch plan: alpha 0.01 at tau 25 (churn's),
+    1e-4 at tau 1000 (desk's and wide's)."""
+    inst = generate_instance("uncorrelated", n, 25, seed=n)
+    ctx = _RunContext(inst, ChanceParams(0.01 if tau == 25 else 1e-4, 25, kind))
+    eta = max(1, inst.total_expected_weight() // 20)
+    return ctx, stretch_plan(inst, tau, 2000 if tau == 25 else 8000, eta, seed=n + tau)
+
+
+@pytest.mark.parametrize("tau", [25, 1000])
+@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
+@pytest.mark.parametrize("n", [1, 2, 12, 100, 1000])
+def test_ea_matches_the_reference_ea(n, kind, tau):
+    """``OnePlusOneEA`` stepped beside ``ReferenceEA`` on twin Generators
+    through a schedule whose capacity moves by up to 4 eta: after every
+    stretch both hold the same incumbent, made the same record calls and
+    leave their Generators in the same state."""
+    ctx, plan = ea_schedule_case(n, kind, tau)
+    live_rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    live = OnePlusOneEA(ctx, live_rng, plan[0][0])
+    ref = ReferenceEA(ctx, ref_rng, plan[0][0])
+    kept = 0
+    for capacity, first, end in plan:
+        live.on_change(capacity)
+        got, want = [], []
+        live.step(capacity, first, end, got.append)
+        ref.step(capacity, first, end, want.append)
+        assert got == want
+        assert (bytes(live.bits), live.p, live.w, live.k) == (ref.bits, ref.p, ref.w, ref.k)
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+        kept += len(got)
+    assert kept > 0
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_reference_schedules_take_screened_and_scalar_steps(n, monkeypatch):
+    """The desk-shaped cases of ``test_ea_matches_the_reference_ea`` keep
+    offspring both in screened blocks and in scalar steps."""
+    screened = []
+    screen = OnePlusOneEA._screen
+
+    def counted(self, capacity, i, stop, record):
+        after = screen(self, capacity, i, stop, record)
+        screened.append(after < stop or self._kept_at == after - 1)
+        return after
+
+    monkeypatch.setattr(OnePlusOneEA, "_screen", counted)
+    ctx, plan = ea_schedule_case(n, CHEBYSHEV, 1000)
+    ea = OnePlusOneEA(ctx, np.random.default_rng(n), plan[0][0])
+    records = []
+    for capacity, first, end in plan:
+        ea.step(capacity, first, end, records.append)
+    assert 0 < sum(screened) < len(records)
+
+
+def test_screen_rejects_only_violations():
+    """``passes_screen`` is false only for a violating solution: for
+    delta in {1, 25, 50, 100}, alpha in {0.5, 0.1, 0.01, 1e-3, 1e-4}, both
+    families, k <= 1000 and every integer gap C - w within a few units of
+    the screen's margin and of the family's margin, each (w, k, C) it
+    rejects has ``lex_violation(w, k, C) > 0``. An empty solution weighs 0;
+    w = 0 keeps the float sum w + margin exact, where a large w rounds it."""
+    for kind in (CHEBYSHEV, CHERNOFF):
+        for delta in (1, 25, 50, 100):
+            inst = generate_instance("uncorrelated", 1000, delta, seed=1)
+            for alpha in (0.5, 0.1, 0.01, 1e-3, 1e-4):
+                ctx = _RunContext(inst, ChanceParams(alpha, delta, kind))
+                rows = [(w, k, gap) for k in range(1001)
+                        for w in ((0, 10 ** 6) if k else (0,))
+                        for edge in (ctx.screen_margin[k], ctx.bound.margin[k])
+                        for gap in range(math.floor(edge) - 3, math.floor(edge) + 5)]
+                ws, ks, gaps = np.array(rows).T
+                rejected = ~ctx.passes_screen(ws, ks, ws + gaps)
+                assert rejected.sum() > 1000
+                for w, k, gap in zip(ws[rejected].tolist(), ks[rejected].tolist(),
+                                     gaps[rejected].tolist()):
+                    assert ctx.lex_violation(w, k, w + gap) > 0, (kind, delta, alpha, w, k, gap)
 
 
 # -- NSGA-II ------------------------------------------------------------------
@@ -1819,7 +2024,7 @@ def solver_state(solver, rng):
     flips = [solver.next_flips() for _ in range(MUTATION_BLOCK + 1)]
     if isinstance(solver, OnePlusOneEA):
         return bytes(solver.bits), solver.p, solver.w, solver.k, flips, state
-    parents = [solver.parents.below(1 << 62) for _ in range(MUTATION_BLOCK + 1)]
+    parents = [solver.next_word() for _ in range(MUTATION_BLOCK + 1)]
     repair = solver.repair and (bytes(solver.repair[0]), *solver.repair[1:])
     arc = solver.archive
     archive = ([(bytes(b), *row) for b, *row in arc.members], arc._c, arc._p, arc.m)
