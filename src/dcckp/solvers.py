@@ -34,17 +34,19 @@ are copied from the parent only when the offspring is kept, and a feasible
 incumbent rejects a lower-profit offspring without evaluating the bound
 (violations are never negative, so this is exact).
 
-Both read standard bit mutation from a flip stream, ``next_flips()``, which
-returns one iteration's ascending flip positions (``[]`` when nothing flips)
-and draws ``MUTATION_BLOCK`` iterations at a time, a block only when its
-first iteration is due. POSDC's stream comes from geometric gaps
-(``_gap_flips``), about one draw per flip. The (1+1)-EA's replays one
-``rng.random(n)`` per iteration (``_replay_flips``), which costs n uniforms an
-iteration but keeps its trajectories: acceptance criterion 4's 95/100
-threshold sits at the EA's measured success rate, so a new EA stream fails
-it about half the time. Both skip an iteration that flips nothing: its
-offspring would be an exact copy. NSGA-II reads a stream of the same kind,
-one item per generation with all of its draws, drawn
+Both read standard bit mutation from a flip stream, ``_FlipBlocks``, which
+draws ``MUTATION_BLOCK`` iterations at a time, a block only when its first
+iteration is due, and keeps one view of the block at hand: each iteration's
+ascending flip positions and the iterations that flip something. Every
+reader (``lex_run``, the screen and POSDC's archive step) walks a stretch a
+piece of a block at a time and visits only the iterations that flip: an
+offspring that flips nothing would be an exact copy. POSDC's stream comes
+from geometric gaps (``_gap_flips``), about one draw per flip. The
+(1+1)-EA's replays one ``rng.random(n)`` per iteration (``_replay_flips``),
+which costs n uniforms an iteration but keeps its trajectories: acceptance
+criterion 4's 95/100 threshold sits at the EA's measured success rate, so a
+new EA stream fails it about half the time. NSGA-II reads a stream of the
+same kind, one item per generation with all of its draws, drawn
 ``MUTATION_BLOCK // pop_size`` generations at a time (``Nsga2._draw_block``).
 
 The (1+1)-EA screens its flip blocks while its incumbent is feasible, in a
@@ -60,7 +62,7 @@ profit and violation 0, so screened steps keep what scalar steps keep,
 decided by the same floats. Every other piece of a stretch takes scalar
 steps. POSDC's archive step draws its parent, mutates it and takes its C*
 in its own loop, by the rules of ``_words``, ``_RunContext.mutate`` and
-``TailBound.cstar``, and it passes over the iterations that flip nothing.
+``TailBound.cstar``.
 """
 
 from __future__ import annotations
@@ -98,14 +100,13 @@ class _FlipBlocks:
     The block that holds the next iteration is ``positions`` and ``starts``
     (iteration j of it flips ``positions[starts[j]:starts[j + 1]]``), and
     ``at`` is that iteration's index in it; ``lists()`` gives both as Python
-    lists. ``next_flips()`` reads one iteration, ``take(count)`` the next
-    ``count`` of one block, and a solver that walks the arrays moves ``at``
-    itself. ``room()`` draws the next block once ``at`` has reached the last
-    one's end, and a reader calls it first, so a block is drawn when its
-    first iteration is due and never ahead."""
+    lists and ``steps()`` its iterations that flip something. A reader walks
+    its iterations a piece at a time (``piece``) and moves ``at`` past what
+    it has read. ``room()`` draws the next block once ``at`` has reached the
+    last one's end, and a reader calls it first, so a block is drawn when
+    its first iteration is due and never ahead."""
 
-    __slots__ = ("n", "draw_hits", "positions", "starts", "at", "_lists", "_split",
-                 "_steps")
+    __slots__ = ("n", "draw_hits", "positions", "starts", "at", "_lists", "_steps")
 
     def __init__(self, n: int, draw_hits):
         self.n, self.draw_hits = n, draw_hits
@@ -119,7 +120,7 @@ class _FlipBlocks:
             iteration = hits // self.n
             self.positions = hits - iteration * self.n
             self.starts = iteration.searchsorted(np.arange(MUTATION_BLOCK + 1))
-            self.at, self._lists, self._split, self._steps = 0, None, None, None
+            self.at, self._lists, self._steps = 0, None, None
         return MUTATION_BLOCK - self.at
 
     def lists(self):
@@ -136,21 +137,21 @@ class _FlipBlocks:
             self._steps = flipping.tolist(), starts[flipping]
         return self._steps
 
-    def take(self, count: int):
-        """``next_flips`` of the next ``count`` iterations, which must lie in
-        the block at hand (``room()`` has drawn it)."""
-        if self._split is None:
-            positions, starts = self.lists()
-            self._split = [positions[a:b] for a, b in zip(starts, starts[1:])]
+    def piece(self, first: int, end: int):
+        """(stop, offset, positions, starts, flipping) of the iterations
+        ``first`` .. ``stop - 1`` of a walk over ``[first, end)``, the most
+        that the block at hand holds: ``lists()`` and the block indices of
+        the piece's iterations that flip something, iteration ``offset + j``
+        being the block's j. Moves ``at`` past the piece."""
+        stop = first + self.room()
+        if stop > end:
+            stop = end
         at = self.at
-        self.at = at + count
-        return iter(self._split[at:at + count]).__next__
-
-    def next_flips(self) -> list:
-        """One iteration's ascending flip positions, ``[]`` when nothing
-        flips."""
-        self.room()
-        return self.take(1)()
+        self.at = stop - first + at
+        positions, starts = self.lists()
+        indices = self.steps()[0]
+        return (stop, first - at, positions, starts,
+                indices[bisect_left(indices, at):bisect_left(indices, self.at)])
 
 
 def _replay_flips(rng, n: int) -> _FlipBlocks:
@@ -235,33 +236,38 @@ class _RunContext:
             v += w - capacity
         return v
 
-    def lex_run(self, next_flips, incumbent, capacity: int, first: int, end: int):
+    def lex_run(self, flips: _FlipBlocks, incumbent, capacity: int, first: int, end: int):
         """(1+1) steps under lexicographic acceptance at iterations
         ``first`` .. ``end - 1`` from ``incumbent`` = (bits, p, w, k), each
-        mutating with one call of ``next_flips``.
+        mutating with the next iteration of ``flips``, a piece at a time.
 
         An offspring replaces the incumbent when it is at least as good:
         smaller violation, or equal violation and at least the profit. An
-        offspring identical to the incumbent is never kept, since keeping
-        it would change nothing. Yields (i, incumbent) after every step
-        ``i`` that replaced it, the only steps that change the designated
-        solution; a caller that stops iterating takes no further step.
+        iteration that flips nothing is passed over: its offspring would be
+        the incumbent, and keeping it would change nothing. Yields (i,
+        incumbent) after every step ``i`` that replaced it, the only steps
+        that change the designated solution, with ``flips.at`` just past
+        step ``i``: a caller that stops iterating takes no further step, and
+        its next reader of ``flips`` starts at step ``i + 1``.
         """
         mutate, lex_violation = self.mutate, self.lex_violation
         bits, p, w, k = incumbent
         v = lex_violation(w, k, capacity)
-        for i in range(first, end):
-            positions = next_flips()
-            if not positions:
-                continue
-            cp, cw, ck = mutate(bits, p, w, k, positions)
-            # a feasible incumbent (v == 0) keeps its place against any
-            # lower profit: the offspring's violation cannot be smaller
-            if v or cp >= p:
-                cv = lex_violation(cw, ck, capacity)
-                if cv < v or (cv == v and cp >= p):
-                    bits, p, w, k, v = _flipped(bits, positions), cp, cw, ck, cv
-                    yield i, (bits, p, w, k)
+        while first < end:
+            stop, offset, flat, starts, flipping = flips.piece(first, end)
+            for j in flipping:
+                positions = flat[starts[j]:starts[j + 1]]
+                cp, cw, ck = mutate(bits, p, w, k, positions)
+                # a feasible incumbent (v == 0) keeps its place against any
+                # lower profit: the offspring's violation cannot be smaller
+                if v or cp >= p:
+                    cv = lex_violation(cw, ck, capacity)
+                    if cv < v or (cv == v and cp >= p):
+                        bits, p, w, k, v = _flipped(bits, positions), cp, cw, ck, cv
+                        flips.at = j + 1
+                        yield offset + j, (bits, p, w, k)
+            flips.at = stop - offset
+            first = stop
 
     def random_solution(self, rng):
         bits = rng.integers(0, 2, self.n, np.uint8)
@@ -296,21 +302,20 @@ def _flipped(bits: bytearray, positions) -> bytearray:
 class OnePlusOneEA:
     """(1+1)-EA with lexicographic (violation, profit) acceptance.
 
-    A step call walks its stretch a flip block at a time. A piece of a
-    stretch of at least ``SCREEN_MIN`` iterations is screened (``_screen``)
-    when the incumbent is feasible and kept offspring are sparse: the last
-    lies ``SCREEN_MIN`` iterations back, or their mean spacing is at least
-    that. One numpy pass costs about as much as that many scalar steps, so
-    dense acceptance, as early in a run at n = 1000, takes scalar steps.
-    Every other piece takes the scalar ``lex_run``; both keep the same
-    offspring."""
+    A step call of at least ``SCREEN_MIN`` iterations walks its stretch a
+    flip block at a time, and screens a piece (``_screen``) when the
+    incumbent is feasible and kept offspring are sparse: the last lies
+    ``SCREEN_MIN`` iterations back, or their mean spacing is at least that.
+    One numpy pass costs about as much as that many scalar steps, so dense
+    acceptance, as early in a run at n = 1000, takes scalar steps. Every
+    other piece, and a shorter stretch whole, takes the scalar ``lex_run``;
+    both keep the same offspring."""
 
     stride = 1  # iterations charged per step
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
         self.flips = _replay_flips(rng, ctx.n)
-        self.next_flips = self.flips.next_flips
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
         self._deltas_of = None  # the bits ``_deltas`` was built from
         # the last kept offspring's iteration and a running mean of the
@@ -330,15 +335,13 @@ class OnePlusOneEA:
         ctx, flips = self.ctx, self.flips
         screened = end - first >= SCREEN_MIN
         while first < end:
-            stop = first + flips.room()  # the end of the block at hand
-            if stop > end:
-                stop = end
+            # a screened stretch decides block by block, a short one is one run
+            stop = min(first + flips.room(), end) if screened else end
             if (screened and (first - self._kept_at >= SCREEN_MIN or self._spacing >= SCREEN_MIN)
                     and not ctx.lex_violation(self.w, self.k, capacity)):
                 first = self._screen(capacity, first, stop, record)
                 continue
-            run = ctx.lex_run(flips.take(stop - first), (self.bits, self.p, self.w, self.k),
-                              capacity, first, stop)
+            run = ctx.lex_run(flips, (self.bits, self.p, self.w, self.k), capacity, first, stop)
             for i, (self.bits, self.p, self.w, self.k) in run:
                 record(i)
                 if screened:
@@ -466,9 +469,10 @@ class Posdc:
     An archive step whose iteration flips nothing is skipped before its
     parent draw: its offspring would duplicate an archived member, which
     weakly dominates it, so the step could change nothing. Skipping it is
-    exact in distribution. The archive steps walk a flip block's arrays and
-    visit only the iterations that flip; each draws its parent from
-    ``next_word`` by Lemire's method, in the order of the steps.
+    exact in distribution. The archive steps, like the repair's
+    ``lex_run``, walk a flip block a piece at a time and visit only the
+    iterations that flip; each draws its parent from ``next_word`` by
+    Lemire's method, in the order of the steps.
 
     The sides follow the paper's windows: S- is [C - eta, C) and S+ is
     [C, C + eta], so a member with C* exactly C stays in S+. It is designated
@@ -483,7 +487,6 @@ class Posdc:
             raise ValueError("eta must be >= 1")
         self.ctx = ctx
         self.flips = _gap_flips(rng, ctx.n)
-        self.next_flips = self.flips.next_flips
         self.next_word = _words(rng)  # parent draws
         self.eta = eta
         self.repair_steps = 0
@@ -530,17 +533,11 @@ class Posdc:
         members = arc.members  # changes in place until the next ``on_change``
         low, high = capacity - self.eta, capacity + self.eta
         while first < end:  # a flip block at a time
-            stop = first + flips.room()
-            if stop > end:
-                stop = end
-            at = flips.at
-            flips.at = end_at = at + stop - first
-            flat, starts = flips.lists()
-            indices = flips.steps()[0]
+            first, offset, flat, starts, flipping = flips.piece(first, end)
             # an iteration that flips nothing is skipped: no flip leaves a
             # duplicate of an archived member, which is always weakly
             # dominated, so the step changes nothing and draws no parent
-            for j in indices[bisect_left(indices, at):bisect_left(indices, end_at)]:
+            for j in flipping:
                 # a uniform parent by Lemire's multiply-and-reject, which is
                 # exact; the threshold ((2^64 - size) mod size) is below
                 # size, so it is needed only when the low word is
@@ -566,8 +563,7 @@ class Posdc:
                     placed = insert(_flipped(parent, positions), p, w, k, c, capacity)
                     # the designated member is S-'s last, else S+'s first
                     if placed == max(arc.m - 1, 0):
-                        record(first + j - at)
-            first = stop
+                        record(offset + j)
 
     def _repair(self, capacity: int, first: int, end: int, record) -> int:
         """Lexicographic repair steps from ``first`` until ``_end_repair``
@@ -576,7 +572,7 @@ class Posdc:
         returns the iteration after the last repair step, and raises in
         place of step ``REPAIR_STEP_CAP + 1``."""
         stop = min(end, first + REPAIR_STEP_CAP - self.repair_steps)
-        run = self.ctx.lex_run(self.next_flips, self.repair, capacity, first, stop)
+        run = self.ctx.lex_run(self.flips, self.repair, capacity, first, stop)
         for i, self.repair in run:
             seeded = self._end_repair(capacity)
             record(i)

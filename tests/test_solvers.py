@@ -1,6 +1,5 @@
 import functools
 import gc
-import itertools
 import math
 import weakref
 
@@ -46,10 +45,23 @@ def ignore(i):
     pass
 
 
-def FixedFlips(positions, *times):
-    """Stands in for a solver's flip stream: every iteration flips the same
-    positions, for ``times`` iterations if given."""
-    return itertools.repeat(list(positions or ()), *times).__next__
+def read_flips(flips):
+    """The next iteration's ascending flip positions of the flip stream
+    ``flips`` (``[]`` when nothing flips), read one iteration at a time:
+    draws a block only when its first iteration is due."""
+    flips.room()
+    positions, starts = flips.lists()
+    at = flips.at
+    flips.at = at + 1
+    return positions[starts[at]:starts[at + 1]]
+
+
+def scripted_flips(n, *iterations):
+    """A flip stream on n bits whose first block's iterations flip the
+    positions ``iterations`` lists, and later ones nothing, from scripted
+    gaps (``ScriptedGaps``)."""
+    hits = [j * n + x for j, positions in enumerate(iterations) for x in positions]
+    return _gap_flips(ScriptedGaps(np.diff(hits, prepend=-1).tolist()), n)
 
 
 def test_lex_better_or_equal_cases():
@@ -70,10 +82,9 @@ def test_lex_better_or_equal_cases():
         """The incumbent after one step, and whether the offspring won; a
         rejected offspring yields nothing."""
         before = bytes(incumbent[0])
-        source = FixedFlips(flips, 1)
+        source = scripted_flips(4, flips or [])
         run = list(ctx.lex_run(source, incumbent, capacity, 7, 8))
-        with pytest.raises(StopIteration):
-            source()  # one step drew one mutation
+        assert source.at == 1  # one step drew one mutation
         assert bytes(incumbent[0]) == before  # offspring are copies
         if not run:
             return incumbent, False
@@ -129,10 +140,61 @@ def test_lex_run_rejects_lower_profit_against_a_feasible_incumbent_unevaluated(
 
     monkeypatch.setattr(_RunContext, "lex_violation", counted)
     incumbent = (bytearray([1, 0, 0]), 40, 300, 1)
-    list(ctx.lex_run(FixedFlips([0, 2]), incumbent, 2000, 0, 5))
+    list(ctx.lex_run(scripted_flips(3, *[[0, 2]] * 5), incumbent, 2000, 0, 5))
     assert calls == [(300, 1, 2000)]  # the incumbent's own, once per call
-    list(ctx.lex_run(FixedFlips([0, 1]), incumbent, 2000, 0, 1))
+    list(ctx.lex_run(scripted_flips(3, [0, 1]), incumbent, 2000, 0, 1))
     assert calls[1:] == [(300, 1, 2000), (300, 1, 2000)]
+
+
+def test_lex_run_resumes_after_the_step_it_stopped_at():
+    """``lex_run`` over a stretch from block iteration 250 into the next
+    block, from an overweight incumbent. A caller that stops after the first
+    kept step leaves the stream just past it, with no block drawn early; run
+    to the end, it keeps the offspring that steps reading one iteration at a
+    time keep, and has drawn two blocks from its Generator."""
+    inst, ctx = make_ctx(n=12, seed=5)
+    capacity = inst.total_expected_weight() // 3
+    ones = np.ones(12, np.uint8)
+    incumbent = (bytearray(ones), int(inst.profits.sum()), int(inst.weights.sum()), 12)
+    first, end = 250, MUTATION_BLOCK + 20
+
+    def stream():
+        """A replayed flip stream read up to block iteration ``first``, and
+        its twin Generator, drawn as far."""
+        rng = CountingGenerator(np.random.default_rng(17))
+        flips, twin = _replay_flips(rng, 12), np.random.default_rng(17)
+        for _ in range(first):
+            read_flips(flips)
+        twin.random(12 * first)
+        return flips, rng, twin
+
+    def per_iteration(twin, i):
+        return np.flatnonzero(twin.random(12) < 1.0 / 12).tolist()
+
+    flips, rng, twin = stream()
+    i, _ = next(ctx.lex_run(flips, incumbent, capacity, first, end))
+    assert first <= i < MUTATION_BLOCK and flips.at == i + 1 and rng.calls == 1
+    for j in range(first, i + 1):
+        per_iteration(twin, j)
+    for j in range(i + 1, end):
+        assert read_flips(flips) == per_iteration(twin, j)
+        assert rng.calls == 1 + (j >= MUTATION_BLOCK)
+
+    flips, rng, twin = stream()
+    got = [(i, bytes(bits), p, w, k)
+           for i, (bits, p, w, k) in ctx.lex_run(flips, incumbent, capacity, first, end)]
+    want, (bits, p, w, k) = [], incumbent
+    for i in range(first, end):
+        positions = per_iteration(twin, i)
+        if positions:
+            cp, cw, ck = ctx.mutate(bits, p, w, k, positions)
+            if (ctx.lex_violation(cw, ck, capacity), -cp) <= (ctx.lex_violation(w, k, capacity), -p):
+                bits, p, w, k = _flipped(bits, positions), cp, cw, ck
+                want.append((i, bytes(bits), p, w, k))
+    assert got == want and got[0][0] < MUTATION_BLOCK <= got[-1][0]
+    assert flips.at == end - MUTATION_BLOCK and rng.calls == 2
+    twin.random(12 * (2 * MUTATION_BLOCK - end))  # the rest of the second block
+    assert rng.rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_posdc_dominates_cases():
@@ -185,7 +247,7 @@ def test_flip_blocks_match_independent_bit_flips(n):
     flip counts follow Bin(n, 1/n), also in the last eighth of each block,
     positions are uniform, and about (1 - 1/n)^n of the iterations flip
     nothing."""
-    next_flips = _replay_flips(np.random.default_rng(2024), n).next_flips
+    next_flips = functools.partial(read_flips, _replay_flips(np.random.default_rng(2024), n))
     blocks = 80
     iters = blocks * MUTATION_BLOCK + MUTATION_BLOCK // 2  # crosses 80 block ends
     counts = np.empty(iters, np.int64)
@@ -209,7 +271,7 @@ def test_flip_blocks_match_independent_bit_flips(n):
 def test_flip_blocks_replay_a_per_iteration_draw(n):
     """A block reads the same uniforms as one rng.random(n) per iteration,
     so solver trajectories do not depend on the block size."""
-    next_flips = _replay_flips(np.random.default_rng(31), n).next_flips
+    next_flips = functools.partial(read_flips, _replay_flips(np.random.default_rng(31), n))
     twin = np.random.default_rng(31)
     for _ in range(3 * MUTATION_BLOCK + 7):
         assert next_flips() == np.flatnonzero(twin.random(n) < 1.0 / n).tolist()
@@ -242,8 +304,8 @@ def test_streams_draw_a_block_only_when_the_last_runs_out(stream):
     Generator calls keep the order of the iterations they serve."""
     rng = CountingGenerator(np.random.default_rng(9))
     draw = {"items": lambda: _stream(lambda: rng.integers(0, 9, MUTATION_BLOCK).tolist()),
-            "replay": lambda: _replay_flips(rng, 12).next_flips,
-            "gaps": lambda: _gap_flips(rng, 12).next_flips,
+            "replay": lambda: functools.partial(read_flips, _replay_flips(rng, 12)),
+            "gaps": lambda: functools.partial(read_flips, _gap_flips(rng, 12)),
             "words": lambda: _words(rng)}[stream]()
     assert rng.calls == 0
     for block in range(1, 4):
@@ -298,7 +360,7 @@ def test_gap_flip_blocks_match_independent_bit_flips(n):
     at p > 0.001, fixed seed, thresholds fixed up front): each iteration's
     flip count follows Bin(n, 1/n), also in the last eighth of each block,
     and positions are uniform and ascending within an iteration."""
-    next_flips = _gap_flips(np.random.default_rng(2026), n).next_flips
+    next_flips = functools.partial(read_flips, _gap_flips(np.random.default_rng(2026), n))
     blocks = 80
     counts, positions = [], []
     for _ in range(blocks * MUTATION_BLOCK):
@@ -334,7 +396,7 @@ def test_gap_flip_blocks_place_the_edge_cells(n):
     cells = n * MUTATION_BLOCK
 
     def first_block(gaps):
-        next_flips = _gap_flips(ScriptedGaps(gaps), n).next_flips
+        next_flips = functools.partial(read_flips, _gap_flips(ScriptedGaps(gaps), n))
         return [next_flips() for _ in range(MUTATION_BLOCK)]
 
     assert first_block([1, cells - 1]) == [[0]] + [[]] * (MUTATION_BLOCK - 2) + [[n - 1]]
@@ -352,8 +414,8 @@ def test_posdc_draws_gap_blocks_and_the_ea_replays():
     def drawn(solver, stream):
         twin = np.random.default_rng(0)
         ctx.random_solution(twin)
-        next_flips = stream(twin, 12).next_flips
-        got = [solver.next_flips() for _ in range(iters)]
+        next_flips = functools.partial(read_flips, stream(twin, 12))
+        got = [read_flips(solver.flips) for _ in range(iters)]
         return got, [next_flips() for _ in range(iters)]
 
     got, gaps = drawn(Posdc(ctx, np.random.default_rng(0), 600, eta=500), _gap_flips)
@@ -367,7 +429,7 @@ def test_mutate_applies_the_drawn_flips():
     inst, ctx = make_ctx(n=12)
     rng = np.random.default_rng(3)
     bits, p, w, k = ctx.random_solution(rng)
-    next_flips = _replay_flips(np.random.default_rng(8), 12).next_flips
+    next_flips = functools.partial(read_flips, _replay_flips(np.random.default_rng(8), 12))
     assert isinstance(bits, bytearray) and len(bits) == 12
     for _ in range(600):
         before = bytes(bits)
@@ -1044,7 +1106,7 @@ def reference_archive_steps(pos, capacity, first, end, record):
     ctx, arc = pos.ctx, pos.archive
     low, high = capacity - pos.eta, capacity + pos.eta
     for i in range(first, end):
-        positions = pos.next_flips()
+        positions = read_flips(pos.flips)
         if not positions:
             continue
         members = arc.members
@@ -1152,7 +1214,7 @@ class ReferenceEA:
 
     def __init__(self, ctx, rng, capacity):
         live = OnePlusOneEA(ctx, rng, capacity)
-        self.ctx, self.next_flips = ctx, live.next_flips
+        self.ctx, self.flips = ctx, live.flips
         self.bits, self.p, self.w, self.k = bytes(live.bits), live.p, live.w, live.k
 
     def fitness(self, p, w, k, capacity):
@@ -1160,7 +1222,7 @@ class ReferenceEA:
 
     def step(self, capacity, first, end, record):
         for i in range(first, end):
-            positions = self.next_flips()
+            positions = read_flips(self.flips)
             if not positions:
                 continue
             child = np.frombuffer(self.bits, np.uint8).copy()
@@ -2021,7 +2083,7 @@ def solver_state(solver, rng):
                 solver.k.tolist(), solver.cstar.tolist(), list(solver.ranks),
                 list(solver.crowd), solver.generations,
                 best and (*best[:3], best[3].tobytes()), state)
-    flips = [solver.next_flips() for _ in range(MUTATION_BLOCK + 1)]
+    flips = [read_flips(solver.flips) for _ in range(MUTATION_BLOCK + 1)]
     if isinstance(solver, OnePlusOneEA):
         return bytes(solver.bits), solver.p, solver.w, solver.k, flips, state
     parents = [solver.next_word() for _ in range(MUTATION_BLOCK + 1)]
