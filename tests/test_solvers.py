@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import weakref
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -446,10 +447,8 @@ def test_mutate_applies_the_drawn_flips():
 
 def lemire_below(next_word, m):
     """Uniform integer in [0, m) from the words of ``next_word()`` by
-    Lemire's multiply-and-reject method: the parent draw that
-    ``Posdc.step`` makes inline, which
-    ``test_posdc_archive_steps_match_the_reference_steps`` checks against
-    this one."""
+    Lemire's multiply-and-reject method: the parent draw of
+    ``ReferencePosdc``, which ``Posdc.step`` makes inline."""
     while True:
         prod = next_word() * m
         low = prod & ((1 << 64) - 1)
@@ -573,173 +572,151 @@ def test_archive_growth_preserves_members():
     assert keys(arc.members) == [(10 + i, 100.0 + i) for i in range(200)]
 
 
-class ReferenceArchive:
-    """The numpy archive that the list archive replaced: parallel columns
-    grown by doubling, a vectorised dominance scan, and compaction of the
-    survivors on insert, in insertion order. Each side of the list archive
-    must hold the same members as one of these, in C* order, and designate
-    the same one."""
+class ReferencePosdc:
+    """POSDC as the paper states it (Assimi et al., 2020), in plain Python.
+    S- and S+ are unordered lists of (bits, p, w, k, cstar) members, S- of
+    C* in [C - eta, C) and S+ in [C, C + eta]. A point joins its side
+    unless a member of it weakly dominates the point (at least the profit,
+    at most the C*, found by a scan), and drops the members it weakly
+    dominates. Until its C* lies in [C - eta, C + eta], the initial
+    solution is repaired by lexicographic (1+1) steps, every iteration
+    counted, and then seeds its side. A capacity change inserts the members
+    in the new window afresh; when there are none, the designated member
+    reseeds the archive. The designated member is S-'s most profitable,
+    else S+'s smallest C*, and a parent is drawn by ``lemire_below`` over
+    the members in ascending C*. An iteration that flips nothing is
+    skipped. It reads the flip and word streams of a live ``Posdc`` built
+    on its Generator, which also gives its initial solution."""
 
-    def __init__(self, n, capacity_hint=4):
-        self.bits = np.empty((capacity_hint, n), np.uint8)
-        self.p = np.empty(capacity_hint, np.int64)
-        self.w = np.empty(capacity_hint, np.int64)
-        self.k = np.empty(capacity_hint, np.int64)
-        self.cstar = np.empty(capacity_hint, np.float64)
-        self.size = 0
+    def __init__(self, ctx, rng, capacity, eta):
+        live = Posdc(ctx, rng, capacity, eta)
+        self.ctx, self.eta = ctx, eta
+        self.items = np.column_stack([ctx.profits, ctx.weights, np.ones(ctx.n, np.int64)])
+        self.flips, self.next_word = live.flips, live.next_word
+        bits, p, w, k = live.repair or live.archive.members[0][:4]
+        self.repair, self.repair_steps = (bytes(bits), p, w, k), 0
+        self.minus, self.plus = [], []
+        self.seed(capacity)
 
-    def _ensure_room(self, extra=1):
-        cap = len(self.p)
-        if self.size + extra <= cap:
-            return
-        new_cap = cap * 2
-        while self.size + extra > new_cap:
-            new_cap *= 2
-        grown_bits = np.empty((new_cap, self.bits.shape[1]), np.uint8)
-        grown_bits[:cap] = self.bits
-        self.bits = grown_bits
-        for name in ("p", "w", "k", "cstar"):
-            old = getattr(self, name)
-            new = np.empty(new_cap, old.dtype)
-            new[:cap] = old
-            setattr(self, name, new)
+    def in_window(self, cstar, capacity):
+        return capacity - self.eta <= cstar <= capacity + self.eta
 
-    def has_weak_dominator(self, p, cstar):
-        s = self.size
-        return bool(((self.p[:s] >= p) & (self.cstar[:s] <= cstar)).any())
+    def side(self, cstar, capacity):
+        return self.minus if cstar < capacity else self.plus
 
-    def insert(self, bits, p, w, k, cstar):
-        s = self.size
-        if s:
-            dominated = (self.p[:s] <= p) & (self.cstar[:s] >= cstar)
-            if dominated.any():
-                keep = np.flatnonzero(~dominated)
-                m = len(keep)
-                for name in ("bits", "p", "w", "k", "cstar"):
-                    col = getattr(self, name)
-                    col[:m] = col[keep]
-                self.size = s = m
-        self.extend(np.asarray(bits)[None], [p], [w], [k], [cstar])
+    def dominated(self, p, cstar, capacity):
+        return any(q >= p and c <= cstar for _, q, _, _, c in self.side(cstar, capacity))
 
-    def extend(self, bits, p, w, k, cstar):
-        m = len(p)
-        self._ensure_room(m)
-        s = self.size
-        self.bits[s:s + m] = bits
-        self.p[s:s + m] = p
-        self.w[s:s + m] = w
-        self.k[s:s + m] = k
-        self.cstar[s:s + m] = cstar
-        self.size = s + m
+    def insert(self, member, capacity):
+        """Add a member that no member of its side weakly dominates."""
+        side = self.side(member[4], capacity)
+        side[:] = [o for o in side if not (o[1] <= member[1] and o[4] >= member[4])]
+        side.append(member)
 
-    def max_profit_index(self):
-        s = self.size
-        cand = np.flatnonzero(self.p[:s] == self.p[:s].max())
-        return int(cand[np.argmin(self.cstar[cand])])
-
-    def min_cstar_index(self):
-        s = self.size
-        cand = np.flatnonzero(self.cstar[:s] == self.cstar[:s].min())
-        return int(cand[np.argmax(self.p[cand])])
+    def best(self):
+        if self.minus:
+            return max(self.minus, key=itemgetter(1))
+        return min(self.plus, key=itemgetter(4))
 
     def rows(self):
-        s = self.size
-        return self.bits[:s], self.p[:s], self.w[:s], self.k[:s], self.cstar[:s]
+        """The members in ascending C*, and the size of S-."""
+        return sorted(self.minus + self.plus, key=itemgetter(4)), len(self.minus)
+
+    def seed(self, capacity):
+        """End the repair when its incumbent lies in the window."""
+        bits, p, w, k = self.repair
+        cstar = self.ctx.bound.cstar(w, k)
+        if self.in_window(cstar, capacity):
+            self.insert((bits, p, w, k, cstar), capacity)
+            self.repair = None
+
+    def on_change(self, capacity):
+        if self.repair is not None:
+            self.seed(capacity)
+            return
+        best = self.best()
+        kept = [m for m in self.minus + self.plus if self.in_window(m[4], capacity)]
+        self.minus, self.plus = [], []
+        for member in kept:
+            if not self.dominated(member[1], member[4], capacity):
+                self.insert(member, capacity)
+        if not kept:
+            self.insert(best, capacity)
+
+    def offspring(self, parent, positions):
+        """The bits of ``parent`` with ``positions`` flipped, and their
+        profit, weight and item count."""
+        child = bytearray(parent[0])
+        for i in positions:
+            child[i] ^= 1
+        return (bytes(child), *(np.frombuffer(child, np.uint8) @ self.items).tolist())
+
+    def fitness(self, solution, capacity):
+        _, p, w, k = solution
+        return self.ctx.lex_violation(w, k, capacity), -p
+
+    def step(self, capacity, first, end, record):
+        for i in range(first, end):
+            positions = read_flips(self.flips)
+            if self.repair is not None:
+                self.repair_steps += 1
+                if positions:
+                    child = self.offspring(self.repair, positions)
+                    if self.fitness(child, capacity) <= self.fitness(self.repair, capacity):
+                        self.repair = child
+                        self.seed(capacity)
+                        record(i)
+            elif positions:
+                members = self.rows()[0]
+                parent = members[lemire_below(self.next_word, len(members))]
+                child = self.offspring(parent, positions)
+                member = (*child, self.ctx.bound.cstar(*child[2:]))
+                if (self.in_window(member[4], capacity)
+                        and not self.dominated(member[1], member[4], capacity)):
+                    self.insert(member, capacity)
+                    if self.best() is member:
+                        record(i)
 
 
-def reference_best(minus, plus):
-    """Designated row of a pair of reference archives, POSDC's rule."""
-    arc, i = ((minus, minus.max_profit_index()) if minus.size
-              else (plus, plus.min_cstar_index()))
-    return tuple(col[i] for col in arc.rows())
-
-
-def reference_on_change(minus, plus, capacity, eta, n):
-    """POSDC's re-partition on the reference archives: rows S- first, then
-    S+, filtered by the new window and side, then by a stable sweep over
-    ascending C*; the designated row reseeds when nothing survives."""
-    designated = reference_best(minus, plus)
-    bits, p, w, k, cstar = (np.concatenate(cols) for cols in
-                            zip(minus.rows(), plus.rows()))
-    in_window = (cstar >= capacity - eta) & (cstar <= capacity + eta)
-    sides = (ReferenceArchive(n), ReferenceArchive(n))
-    for side, region in zip(sides, (in_window & (cstar < capacity),
-                                    in_window & (cstar >= capacity))):
-        idx = np.flatnonzero(region)
-        best = -np.inf
-        for i in idx[np.argsort(cstar[idx], kind="stable")]:
-            if p[i] > best:
-                best = p[i]
-            else:
-                region[i] = False
-        idx = np.flatnonzero(region)
-        side.extend(bits[idx], p[idx], w[idx], k[idx], cstar[idx])
-    if sides[0].size + sides[1].size == 0:
-        sides[int(designated[4] >= capacity)].insert(*designated)
-    return sides
-
-
-def assert_same_members(side, ref, designated):
-    """The members of one side are the reference's rows stably sorted by C*,
-    and the member at ``designated`` (-1 on S-, 0 on S+) is the row the
-    reference designates on that side."""
-    bits, p, w, k, cstar = ref.rows()
-    rows = [(b.tobytes(), *row) for b, row in
-            zip(bits, zip(p.tolist(), w.tolist(), k.tolist(), cstar.tolist()))]
-    members = [(bytes(b), *row) for b, *row in side]
-    order = np.argsort(cstar, kind="stable")
-    assert members == [rows[i] for i in order]
-    if ref.size:
-        i = ref.max_profit_index() if designated == -1 else ref.min_cstar_index()
-        assert members[designated] == rows[i]
-
-
-def test_archive_matches_numpy_reference():
+def test_archive_matches_the_reference_posdc_archive():
     """Seeded streams of dominance queries, inserts and capacity changes
-    leave each side of the list archive with the members of its numpy
-    reference, in C* order, and designate the same member."""
+    leave the list archive with the members of ``ReferencePosdc``'s plain
+    sides, in C* order, split at the same ``m``, and designate the same
+    member. The points' C* are integers near the window, so they land on
+    C and on both edges of the window."""
     rng = np.random.default_rng(2027)
     eta = 30
     for trial in range(12):
         capacity = 100
         pos = fresh_posdc(capacity=capacity, eta=eta)
         n = pos.ctx.n
-        ref_minus, ref_plus = ReferenceArchive(n), ReferenceArchive(n)
+        ref = ReferencePosdc(pos.ctx, np.random.default_rng(0), capacity, eta)
+        ref.repair, ref.minus, ref.plus = None, [], []
         for op in range(500):
             if pos.archive_size() and rng.random() < 0.06:
                 shift = int(rng.integers(-20, 21)) if rng.random() < 0.8 else \
                     int(rng.integers(-4 * eta, 4 * eta + 1))
                 capacity += shift
                 pos.on_change(capacity)
-                ref_minus, ref_plus = reference_on_change(
-                    ref_minus, ref_plus, capacity, eta, n)
+                ref.on_change(capacity)
             else:
                 # integer C* and profit rising with it plus a little noise:
                 # long fronts, and ties in both are common
                 c = float(capacity + rng.integers(-eta - 5, eta + 6))
                 p = int(c) // 2 + int(rng.integers(0, 6))
                 w, k = int(rng.integers(0, 1000)), int(rng.integers(0, n + 1))
-                bits = rng.integers(0, 2, n, np.uint8)
-                if capacity - eta <= c < capacity:
-                    ref = ref_minus
-                elif capacity <= c <= capacity + eta:
-                    ref = ref_plus
-                else:
+                bits = rng.integers(0, 2, n, np.uint8).tobytes()
+                if not ref.in_window(c, capacity):
                     continue
-                dominated = ref.has_weak_dominator(p, c)
+                dominated = ref.dominated(p, c, capacity)
                 assert pos.archive.has_weak_dominator(p, c, capacity) == dominated
                 if not dominated:
                     pos.archive.insert(bytearray(bits), p, w, k, c, capacity)
-                    ref.insert(bits, p, w, k, c)
+                    ref.insert((bits, p, w, k, c), capacity)
             check_sorted_view(pos.archive, capacity)
-            minus, plus = sides(pos)
-            assert_same_members(minus, ref_minus, -1)
-            assert_same_members(plus, ref_plus, 0)
+            assert archive_rows(pos) == ref.rows()
             if pos.archive_size():
-                got = pos.best()
-                want = reference_best(ref_minus, ref_plus)
-                assert bytes(got[0]) == want[0].tobytes()
-                assert got[1:] == tuple(x.item() for x in want[1:])
+                assert designated(pos) == ref.best()
 
 
 def test_posdc_best_prefers_s_minus_max_profit():
@@ -856,39 +833,6 @@ def test_posdc_archive_invariants_static():
         assert (p, w, k) == (int(x @ inst.profits),
                              int(x @ inst.weights), int(x.sum()))
         assert c == ctx.bound.cstar(w, k)
-
-
-def test_posdc_on_change_matches_reclassification_oracle():
-    rng = np.random.default_rng(3)
-    for trial in range(10):
-        inst, ctx = make_ctx(n=12, alpha=0.01, kind=CHEBYSHEV, seed=trial)
-        capacity = int(0.55 * inst.total_expected_weight())
-        pos = Posdc(ctx, np.random.default_rng(trial), capacity, eta=400)
-        run_posdc_steps(pos, capacity, 3000)
-        if pos.repair is not None:
-            continue
-        before = keys(pos.archive.members)
-        best_p = pos.best()[1]
-        new_c = capacity + int(rng.integers(-400, 401))
-        pos.on_change(new_c)
-
-        # oracle: window filter, side split, then non-dominated subset
-        survivors = [(p, c) for p, c in before
-                     if new_c - 400 <= c <= new_c + 400]
-        expect = set()
-        for side_members in ([m for m in survivors if m[1] < new_c],
-                             [m for m in survivors if m[1] >= new_c]):
-            for m in side_members:
-                if not any(o != m and o[0] >= m[0] and o[1] <= m[1]
-                           for o in side_members):
-                    expect.add(m)
-        got = set(keys(pos.archive.members))
-        if expect:
-            assert got == expect
-            check_archive_invariants(pos, new_c)
-        else:
-            # archive reseeds with the previously designated solution
-            assert len(got) == 1 and next(iter(got))[0] == best_p
 
 
 def test_posdc_on_change_identity_keeps_members():
@@ -1012,6 +956,13 @@ def archive_rows(pos):
     return [(bytes(bits), *row) for bits, *row in pos.archive.members], pos.archive.m
 
 
+def designated(pos):
+    """The repair incumbent of ``pos``, else its designated member, with
+    its bits as bytes."""
+    bits, *row = pos.repair or pos.best()
+    return (bytes(bits), *row)
+
+
 @pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
 def test_posdc_draws_a_parent_only_for_a_step_that_flips(kind):
     """An archive step whose iteration flips nothing draws no parent and
@@ -1096,73 +1047,102 @@ def stretch_plan(inst, tau, total, eta, seed):
     return plan
 
 
-def reference_archive_steps(pos, capacity, first, end, record):
-    """POSDC's archive steps from ``first`` to ``end`` as calls of
-    ``_RunContext.mutate``, ``TailBound.cstar`` and ``lemire_below``, the
-    helpers that ``Posdc.step`` writes inline; the same windows, dominance
-    query, insert and record rule."""
-    ctx, arc = pos.ctx, pos.archive
-    low, high = capacity - pos.eta, capacity + pos.eta
-    for i in range(first, end):
-        positions = read_flips(pos.flips)
-        if not positions:
-            continue
-        members = arc.members
-        parent, p, w, k, _ = members[lemire_below(pos.next_word, len(members))]
-        p, w, k = ctx.mutate(parent, p, w, k, positions)
-        c = ctx.bound.cstar(w, k)
-        if low <= c <= high and not arc.has_weak_dominator(p, c, capacity):
-            if arc.insert(_flipped(parent, positions), p, w, k, c, capacity) == max(arc.m - 1, 0):
-                record(i)
+# (family, n, kind, tau, eta, ceiling, words) of the whole-run cases: float
+# margins over the EA's shapes on both families, the parent words scripted
+# at tau 25 and the Generator's at tau 1000; then ceiling margins, whose
+# integer C* lands on C and on the window's edges, in windows of eta 8 and 40
+POSDC_CASES = [
+    *((family, n, kind, tau, None, False, "scripted" if tau == 25 else "generator")
+      for family in ("uncorrelated", "bsc") for n in (1, 2, 12, 100, 1000)
+      for kind in (CHEBYSHEV, CHERNOFF) for tau in (25, 1000)),
+    *((family, n, kind, 25, eta, True, "generator")
+      for family in ("uncorrelated", "bsc") for n in (12, 100, 1000)
+      for kind in (CHEBYSHEV, CHERNOFF) for eta in (8, 40))]
 
 
-@pytest.mark.parametrize("words", ["generator", "scripted"])
-@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
-@pytest.mark.parametrize("n", [12, 100, 1000])
-def test_posdc_archive_steps_match_the_reference_steps(n, kind, words):
-    """``Posdc.step`` draws each parent, mutates it and takes its C* as
-    ``reference_archive_steps`` does with the helpers: after every stretch
-    of a shifting schedule the archive, the repair state, the records and
-    the Generator's state agree. The scripted words are zero a quarter of
-    the time, which a bound that is not a power of two rejects, so the
-    inline draw's rejection loop runs as well."""
-    inst = generate_instance("uncorrelated", n, 25, seed=n)
-    ctx = _RunContext(inst, ChanceParams(0.01, 25, kind))
-    eta = max(1, inst.total_expected_weight() // 20)
-    plan = stretch_plan(inst, 250, 4000, eta, seed=n)
-    live_rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    live = Posdc(ctx, live_rng, plan[0][0], eta)
-    ref = Posdc(ctx, ref_rng, plan[0][0], eta)
-    zeros, peak = [], 0
+def posdc_case_id(case):
+    family, n, kind, tau, eta, ceiling, words = case
+    return f"{family}-{n}-{kind}-tau{tau}-{f'ceil-eta{eta}' if ceiling else 'float'}-{words}"
+
+
+def posdc_solver(cls, case):
+    """A ``cls``, ``Posdc`` or ``ReferencePosdc``, of a whole-run case, with
+    its Generator and stretch plan: alpha 0.01 at tau 25, 1e-4 at tau 1000,
+    and eta W / 20 unless the case gives it. Scripted words are 0 a quarter
+    of the time, which a bound that is not a power of two rejects."""
+    family, n, kind, tau, eta, ceiling, words = case
+    inst = generate_instance(family, n, 25, seed=n)
+    ctx = _RunContext(inst, ChanceParams(0.01 if tau == 25 else 1e-4, 25, kind))
+    if ceiling:
+        ctx.bound.margins = np.ceil(ctx.bound.margins)
+        ctx.bound.margin = ctx.bound.margins.tolist()
+    eta = eta or max(1, inst.total_expected_weight() // 20)
+    plan = stretch_plan(inst, tau, 2000 if tau == 25 else 3000, eta, seed=n + tau)
+    rng = np.random.default_rng(n)
+    solver = cls(ctx, rng, plan[0][0], eta)
     if words == "scripted":
-        script = np.random.default_rng(99).integers(0, 1 << 64, 20_000, np.uint64)
+        script = np.random.default_rng(99).integers(0, 1 << 64, 10_000, np.uint64)
         script[np.random.default_rng(98).random(script.size) < 0.25] = 0
-        live.next_word = iter(script.tolist()).__next__
-        ref_words = iter(script.tolist()).__next__
+        solver.next_word = iter(script.tolist()).__next__
+    return solver, rng, plan
 
-        def counted():
-            word = ref_words()
-            zeros.append(word == 0)
-            return word
 
-        ref.next_word = counted
+@pytest.mark.parametrize("case", POSDC_CASES, ids=posdc_case_id)
+def test_posdc_matches_the_reference_posdc(case):
+    """``Posdc`` stepped beside ``ReferencePosdc`` on twin Generators
+    through a schedule whose capacity moves by up to 4 eta: after every
+    stretch both hold the same members in the same order, split at the same
+    ``m``, the same designated member or repair incumbent and repair step
+    count, made the same record calls and leave their Generators in the
+    same state."""
+    live, live_rng, plan = posdc_solver(Posdc, case)
+    ref, ref_rng, _ = posdc_solver(ReferencePosdc, case)
     for n_seg, (capacity, first, end) in enumerate(plan):
         if n_seg:
             live.on_change(capacity)
             ref.on_change(capacity)
         got, want = [], []
         live.step(capacity, first, end, got.append)
-        if ref.repair is not None:
-            first = ref._repair(capacity, first, end, want.append)
-        reference_archive_steps(ref, capacity, first, end, want.append)
+        ref.step(capacity, first, end, want.append)
         assert got == want
-        assert archive_rows(live) == archive_rows(ref)
-        assert (live.repair and bytes(live.repair[0]), live.repair_steps) == (
-            ref.repair and bytes(ref.repair[0]), ref.repair_steps)
+        assert archive_rows(live) == ref.rows()
+        assert designated(live) == (ref.repair or ref.best())
+        assert live.repair_steps == ref.repair_steps
         assert live_rng.bit_generator.state == ref_rng.bit_generator.state
-        peak = max(peak, live.archive_size())
-    assert peak > 1
-    assert words == "generator" or sum(zeros) > 100
+
+
+def test_posdc_reference_cases_reach_every_branch():
+    """Over the cases of ``test_posdc_matches_the_reference_posdc``, POSDC's
+    repair seeds the archive inside a stretch and at a capacity change, the
+    designated member reseeds an archive that a change emptied, a stretch
+    ends with S- empty, a parent draw rejects a word, and a stretch ends
+    with a member whose C* equals C."""
+    seen = dict.fromkeys(["seeded in a stretch", "seeded at a change", "reseeded",
+                          "S- empty", "word rejected", "C* equals C"], 0)
+    for case in POSDC_CASES:
+        pos, _, plan = posdc_solver(Posdc, case)
+        next_word = pos.next_word
+
+        def word():
+            value, size = next_word(), pos.archive_size()
+            seen["word rejected"] += (value * size) & ((1 << 64) - 1) < ((1 << 64) - size) % size
+            return value
+
+        pos.next_word = word
+        for n_seg, (capacity, first, end) in enumerate(plan):
+            if n_seg:
+                repairing, before = pos.repair is not None, keys(pos.archive.members)
+                pos.on_change(capacity)
+                seen["seeded at a change"] += repairing and pos.repair is None
+                seen["reseeded"] += not repairing and all(
+                    abs(c - capacity) > pos.eta for _, c in before)
+            repairing = pos.repair is not None
+            pos.step(capacity, first, end, ignore)
+            seen["seeded in a stretch"] += repairing and pos.repair is None
+            if pos.repair is None:
+                seen["S- empty"] += pos.archive.m == 0
+                seen["C* equals C"] += capacity in pos.archive._c
+    assert all(seen.values()), seen
 
 
 def test_posdc_eta_validation():
