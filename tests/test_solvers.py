@@ -219,13 +219,6 @@ def test_posdc_dominates_cases():
     arc.insert(bits, 11, 0, 0, 4, 100)
     # the new member takes the dominated member's place in C* order
     assert keys(arc.members) == [(8, 3.0), (11, 4.0), (12, 9.0)] and arc.m == 3
-    # a strictly dominated member is replaced
-    arc = archive((10, 90), (12, 85), capacity=1000)
-    assert keys(arc.members) == [(12, 85)] and arc.m == 1
-    # a chain of rising profit and C* is kept whole, in C* order
-    chain = [(10 + i, 100 + i) for i in range(200)]
-    arc = archive(*chain, capacity=1000)
-    assert keys(arc.members) == chain and arc.m == 200
     # S- (C* < 6) and S+ are separate sets
     arc = archive((10, 5), (4, 6), capacity=6)
     assert keys(arc.members) == [(10, 5.0), (4, 6.0)] and arc.m == 1
@@ -489,6 +482,36 @@ def fresh_posdc(capacity=1000, eta=500, alpha=0.5, kind=CHEBYSHEV):
     pos.repair = None
     pos.archive = _Archive()
     return pos
+
+
+def test_archive_strict_dominance_replacement():
+    arc = fresh_posdc().archive
+    arc.insert(dummy_bits(), 10, 90, 1, 90.0, 1000)
+    assert not arc.has_weak_dominator(12, 85.0, 1000)
+    arc.insert(dummy_bits(), 12, 85, 1, 85.0, 1000)
+    assert keys(arc.members) == [(12, 85.0)] and arc.m == 1
+
+
+def test_archive_rejects_exact_duplicates():
+    arc = fresh_posdc().archive
+    arc.insert(dummy_bits(), 10, 90, 1, 90.0, 1000)
+    assert arc.has_weak_dominator(10, 90.0, 1000)
+
+
+def test_archive_keeps_incomparable_members():
+    arc = fresh_posdc().archive
+    arc.insert(dummy_bits(), 10, 90, 1, 90.0, 1000)
+    arc.insert(dummy_bits(), 12, 95, 2, 95.0, 1000)
+    arc.insert(dummy_bits(), 8, 80, 1, 80.0, 1000)
+    assert len(arc.members) == 3 and arc.m == 3
+
+
+def test_archive_growth_preserves_members():
+    arc = fresh_posdc().archive
+    for i in range(200):  # strictly improving profit with worse cstar: all kept
+        arc.insert(dummy_bits(), 10 + i, 100, 1, 100.0 + i, 1000)
+    assert len(arc.members) == 200 and arc.m == 200
+    assert keys(arc.members) == [(10 + i, 100.0 + i) for i in range(200)]
 
 
 class ReferencePosdc:
