@@ -59,10 +59,9 @@ def dp_optimal_profits(instance, c_max: int, c_min: int = 0) -> np.ndarray:
     b_hi's lambda: c_i >= t - G w_(i+1) / (p_b w_(i+1) - p_(i+1) w_b), with
     b = b_hi, and c_i >= t - G / p_b for the last item. Since c_i never
     falls as i grows, each edge is the largest of those up to item i.
-    The edges are exact int64 integers. Where their products could overflow
-    int64, items go in ascending weight without this edge; otherwise, of
-    that order and falling efficiency with the edge, the one whose updates
-    touch fewer cells is used.
+    The edges are exact int64 integers. Items go in falling efficiency,
+    and each lo_i is raised to edge i, except where the edges' products
+    could overflow int64, where every edge is 0.
     The accumulators are int32 when the total profit of the items kept is
     below 2**31, and int64 otherwise.
 
@@ -119,33 +118,20 @@ def _subset_sums(weights, c_max, c_min):
     return table
 
 
-def _spans(weights, c_max, c_min, edge=0):
-    """(lo, top, cells) for items visited in this order: the first and last
-    entry each item updates, and how many entries the updates touch."""
-    prefix = np.cumsum(weights)
-    top = np.minimum(prefix, c_max)
-    lo = np.maximum(np.maximum(weights, prefix - (prefix[-1] - c_min)), edge)
-    lo = np.minimum(lo, top + 1)
-    return lo, top, int((top - lo).sum()) + len(top)
-
-
 def _plan(weights, profits, c_max, c_min):
-    """(order, lo, top) of ``dp_optimal_profits``: ascending weight, or
-    falling efficiency with the LP edge where that touches fewer cells."""
-    order = np.argsort(weights)
-    if not len(weights):
-        return order, order, order
-    *plan, cells = _spans(weights[order], c_max, c_min)
-    big, heavy = int(profits.max()), int(weights.max())
-    if (big * c_max + int(profits.sum()) * heavy) * heavy >= 2**52:
-        return order, *plan  # the edges' products could overflow int64
-    # distinct p/w stay distinct floats below 2**52
-    by_efficiency = np.lexsort((weights, -(profits / weights)))
-    w, p = weights[by_efficiency], profits[by_efficiency]
-    *lp_plan, lp_cells = _spans(w, c_max, c_min, _lp_edges(w, p, c_max, c_min))
-    if lp_cells < cells:
-        return by_efficiency, *lp_plan
-    return order, *plan
+    """(order, lo, top) of ``dp_optimal_profits``: items in falling
+    efficiency (ties: lighter first), and the first and last entry each
+    item updates, lo raised to the item's LP edge."""
+    order = np.lexsort((weights, -(profits / weights)))
+    w, p = weights[order], profits[order]
+    prefix = np.cumsum(w)
+    top = np.minimum(prefix, c_max)
+    lo = np.maximum(w, prefix - (prefix[-1] - c_min))
+    big, heavy = int(p.max()), int(w.max())
+    # below 2**52 the edges fit int64, and distinct p/w stay distinct floats
+    if (big * c_max + int(p.sum()) * heavy) * heavy < 2**52:
+        lo = np.maximum(lo, _lp_edges(w, p, c_max, c_min))
+    return order, np.minimum(lo, top + 1), top
 
 
 def _lp_edges(w, p, c_max, c_min):

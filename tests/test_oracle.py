@@ -51,10 +51,15 @@ def reference_dp(instance, c_max):
     return dp
 
 
-def assert_matches_reference(inst, c_max):
-    table = dp_optimal_profits(inst, c_max)
-    assert table.dtype == np.int64
-    np.testing.assert_array_equal(table, reference_dp(inst, c_max))
+def assert_matches_reference(inst, c_max, c_min=0, full=None):
+    """The table of the window c_min..c_max equals ``full`` (the reference
+    by default) from c_min up, and is -1 below it."""
+    table = dp_optimal_profits(inst, c_max, c_min)
+    assert table.dtype == np.int64 and len(table) == c_max + 1
+    if full is None:
+        full = reference_dp(inst, c_max)
+    np.testing.assert_array_equal(table[c_min:], full[c_min:])
+    assert (table[:c_min] == -1).all()
 
 
 def test_dp_matches_reference_on_random_stubs():
@@ -102,15 +107,9 @@ def test_dp_window_matches_the_full_table():
         total = inst.total_expected_weight()
         c_max = int(rng.integers(0, total + 200))  # at times above the total
         full = reference_dp(inst, c_max)
-        np.testing.assert_array_equal(dp_optimal_profits(inst, c_max, 0), full)
-        for c_min in (int(rng.integers(0, c_max + 1)), c_max,
+        for c_min in (0, int(rng.integers(0, c_max + 1)), c_max,
                       max(0, c_max - int(rng.integers(0, 3000)))):
-            table = dp_optimal_profits(inst, c_max, c_min)
-            assert table.dtype == np.int64 and len(table) == c_max + 1
-            np.testing.assert_array_equal(table[c_min:], full[c_min:])
-            assert (table[:c_min] == -1).all()
-            cells, _ = planned_cells(inst, c_max, c_min)
-            assert cells <= ascending_weight_cells(inst, c_max, c_min)
+            assert_matches_reference(inst, c_max, c_min, full)
 
 
 def ascending_weight_cells(inst, c_max, c_min):
@@ -129,14 +128,10 @@ def ascending_weight_cells(inst, c_max, c_min):
 
 
 def planned_cells(inst, c_max, c_min):
-    """(cells, order is falling efficiency) of the plan the DP runs."""
-    weights, profits = inst.weights, inst.profits
-    keep = (weights <= c_max) & (profits > 0)
-    weights, profits = weights[keep], profits[keep]
-    order, lo, top = oracle._plan(weights, profits, c_max, c_min)
-    by_efficiency = (np.array_equal(order, efficiency_order(weights, profits))
-                     and not (np.diff(weights[order]) >= 0).all())
-    return int((top - lo + 1).sum()), by_efficiency
+    """Entries the updates of the plan the DP runs touch."""
+    keep = (inst.weights <= c_max) & (inst.profits > 0)
+    _, lo, top = oracle._plan(inst.weights[keep], inst.profits[keep], c_max, c_min)
+    return int((top - lo + 1).sum())
 
 
 def efficiency_order(weights, profits):
@@ -166,7 +161,7 @@ def random_pairs(rng, trial, n):
     weights = rng.integers(1, 80, n)
     if shape == 1:  # totals pass 2**31, the int64 accumulators
         profits = rng.integers(2**29, 2**30, n)
-    elif shape == 2:  # the edges' int64 products could overflow: ascending weight
+    elif shape == 2:  # the edges' int64 products could overflow: edge 0
         profits = rng.integers(2**49, 2**50, n)
     elif shape == 3:  # every efficiency ties, or nearly
         profits = weights + int(rng.integers(0, 3))
@@ -186,11 +181,13 @@ def test_dp_window_matches_reference_on_random_stubs():
             full = reference_dp(inst, c_max)
             for c_min in (int(rng.integers(0, c_max + 1)), c_max,
                           max(0, c_max - int(rng.integers(0, 40)))):
-                table = dp_optimal_profits(inst, c_max, c_min)
-                np.testing.assert_array_equal(table[c_min:], full[c_min:])
-                assert (table[:c_min] == -1).all()
-                cells, _ = planned_cells(inst, c_max, c_min)
-                assert cells <= ascending_weight_cells(inst, c_max, c_min)
+                assert_matches_reference(inst, c_max, c_min, full)
+            keep = inst.weights <= c_max
+            if trial % 5 == 0 and keep.any():
+                # near ties and ties: the float sort orders them exactly
+                w, p = inst.weights[keep], inst.profits[keep]
+                order, _, _ = oracle._plan(w, p, c_max, 0)
+                np.testing.assert_array_equal(order, efficiency_order(w, p))
 
 
 def test_dp_window_of_a_wide_instance():
@@ -201,13 +198,10 @@ def test_dp_window_of_a_wide_instance():
             inst = generate_instance("uncorrelated", 1000, delta, seed=seed)
             c0 = inst.total_expected_weight() // 2
             low, high = c0 - 5000, c0 + 5000
-            table = dp_optimal_profits(inst, high, low)
-            np.testing.assert_array_equal(table[low:],
-                                          dp_optimal_profits(inst, high)[low:])
-            assert (table[:low] == -1).all()
-            cells, by_efficiency = planned_cells(inst, high, low)
-            assert by_efficiency
-            assert cells < ascending_weight_cells(inst, high, low) / 10
+            assert_matches_reference(inst, high, low,
+                                     dp_optimal_profits(inst, high))
+            assert (planned_cells(inst, high, low)
+                    < ascending_weight_cells(inst, high, low) / 10)
 
 
 def test_dp_window_of_a_desk_instance():
@@ -217,30 +211,7 @@ def test_dp_window_of_a_desk_instance():
             inst = generate_instance("uncorrelated", 100, delta, seed=seed)
             c0 = inst.total_expected_weight() // 2
             low, high = c0 - 5000, c0 + 5000
-            table = dp_optimal_profits(inst, high, low)
-            np.testing.assert_array_equal(table[low:],
-                                          reference_dp(inst, high)[low:])
-            assert (table[:low] == -1).all()
-            cells, _ = planned_cells(inst, high, low)
-            assert cells <= ascending_weight_cells(inst, high, low)
-
-
-def test_tied_efficiencies_keep_ascending_weight():
-    # profit = weight, so dp_optimal_profits takes subset sums and never asks
-    # _plan for this instance: the test pins _plan alone, on ties
-    inst = generate_instance("bsc", 1000, 25, seed=1)
-    c0 = inst.total_expected_weight() // 2
-    # both orders visit items of the same weights in the same sequence, so
-    # the plan cannot be told apart by its order: only by its cells
-    cells, _ = planned_cells(inst, c0 + 5000, c0 - 5000)
-    assert cells == ascending_weight_cells(inst, c0 + 5000, c0 - 5000)
-
-
-def assert_window_matches_reference(inst, c_max, c_min):
-    table = dp_optimal_profits(inst, c_max, c_min)
-    assert table.dtype == np.int64 and len(table) == c_max + 1
-    np.testing.assert_array_equal(table[c_min:], reference_dp(inst, c_max)[c_min:])
-    assert (table[:c_min] == -1).all()
+            assert_matches_reference(inst, high, low)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 100])
@@ -252,7 +223,7 @@ def test_subset_sums_of_bsc_instances_match_the_reference(n):
         for c_max, c_min in ((total, 0), (total, 1), (total // 2, total // 3),
                              (total // 2, total // 2), (total + 30, total - 5),
                              (int(inst.weights.min()) - 1, 0)):
-            assert_window_matches_reference(inst, c_max, c_min)
+            assert_matches_reference(inst, c_max, c_min)
 
 
 def test_subset_sums_of_profit_equal_weight_stubs_match_the_reference():
@@ -263,7 +234,7 @@ def test_subset_sums_of_profit_equal_weight_stubs_match_the_reference():
                          (80, 10),   # above the total, 72
                          (2, 0),     # below the lightest item
                          (2, 2), (0, 0)):
-        assert_window_matches_reference(inst, c_max, c_min)
+        assert_matches_reference(inst, c_max, c_min)
 
 
 def test_one_profit_above_its_weight_takes_the_general_path(monkeypatch):
@@ -275,7 +246,7 @@ def test_one_profit_above_its_weight_takes_the_general_path(monkeypatch):
                         lambda *args: planned.append(args) or plan(*args))
     # every window keeps the item of profit 13 and weight 12
     for c_max, c_min in ((30, 0), (21, 21), (80, 10), (12, 0)):
-        assert_window_matches_reference(inst, c_max, c_min)
+        assert_matches_reference(inst, c_max, c_min)
     assert len(planned) == 4
 
 
@@ -284,10 +255,11 @@ def test_profit_equal_weight_is_what_skips_the_profit_dp(monkeypatch):
         raise AssertionError("the general profit DP ran")
     monkeypatch.setattr(oracle, "_plan", plan)
     inst = generate_instance("bsc", 100, 25, seed=1)  # c = 100
-    total = inst.total_expected_weight()
-    np.testing.assert_array_equal(dp_optimal_profits(inst, total, 1)[1:],
-                                  reference_dp(inst, total)[1:])
-    for other in (generate_instance("uncorrelated", 100, 25, seed=1),
+    assert_matches_reference(inst, inst.total_expected_weight(), 1)
+    uncorrelated = generate_instance("uncorrelated", 100, 25, seed=1)
+    # below the lightest item no item is kept: no profits equal no weights
+    assert_matches_reference(uncorrelated, int(uncorrelated.weights.min()) - 1, 1)
+    for other in (uncorrelated,
                   generate_instance("bsc", 100, 25, c_constant=50, seed=1)):
         with pytest.raises(AssertionError):
             dp_optimal_profits(other, other.total_expected_weight(), 1)

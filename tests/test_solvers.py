@@ -1070,24 +1070,35 @@ class ReferenceEA:
                 record(i)
 
 
-def ea_schedule_case(n, kind, tau):
+def ea_schedule_case(n, kind, tau, few_profits=False):
     """A ``_RunContext`` and a stretch plan: alpha 0.01 at tau 25 (churn's),
-    1e-4 at tau 1000 (desk's and wide's)."""
+    1e-4 at tau 1000 (desk's and wide's). With ``few_profits`` the profits
+    are mapped into {1, 2, 3}, so offspring often tie their parent's."""
     inst = generate_instance("uncorrelated", n, 25, seed=n)
+    if few_profits:
+        inst = Instance(profits=inst.profits % 3 + 1, weights=inst.weights,
+                        delta=25, kind=UNCORRELATED, c_constant=100, seed=n)
     ctx = _RunContext(inst, ChanceParams(0.01 if tau == 25 else 1e-4, 25, kind))
     eta = max(1, inst.total_expected_weight() // 20)
     return ctx, stretch_plan(inst, tau, 2000 if tau == 25 else 8000, eta, seed=n + tau)
 
 
-@pytest.mark.parametrize("tau", [25, 1000])
-@pytest.mark.parametrize("kind", [CHEBYSHEV, CHERNOFF])
-@pytest.mark.parametrize("n", [1, 2, 12, 100, 1000])
-def test_ea_matches_the_reference_ea(n, kind, tau):
+# (n, kind, tau, few_profits) of the whole-run EA cases; the generated
+# profits keep the ids "n-kind-tau", and the few-profit cases add a suffix
+EA_CASES = [
+    pytest.param(n, kind, tau, few,
+                 id=f"{n}-{kind}-{tau}" + ("-profits-1-3" if few else ""))
+    for few in (False, True) for n in (1, 2, 12, 100, 1000)
+    for kind in (CHEBYSHEV, CHERNOFF) for tau in (25, 1000)]
+
+
+@pytest.mark.parametrize("n, kind, tau, few_profits", EA_CASES)
+def test_ea_matches_the_reference_ea(n, kind, tau, few_profits):
     """``OnePlusOneEA`` stepped beside ``ReferenceEA`` on twin Generators
     through a schedule whose capacity moves by up to 4 eta: after every
     stretch both hold the same incumbent, made the same record calls and
     leave their Generators in the same state."""
-    ctx, plan = ea_schedule_case(n, kind, tau)
+    ctx, plan = ea_schedule_case(n, kind, tau, few_profits)
     live_rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
     live = OnePlusOneEA(ctx, live_rng, plan[0][0])
     ref = ReferenceEA(ctx, ref_rng, plan[0][0])
