@@ -107,11 +107,6 @@ class Cell:
         return (f"{self.kind}-n{self.n}-d{self.delta}-r{self.r}-t{self.tau}"
                 f"-a{self.alpha:g}-{self.algo}-{self.bound}")
 
-    @property
-    def setting(self) -> tuple:
-        """Coordinates shared by the algo/bound variants being compared."""
-        return (self.kind, self.n, self.delta, self.r, self.tau, self.alpha)
-
 
 def enumerate_cells(config: CampaignConfig) -> list[Cell]:
     return [Cell(config.kind, config.n, d, r, t, a, algo, bound)

@@ -157,9 +157,5 @@ class RunRecord:
     feasible_fraction: float
     change_count: int
     evaluations: int
-    # dense views of the interval log, functions of it, so not compared
+    # the dense phi series, a function of the interval log, so not compared
     per_iteration_phi: np.ndarray = field(default=_Series("phi"), compare=False)
-    capacity_trace: np.ndarray = field(default=_Series("capacity"), compare=False)
-    best_profit_trace: np.ndarray = field(default=_Series("best_profit"),
-                                          compare=False)
-    violation_trace: np.ndarray = field(default=_Series("violation"), compare=False)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dcckp.campaign import CampaignConfig, run_campaign
+from dcckp.campaign import CampaignConfig, group_runs_csv, run_campaign
 from dcckp.chance import (
     CHEBYSHEV,
     CHERNOFF,
@@ -34,7 +34,7 @@ from dcckp.solvers import (
     fast_nondominated_sort,
     run_algorithm,
 )
-from dcckp.stats import kruskal_wallis, pairwise_labels
+from dcckp.stats import kruskal_wallis
 
 
 def report(num, name, ok, detail=""):
@@ -196,8 +196,8 @@ def test_criterion_5_offline_error_invariants(desk_campaign):
     for algo, kind in (("posdc", CHERNOFF), ("ea11", CHEBYSHEV)):
         rec = run_algorithm(algo, inst, sched, ChanceParams(0.0001, 25, kind),
                             dp, seed=17)
-        infeasible = rec.violation_trace > 0.0001
-        p_stars = dp[rec.capacity_trace]
+        infeasible = rec.intervals.series("violation") > 0.0001
+        p_stars = dp[rec.intervals.series("capacity")]
         bad += int((rec.per_iteration_phi[infeasible] < p_stars[infeasible]).sum())
         seen_infeasible += int(infeasible.sum())
         all_nonneg &= bool((rec.per_iteration_phi >= 0).all())
@@ -213,7 +213,8 @@ def test_feasible_fraction_is_the_dense_mean(desk_campaign):
     part of their iterations infeasible."""
     records = desk_campaign.records
     for (cell, _), rec in records.items():
-        assert rec.feasible_fraction == float((rec.violation_trace <= cell.alpha).mean())
+        violation = rec.intervals.series("violation")
+        assert rec.feasible_fraction == float((violation <= cell.alpha).mean())
     assert any(0 < rec.feasible_fraction < 1 for rec in records.values())
 
 
@@ -248,17 +249,14 @@ def test_criterion_7_kruskal_wallis(desk_campaign):
     h0, p0 = kruskal_wallis([[2, 2], [2, 2, 2]])
     ident_ok = h0 == 0.0 and p0 == 1.0
 
-    # antisymmetric labels on every campaign comparison family
+    # antisymmetric labels on every setting of the campaign, as summary.csv
+    # prints them; a setting left unlabelled fails the check
     anti_ok = True
     flip = {"+": "-", "-": "+", "*": "*"}
-    by_setting = {}
-    for cell in desk_campaign.cells:
-        by_setting.setdefault(cell.setting, []).append(cell)
-    for family in by_setting.values():
-        named = {c.cell_id: [desk_campaign.records[(c, j)].total_offline_error
-                             for j in range(desk_campaign.config.runs)]
-                 for c in family}
-        labels = pairwise_labels(named)
+    for _, _, named, labels in group_runs_csv(desk_campaign.runs_csv):
+        if labels is None:
+            anti_ok = False
+            continue
         for a in named:
             for b in named:
                 if labels[(a, b)] != flip[labels[(b, a)]]:

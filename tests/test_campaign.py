@@ -151,11 +151,11 @@ def test_campaign_writes_files(tmp_path):
         assert starts[0] == 0
         spans = np.diff(starts, append=cfg.total_iters)
         assert (spans > 0).all()
-        for col, (series, parse) in enumerate(
-                ((rec.capacity_trace, int), (rec.best_profit_trace, int),
-                 (rec.violation_trace, float), (rec.per_iteration_phi, float)), 1):
+        for col, (name, parse) in enumerate(
+                (("capacity", int), ("best_profit", int), ("violation", float),
+                 ("phi", float)), 1):
             dense = np.repeat([parse(row[col]) for row in rows], spans)
-            assert np.array_equal(dense, series)
+            assert np.array_equal(dense, rec.intervals.series(name))
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under_file"])

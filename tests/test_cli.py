@@ -62,8 +62,18 @@ def test_run_and_summarize_and_stats(capsys, tmp_path):
     assert "H=" in out and "(1)" in out and "(2)" in out
 
 
-# the per-algorithm runs.csv digests of the CI "runs.csv digest" campaign;
-# a change to a solver's RNG stream or designation moves its digest
+def digest(label, data):
+    """The sha256 of ``data``, also printed as a ``DIGEST`` line, which CI's
+    Tier-1 step copies from the ``-rP`` log to its step summary."""
+    value = hashlib.sha256(data).hexdigest()
+    print(f"\nDIGEST {label} sha256: {value}")
+    return value
+
+
+# the CI digest campaign: one fixed small campaign whose per-algorithm
+# digests (the rows whose algo column names it) show which solver's RNG
+# stream or designation moved; alpha 1e-4 beside 0.01, because at 0.01 alone
+# the NSGA-II rows did not move when its Chernoff feasibility predicate did
 CI_DIGEST_ARGS = ("run", "--n", "20", "--iters", "2000", "--warmup", "100", "--tau", "100",
                   "--runs", "2", "--algos", "ea11,posdc,nsga2", "--alpha", "0.01,0.0001",
                   "--seed", "1")
@@ -72,18 +82,38 @@ CI_ALGO_DIGESTS = {
     "posdc": "3e1234eaa5fe72d355ab35b64cb5a90c54052f4ba518a291468b85c61887caad",
     "nsga2": "7ca7dc089175284be321511c1a2203290926ef91f18ba6d0e0319652c6439390",
 }
+CI_TRACE_FILE = "trace-uncorrelated-n20-d25-r500-t100-a0.0001-posdc-chernoff-run1.csv"
 
 
 def test_ci_digest_campaign_per_algorithm_digests(capsys, tmp_path):
-    """Each algorithm's digest as CI's awk takes it: the sha256 of the rows
-    whose algo column names it, each with its newline."""
+    """Each algorithm's digest is the sha256 of the rows whose algo column
+    names it, each with its newline; the digests of the whole runs.csv and
+    of summary.csv, which covers the stat labels, are printed beside them."""
     code, _, _ = run_cli(capsys, *CI_DIGEST_ARGS, "--out", str(tmp_path))
     assert code == 0
-    rows = (tmp_path / "runs.csv").read_text().splitlines(keepends=True)
-    digests = {algo: hashlib.sha256("".join(
-        row for row in rows if row.split(",")[1] == algo).encode()).hexdigest()
+    runs = (tmp_path / "runs.csv").read_bytes()
+    digest("runs.csv", runs)
+    digest("summary.csv", (tmp_path / "summary.csv").read_bytes())
+    rows = runs.decode().splitlines(keepends=True)
+    digests = {algo: digest(f"{algo} rows", "".join(
+        row for row in rows if row.split(",")[1] == algo).encode())
         for algo in CI_ALGO_DIGESTS}
     assert digests == CI_ALGO_DIGESTS
+
+
+def test_ci_digest_campaign_traced_in_two_workers_keeps_runs_csv(capsys, tmp_path):
+    """The CI digest campaign run again with ``--trace`` in two worker
+    processes writes the same runs.csv bytes, so tracing and the workers'
+    per-process input memos change no result; prints the trace files' count
+    and one file's digest."""
+    for name, extra in (("plain", ()), ("traced", ("--trace", "--jobs", "2"))):
+        code, _, _ = run_cli(capsys, *CI_DIGEST_ARGS, *extra, "--out", str(tmp_path / name))
+        assert code == 0
+    traced = tmp_path / "traced"
+    assert (traced / "runs.csv").read_bytes() == (tmp_path / "plain" / "runs.csv").read_bytes()
+    count = len(list(traced.glob("trace-*.csv")))
+    digest(f"--trace: {count} trace files; {CI_TRACE_FILE}",
+           (traced / CI_TRACE_FILE).read_bytes())
 
 
 # runs.csv of a churn-shaped POSDC campaign (bounded strongly correlated,
@@ -99,7 +129,7 @@ def test_churn_posdc_campaign_digest(capsys, tmp_path):
     code, _, _ = run_cli(capsys, *CHURN_POSDC_ARGS, "--out", str(tmp_path))
     assert code == 0
     runs = (tmp_path / "runs.csv").read_bytes()
-    assert hashlib.sha256(runs).hexdigest() == CHURN_POSDC_DIGEST
+    assert digest("churn-shaped POSDC runs.csv", runs) == CHURN_POSDC_DIGEST
 
 
 # runs.csv of the same churn-shaped campaign for NSGA-II: its parents and
@@ -114,7 +144,7 @@ def test_churn_nsga2_campaign_digest(capsys, tmp_path):
     code, _, _ = run_cli(capsys, *CHURN_NSGA2_ARGS, "--out", str(tmp_path))
     assert code == 0
     runs = (tmp_path / "runs.csv").read_bytes()
-    assert hashlib.sha256(runs).hexdigest() == CHURN_NSGA2_DIGEST
+    assert digest("churn-shaped NSGA-II runs.csv", runs) == CHURN_NSGA2_DIGEST
 
 
 def write_runs_csv(path, errors):

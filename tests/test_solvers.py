@@ -908,6 +908,21 @@ def test_posdc_repair_cap_raises(monkeypatch):
     assert pos.repair_steps == 4
 
 
+def few_profit_instance(n):
+    """The uncorrelated instance of seed ``n`` with its profits mapped into
+    {1, 2, 3}, so that offspring often tie their parent's profit."""
+    inst = generate_instance("uncorrelated", n, 25, seed=n)
+    return Instance(profits=inst.profits % 3 + 1, weights=inst.weights,
+                    delta=25, kind=UNCORRELATED, c_constant=100, seed=n)
+
+
+def ceil_margins(ctx):
+    """Round ``ctx``'s margins up to integers, so that integer C* values land
+    on C and on POSDC's window edges."""
+    ctx.bound.margins = np.ceil(ctx.bound.margins)
+    ctx.bound.margin = ctx.bound.margins.tolist()
+
+
 def stretch_plan(inst, tau, total, eta, seed):
     """(capacity, first, end) of each stretch of ``tau`` iterations of a
     schedule whose capacity starts at W / 2 and moves by up to 4 eta at each
@@ -948,8 +963,7 @@ def posdc_solver(cls, case):
     inst = generate_instance(family, n, 25, seed=n)
     ctx = _RunContext(inst, ChanceParams(0.01 if tau == 25 else 1e-4, 25, kind))
     if ceiling:
-        ctx.bound.margins = np.ceil(ctx.bound.margins)
-        ctx.bound.margin = ctx.bound.margins.tolist()
+        ceil_margins(ctx)
     eta = eta or max(1, inst.total_expected_weight() // 20)
     plan = stretch_plan(inst, tau, 2000 if tau == 25 else 3000, eta, seed=n + tau)
     rng = np.random.default_rng(n)
@@ -971,6 +985,29 @@ def test_posdc_matches_the_reference_posdc(case):
     same state."""
     live, live_rng, plan = posdc_solver(Posdc, case)
     ref, ref_rng, _ = posdc_solver(ReferencePosdc, case)
+    assert_posdc_matches_reference(live, live_rng, ref, ref_rng, plan)
+
+
+def test_posdc_repair_seeds_on_the_window_upper_edge():
+    """A whole run in which the repair incumbent reaches C* = C + eta, the
+    window's upper edge, which seeds the archive: profits in {1, 2, 3},
+    Chebyshev at alpha 1e-4 with ceiling margins, tau 30, eta 30, and a
+    capacity that moves by up to 4 at each change."""
+    inst = few_profit_instance(100)
+    plan = stretch_plan(inst, 30, 3000, 1, seed=1162)  # its eta 1: steps of up to 4
+
+    def solver(cls):
+        ctx = _RunContext(inst, ChanceParams(1e-4, 25, CHEBYSHEV))
+        ceil_margins(ctx)
+        rng = np.random.default_rng(1162)
+        return cls(ctx, rng, plan[0][0], 30), rng
+
+    assert_posdc_matches_reference(*solver(Posdc), *solver(ReferencePosdc), plan)
+
+
+def assert_posdc_matches_reference(live, live_rng, ref, ref_rng, plan):
+    """Steps ``live`` beside ``ref`` through ``plan``, asserting after
+    every stretch what ``test_posdc_matches_the_reference_posdc`` states."""
     for n_seg, (capacity, first, end) in enumerate(plan):
         if n_seg:
             live.on_change(capacity)
@@ -1074,10 +1111,8 @@ def ea_schedule_case(n, kind, tau, few_profits=False):
     """A ``_RunContext`` and a stretch plan: alpha 0.01 at tau 25 (churn's),
     1e-4 at tau 1000 (desk's and wide's). With ``few_profits`` the profits
     are mapped into {1, 2, 3}, so offspring often tie their parent's."""
-    inst = generate_instance("uncorrelated", n, 25, seed=n)
-    if few_profits:
-        inst = Instance(profits=inst.profits % 3 + 1, weights=inst.weights,
-                        delta=25, kind=UNCORRELATED, c_constant=100, seed=n)
+    inst = few_profit_instance(n) if few_profits else generate_instance(
+        "uncorrelated", n, 25, seed=n)
     ctx = _RunContext(inst, ChanceParams(0.01 if tau == 25 else 1e-4, 25, kind))
     eta = max(1, inst.total_expected_weight() // 20)
     return ctx, stretch_plan(inst, tau, 2000 if tau == 25 else 8000, eta, seed=n + tau)
@@ -1779,11 +1814,13 @@ def test_run_record_phi_consistent_with_trace():
     params = ChanceParams(0.01, 25, CHERNOFF)
     for algo in ("ea11", "posdc", "nsga2"):
         rec = run_algorithm(algo, inst, sched, params, dp, seed=3)
+        capacities, profits, violations = (
+            rec.intervals.series(name) for name in ("capacity", "best_profit", "violation"))
         for j in range(0, len(rec.per_iteration_phi), 37):
-            cap = int(rec.capacity_trace[j])
+            cap = int(capacities[j])
             p_star = int(dp[cap])
-            viol = float(rec.violation_trace[j])
-            p_x = int(rec.best_profit_trace[j])
+            viol = float(violations[j])
+            p_x = int(profits[j])
             expected = (p_star - p_x) if viol <= 0.01 else (1 + viol) * p_star
             assert rec.per_iteration_phi[j] == pytest.approx(expected, rel=1e-12)
             assert cap == sched.capacity_at(j + sched.warmup)
@@ -1873,11 +1910,10 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, kind, monkeypatch):
     reference = reference_series(algo, inst, sched, params, dp, seed)
 
     for rec in (marked, normal):
-        got = (rec.per_iteration_phi, rec.capacity_trace, rec.best_profit_trace,
-               rec.violation_trace)
+        got = [rec.intervals.series(name) for name, _ in metrics.COLUMNS]
         for a, b in zip(got, reference, strict=True):
             assert np.array_equal(a, b)
-        assert rec.feasible_fraction == float((rec.violation_trace <= 0.01).mean())
+        assert rec.feasible_fraction == float((got[3] <= 0.01).mean())
         assert rec.feasible_fraction == float((reference[3] <= 0.01).mean())
         assert rec.total_offline_error == float(reference[0].mean())
     assert len(normal.intervals.starts) < len(reference[0]) // 4
