@@ -65,6 +65,8 @@ class CampaignConfig:
         for name in ("base_seed", "instance_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.trace and self.out_dir is None:
+            raise ValueError("trace needs an out_dir for its files, got out_dir=None")
         for name in ("deltas", "rs", "taus", "alphas", "algos", "bounds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -288,12 +290,17 @@ def group_runs_csv(text: str, family_alpha: float = 0.05):
     The cells of a setting share its cell id up to the algo/bound suffix and
     are the variants compared with each other; ``labels`` is
     ``stats.pairwise_labels`` at ``family_alpha``, or None for a setting
-    that is not ``stats.testable``."""
+    that is not ``stats.testable``. A (cell_id, run_seed) pair that repeats
+    raises ValueError, since its run would count twice."""
     if (text.splitlines() or [""])[0] != RUNS_CSV_HEADER:
         raise ValueError(f"not a runs.csv: its first line must be {RUNS_CSV_HEADER}")
     groups: dict[str, dict[str, list[dict]]] = {}
+    seen = set()
     for row in csv.DictReader(io.StringIO(text)):
-        cid = row["cell_id"]
+        cid, seed = row["cell_id"], row["run_seed"]
+        if (cid, seed) in seen:
+            raise ValueError(f"runs.csv repeats cell {cid} with run_seed {seed}")
+        seen.add((cid, seed))
         groups.setdefault(cid.rsplit("-", 2)[0], {}).setdefault(cid, []).append(row)
     for setting, family in groups.items():
         named = {cid: [float(r["total_offline_error"]) for r in rows]

@@ -89,14 +89,6 @@ def test_capacity_bound_dispatch():
 
 @given(st.integers(1, 200), st.integers(100, 100_000), st.integers(1, 100),
        st.floats(1e-6, 1 - 1e-6))
-def test_chebyshev_round_trip_identity(k, ew, delta, alpha):
-    b = bound(CHEBYSHEV, delta, alpha, k)
-    c = b.cstar(ew, k)
-    assert b.tail(ew, k, c) == pytest.approx(alpha, rel=1e-9)
-
-
-@given(st.integers(1, 200), st.integers(100, 100_000), st.integers(1, 100),
-       st.floats(1e-6, 1 - 1e-6))
 def test_chernoff_certificate_round_trip(k, ew, delta, alpha):
     b = bound(CHERNOFF, delta, alpha, k)
     c = b.cstar(ew, k)

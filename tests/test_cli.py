@@ -82,35 +82,38 @@ CI_ALGO_DIGESTS = {
     "posdc": "3e1234eaa5fe72d355ab35b64cb5a90c54052f4ba518a291468b85c61887caad",
     "nsga2": "7ca7dc089175284be321511c1a2203290926ef91f18ba6d0e0319652c6439390",
 }
+CI_SUMMARY_DIGEST = "bd8d90b78ee137a4890d558e0332d4935f10d829f108566a9b7b14e68e009cbd"
 CI_TRACE_FILE = "trace-uncorrelated-n20-d25-r500-t100-a0.0001-posdc-chernoff-run1.csv"
 
 
 def test_ci_digest_campaign_per_algorithm_digests(capsys, tmp_path):
     """Each algorithm's digest is the sha256 of the rows whose algo column
-    names it, each with its newline; the digests of the whole runs.csv and
-    of summary.csv, which covers the stat labels, are printed beside them."""
+    names it, each with its newline; the digest of the whole runs.csv is
+    printed beside them. summary.csv's digest pins its means, stds and stat
+    labels; with two runs a cell, no SIMD summation order enters them."""
     code, _, _ = run_cli(capsys, *CI_DIGEST_ARGS, "--out", str(tmp_path))
     assert code == 0
     runs = (tmp_path / "runs.csv").read_bytes()
     digest("runs.csv", runs)
-    digest("summary.csv", (tmp_path / "summary.csv").read_bytes())
     rows = runs.decode().splitlines(keepends=True)
     digests = {algo: digest(f"{algo} rows", "".join(
         row for row in rows if row.split(",")[1] == algo).encode())
         for algo in CI_ALGO_DIGESTS}
     assert digests == CI_ALGO_DIGESTS
+    assert digest("summary.csv", (tmp_path / "summary.csv").read_bytes()) == CI_SUMMARY_DIGEST
 
 
 def test_ci_digest_campaign_traced_in_two_workers_keeps_runs_csv(capsys, tmp_path):
     """The CI digest campaign run again with ``--trace`` in two worker
     processes writes the same runs.csv bytes, so tracing and the workers'
-    per-process input memos change no result; prints the trace files' count
-    and one file's digest."""
+    per-process input memos change no result, and the plain campaign writes
+    no trace file; prints the trace files' count and one file's digest."""
     for name, extra in (("plain", ()), ("traced", ("--trace", "--jobs", "2"))):
         code, _, _ = run_cli(capsys, *CI_DIGEST_ARGS, *extra, "--out", str(tmp_path / name))
         assert code == 0
     traced = tmp_path / "traced"
     assert (traced / "runs.csv").read_bytes() == (tmp_path / "plain" / "runs.csv").read_bytes()
+    assert not list((tmp_path / "plain").glob("trace-*.csv"))
     count = len(list(traced.glob("trace-*.csv")))
     digest(f"--trace: {count} trace files; {CI_TRACE_FILE}",
            (traced / CI_TRACE_FILE).read_bytes())
@@ -197,6 +200,20 @@ def test_stats_rejects_family_alpha_before_grouping(capsys, tmp_path, family_alp
                              "--family-alpha", family_alpha)
     assert code == 1 and out == ""
     assert "family_alpha must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize("command", ["summarize", "stats"])
+def test_repeated_run_is_config_error(capsys, tmp_path, command):
+    """A runs.csv row repeated, as concatenated campaign outputs leave, would
+    count its run twice: exit 1, naming the cell and run seed."""
+    runs_csv = tmp_path / "runs.csv"
+    write_runs_csv(runs_csv, {"ea11-chernoff": [1.0, 3.0], "posdc-chernoff": [2.0, 4.0]})
+    lines = runs_csv.read_text().splitlines(keepends=True)
+    runs_csv.write_text("".join(lines + lines[2:3]))
+    code, out, err = run_cli(capsys, command, str(runs_csv))
+    assert code == 1 and out == ""
+    assert err == ("error: runs.csv repeats cell uncorrelated-n10-d25-r300-t150-a0.01-"
+                   "ea11-chernoff with run_seed 1\n")
 
 
 def test_stats_skips_settings_with_a_cell_of_one_run(capsys, tmp_path):

@@ -32,13 +32,6 @@ def test_unit_magnitude_steps():
     assert np.abs(np.diff(caps)).max() <= 1
 
 
-def test_deterministic():
-    a = build_schedule(5000, 100, 500, 1000, 9000, 1, 10 ** 6, seed=17)
-    b = build_schedule(5000, 100, 500, 1000, 9000, 1, 10 ** 6, seed=17)
-    assert np.array_equal(a.change_caps, b.change_caps)
-    assert np.array_equal(a.change_iters, b.change_iters)
-
-
 def test_capacity_at_matches_linear_replay():
     rng = np.random.default_rng(0)
     for trial in range(20):
@@ -116,11 +109,6 @@ def test_capacity_range_holds_every_schedule_capacity():
         assert high == min(c_max, c0 + r * sched.change_count)
         clamps += sched.clamp_count
     assert clamps > 0
-
-
-def test_pinned_clamp_gives_static_capacity():
-    sched = build_schedule(777, 10, 500, 100, 3000, 777, 777, seed=4)
-    assert np.all(sched.capacities() == 777)
 
 
 def test_rejects_bad_arguments():

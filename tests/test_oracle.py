@@ -363,17 +363,6 @@ def test_brute_force_tie_breaks_lexicographically():
     assert bits.tolist() == [0, 1]
 
 
-def test_dp_matches_brute_force_random_instances():
-    rng = np.random.default_rng(7)
-    for trial in range(15):
-        n = int(rng.integers(4, 13))
-        inst = generate_instance("uncorrelated", n, 25, seed=trial)
-        table = dp_optimal_profits(inst, inst.total_expected_weight())
-        for _ in range(5):
-            cap = int(rng.integers(0, inst.total_expected_weight() + 1))
-            assert table[cap] == brute_force_optimum(inst, cap)[0]
-
-
 def test_chance_optimum_capacity_threshold():
     # single item, E(w)=100: Chebyshev bound sits at ~243.614, so C=244
     # admits the item and C=243 does not

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import ndtr
 from scipy.stats import chi2, rankdata
 from scipy.stats import kruskal as scipy_kruskal
@@ -59,19 +58,6 @@ def reference_pairwise_labels(named_groups, family_alpha=0.05):
             labels[(a, b)] = SAME if i == j or p_two >= threshold else (
                 BETTER if z < 0 else WORSE)
     return labels
-
-
-def test_h_statistic_hand_computed():
-    # ranks 1..6, rank sums 6 and 15: H = 12/(6*7) * (36/3 + 225/3) - 21 = 27/7
-    h, p = kruskal_wallis([[1, 2, 3], [4, 5, 6]])
-    assert h == pytest.approx(27 / 7, abs=1e-12)
-    assert h == pytest.approx(3.857, abs=1e-3)
-    assert 0 < p < 1
-
-
-def test_identical_groups_convention():
-    h, p = kruskal_wallis([[5, 5, 5], [5, 5, 5]])
-    assert (h, p) == (0.0, 1.0)
 
 
 EQUAL_RANKS_11 = [3.2, 1.5, 3.8, 3.5, 3.8, 2.4, 1.8, 1.4, 3.5, 3.3, 4.7]
@@ -147,22 +133,6 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_permutation_within_group_invariant():
-    base = kruskal_wallis([[3, 1, 2], [9, 7, 8]])
-    perm = kruskal_wallis([[1, 2, 3], [7, 8, 9]])
-    assert base == perm
-
-
-@given(st.integers(0, 2 ** 31))
-def test_monotone_transform_invariance(seed):
-    rng = np.random.default_rng(seed)
-    groups = [rng.normal(size=6).tolist(), rng.normal(1.0, size=7).tolist(),
-              rng.normal(2.0, size=5).tolist()]
-    h1, _ = kruskal_wallis(groups)
-    h2, _ = kruskal_wallis([[math.exp(v) for v in g] for g in groups])
-    assert h1 == pytest.approx(h2, rel=1e-10)
-
-
 def test_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         kruskal_wallis([[1, 2, 3]])
@@ -172,19 +142,6 @@ def test_rejects_degenerate_inputs():
         pairwise_labels({"a": [1, 2]})
 
 
-def test_identical_samples_labelled_same():
-    labels = pairwise_labels({"a": [1, 2, 3, 4], "b": [1, 2, 3, 4]})
-    assert labels[("a", "b")] == SAME
-    assert labels[("a", "a")] == SAME
-
-
-def test_well_separated_groups():
-    labels = pairwise_labels({"low": list(range(1, 31)),
-                              "high": list(range(101, 131))})
-    assert labels[("low", "high")] == BETTER
-    assert labels[("high", "low")] == WORSE
-
-
 def test_dunn_z_hand_computed_two_groups():
     # mean ranks 15.5 and 45.5; variance term N(N+1)/12 = 305, no ties
     groups = [list(range(1, 31)), list(range(101, 131))]
@@ -192,32 +149,6 @@ def test_dunn_z_hand_computed_two_groups():
     se = math.sqrt(305.0 * (2 / 30))
     assert z[0, 1] == pytest.approx((15.5 - 45.5) / se, rel=1e-12)
     assert z[1, 0] == pytest.approx(-z[0, 1], rel=1e-12)
-
-
-def test_labels_antisymmetric_random():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        named = {name: rng.normal(loc, 1.0, size=12).tolist()
-                 for name, loc in (("a", 0.0), ("b", 0.4), ("c", 2.0), ("d", 2.1))}
-        labels = pairwise_labels(named)
-        for x in named:
-            assert labels[(x, x)] == SAME
-            for y in named:
-                if x == y:
-                    continue
-                pair = (labels[(x, y)], labels[(y, x)])
-                assert pair in ((SAME, SAME), (BETTER, WORSE), (WORSE, BETTER))
-
-
-def test_tightening_alpha_never_creates_significance():
-    rng = np.random.default_rng(5)
-    named = {n: rng.normal(i * 0.5, 1.0, size=10).tolist()
-             for i, n in enumerate("abcd")}
-    loose = pairwise_labels(named, family_alpha=0.05)
-    tight = pairwise_labels(named, family_alpha=0.005)
-    for pair, label in tight.items():
-        if label != SAME:
-            assert loose[pair] == label
 
 
 @pytest.mark.parametrize("family_alpha", [5.0, 1.0, 0.0, -1.0, math.nan])
