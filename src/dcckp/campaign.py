@@ -201,46 +201,35 @@ class CampaignResult:
     summary_csv: str
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def csv_text(header: str, rows) -> str:
+    """CSV text: the ``header`` line, then one line per row, each value as
+    ``str`` writes it (for a float, its shortest repr)."""
+    return "".join(f"{line}\n" for line in
+                   [header, *(",".join(map(str, row)) for row in rows)])
 
 
 def _runs_csv(config, cells, records) -> str:
-    buf = io.StringIO()
-    buf.write(RUNS_CSV_HEADER + "\n")
-    for cell in cells:
-        for j in range(config.runs):
-            rec = records[(cell, j)]
-            buf.write(",".join([
-                cell.cell_id, cell.algo, cell.bound, str(cell.r), str(cell.tau),
-                str(cell.delta), _format_float(cell.alpha), str(rec.run_seed),
-                _format_float(rec.total_offline_error),
-                _format_float(rec.feasible_fraction), str(rec.change_count),
-            ]) + "\n")
-    return buf.getvalue()
+    runs = ((cell, records[(cell, j)]) for cell in cells for j in range(config.runs))
+    return csv_text(RUNS_CSV_HEADER, (
+        (cell.cell_id, cell.algo, cell.bound, cell.r, cell.tau, cell.delta,
+         cell.alpha, rec.run_seed, rec.total_offline_error,
+         rec.feasible_fraction, rec.change_count) for cell, rec in runs))
 
 
 def format_summary_csv(rows) -> str:
     """summary.csv text of rows as ``summarize_runs_csv`` returns them."""
-    buf = io.StringIO()
-    buf.write(SUMMARY_CSV_HEADER + "\n")
-    for row in rows:
-        buf.write(",".join([
-            *(row[key] for key in _CELL_COLUMNS), str(row["runs"]),
-            _format_float(row["mean"]), _format_float(row["std"]), row["stat"],
-        ]) + "\n")
-    return buf.getvalue()
+    return csv_text(SUMMARY_CSV_HEADER, (
+        (*(row[key] for key in _CELL_COLUMNS), row["runs"], row["mean"],
+         row["std"], row["stat"]) for row in rows))
 
 
 def _trace_csv(rec) -> str:
     """A run's interval log, one row per entry: its first post-warmup
     iteration and the exact values that hold from there to the next entry."""
     log = rec.intervals
-    rows = zip(log.starts.tolist(), *(log.columns[name].tolist() for name in
-                                      ("capacity", "best_profit", "violation", "phi")))
-    return TRACE_CSV_HEADER + "\n" + "".join(
-        f"{j},{cap},{profit},{_format_float(viol)},{_format_float(phi)}\n"
-        for j, cap, profit, viol, phi in rows)
+    return csv_text(TRACE_CSV_HEADER, zip(
+        log.starts.tolist(), *(log.columns[name].tolist() for name in
+                               ("capacity", "best_profit", "violation", "phi"))))
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

@@ -27,6 +27,7 @@ import numpy as np
 CHEBYSHEV = "chebyshev"
 CHERNOFF = "chernoff"
 BOUND_KINDS = (CHEBYSHEV, CHERNOFF)
+_CHUNK_VALUES = 4_000_000  # uniforms per draw block of monte_carlo_violation
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def tail_bound(params: ChanceParams, n: int) -> TailBound:
 
 
 def monte_carlo_violation(instance, bits, capacity, samples: int,
-                          seed: int, _chunk_values: int = 4_000_000) -> float | list[float]:
+                          seed: int) -> float | list[float]:
     """Estimate the true Pr[W(x) >= capacity] by sampling realized weights.
 
     Draws ``samples`` independent realizations of the selected items' weights
@@ -171,7 +172,7 @@ def monte_carlo_violation(instance, bits, capacity, samples: int,
     # sum of k uniforms on [0,1), rescaled: W = (ew_sum - k*delta) + 2*delta*U
     low_corner = ew_sum - k * delta
     rng = np.random.default_rng(seed)
-    rows = max(1, _chunk_values // max(k, 1))
+    rows = max(1, _CHUNK_VALUES // max(k, 1))
     buf = np.empty((rows, k))
     hits = np.zeros(caps.size, np.int64)
     done = 0

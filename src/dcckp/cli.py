@@ -20,6 +20,7 @@ from pathlib import Path
 from . import dynamics, oracle, stats
 from .campaign import (
     CampaignConfig,
+    csv_text,
     format_summary_csv,
     group_runs_csv,
     run_campaign,
@@ -160,9 +161,8 @@ def _cmd_dump_schedule(args) -> int:
     schedule = dynamics.build_schedule(args.c0, args.tau, args.r, args.warmup,
                                        args.iters, args.c_min, args.c_max,
                                        args.seed)
-    lines = ["iteration,capacity"]
-    lines.extend(f"{i},{c}" for i, c in enumerate(schedule.capacities().tolist()))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text("iteration,capacity", enumerate(schedule.capacities().tolist())),
+          args.out)
     return 0
 
 
@@ -170,9 +170,7 @@ def _cmd_dump_dp(args) -> int:
     inst = parse_instance(args.instance_file.read_text())
     c_max = args.c_max if args.c_max is not None else inst.total_expected_weight()
     table = oracle.dp_optimal_profits(inst, c_max)
-    lines = ["capacity,optimal_profit"]
-    lines.extend(f"{c},{int(p)}" for c, p in enumerate(table))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text("capacity,optimal_profit", enumerate(table.tolist())), args.out)
     return 0
 
 

@@ -61,16 +61,18 @@ def test_config_validation():
                        ("rs", (0,)), ("rs", (300, -1)),
                        ("taus", (0,)), ("taus", (150, -5)),
                        ("c0_fraction", 0.0), ("c0_fraction", -0.5),
-                       ("c0_fraction", 1.5), ("c0_fraction", 1e-6),
-                       ("c_constant", 0),
+                       ("c0_fraction", 1.5), ("c_constant", 0),
                        ("c_constant", -3), ("deltas", (25, 25)),
                        ("alphas", (0.01, 0.010000001)),
                        ("base_seed", -1), ("instance_seed", -1)):
-        with pytest.raises(ValueError, match=field if field.endswith("_seed") else None):
+        named = field.endswith("_seed") or field == "c0_fraction"
+        with pytest.raises(ValueError, match=field if named else None):
             CampaignConfig(**{**TINY, field: bad})
     # each is rejected by the library call that uses it, made before any run
+    # (a c0_fraction whose c0 rounds to 0 fails build_schedule's c0 check)
     for field, bad in (("bounds", ("gauss",)), ("n", 0), ("warmup", -1),
-                       ("total_iters", 0), ("alphas", (0.0,)), ("alphas", (1.0,))):
+                       ("total_iters", 0), ("alphas", (0.0,)), ("alphas", (1.0,)),
+                       ("c0_fraction", 1e-6)):
         with pytest.raises(ValueError):
             CampaignConfig(**{**TINY, field: bad})
     # a negative warmup is named, even when it leaves no run length either
@@ -78,6 +80,15 @@ def test_config_validation():
         CampaignConfig(**{**TINY, "warmup": -1, "total_iters": 1})
     CampaignConfig(**{**TINY, "deltas": (1, WEIGHT_OFFSET), "rs": (1,), "taus": (1,),
                       "c0_fraction": 1.0, "c_constant": 1})
+
+
+def test_defaults_are_the_papers_setting():
+    """A campaign left at its defaults runs the setting README's `dcckp run`
+    example spells out: n=100, r=500, tau=1000, 10 runs of 100,000
+    iterations after 1,000 of warmup."""
+    cfg = CampaignConfig()
+    assert ((cfg.n, cfg.rs, cfg.taus, cfg.runs, cfg.total_iters, cfg.warmup)
+            == (100, (500,), (1000,), 10, 100_000, 1_000))
 
 
 def test_config_checks_schedules_without_walking_them(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dcckp import chance
 from dcckp.chance import (
     CHEBYSHEV,
     CHERNOFF,
@@ -187,37 +188,36 @@ def test_monte_carlo_deterministic():
     assert 0.3 < a < 0.7  # at the mean of a 7-item sum
 
 
-def test_monte_carlo_capacity_sequence_matches_scalar_calls():
+def test_monte_carlo_capacity_sequence_matches_scalar_calls(monkeypatch):
     # one set of draws for several capacities, as criterion 2 uses it
     inst = generate_instance("uncorrelated", 30, 25, seed=4)
+    monkeypatch.setattr(chance, "_CHUNK_VALUES", 1000)  # several draw blocks
     for k, seed in ((1, 2), (7, 3), (30, 4)):
         bits = np.zeros(30, np.uint8)
         bits[:k] = 1
         ew = int(inst.weights[:k].sum())
         caps = [ew - 40, ew, ew + 10.5, float(ew + 30), ew + 25 * k]
-        # a small chunk forces several draw blocks
-        together = monte_carlo_violation(inst, bits, caps, 30_001, seed=seed,
-                                         _chunk_values=1000)
-        assert together == [monte_carlo_violation(inst, bits, c, 30_001, seed=seed,
-                                                  _chunk_values=1000)
-                             for c in caps]
+        together = monte_carlo_violation(inst, bits, caps, 30_001, seed=seed)
+        assert together == [monte_carlo_violation(inst, bits, c, 30_001, seed=seed)
+                            for c in caps]
         assert all(type(v) is float for v in together)
         assert together == monte_carlo_violation(inst, bits, np.array(caps), 30_001,
-                                                 seed=seed, _chunk_values=1000)
+                                                 seed=seed)
     empty = np.zeros(30, np.uint8)
     assert monte_carlo_violation(inst, empty, (-1, 0, 1), 100, seed=0) == [1.0, 1.0, 0.0]
 
 
-def test_monte_carlo_chunked_draws_equal_one_block():
+def test_monte_carlo_chunked_draws_equal_one_block(monkeypatch):
     # blocks of 1000 // 7 = 142 rows: 30,001 samples end on a short block
     inst = generate_instance("uncorrelated", 30, 25, seed=4)
     bits = np.zeros(30, np.uint8)
     bits[:7] = 1
     ew = int(inst.weights[:7].sum())
     caps = [ew - 7 * 25, ew, ew + 30]  # every realization reaches the first
-    chunked = monte_carlo_violation(inst, bits, caps, 30_001, seed=3,
-                                    _chunk_values=1000)
-    assert chunked == monte_carlo_violation(inst, bits, caps, 30_001, seed=3)
+    one_block = monte_carlo_violation(inst, bits, caps, 30_001, seed=3)
+    monkeypatch.setattr(chance, "_CHUNK_VALUES", 1000)
+    chunked = monte_carlo_violation(inst, bits, caps, 30_001, seed=3)
+    assert chunked == one_block
     assert chunked[0] == 1.0
 
 

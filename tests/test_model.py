@@ -42,15 +42,16 @@ def test_single_item_instance_ranges():
     assert 1 <= inst.profits[0] <= 1000
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(kind=UNCORRELATED, n=0, delta=25),
-    dict(kind=UNCORRELATED, n=5, delta=0),
-    dict(kind=UNCORRELATED, n=5, delta=101),
-    dict(kind=UNCORRELATED, n=5, delta=25, c_constant=0),
-    dict(kind="nope", n=5, delta=25),
-])
-def test_generate_rejects_bad_arguments(kwargs):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind=UNCORRELATED, n=0, delta=25), "n must be >= 1"),
+    (dict(kind=UNCORRELATED, n=5, delta=0), "delta must be in"),
+    (dict(kind=UNCORRELATED, n=5, delta=101), "delta must be in"),
+    (dict(kind=UNCORRELATED, n=5, delta=25, c_constant=0), "c_constant must be >= 1"),
+    (dict(kind="nope", n=5, delta=25), "unknown instance kind 'nope'"),
+], ids=[f"kwargs{i}" for i in range(5)])
+def test_generate_rejects_bad_arguments(kwargs, message):
+    # each check's own message: a later check would raise ValueError anyway
+    with pytest.raises(ValueError, match=message):
         generate_instance(seed=1, **kwargs)
 
 
@@ -64,6 +65,22 @@ def test_item_invariants():
         make_instance([0], [200])
     with pytest.raises(ValueError):
         make_instance([5], [100])
+    # a profit-1 item breaks only the weight rule
+    with pytest.raises(ValueError, match="expected weight must be >= 101, got 100"):
+        make_instance([1], [100])
+    # the least profit and expected weight an item may have
+    assert make_instance([1], [101]).profits.tolist() == [1]
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="nope"), "unknown kind 'nope'"),
+    (dict(delta=0), "delta must be a positive integer"),
+    (dict(delta=200), "delta=200 must stay below the smallest expected weight 200"),
+], ids=["unknown_kind", "delta_below_1", "delta_at_least_min_weight"])
+def test_instance_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Instance(**{**dict(profits=[5, 7], weights=[200, 300], delta=25,
+                           kind=UNCORRELATED, c_constant=100, seed=0), **fields})
 
 
 def test_instance_rejects_broken_correlation():
@@ -100,7 +117,7 @@ def test_instance_equality_compares_arrays_and_scalar_fields():
 
 @pytest.mark.parametrize("profits, weights", [([1], [200, 300]), ([], [])])
 def test_instance_rejects_columns_of_unequal_or_zero_length(profits, weights):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="of one length|at least one item"):
         make_instance(profits, weights)
 
 
@@ -158,15 +175,19 @@ def test_parse_rejects_empty_file():
 def test_parse_reports_line_numbers():
     inst = generate_instance(UNCORRELATED, 3, 25, seed=5)
     lines = serialize_instance(inst).splitlines()
-    lines[2] = "7 banana"
-    with pytest.raises(InstanceFormatError) as err:
-        parse_instance("\n".join(lines) + "\n")
-    assert err.value.line_no == 3
+    for row, message in (("7 banana", "non-integer item fields"),
+                         ("7 200 3", "expected 'profit expected_weight'")):
+        lines[2] = row
+        with pytest.raises(InstanceFormatError, match=message) as err:
+            parse_instance("\n".join(lines) + "\n")
+        assert err.value.line_no == 3
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(InstanceFormatError) as err:
-        parse_instance("n 2 delta x kind uncorrelated c 100 seed 1\n1 200\n2 300\n")
-    assert err.value.line_no == 1
-    with pytest.raises(InstanceFormatError):
-        parse_instance("totally wrong header\n")
+    for header, message in (
+            ("n 2 delta x kind uncorrelated c 100 seed 1", "non-integer header field"),
+            ("totally wrong header", "header must be 'n <int> delta <int> kind"),
+            ("n 2 delta 25 kind nope c 100 seed 1", "unknown instance kind 'nope'")):
+        with pytest.raises(InstanceFormatError, match=message) as err:
+            parse_instance(f"{header}\n1 200\n2 300\n")
+        assert err.value.line_no == 1

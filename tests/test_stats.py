@@ -151,6 +151,16 @@ def test_dunn_z_hand_computed_two_groups():
     assert z[1, 0] == pytest.approx(-z[0, 1], rel=1e-12)
 
 
+def test_pair_on_the_bonferroni_threshold_is_labelled_same():
+    # two groups make one pair, so the threshold is family_alpha itself
+    named = {"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}
+    p = math.erfc(abs(dunn_z(list(named.values()))[0, 1]) / math.sqrt(2))
+    assert p == pytest.approx(0.0495, abs=1e-4)
+    assert pairwise_labels(named, family_alpha=p)[("a", "b")] == SAME
+    labels = pairwise_labels(named, family_alpha=math.nextafter(p, 1))
+    assert (labels[("a", "b")], labels[("b", "a")]) == (BETTER, WORSE)
+
+
 @pytest.mark.parametrize("family_alpha", [5.0, 1.0, 0.0, -1.0, math.nan])
 def test_pairwise_labels_rejects_family_alpha_outside_unit_interval(family_alpha):
     named = {"a": [1.0, 2.0, 3.0], "b": [10.0, 11.0, 12.0]}
