@@ -83,6 +83,9 @@ class CampaignConfig:
         # item weights do not depend on delta, so one instance settles c0
         c0 = dynamics.default_initial_capacity(instances[0], self.c0_fraction)
         c_min, c_max = dynamics.default_clamp_bounds(instances[0])
+        if c0 < c_min:
+            raise ValueError(f"c0_fraction {self.c0_fraction:g} gives c0={c0}, "
+                             f"below the least capacity {c_min}")
         for r, tau in product(self.rs, self.taus):
             dynamics.build_schedule(c0, tau, r, self.warmup, self.warmup + 1,
                                     c_min, c_max)

@@ -43,9 +43,8 @@ piece of a block at a time and visits only the iterations that flip: an
 offspring that flips nothing would be an exact copy. POSDC's stream comes
 from geometric gaps (``_gap_flips``), about one draw per flip. The
 (1+1)-EA's replays one ``rng.random(n)`` per iteration (``_replay_flips``),
-which costs n uniforms an iteration but keeps its trajectories: acceptance
-criterion 4's 95/100 threshold sits at the EA's measured success rate, so a
-new EA stream fails it about half the time. NSGA-II reads a stream of the
+which costs n uniforms an iteration but keeps its trajectories, and so
+the ea11 rows of runs.csv. NSGA-II reads a stream of the
 same kind, one item per generation with all of its draws, drawn
 ``MUTATION_BLOCK // pop_size`` generations at a time (``Nsga2._draw_block``).
 

@@ -115,6 +115,18 @@ def test_criterion_3_dp_matches_brute_force():
 
 
 # --- 4. Static-optimum recovery ----------------------------------------------
+# Each solver runs once per instance i, on instance seed INSTANCE_SEED + i at
+# solver seed SOLVER_SEED + i. An EA row passes at the 1% lower quantile of
+# its hit count over the replay stream's audited per-instance rates
+# (tools/power_audit.py, POWER_AUDIT.json; tests/test_power_audit.py
+# recomputes it), a POSDC row at 95 of 100, where every audited rate is 1.
+
+INSTANCE_SEED, SOLVER_SEED = 4000, 9000
+STATIC_BUDGET, STATIC_ETA = 10_000, 500
+STATIC_INSTANCES = {"ea11": 300, "posdc": 100}
+PASS_HITS = {("ea11", CHEBYSHEV): 271, ("ea11", CHERNOFF): 271,
+             ("posdc", CHEBYSHEV): 95, ("posdc", CHERNOFF): 95}
+
 
 def cstar_side_optimum(inst, capacity, params):
     n = inst.n
@@ -128,33 +140,46 @@ def cstar_side_optimum(inst, capacity, params):
     return int(p[feas].max()) if feas.any() else 0
 
 
+def static_optimum_hits(algo, family, i, seeds, flips=None):
+    """Criterion 4's experiment on instance i (uncorrelated, n = 12,
+    delta = 25, capacity int(0.45 W), alpha = 0.01): per solver seed, whether
+    ``algo`` ends a budget of STATIC_BUDGET iterations at its target. The
+    (1+1)-EA's target is the chance-constrained optimum; POSDC's is the best
+    profit with C* below the capacity, reached with no repair pending.
+    ``flips(rng, n)``, when given, replaces the EA's flip stream."""
+    inst = generate_instance("uncorrelated", 12, 25, seed=INSTANCE_SEED + i)
+    capacity = int(0.45 * inst.total_expected_weight())
+    params = ChanceParams(0.01, 25, family)
+    ctx = _RunContext(inst, params)
+    hits = []
+    if algo == "ea11":
+        target = brute_force_chance_optimum(inst, capacity, params)[0]
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            ea = OnePlusOneEA(ctx, rng, capacity)
+            if flips is not None:
+                ea.flips = flips(rng, ctx.n)
+            ea.step(capacity, 0, STATIC_BUDGET, lambda _: None)
+            hits.append(bool(ea.p == target))
+    else:
+        target = cstar_side_optimum(inst, capacity, params)
+        for seed in seeds:
+            pos = Posdc(ctx, np.random.default_rng(seed), capacity, eta=STATIC_ETA)
+            pos.step(capacity, 0, STATIC_BUDGET, lambda _: None)
+            hits.append(pos.repair is None and bool(pos.best()[1] == target))
+    return hits
+
+
 def test_criterion_4_static_optimum_recovery():
     t0 = time.perf_counter()
-    budget = 10_000
-    hits = {("ea11", CHEBYSHEV): 0, ("ea11", CHERNOFF): 0,
-            ("posdc", CHEBYSHEV): 0, ("posdc", CHERNOFF): 0}
-    for i in range(100):
-        inst = generate_instance("uncorrelated", 12, 25, seed=4000 + i)
-        capacity = int(0.45 * inst.total_expected_weight())
-        for kind in (CHEBYSHEV, CHERNOFF):
-            params = ChanceParams(0.01, 25, kind)
-            ctx = _RunContext(inst, params)
-            target_ea = brute_force_chance_optimum(inst, capacity, params)[0]
-            target_pos = cstar_side_optimum(inst, capacity, params)
-
-            ea = OnePlusOneEA(ctx, np.random.default_rng(9000 + i), capacity)
-            ea.step(capacity, 0, budget, lambda _: None)
-            if ea.p == target_ea:
-                hits[("ea11", kind)] += 1
-
-            pos = Posdc(ctx, np.random.default_rng(9000 + i), capacity, eta=500)
-            pos.step(capacity, 0, budget, lambda _: None)
-            if pos.repair is None and pos.best()[1] == target_pos:
-                hits[("posdc", kind)] += 1
+    hits = {(algo, family): sum(static_optimum_hits(algo, family, i, [SOLVER_SEED + i])[0]
+                                for i in range(STATIC_INSTANCES[algo]))
+            for algo, family in PASS_HITS}
     elapsed = time.perf_counter() - t0
-    ok = all(v >= 95 for v in hits.values()) and elapsed < 120.0
-    report(4, "static optimum recovery",
-           ok, f"hits={dict(hits)}, {elapsed:.1f}s (threshold 95/100 each)")
+    ok = all(hits[row] >= PASS_HITS[row] for row in hits) and elapsed < 120.0
+    detail = ", ".join(f"{algo}-{family} {hits[algo, family]}/{STATIC_INSTANCES[algo]} "
+                       f"(pass at {bar})" for (algo, family), bar in PASS_HITS.items())
+    report(4, "static optimum recovery", ok, f"{detail}; {elapsed:.1f}s")
 
 
 # --- 5 & 6: desk-scale campaign ----------------------------------------------

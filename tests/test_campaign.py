@@ -69,12 +69,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=field if named else None):
             CampaignConfig(**{**TINY, field: bad})
     # each is rejected by the library call that uses it, made before any run
-    # (a c0_fraction whose c0 rounds to 0 fails build_schedule's c0 check)
     for field, bad in (("bounds", ("gauss",)), ("n", 0), ("warmup", -1),
-                       ("total_iters", 0), ("alphas", (0.0,)), ("alphas", (1.0,)),
-                       ("c0_fraction", 1e-6)):
+                       ("total_iters", 0), ("alphas", (0.0,)), ("alphas", (1.0,))):
         with pytest.raises(ValueError):
             CampaignConfig(**{**TINY, field: bad})
+    # a c0_fraction in (0, 1] whose c0 rounds below the least capacity
+    with pytest.raises(ValueError, match=r"c0_fraction 1e-06 gives c0=0"):
+        CampaignConfig(**{**TINY, "c0_fraction": 1e-6})
     # a negative warmup is named, even when it leaves no run length either
     with pytest.raises(ValueError, match="warmup"):
         CampaignConfig(**{**TINY, "warmup": -1, "total_iters": 1})

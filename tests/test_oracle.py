@@ -155,7 +155,7 @@ def near_tie_pairs(rng, n):
 
 
 def random_pairs(rng, trial, n):
-    shape = trial % 5
+    shape = trial % 6
     if shape == 0:
         return near_tie_pairs(rng, n)
     weights = rng.integers(1, 80, n)
@@ -165,14 +165,16 @@ def random_pairs(rng, trial, n):
         profits = rng.integers(2**49, 2**50, n)
     elif shape == 3:  # every efficiency ties, or nearly
         profits = weights + int(rng.integers(0, 3))
-    else:
+    elif shape == 4:
         profits = rng.integers(1, 1000, n)
+    else:  # the edges' products mostly between 2**52 and 2**63: no LP edge
+        profits = rng.integers(2**36 - 2**32, 2**36 + 2**32, n)
     return list(zip(profits.tolist(), weights.tolist()))
 
 
 def test_dp_window_matches_reference_on_random_stubs():
     rng = np.random.default_rng(31)
-    for trial in range(150):
+    for trial in range(180):
         inst = stub_instance(random_pairs(rng, trial, int(rng.integers(1, 201))))
         total = int(inst.weights.sum())
         # inside, at the total and above it (lambda = 0 when all items fit)
@@ -183,7 +185,7 @@ def test_dp_window_matches_reference_on_random_stubs():
                           max(0, c_max - int(rng.integers(0, 40)))):
                 assert_matches_reference(inst, c_max, c_min, full)
             keep = inst.weights <= c_max
-            if trial % 5 == 0 and keep.any():
+            if trial % 6 == 0 and keep.any():
                 # near ties and ties: the float sort orders them exactly
                 w, p = inst.weights[keep], inst.profits[keep]
                 order, _, _ = oracle._plan(w, p, c_max, 0)

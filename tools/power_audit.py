@@ -1,22 +1,19 @@
 """How often acceptance criterion 4 passes a correct solver stream: its
 power, per row, written to POWER_AUDIT.json beside this repository's README.
 
-Criterion 4 (``tests/test_acceptance.py``) runs each solver once on 100
-small instances at fixed seeds and asks for 95 hits per (solver, family).
-This script runs its exact setup again: uncorrelated n=12, delta=25,
-instance seed 4000+i, capacity int(0.45 W), alpha=0.01, a budget of 10,000
-iterations and POSDC's eta=500, with the EA's target from
-``brute_force_chance_optimum`` and POSDC's from the criterion's own
-``cstar_side_optimum``, loaded from the test file. Its six rows are the
+It runs the criterion's own experiment, ``static_optimum_hits`` from
+``tests/test_acceptance.py``, on the criterion's instances, in six rows: the
 (1+1)-EA on today's replay stream, the (1+1)-EA on geometric gaps
-(``solvers._gap_flips``) and POSDC, each under Chebyshev and Chernoff.
-
-Each row runs at the criterion's seeds 9000+i, and at K fresh seeds per
-instance from one fixed ``SeedSequence``. The fresh seeds give each
-instance's hit rate; the hit count over the 100 instances is then a sum of
-independent Bernoulli trials with those rates, whose exact (Poisson-binomial)
-distribution gives the row's mean, 5% quantile and P(hits >= 95). It takes
-no flags and runs in two worker processes:
+(``solvers._gap_flips``) and POSDC, each under Chebyshev and Chernoff. Each
+row runs at the criterion's solver seeds, and at K fresh seeds per instance
+from one fixed ``SeedSequence``, which give each instance's hit rate. The
+hit count is then a sum of independent Bernoulli trials with those rates,
+whose exact (Poisson-binomial) distribution gives the row's 1% lower
+quantile and P(pass). An EA row passes at the 1% lower quantile of its
+family's replay row: criterion 4's EA bar. The gap rows are measured
+against that bar and do not set it. A POSDC row passes at the criterion's
+bar. Each row also gives the least drop of every instance's rate that
+fails it with probability at least POWER. No flags; two worker processes:
 
     PYTHONPATH=src python tools/power_audit.py
 """
@@ -32,28 +29,27 @@ from pathlib import Path
 import numpy as np
 
 from dcckp import solvers
-from dcckp.chance import CHEBYSHEV, CHERNOFF, ChanceParams
-from dcckp.model import generate_instance
-from dcckp.oracle import brute_force_chance_optimum
+from dcckp.chance import CHEBYSHEV, CHERNOFF
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "POWER_AUDIT.json"
-INSTANCES, K, PASS_HITS = 100, 40, 95
-BUDGET, ETA = 10_000, 500
+K, QUANTILE, POWER = 40, 0.01, 0.9
 FRESH_SEEDS = np.random.SeedSequence(20_200_216)  # fixed, so reruns agree
-STREAMS = ("ea11-replay", "ea11-gaps", "posdc")
+# each row's solver and the EA's flip stream (None: the solver's own)
+STREAMS = {"ea11-replay": ("ea11", None), "ea11-gaps": ("ea11", solvers._gap_flips),
+           "posdc": ("posdc", None)}
 FAMILIES = (CHEBYSHEV, CHERNOFF)
 
 
 @functools.cache
-def _cstar_side_optimum():
-    """``cstar_side_optimum`` as criterion 4 defines it, loaded by path so
-    its predicate is the test's own."""
+def acceptance():
+    """``tests/test_acceptance.py``, loaded by path, so the experiment and
+    its setup are the criterion's own."""
     spec = importlib.util.spec_from_file_location(
         "acceptance", ROOT / "tests" / "test_acceptance.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.cstar_side_optimum
+    return module
 
 
 def poisson_binomial(rates) -> np.ndarray:
@@ -65,75 +61,78 @@ def poisson_binomial(rates) -> np.ndarray:
     return dist
 
 
-def _hits(i: int, family: str, seeds) -> dict:
-    """Per stream, whether each seed's run on instance i reaches its target."""
-    inst = generate_instance("uncorrelated", 12, 25, seed=4000 + i)
-    capacity = int(0.45 * inst.total_expected_weight())
-    params = ChanceParams(0.01, 25, family)
-    ctx = solvers._RunContext(inst, params)
-    target_ea = brute_force_chance_optimum(inst, capacity, params)[0]
-    target_pos = _cstar_side_optimum()(inst, capacity, params)
-    hits = {stream: [] for stream in STREAMS}
-    for seed in seeds:
-        for stream in ("ea11-replay", "ea11-gaps"):
-            rng = np.random.default_rng(seed)
-            ea = solvers.OnePlusOneEA(ctx, rng, capacity)
-            if stream == "ea11-gaps":
-                ea.flips = solvers._gap_flips(rng, ctx.n)
-            ea.step(capacity, 0, BUDGET, lambda _: None)
-            hits[stream].append(bool(ea.p == target_ea))
-        pos = solvers.Posdc(ctx, np.random.default_rng(seed), capacity, eta=ETA)
-        pos.step(capacity, 0, BUDGET, lambda _: None)
-        hits["posdc"].append(pos.repair is None and bool(pos.best()[1] == target_pos))
-    return hits
+def lower_quantile(dist, q: float) -> int:
+    """The least h with P(hits <= h) >= q under the distribution ``dist``."""
+    return int(np.searchsorted(np.cumsum(dist), q))
 
 
-def _instance_task(task):
-    i, family, fresh = task
-    fixed = _hits(i, family, [9000 + i])
-    rates = _hits(i, family, fresh)
-    return i, family, {s: (fixed[s][0], sum(rates[s]) / len(fresh)) for s in STREAMS}
+def drop_caught(rates, pass_hits: int) -> float:
+    """The least d, in steps of 0.001, such that the row fails with
+    probability at least POWER once every rate falls by d (floored at 0)."""
+    rates = np.asarray(rates, float)
+    lo, hi = 0, 1000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fail = poisson_binomial(np.maximum(rates - mid / 1000, 0.0))[:pass_hits].sum()
+        lo, hi = (lo, mid) if fail >= POWER else (mid + 1, hi)
+    return lo / 1000
 
 
-def row_summary(fixed_hits: int, rates) -> dict:
-    """One row of the report, from its fixed-seed hits and the instances'
-    hit rates at the fresh seeds."""
+def row_summary(fixed_hits: int, rates, pass_hits: int) -> dict:
+    """One row of the report, from its fixed-seed hits, the instances' hit
+    rates at the fresh seeds and the hits it passes at."""
     dist = poisson_binomial(rates)
-    cdf = np.cumsum(dist)
     return {
         "fixed_seed_hits": fixed_hits,
-        "rates": list(rates),
+        "pass_hits": pass_hits,
         "mean_hits": float(sum(rates)),
-        "quantile_5pct": int(np.searchsorted(cdf, 0.05)),
-        "p_pass": float(dist[PASS_HITS:].sum()),
-        "distribution": dist.tolist(),
+        "quantile_1pct": lower_quantile(dist, QUANTILE),
+        "p_pass": float(dist[pass_hits:].sum()),
+        "drop_caught": drop_caught(rates, pass_hits),
+        "rates": list(rates),
     }
 
 
+def _instance_task(task):
+    stream, family, i, fresh = task
+    acc, (algo, flips) = acceptance(), STREAMS[stream]
+    hits = acc.static_optimum_hits(algo, family, i, [acc.SOLVER_SEED + i, *fresh], flips)
+    return int(hits[0]), sum(hits[1:]) / len(fresh)
+
+
 def main():
-    children = FRESH_SEEDS.spawn(INSTANCES)
+    acc = acceptance()
+    count = {stream: acc.STATIC_INSTANCES[algo] for stream, (algo, _) in STREAMS.items()}
+    children = FRESH_SEEDS.spawn(max(count.values()))
     fresh = [child.generate_state(K, np.uint64).tolist() for child in children]
-    tasks = [(i, family, fresh[i]) for family in FAMILIES for i in range(INSTANCES)]
+    tasks = [(stream, family, i, fresh[i])
+             for stream, family in product(STREAMS, FAMILIES) for i in range(count[stream])]
     outcomes = {}
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        for i, family, per_stream in pool.map(_instance_task, tasks):
-            outcomes[family, i] = per_stream
+        for task, outcome in zip(tasks, pool.map(_instance_task, tasks, chunksize=8)):
+            outcomes.setdefault(task[:2], []).append(outcome)
+    bars = {family: lower_quantile(poisson_binomial(
+        [rate for _, rate in outcomes["ea11-replay", family]]), QUANTILE)
+        for family in FAMILIES}
     rows = {}
     for stream, family in product(STREAMS, FAMILIES):
-        fixed, rates = zip(*(outcomes[family, i][stream] for i in range(INSTANCES)))
-        rows[f"{stream}-{family}"] = row_summary(sum(fixed), rates)
+        fixed, rates = zip(*outcomes[stream, family])
+        algo = STREAMS[stream][0]
+        pass_hits = bars[family] if algo == "ea11" else acc.PASS_HITS[algo, family]
+        rows[f"{stream}-{family}"] = row_summary(sum(fixed), rates, pass_hits)
     report = {
-        "setup": {"instances": INSTANCES, "fresh_seeds_per_instance": K,
-                  "pass_hits": PASS_HITS, "budget": BUDGET, "eta": ETA,
-                  "fresh_seed_entropy": FRESH_SEEDS.entropy},
+        "setup": {"instances": acc.STATIC_INSTANCES, "instance_seed": acc.INSTANCE_SEED,
+                  "solver_seed": acc.SOLVER_SEED, "budget": acc.STATIC_BUDGET,
+                  "eta": acc.STATIC_ETA, "fresh_seeds_per_instance": K,
+                  "fresh_seed_entropy": FRESH_SEEDS.entropy, "quantile": QUANTILE},
         "rows": rows,
     }
     OUT.write_text(json.dumps(report, indent=1) + "\n")
     for name, row in rows.items():
-        print(f"{name:28s} fixed {row['fixed_seed_hits']:3d}  mean "
-              f"{row['mean_hits']:5.1f}  5% quantile {row['quantile_5pct']:3d}  "
-              f"P(hits >= {PASS_HITS}) {row['p_pass']:.2f}")
+        print(f"{name:28s} fixed {row['fixed_seed_hits']:3d}  mean {row['mean_hits']:5.1f}  "
+              f"1% quantile {row['quantile_1pct']:3d}  P(hits >= {row['pass_hits']}) "
+              f"{row['p_pass']:.3f}  drop caught {row['drop_caught']:.3f}")
 
 
 if __name__ == "__main__":
