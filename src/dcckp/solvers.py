@@ -35,33 +35,18 @@ incumbent rejects a lower-profit offspring without evaluating the bound
 (violations are never negative, so this is exact).
 
 Both read standard bit mutation from a flip stream, ``_FlipBlocks``, which
-draws ``MUTATION_BLOCK`` iterations at a time, a block only when its first
+draws ``MUTATION_BLOCK`` iterations at a time from geometric gaps
+(``_gap_flips``), about one draw per flip, a block only when its first
 iteration is due, and keeps one view of the block at hand: each iteration's
-ascending flip positions and the iterations that flip something. Every
-reader (``lex_run``, the screen and POSDC's archive step) walks a stretch a
-piece of a block at a time and visits only the iterations that flip: an
-offspring that flips nothing would be an exact copy. POSDC's stream comes
-from geometric gaps (``_gap_flips``), about one draw per flip. The
-(1+1)-EA's replays one ``rng.random(n)`` per iteration (``_replay_flips``),
-which costs n uniforms an iteration but keeps its trajectories, and so
-the ea11 rows of runs.csv. NSGA-II reads a stream of the
-same kind, one item per generation with all of its draws, drawn
+ascending flip positions and the iterations that flip something. Both
+readers (``lex_run`` and POSDC's archive step) walk a stretch a piece of a
+block at a time and visit only the iterations that flip: an offspring that
+flips nothing would be an exact copy. NSGA-II reads a stream of the same
+kind, one item per generation with all of its draws, drawn
 ``MUTATION_BLOCK // pop_size`` generations at a time (``Nsga2._draw_block``).
-
-The (1+1)-EA screens its flip blocks while its incumbent is feasible, in a
-stretch of at least ``SCREEN_MIN`` iterations and while kept offspring are
-sparse (``OnePlusOneEA._screen``): numpy gives every offspring's change in
-(p, w, k) from the incumbent, and only an offspring with at least its profit
-that passes ``_RunContext.passes_screen`` reaches the scalar
-``lex_violation``, in iteration order, up to the first one kept. The
-screen's margin lies strictly below the family's C* margin, below which the
-tail exceeds alpha, so it rejects only offspring that violate. Against a
-feasible incumbent an offspring is kept exactly when it has at least the
-profit and violation 0, so screened steps keep what scalar steps keep,
-decided by the same floats. Every other piece of a stretch takes scalar
-steps. POSDC's archive step draws its parent, mutates it and takes its C*
-in its own loop, by the rules of ``_words``, ``_RunContext.mutate`` and
-``TailBound.cstar``.
+A (1+1)-EA step call is one ``lex_run`` over its stretch. POSDC's archive
+step draws its parent, mutates it and takes its C* in its own loop, by the
+rules of ``_words``, ``_RunContext.mutate`` and ``TailBound.cstar``.
 """
 
 from __future__ import annotations
@@ -78,9 +63,6 @@ from .chance import ChanceParams
 
 REPAIR_STEP_CAP = 10 ** 6
 MUTATION_BLOCK = 256  # iterations of standard bit mutation drawn at once
-# the iterations a numpy pass over a flip block must save to pay off: the
-# (1+1)-EA screens only stretches that long, while kept offspring are that sparse
-SCREEN_MIN = 64
 
 
 def _stream(draw_block):
@@ -96,16 +78,16 @@ class _FlipBlocks:
     at a time: ``draw_hits()`` gives a block's ascending flips as positions
     in its n * MUTATION_BLOCK cells (iteration-major).
 
-    The block that holds the next iteration is ``positions`` and ``starts``
-    (iteration j of it flips ``positions[starts[j]:starts[j + 1]]``), and
-    ``at`` is that iteration's index in it; ``lists()`` gives both as Python
-    lists and ``steps()`` its iterations that flip something. A reader walks
-    its iterations a piece at a time (``piece``) and moves ``at`` past what
-    it has read. ``room()`` draws the next block once ``at`` has reached the
-    last one's end, and a reader calls it first, so a block is drawn when
-    its first iteration is due and never ahead."""
+    The block that holds the next iteration is the lists ``positions`` and
+    ``starts`` (iteration j of it flips ``positions[starts[j]:starts[j +
+    1]]``) and ``flipping``, its iterations that flip something; ``at`` is
+    the next iteration's index in it. A reader walks its iterations a piece
+    at a time (``piece``) and moves ``at`` past what it has read. ``room()``
+    draws the next block once ``at`` has reached the last one's end, and a
+    reader calls it first, so a block is drawn when its first iteration is
+    due and never ahead."""
 
-    __slots__ = ("n", "draw_hits", "positions", "starts", "at", "_lists", "_steps")
+    __slots__ = ("n", "draw_hits", "positions", "starts", "flipping", "at")
 
     def __init__(self, n: int, draw_hits):
         self.n, self.draw_hits = n, draw_hits
@@ -117,54 +99,32 @@ class _FlipBlocks:
         if self.at == MUTATION_BLOCK:
             hits = self.draw_hits()
             iteration = hits // self.n
-            self.positions = hits - iteration * self.n
-            self.starts = iteration.searchsorted(np.arange(MUTATION_BLOCK + 1))
-            self.at, self._lists, self._steps = 0, None, None
+            starts = iteration.searchsorted(np.arange(MUTATION_BLOCK + 1))
+            self.positions = (hits - iteration * self.n).tolist()
+            self.starts = starts.tolist()
+            self.flipping = (starts[:-1] != starts[1:]).nonzero()[0].tolist()
+            self.at = 0
         return MUTATION_BLOCK - self.at
-
-    def lists(self):
-        if self._lists is None:
-            self._lists = self.positions.tolist(), self.starts.tolist()
-        return self._lists
-
-    def steps(self):
-        """(indices, heads): the block's iterations that flip something, a
-        list, and where their flips start in ``positions``, an array."""
-        if self._steps is None:
-            starts = self.starts
-            flipping = (starts[:-1] != starts[1:]).nonzero()[0]
-            self._steps = flipping.tolist(), starts[flipping]
-        return self._steps
 
     def piece(self, first: int, end: int):
         """(stop, offset, positions, starts, flipping) of the iterations
         ``first`` .. ``stop - 1`` of a walk over ``[first, end)``, the most
-        that the block at hand holds: ``lists()`` and the block indices of
-        the piece's iterations that flip something, iteration ``offset + j``
-        being the block's j. Moves ``at`` past the piece."""
+        that the block at hand holds: the block's lists and the block
+        indices of the piece's iterations that flip something, iteration
+        ``offset + j`` being the block's j. Moves ``at`` past the piece."""
         stop = first + self.room()
         if stop > end:
             stop = end
         at = self.at
         self.at = stop - first + at
-        positions, starts = self.lists()
-        indices = self.steps()[0]
-        return (stop, first - at, positions, starts,
-                indices[bisect_left(indices, at):bisect_left(indices, self.at)])
-
-
-def _replay_flips(rng, n: int) -> _FlipBlocks:
-    """Flips of one ``rng.random(n)`` per iteration, bit i flipping when its
-    uniform is below 1/n. A block is n * MUTATION_BLOCK uniforms in one
-    vectorised call, the same stream as a per-iteration draw, so a solver
-    that draws nothing else between mutations keeps its trajectory."""
-    return _FlipBlocks(n, lambda: np.flatnonzero(rng.random(n * MUTATION_BLOCK) < 1.0 / n))
+        flipping = self.flipping
+        return (stop, first - at, self.positions, self.starts,
+                flipping[bisect_left(flipping, at):bisect_left(flipping, self.at)])
 
 
 def _gap_flips(rng, n: int) -> _FlipBlocks:
     """Flips from geometric gaps (``_flip_positions``), whose cost does not
-    grow with n: about one draw per flip, not one uniform per bit. Exact in
-    distribution, but a different stream from ``_replay_flips``."""
+    grow with n: about one draw per flip, not one uniform per bit."""
     return _FlipBlocks(n, lambda: _flip_positions(rng, n * MUTATION_BLOCK, 1.0 / n))
 
 
@@ -192,7 +152,7 @@ class _RunContext:
     (violation, profit) fitness on the hot path."""
 
     __slots__ = ("n", "inv_n", "profits", "weights", "profit_list",
-                 "weight_list", "bound", "gains", "losses", "screen_margin")
+                 "weight_list", "bound")
 
     def __init__(self, instance, params: ChanceParams):
         self.n = instance.n
@@ -202,20 +162,6 @@ class _RunContext:
         self.profit_list = self.profits.tolist()
         self.weight_list = self.weights.tolist()
         self.bound = chance.tail_bound(params, instance.n)
-        # the (p, w, k) change of flipping each item in, and out
-        self.gains = np.column_stack([self.profits, self.weights, np.ones(self.n, np.int64)])
-        self.losses = -self.gains
-        self.screen_margin = 0.99 * self.bound.margins - 1.0
-
-    def passes_screen(self, w, k, capacity):
-        """False only where ``lex_violation(w, k, capacity) > 0``, for arrays
-        of w and k: the screen's margin is strictly below ``margin[k]``, and
-        a capacity below w + margin[k] has a tail above alpha in both
-        families (Chebyshev's margin is the exact inverse of its tail,
-        Chernoff's 0.99 of it), so the slack of 1% and 1 covers the floats.
-        ``tests/test_solvers.py::test_screen_rejects_only_violations``
-        checks this at every integer gap near both margins."""
-        return w + self.screen_margin.take(k) <= capacity
 
     def lex_violation(self, w: int, k: int, capacity: int) -> float:
         """Violation term of the lexicographic fitness.
@@ -299,95 +245,25 @@ def _flipped(bits: bytearray, positions) -> bytearray:
 
 
 class OnePlusOneEA:
-    """(1+1)-EA with lexicographic (violation, profit) acceptance.
-
-    A step call of at least ``SCREEN_MIN`` iterations walks its stretch a
-    flip block at a time, and screens a piece (``_screen``) when the
-    incumbent is feasible and kept offspring are sparse: the last lies
-    ``SCREEN_MIN`` iterations back, or their mean spacing is at least that.
-    One numpy pass costs about as much as that many scalar steps, so dense
-    acceptance, as early in a run at n = 1000, takes scalar steps. Every
-    other piece, and a shorter stretch whole, takes the scalar ``lex_run``;
-    both keep the same offspring."""
+    """(1+1)-EA with lexicographic (violation, profit) acceptance: a step
+    call is one ``lex_run`` over its stretch."""
 
     stride = 1  # iterations charged per step
 
     def __init__(self, ctx: _RunContext, rng, capacity: int):
         self.ctx = ctx
-        self.flips = _replay_flips(rng, ctx.n)
+        self.flips = _gap_flips(rng, ctx.n)
         self.bits, self.p, self.w, self.k = ctx.random_solution(rng)
-        self._deltas_of = None  # the bits ``_deltas`` was built from
-        # the last kept offspring's iteration and a running mean of the
-        # iterations between kept offspring
-        self._kept_at, self._spacing = 0, 0.0
 
     def on_change(self, capacity: int):
         # each step call measures the incumbent against its own capacity
         pass
 
-    def _kept(self, i: int):
-        """Note an offspring kept at step ``i`` of a screened stretch."""
-        self._spacing += (i - self._kept_at - self._spacing) / 4
-        self._kept_at = i
-
     def step(self, capacity: int, first: int, end: int, record):
-        ctx, flips = self.ctx, self.flips
-        screened = end - first >= SCREEN_MIN
-        while first < end:
-            # a screened stretch decides block by block, a short one is one run
-            stop = min(first + flips.room(), end) if screened else end
-            if (screened and (first - self._kept_at >= SCREEN_MIN or self._spacing >= SCREEN_MIN)
-                    and not ctx.lex_violation(self.w, self.k, capacity)):
-                first = self._screen(capacity, first, stop, record)
-                continue
-            run = ctx.lex_run(flips, (self.bits, self.p, self.w, self.k), capacity, first, stop)
-            for i, (self.bits, self.p, self.w, self.k) in run:
-                record(i)
-                if screened:
-                    self._kept(i)
-            first = stop
-
-    def _screen(self, capacity: int, i: int, stop: int, record) -> int:
-        """Steps ``i`` .. ``stop - 1``, which lie in the flip block at hand,
-        from a feasible incumbent, up to the first that keeps its offspring;
-        returns the iteration after the last step taken.
-
-        One ``reduceat`` over the block's flips gives each offspring's
-        change in (p, w, k). An offspring with at least the incumbent's
-        profit that passes ``passes_screen`` goes to ``lex_violation``, in
-        iteration order, and the first with violation 0 is kept: the rule
-        of ``lex_run`` against violation 0."""
-        ctx, flips = self.ctx, self.flips
-        at = flips.at
-        end = flips.at = at + stop - i
-        steps, heads = flips.steps()
-        lo, hi = bisect_left(steps, at), bisect_left(steps, end)
-        if lo == hi:
-            return stop  # no step has an offspring
-        if self._deltas_of is not self.bits:
-            self._deltas_of = self.bits
-            chosen = np.frombuffer(self.bits, bool)[:, None]
-            self._deltas = np.where(chosen, ctx.losses, ctx.gains)
-        deltas, heads = self._deltas, heads[lo:hi]
-        head, positions = heads[0], flips.positions
-        change = np.add.reduceat(deltas.take(positions[head:flips.starts[end]], axis=0),
-                                 heads - head)
-        dp, dw, dk = change.T
-        p, w, k = self.p, self.w, self.k
-        maybe = (dp >= 0) & ctx.passes_screen(w + dw, k + dk, capacity)
-        for s in maybe.nonzero()[0].tolist():
-            cw, ck = w + int(dw[s]), k + int(dk[s])
-            if not ctx.lex_violation(cw, ck, capacity):
-                j = steps[lo + s]
-                flipped = positions[heads[s]:flips.starts[j + 1]]
-                self.bits = self._deltas_of = _flipped(self.bits, flipped.tolist())
-                deltas[flipped] *= -1
-                self.p, self.w, self.k = p + int(dp[s]), cw, ck
-                flips.at = j + 1
-                record(i + j - at)
-                self._kept(i + j - at)
-                return i + j + 1 - at
-        return stop
+        run = self.ctx.lex_run(self.flips, (self.bits, self.p, self.w, self.k),
+                               capacity, first, end)
+        for i, (self.bits, self.p, self.w, self.k) in run:
+            record(i)
 
     def designated_eval(self):
         return self.p, self.w, self.k

@@ -27,9 +27,11 @@ from dcckp.oracle import (
     dp_optimal_profits,
 )
 from dcckp.solvers import (
+    MUTATION_BLOCK,
     Nsga2,
     OnePlusOneEA,
     Posdc,
+    _FlipBlocks,
     _RunContext,
     fast_nondominated_sort,
     run_algorithm,
@@ -138,6 +140,13 @@ def cstar_side_optimum(inst, capacity, params):
     cstar = tail_bound(params, n).cstar_array(w, k)
     feas = cstar < capacity
     return int(p[feas].max()) if feas.any() else 0
+
+
+def replay_flips(rng, n):
+    """The (1+1)-EA's flip stream before it read geometric gaps: one
+    ``rng.random(n)`` per iteration, bit i flipping when its uniform is below
+    1/n. Criterion 4's EA bar is audited on it (tools/power_audit.py)."""
+    return _FlipBlocks(n, lambda: np.flatnonzero(rng.random(n * MUTATION_BLOCK) < 1.0 / n))
 
 
 def static_optimum_hits(algo, family, i, seeds, flips=None):

@@ -78,11 +78,11 @@ CI_DIGEST_ARGS = ("run", "--n", "20", "--iters", "2000", "--warmup", "100", "--t
                   "--runs", "2", "--algos", "ea11,posdc,nsga2", "--alpha", "0.01,0.0001",
                   "--seed", "1")
 CI_ALGO_DIGESTS = {
-    "ea11": "7c5518686e8bd9f1e8d3cffe2672de5b28f695adb006d2b736fd6ef522b32ede",
+    "ea11": "bf56c39920ee0ebd1371a33f6edfb9d42160a51d0c9f79e6b711669e8ecee680",
     "posdc": "3e1234eaa5fe72d355ab35b64cb5a90c54052f4ba518a291468b85c61887caad",
     "nsga2": "7ca7dc089175284be321511c1a2203290926ef91f18ba6d0e0319652c6439390",
 }
-CI_SUMMARY_DIGEST = "bd8d90b78ee137a4890d558e0332d4935f10d829f108566a9b7b14e68e009cbd"
+CI_SUMMARY_DIGEST = "9b2e051590c479d19db87fc31e8090e3edceb842f51fe0fda42fcf2a7a1e87ad"
 CI_TRACE_FILE = "trace-uncorrelated-n20-d25-r500-t100-a0.0001-posdc-chernoff-run1.csv"
 
 

@@ -363,6 +363,12 @@ def test_brute_force_tie_breaks_lexicographically():
     profit, bits = brute_force_optimum(inst, 10)
     assert profit == 5
     assert bits.tolist() == [0, 1]
+    # n = 15: the tie {0} lies in the first enumeration chunk of 2**14 subsets
+    # and the smaller {14} in the second, whose equal profit must still count
+    inst = stub_instance([(5, 10)] + [(1, 11)] * 13 + [(5, 10)])
+    profit, bits = brute_force_optimum(inst, 10)
+    assert profit == 5
+    assert bits.tolist() == [0] * 14 + [1]
 
 
 def test_chance_optimum_capacity_threshold():

@@ -69,8 +69,9 @@ def main():
         print(f"NSGA-II generation, {kind} n={case.n}: {s * 1e3:.1f} us")
 
     # run_algorithm over one schedule of 1,000 warm-up and 20,000 measured
-    # iterations: desk's stretches let the (1+1)-EA screen, churn's do not
-    for shape, case, tau, alpha in (("desk", desk, 1000, 1e-4), ("churn", churn, 25, 0.01)):
+    # iterations
+    for shape, case, tau, alpha in (("desk", desk, 1000, 1e-4), ("churn", churn, 25, 0.01),
+                                    ("wide", wide, 1000, 1e-4)):
         c_min, c_max = default_clamp_bounds(case)
         schedule = build_schedule(default_initial_capacity(case), tau, 500, 1000,
                                   21_000, c_min, c_max, seed=1)

@@ -3,14 +3,15 @@ power, per row, written to POWER_AUDIT.json beside this repository's README.
 
 It runs the criterion's own experiment, ``static_optimum_hits`` from
 ``tests/test_acceptance.py``, on the criterion's instances, in six rows: the
-(1+1)-EA on today's replay stream, the (1+1)-EA on geometric gaps
-(``solvers._gap_flips``) and POSDC, each under Chebyshev and Chernoff. Each
-row runs at the criterion's solver seeds, and at K fresh seeds per instance
-from one fixed ``SeedSequence``, which give each instance's hit rate. The
-hit count is then a sum of independent Bernoulli trials with those rates,
-whose exact (Poisson-binomial) distribution gives the row's 1% lower
-quantile and P(pass). An EA row passes at the 1% lower quantile of its
-family's replay row: criterion 4's EA bar. The gap rows are measured
+(1+1)-EA on the replay stream it read before geometric gaps
+(``replay_flips`` in that module), the (1+1)-EA on its own stream of gaps
+and POSDC, each under Chebyshev and Chernoff. Each row runs at the
+criterion's solver seeds, and at K fresh seeds per instance from one fixed
+``SeedSequence``, which give each instance's hit rate. The hit count is
+then a sum of independent Bernoulli trials with those rates, whose exact
+(Poisson-binomial) distribution gives the row's 1% lower quantile and
+P(pass). An EA row passes at the 1% lower quantile of its family's replay
+row: criterion 4's EA bar. The gap rows are measured
 against that bar and do not set it. A POSDC row passes at the criterion's
 bar. Each row also gives the least drop of every instance's rate that
 fails it with probability at least POWER. No flags; two worker processes:
@@ -28,15 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from dcckp import solvers
 from dcckp.chance import CHEBYSHEV, CHERNOFF
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "POWER_AUDIT.json"
 K, QUANTILE, POWER = 40, 0.01, 0.9
 FRESH_SEEDS = np.random.SeedSequence(20_200_216)  # fixed, so reruns agree
-# each row's solver and the EA's flip stream (None: the solver's own)
-STREAMS = {"ea11-replay": ("ea11", None), "ea11-gaps": ("ea11", solvers._gap_flips),
+# each row's solver and the name of the EA's flip stream in the acceptance
+# module (None: the solver's own, geometric gaps)
+STREAMS = {"ea11-replay": ("ea11", "replay_flips"), "ea11-gaps": ("ea11", None),
            "posdc": ("posdc", None)}
 FAMILIES = (CHEBYSHEV, CHERNOFF)
 
@@ -96,6 +97,7 @@ def row_summary(fixed_hits: int, rates, pass_hits: int) -> dict:
 def _instance_task(task):
     stream, family, i, fresh = task
     acc, (algo, flips) = acceptance(), STREAMS[stream]
+    flips = flips and getattr(acc, flips)
     hits = acc.static_optimum_hits(algo, family, i, [acc.SOLVER_SEED + i, *fresh], flips)
     return int(hits[0]), sum(hits[1:]) / len(fresh)
 
