@@ -78,14 +78,14 @@ class _FlipBlocks:
     at a time: ``draw_hits()`` gives a block's ascending flips as positions
     in its n * MUTATION_BLOCK cells (iteration-major).
 
-    The block that holds the next iteration is the lists ``positions`` and
-    ``starts`` (iteration j of it flips ``positions[starts[j]:starts[j +
-    1]]``) and ``flipping``, its iterations that flip something; ``at`` is
-    the next iteration's index in it. A reader walks its iterations a piece
-    at a time (``piece``) and moves ``at`` past what it has read. ``room()``
-    draws the next block once ``at`` has reached the last one's end, and a
-    reader calls it first, so a block is drawn when its first iteration is
-    due and never ahead."""
+    The block that holds the next iteration is three lists: ``positions``
+    and ``starts`` (iteration j of it flips
+    ``positions[starts[j]:starts[j + 1]]``), and ``flipping``, its
+    iterations that flip something; ``at`` is the next iteration's index in
+    it. A reader walks its iterations a piece at a time (``piece``) and
+    moves ``at`` past what it has read. ``room()`` draws the next block once
+    ``at`` has reached the last one's end, and a reader calls it first, so a
+    block is drawn when its first iteration is due and never ahead."""
 
     __slots__ = ("n", "draw_hits", "positions", "starts", "flipping", "at")
 

@@ -276,8 +276,8 @@ def test_flip_blocks_match_independent_bit_flips(stream, seed, n):
 
 @pytest.mark.parametrize("n", [1, 12, 100])
 def test_flip_blocks_replay_a_per_iteration_draw(n):
-    """A block reads the same uniforms as one rng.random(n) per iteration,
-    so solver trajectories do not depend on the block size."""
+    """A replay block reads the same uniforms as one rng.random(n) per
+    iteration, so the audited replay runs do not depend on the block size."""
     next_flips = functools.partial(read_flips, replay_flips(np.random.default_rng(31), n))
     twin = np.random.default_rng(31)
     for _ in range(3 * MUTATION_BLOCK + 7):

@@ -75,7 +75,7 @@ def main():
         c_min, c_max = default_clamp_bounds(case)
         schedule = build_schedule(default_initial_capacity(case), tau, 500, 1000,
                                   21_000, c_min, c_max, seed=1)
-        table = dp_optimal_profits(case, c_max)
+        table = dp_optimal_profits(case, c_max, c_min)
         for algo in ("ea11", "posdc"):
             for bound in ("chebyshev", "chernoff"):
                 params = ChanceParams(alpha, 25, bound)
