@@ -1876,7 +1876,7 @@ def test_recorder_misses_no_change(algo, tau, warmup, total, kind, monkeypatch):
         assert rec.feasible_fraction == float((got[3] <= 0.01).mean())
         assert rec.feasible_fraction == float((reference[3] <= 0.01).mean())
         assert rec.total_offline_error == float(reference[0].mean())
-    # the driver records each stretch's start and each change inside a step,
+    # run_algorithm records each stretch's start and each change inside a step,
     # a solver only the steps that may change its designation: fewer records
     # than iterations
     inside = sum(i % cls.stride != 0 for i in sched.change_iters.tolist())
